@@ -15,11 +15,10 @@ from dataclasses import dataclass
 
 from .errors import (
     DegenerateFrameError,
-    FieldTooSmallError,
     InternalCheckError,
     NoCoprimeWitnessError,
 )
-from .fields import QQ, PrimeField, scalar_to_str
+from .fields import QQ, scalar_to_str
 from .forms import BinaryForm, divide_exact, form_gcd, gcd_many, random_form
 from .linalg import rank_kernel, rank_of
 from .rnc import Frame, Quadric, StandardRNC, random_standard_rnc
@@ -89,10 +88,6 @@ def random_binary_curve(n: int, field, seed) -> BinaryCurve:
     """Two independent random components; deterministic per seed."""
     if n < 3:
         raise ValueError(f"need n >= 3, got {n}")
-    if isinstance(field, PrimeField) and field.p < 4 * n:
-        raise FieldTooSmallError(
-            f"rejection sampling needs p >= 4n = {4 * n}, got {field.p}"
-        )
     rng = as_stream(seed)
     comp1 = random_standard_rnc(n, field, rng.child("comp1"))
     comp2_rng = rng.child("comp2")

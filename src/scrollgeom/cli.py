@@ -30,8 +30,7 @@ from .reports import build_report, render_report
 from .rnc import (
     random_quadric_through_frame,
     random_standard_rnc,
-    residual_polynomial,
-    rnc_finiteness_rank,
+    rnc_residual_and_rank,
 )
 from .rngstream import as_stream
 from .scroll_curves import (
@@ -237,8 +236,7 @@ def _handle_rnc(args) -> dict:
         rng = stream.child(f"trial{t}")
         curve = random_standard_rnc(n, field, rng)
         quad = random_quadric_through_frame(n, field, rng)
-        residual = residual_polynomial(quad, curve)
-        fin_rank = rnc_finiteness_rank(quad, curve)
+        residual, fin_rank = rnc_residual_and_rank(quad, curve)
         if fin_rank == n - 1:
             isolated += 1
         rows.append(

@@ -246,11 +246,13 @@ def random_nonzero(field, rng):
 
 def random_distinct(field, rng, count: int, exclude=()):
     """count distinct scalars, none equal to any excluded value."""
-    if isinstance(field, PrimeField) and field.p < 4 * (count + len(exclude)):
+    bound = 4 * (count + len(exclude))
+    if isinstance(field, PrimeField) and field.p < bound:
         from .errors import FieldTooSmallError
 
         raise FieldTooSmallError(
-            f"field F_{field.p} too small to sample {count} distinct scalars"
+            f"rejection sampling of {count} distinct scalars avoiding "
+            f"{len(exclude)} fixed values needs p >= {bound}, got {field.p}"
         )
     out = []
     guard = 0

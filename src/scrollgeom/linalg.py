@@ -192,29 +192,6 @@ def mat_vec(mat, vec):
     return out
 
 
-def mat_mul(a, b):
-    bt = list(zip(*b))
-    return [[_dot(row, col) for col in bt] for row in a]
-
-
-def _dot(u, v):
-    acc = None
-    for a, b in zip(u, v):
-        term = a * b
-        acc = term if acc is None else acc + term
-    return acc
-
-
-def transpose(mat):
-    return [list(col) for col in zip(*mat)]
-
-
-def identity_matrix(n: int, field):
-    return [
-        [field.one if i == j else field.zero for j in range(n)] for i in range(n)
-    ]
-
-
 def gauss_solve(mat, rhs, field):
     """Solve M x = rhs for square M by Gaussian elimination over the field."""
     n = len(mat)

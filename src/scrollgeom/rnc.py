@@ -14,14 +14,13 @@ from __future__ import annotations
 from .errors import (
     CenterNotOnCurveError,
     DegenerateFrameError,
-    InexactDivisionError,
     InternalCheckError,
     NotThroughFrameError,
     SingularMatrixError,
     ZeroQuadricError,
 )
 from .fields import field_of, random_distinct
-from .forms import BinaryForm, divide_exact, gcd_many, vanishing_at
+from .forms import BinaryForm, divide_exact, gcd_many, product_of_linears
 from .linalg import gauss_solve, invert, mat_vec, rank_kernel, rank_of
 
 
@@ -157,17 +156,8 @@ class StandardRNC:
 
     def coordinate_forms(self):
         values = self.node_values
-        linears = [vanishing_at(v) for v in values]
-        one = BinaryForm(0, (self.field.one,))
-        prefix = [one]
-        for lin in linears:
-            prefix.append(prefix[-1] * lin)
-        suffix = [one]
-        for lin in reversed(linears):
-            suffix.append(suffix[-1] * lin)
-        suffix.reverse()
-        # prefix[j] = l_0..l_{j-1}, suffix[j+1] = l_{j+1}..l_n
-        return [prefix[j] * suffix[j + 1] for j in range(len(values))]
+        full = product_of_linears(values, self.field).coeffs
+        return [BinaryForm(self.n, _drop_linear(full, v)) for v in values]
 
     def evaluate(self, s0, s1):
         """Point of P^n at parameter (s0 : s1)."""
@@ -357,38 +347,67 @@ def _sum(xs):
     return acc
 
 
-def _residual_for_values(gram, node_values, field):
-    """Residual form for explicit node values, skipping all validation.
+def _drop_linear(coeffs, value):
+    """Coefficients of f / (s0 - value*s1) for a form f that it divides.
 
-    The composite q(phi(s)) factors as prod_m l_m * B with
-    B = sum_{i<j} 2 G_ij prod_{m not in {i,j}} l_m, and the through-frame
-    condition makes B divisible by s1; the residual is B / s1.
+    Coefficient k of (s0 - value*s1) * g is g_k - value*g_(k-1), so the
+    quotient follows by Horner's rule and what is left of the last
+    coefficient is the remainder, which must vanish.
     """
-    node_count = len(node_values)
-    linears = [vanishing_at(v) for v in node_values]
-    one = BinaryForm(0, (field.one,))
-    prefix = [one]
-    for lin in linears:
-        prefix.append(prefix[-1] * lin)
-    suffix = [one]
-    for lin in reversed(linears):
-        suffix.append(suffix[-1] * lin)
-    suffix.reverse()
-    b_form = BinaryForm.zero(node_count - 2, field)
-    for i in range(node_count):
-        # product of linears with slots i and j removed, via the prefix
-        # tables for the outer gap and a rescan for the inner one
-        for j in range(i + 1, node_count):
-            g = gram[i][j]
+    quotient = [coeffs[0]]
+    for c in coeffs[1:-1]:
+        quotient.append(c + value * quotient[-1])
+    if coeffs[-1] + value * quotient[-1]:
+        raise InternalCheckError(f"s0 - {value}*s1 does not divide the form")
+    return quotient
+
+
+def _residual_pass(gram, node_values, field):
+    """Residual form and its partials in the free node values, in one pass.
+
+    With l_k = s0 - v_k*s1, P = prod_k l_k and P_ij = P / (l_i*l_j), the
+    composite q(phi(s)) is P * B with B = sum_m S_m and
+    S_m = sum_(j != m) G_mj P_mj.  The through-frame condition makes B
+    divisible by s1, and the residual is R = B / s1.  Returns R and the
+    coefficient lists of dR/dv_m for m = 2..n (see rnc_finiteness_rank).
+    Every division is checked to be exact.
+    """
+    count = len(node_values)
+    full = product_of_linears(node_values, field).coeffs
+    singles = [_drop_linear(full, v) for v in node_values]
+    sums = [[field.zero] * (count - 1) for _ in range(count)]
+    for i in range(count):
+        row = gram[i]
+        for j in range(i + 1, count):
+            g = row[j]
             if not g:
                 continue
-            middle = one
-            for m in range(i + 1, j):
-                middle = middle * linears[m]
-            partial = prefix[i] * middle * suffix[j + 1]
-            b_form = b_form + partial.scale(g + g)
-    s1 = BinaryForm.monomial(1, 1, field.one)
-    return divide_exact(b_form, s1)
+            terms = [g * c for c in _drop_linear(singles[i], node_values[j])]
+            sums[i] = [a + t for a, t in zip(sums[i], terms)]
+            sums[j] = [a + t for a, t in zip(sums[j], terms)]
+    b = [sum(col, field.zero) for col in zip(*sums)]
+    if b[0]:
+        raise InternalCheckError("B is not divisible by s1 despite validated preconditions")
+    residual = BinaryForm(len(b) - 2, b[1:])
+    if residual.degree != count - 3:
+        raise InternalCheckError(f"residual degree {residual.degree} != {count - 3}")
+    partials = []
+    for m in range(2, count):
+        diff = [s + s - x for x, s in zip(b, sums[m])]
+        partials.append(_drop_linear(diff, node_values[m]))
+    return residual, partials
+
+
+def _check_pair(q: Quadric, curve: StandardRNC):
+    if q.is_zero():
+        raise ZeroQuadricError("residual of the zero quadric is undefined")
+    if q.n != curve.n:
+        raise ValueError(f"quadric in P^{q.n} vs curve in P^{curve.n}")
+    if not q.is_through_standard_frame():
+        raise NotThroughFrameError(
+            "quadric does not vanish on the standard frame "
+            "(needs zero diagonal and zero total Gram sum)"
+        )
 
 
 def residual_polynomial(q: Quadric, curve: StandardRNC) -> BinaryForm:
@@ -399,24 +418,8 @@ def residual_polynomial(q: Quadric, curve: StandardRNC) -> BinaryForm:
     quotient is returned.  The curve lies on the quadric exactly when the
     returned form is identically zero.
     """
-    if q.is_zero():
-        raise ZeroQuadricError("residual of the zero quadric is undefined")
-    if q.n != curve.n:
-        raise ValueError(f"quadric in P^{q.n} vs curve in P^{curve.n}")
-    if not q.is_through_standard_frame():
-        raise NotThroughFrameError(
-            "quadric does not vanish on the standard frame "
-            "(needs zero diagonal and zero total Gram sum)"
-        )
-    try:
-        p = _residual_for_values(q.gram, curve.node_values, curve.field)
-    except InexactDivisionError as exc:
-        raise InternalCheckError(
-            "residual division failed despite validated preconditions"
-        ) from exc
-    if p.degree != curve.n - 2:
-        raise InternalCheckError(f"residual degree {p.degree} != {curve.n - 2}")
-    return p
+    _check_pair(q, curve)
+    return _residual_pass(q.gram, curve.node_values, curve.field)[0]
 
 
 def composite_on_curve(q: Quadric, curve: StandardRNC) -> BinaryForm:
@@ -434,36 +437,26 @@ def composite_on_curve(q: Quadric, curve: StandardRNC) -> BinaryForm:
     return acc
 
 
+def rnc_residual_and_rank(q: Quadric, curve: StandardRNC):
+    """(residual_polynomial, rnc_finiteness_rank) of the pair, from one pass."""
+    _check_pair(q, curve)
+    residual, partials = _residual_pass(q.gram, curve.node_values, curve.field)
+    rows = [list(row) for row in zip(*partials)]
+    return residual, rank_of(rows, curve.n - 1, curve.field)
+
+
 def rnc_finiteness_rank(q: Quadric, curve: StandardRNC) -> int:
     """Rank of the Jacobian of the residual coefficients in the params.
 
-    Residual coefficients are affine-linear in each single node value
-    (each Gram term contains its linear factor at most once), so a
-    one-parameter finite difference with any step is the exact partial
-    derivative.  Full rank n-1 certifies that the curve is locally the
-    only one on the quadric near this parameter sample.
+    Writing B = s1 * R = sum_m S_m as in _residual_pass, the term G_ij P_ij
+    of B contains l_m = s0 - v_m*s1 exactly once when m is not in {i, j}
+    and not at all otherwise; the latter terms add up to 2*S_m.  Since
+    dl_m/dv_m = -s1, this gives the exact partial derivative
+    dR/dv_m = -(B - 2*S_m) / l_m, a form of degree n-2, for each free
+    node value v_m (m = 2..n).  Full rank n-1 certifies that the curve is
+    locally the only one on the quadric near this parameter sample.
     """
-    base = residual_polynomial(q, curve)
-    field = curve.field
-    values = list(curve.node_values)
-    n = curve.n
-    jac_cols = []
-    for m in range(2, n + 1):
-        step = field.one
-        guard = 0
-        while any(values[m] + step == values[i] for i in range(n + 1) if i != m):
-            step = step + field.one
-            guard += 1
-            if guard > n + 3:
-                raise InternalCheckError("no collision-free step found")
-        shifted = list(values)
-        shifted[m] = values[m] + step
-        moved = _residual_for_values(q.gram, shifted, field)
-        jac_cols.append(
-            [(moved.coeffs[i] - base.coeffs[i]) / step for i in range(n - 1)]
-        )
-    rows = [[jac_cols[m][i] for m in range(n - 1)] for i in range(n - 1)]
-    return rank_of(rows, n - 1, field)
+    return rnc_residual_and_rank(q, curve)[1]
 
 
 def project_from_frame_point(curve, j: int):

@@ -3,10 +3,15 @@
 The row-reduction oracles here are deliberately naive, textbook
 implementations, independent of the package's fraction-free and
 prime-field eliminations, so that agreement between the two routes is
-evidence and not circularity.
+evidence and not circularity.  The residual oracles rebuild every
+product of node linears by plain form multiplication and take the
+finiteness Jacobian by finite differences, independent of the one-pass
+synthetic division in the package.
 """
 
 from fractions import Fraction
+
+from scrollgeom.forms import BinaryForm, divide_exact, vanishing_at
 
 
 def _as_plain(x):
@@ -122,3 +127,54 @@ def same_span_mod(basis_a, basis_b, ncols, p):
 def cross_ratio(a, b, c, d):
     """(a-c)(b-d) / (a-d)(b-c) of four distinct scalars."""
     return ((a - c) * (b - d)) / ((a - d) * (b - c))
+
+
+def oracle_residual(gram, node_values, field):
+    """Residual B / s1 with B = sum_(i<j) 2 G_ij prod_(m not in {i,j}) l_m.
+
+    Each middle product l_(i+1)..l_(j-1) is rebuilt for every Gram pair,
+    between prefix and suffix products of the node linears l_m.
+    """
+    node_count = len(node_values)
+    linears = [vanishing_at(v) for v in node_values]
+    one = BinaryForm(0, (field.one,))
+    prefix = [one]
+    for lin in linears:
+        prefix.append(prefix[-1] * lin)
+    suffix = [one]
+    for lin in reversed(linears):
+        suffix.append(suffix[-1] * lin)
+    suffix.reverse()
+    b_form = BinaryForm.zero(node_count - 2, field)
+    for i in range(node_count):
+        for j in range(i + 1, node_count):
+            g = gram[i][j]
+            if not g:
+                continue
+            middle = one
+            for m in range(i + 1, j):
+                middle = middle * linears[m]
+            partial = prefix[i] * middle * suffix[j + 1]
+            b_form = b_form + partial.scale(g + g)
+    s1 = BinaryForm.monomial(1, 1, field.one)
+    return divide_exact(b_form, s1)
+
+
+def oracle_jacobian_columns(gram, node_values, field):
+    """Finite-difference columns (R(v + step*e_m) - R(v)) / step, m = 2..n.
+
+    The residual is affine in each single node value, so any step that
+    keeps the node values distinct gives the exact partial derivative.
+    """
+    base = oracle_residual(gram, node_values, field)
+    values = list(node_values)
+    columns = []
+    for m in range(2, len(values)):
+        step = field.one
+        while any(values[m] + step == v for i, v in enumerate(values) if i != m):
+            step = step + field.one
+        shifted = list(values)
+        shifted[m] = values[m] + step
+        moved = oracle_residual(gram, shifted, field)
+        columns.append([(a - b) / step for a, b in zip(moved.coeffs, base.coeffs)])
+    return columns

@@ -147,6 +147,18 @@ def test_gonality_report(capsys):
         assert row["bound"] == 4
 
 
+@pytest.mark.parametrize("p", [13, 17, 19])
+def test_gonality_field_too_small_names_the_bound(capsys, p):
+    # a component at n=4 draws 3 node values besides 0 and 1: p >= 4*5
+    doc = _run_json(capsys, "gonality", "--n", "4", "--field", f"fp:{p}", "--trials", "2")
+    assert doc["result"]["kernel_dims"] == {"anomaly": 2}
+    for row in doc["result"]["rows"]:
+        assert row["note"] == (
+            "FieldTooSmallError: rejection sampling of 3 distinct scalars "
+            f"avoiding 2 fixed values needs p >= 20, got {p}"
+        )
+
+
 def test_hyperelliptic_report(capsys):
     doc = _run_json(capsys, "hyperelliptic", "--n", "4", "--trials", "3", "--seed", "2")
     assert doc["result"]["false_count"] == 3

@@ -7,6 +7,7 @@ import pytest
 from scrollgeom.errors import (
     CenterNotOnCurveError,
     DegenerateFrameError,
+    InternalCheckError,
     NotThroughFrameError,
     ZeroQuadricError,
 )
@@ -27,9 +28,18 @@ from scrollgeom.rnc import (
     random_standard_rnc,
     residual_polynomial,
     rnc_finiteness_rank,
+    rnc_residual_and_rank,
     standard_frame,
+    _residual_pass,
 )
 from scrollgeom.rngstream import RngStream
+
+from helpers import (
+    oracle_jacobian_columns,
+    oracle_residual,
+    oracle_rref_mod,
+    oracle_rref_q,
+)
 
 
 def _proportional(p, q):
@@ -342,6 +352,90 @@ def test_finiteness_rank_random_cases():
         q = random_rank4_quadric_through_frame(n, field, rng.child("quadric"))
         rank = rnc_finiteness_rank(q, curve)
         assert rank == n - 1
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(10007), PrimeField(101)], ids=str)
+def test_residual_pass_matches_oracles(field):
+    for n in range(3, 13):
+        rng = RngStream.from_seed(700 + n)
+        curve = random_standard_rnc(n, field, rng.child("curve"))
+        q = random_quadric_through_frame(n, field, rng.child("quadric"))
+        residual, partials = _residual_pass(q.gram, curve.node_values, field)
+        assert residual == oracle_residual(q.gram, curve.node_values, field)
+        columns = oracle_jacobian_columns(q.gram, curve.node_values, field)
+        assert partials == columns
+        rows = [list(row) for row in zip(*columns)]
+        if field is QQ:
+            rank = oracle_rref_q(rows, n - 1)[0]
+        else:
+            rank = oracle_rref_mod(rows, n - 1, field.p)[0]
+        assert rnc_residual_and_rank(q, curve) == (residual, rank)
+        assert residual_polynomial(q, curve) == residual
+        assert rnc_finiteness_rank(q, curve) == rank
+
+
+def _through_frame_gram(size, entries, field):
+    # zero diagonal, and slot (0, 1) cancels the sum of the other entries
+    gram = [[field.zero] * size for _ in range(size)]
+    pairs = [(i, j) for i in range(size) for j in range(i + 1, size) if (i, j) != (0, 1)]
+    for (i, j), x in zip(pairs, entries):
+        gram[i][j] = gram[j][i] = field(x)
+    fix = -sum((gram[i][j] for i, j in pairs), field.zero)
+    gram[0][1] = gram[1][0] = fix
+    return gram
+
+
+def test_residual_pass_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=60, deadline=None)
+    @hypothesis.given(
+        field=st.sampled_from([QQ, PrimeField(101)]),
+        values=st.lists(st.integers(-50, 50), min_size=3, max_size=9, unique=True),
+        entries=st.lists(st.integers(-9, 9), min_size=36, max_size=36),
+    )
+    def check(field, values, entries):
+        values = [field(v) for v in values]
+        gram = _through_frame_gram(len(values), entries, field)
+        residual, partials = _residual_pass(gram, values, field)
+        assert residual == oracle_residual(gram, values, field)
+        assert partials == oracle_jacobian_columns(gram, values, field)
+
+    check()
+
+
+def test_residual_times_node_product_is_composite_sympy():
+    sympy = pytest.importorskip("sympy")
+    s0, s1 = sympy.symbols("s0 s1")
+    for n in (3, 4, 5, 6):
+        rng = RngStream.from_seed(900 + n)
+        curve = random_standard_rnc(n, QQ, rng.child("curve"))
+        q = random_quadric_through_frame(n, QQ, rng.child("quadric"))
+        values = [sympy.Rational(v.numerator, v.denominator) for v in curve.node_values]
+        linears = [s0 - v * s1 for v in values]
+        coords = [sympy.Mul(*(l for k, l in enumerate(linears) if k != i)) for i in range(n + 1)]
+        composite = sympy.expand(sum(
+            sympy.Rational(g.numerator, g.denominator) * coords[i] * coords[j]
+            for i, row in enumerate(q.gram) for j, g in enumerate(row)
+        ))
+
+        def as_sympy(form):
+            return sum(
+                sympy.Rational(c.numerator, c.denominator) * s0 ** (form.degree - k) * s1 ** k
+                for k, c in enumerate(form.coeffs)
+            )
+
+        residual = residual_polynomial(q, curve)
+        assert sympy.expand(as_sympy(residual) * s1 * sympy.Mul(*linears) - composite) == 0
+        assert sympy.expand(as_sympy(composite_on_curve(q, curve)) - composite) == 0
+
+
+def test_residual_pass_checks_s1_divisibility():
+    # x0*x2 misses the all-ones point, so B keeps an s0^(n-1) term
+    gram = Quadric.from_monomials(3, {(0, 2): 1}, QQ).gram
+    with pytest.raises(InternalCheckError):
+        _residual_pass(gram, StandardRNC(3, (2, 3)).node_values, QQ)
 
 
 # ------------------------------------------------------------- projection
