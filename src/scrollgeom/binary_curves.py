@@ -114,19 +114,10 @@ def _node_system_rows(pairs, degree: int, field):
     for (r, s) in pairs:
         r0, r1 = r
         s0, s1 = s
-        mono = [_pw(r0, degree - i) * _pw(r1, i) for i in range(degree + 1)]
+        mono = [r0 ** (degree - i) * r1 ** i for i in range(degree + 1)]
         row = [field(m * s1) for m in mono] + [field(-(m * s0)) for m in mono]
         rows.append(row)
     return rows
-
-
-def _pw(x, e: int):
-    if e == 0:
-        return 1
-    acc = x
-    for _ in range(e - 1):
-        acc = acc * x
-    return acc
 
 
 def _vector_to_pair(vec, degree: int):
@@ -665,8 +656,8 @@ def scroll_positive_control(seed, field=None) -> BinaryCurve:
         # second unisecant through the same five scroll points
         rows = []
         for t, (u1, u2) in zip(taus, fibers):
-            m1 = [_pw(t, 4 - r) for r in range(5)]
-            m2 = [_pw(t, 1 - r) for r in range(2)]
+            m1 = [t ** (4 - r) for r in range(5)]
+            m2 = [t ** (1 - r) for r in range(2)]
             rows.append(
                 [field(m * u2) for m in m1] + [field(-(m * u1)) for m in m2]
             )

@@ -3,14 +3,19 @@
 The rational path clears denominators row by row and runs fraction-free
 (Bareiss) forward elimination on integers, so no intermediate Fraction
 normalization cost is paid; kernels are then recovered by rational back
-substitution.  The prime-field path works on raw int residues and only
-wraps results back into field elements at the end.
+substitution.  The prime-field path packs each row of int residues into
+one Python int, a fixed-width slot per entry, so a row update is a single
+big-int multiply-add; rows are unpacked once at the end and wrapped back
+into field elements.  Rational entries must be ints or Fractions, and
+prime-field entries ints or residues mod p; anything else, such as a
+float, raises FieldMismatchError.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
+from operator import lshift
 
 from .errors import FieldMismatchError, SingularMatrixError
 from .fields import FpElement, PrimeField, QQ
@@ -57,6 +62,8 @@ def _int_rows_q(rows, ncols):
         for x in row:
             if isinstance(x, FpElement):
                 raise FieldMismatchError(f"prime-field entry {x!r} in rational matrix")
+            if not isinstance(x, (int, Fraction)):
+                raise FieldMismatchError(f"non-rational entry {x!r}")
             fracs.append(Fraction(x))
         lcm = 1
         for f in fracs:
@@ -72,29 +79,49 @@ def _int_rows_q(rows, ncols):
 
 
 def _forward_fp(mat, ncols, p):
-    """In-place RREF mod p; returns pivot column list."""
+    """In-place RREF mod p on packed rows; returns pivot column list.
+
+    Each row is held as one int with entry j in a slot of
+    w = 2*bitlen(p-1) + bitlen(nrows) + 1 bits at bit w*j, so clearing a
+    column from a row is one big-int multiply-add, row += f * neg_lead,
+    where f < p is the row's entry and neg_lead packs (p - lead_j) mod p
+    (Kronecker substitution).  Only the pivot row is unpacked, reduced mod
+    p and repacked, once per pivot.  A slot starts below p, gains less
+    than p**2 per update and takes at most nrows updates (one per pivot),
+    so it stays below p + nrows*(p-1)**2 < 2**w: no slot carries into the
+    next, and every slot stays congruent to its entry mod p.  The reduced
+    rows are unpacked once at the end; the rows below the rank are zero.
+    """
+    nrows = len(mat)
+    w = 2 * (p - 1).bit_length() + nrows.bit_length() + 1
+    mask = (1 << w) - 1
+    shifts = [w * j for j in range(ncols)]
+    rows = [sum(map(lshift, row, shifts)) for row in mat]
     pivots = []
     r = 0
     for c in range(ncols):
-        if r == len(mat):
+        if r == nrows:
             break
-        piv = None
-        for i in range(r, len(mat)):
-            if mat[i][c]:
-                piv = i
-                break
+        sc = shifts[c]
+        col = [(v >> sc & mask) % p for v in rows]
+        piv = next((i for i in range(r, nrows) if col[i]), None)
         if piv is None:
             continue
-        mat[r], mat[piv] = mat[piv], mat[r]
-        inv = pow(mat[r][c], -1, p)
-        mat[r] = [x * inv % p for x in mat[r]]
-        lead = mat[r]
-        for i in range(len(mat)):
-            if i != r and mat[i][c]:
-                f = mat[i][c]
-                mat[i] = [(a - f * b) % p for a, b in zip(mat[i], lead)]
+        rows[r], rows[piv] = rows[piv], rows[r]
+        col[r], col[piv] = col[piv], col[r]
+        inv = pow(col[r], -1, p)
+        col[r] = 0
+        v = rows[r]
+        lead = [(v >> s & mask) * inv % p for s in shifts]
+        rows[r] = sum(map(lshift, lead, shifts))
+        neg_lead = sum(map(lshift, [-x % p for x in lead], shifts))
+        for i, f in enumerate(col):
+            if f:
+                rows[i] += f * neg_lead
         pivots.append(c)
         r += 1
+    mat[:r] = [[(v >> s & mask) % p for s in shifts] for v in rows[:r]]
+    mat[r:] = [[0] * ncols for _ in range(nrows - r)]
     return pivots
 
 

@@ -252,18 +252,9 @@ def _hyperplane_conditions_rank(scroll, points, field):
     for (y, t) in points:
         row = []
         for (i, b, c) in slots:
-            row.append(_pow(t[0], b) * _pow(t[1], c) * y[i])
+            row.append(t[0] ** b * t[1] ** c * y[i])
         rows.append(row)
     return rank_of(rows, scroll.n + 1, field)
-
-
-def _pow(x, e: int):
-    if e == 0:
-        return 1
-    acc = x
-    for _ in range(e - 1):
-        acc = acc * x
-    return acc
 
 
 def interpolate_unisecant(scroll: ScrollType, lifted_frame, field=None) -> UnisecantResult:
@@ -307,7 +298,7 @@ def interpolate_unisecant(scroll: ScrollType, lifted_frame, field=None) -> Unise
         pivot = next(i for i in range(d) if y[i])
         mono = []
         for deg in y_degs:
-            mono.append([_pow(t[0], deg - r) * _pow(t[1], r) for r in range(deg + 1)])
+            mono.append([t[0] ** (deg - r) * t[1] ** r for r in range(deg + 1)])
         for i in range(d):
             if i == pivot:
                 continue
@@ -376,7 +367,7 @@ def sections_through_points(scroll: ScrollType, m: int, points, field=None):
         row = []
         for i, deg in enumerate(comp_degs):
             for r in range(deg + 1):
-                row.append(field(_pow(t[0], deg - r) * _pow(t[1], r) * y[i]))
+                row.append(field(t[0] ** (deg - r) * t[1] ** r * y[i]))
         rows.append(row)
     _, kernel = rank_kernel(rows, total, field)
     out = []
@@ -424,7 +415,7 @@ def _ds0_value(form: BinaryForm, s0, s1):
         e = d - j
         if e == 0 or not c:
             continue
-        term = c * e * _pow(s0, e - 1) * _pow(s1, j)
+        term = c * e * s0 ** (e - 1) * s1 ** j
         acc = term if acc is None else acc + term
     if acc is None:
         return form.coeffs[0] * 0
@@ -454,14 +445,14 @@ def _coefficient_jacobian(curve, sigma, field):
         t1d = _ds0_value(curve.t1, s, one)
         yv = [f.evaluate(s, one) for f in curve.ys]
         yd = [_ds0_value(f, s, one) for f in curve.ys]
-        t_mono = [_pow(s, k - r) for r in range(k + 1)]
-        y_mono = [[_pow(s, deg - r) for r in range(deg + 1)] for deg in y_degs]
+        t_mono = [s ** (k - r) for r in range(k + 1)]
+        y_mono = [[s ** (deg - r) for r in range(deg + 1)] for deg in y_degs]
         for c_idx, (i, b, c) in enumerate(slots):
             row = rows[j * (n + 1) + c_idx]
-            tb = _pow(t0v, b)
-            tc = _pow(t1v, c)
-            tb1 = _pow(t0v, b - 1) if b >= 1 else field.zero
-            tc1 = _pow(t1v, c - 1) if c >= 1 else field.zero
+            tb = t0v ** b
+            tc = t1v ** c
+            tb1 = t0v ** (b - 1) if b >= 1 else field.zero
+            tc1 = t1v ** (c - 1) if c >= 1 else field.zero
             value = tb * tc * yv[i]
             # t0 and t1 coefficient blocks
             if b >= 1:
@@ -487,6 +478,20 @@ def _coefficient_jacobian(curve, sigma, field):
             # projective rescale of image point j
             row[n_coeffs + n_pts + j] = field(value)
     return rows, n_coeffs
+
+
+def _incidence_ranks(rows, n_coeffs: int, n_pts: int, field):
+    """(rank of [J_c | gauge], rank of [J_c | gauge | J_s]) in one elimination.
+
+    The Jacobian rows come as [J_c | J_s | gauge]; the columns are
+    reordered so the configuration block is a prefix of the augmented one.
+    """
+    n_config = n_coeffs + n_pts
+    reordered = [r[:n_coeffs] + r[n_config:] + r[n_coeffs:n_config] for r in rows]
+    rank_aug, kernel = rank_kernel(reordered, n_config + n_pts, field)
+    # greedy pivots on a prefix give its rank; basis vectors end at their free column
+    prefix_free = sum(1 for vec in kernel if not any(vec[n_config:]))
+    return n_config - prefix_free, rank_aug
 
 
 def incidence_dimension_estimate(
@@ -523,11 +528,8 @@ def incidence_dimension_estimate(
         sigma = random_distinct(field, rng, n + 2)
         rows, n_coeffs = _coefficient_jacobian(curve, sigma, field)
         n_pts = n + 2
-        width = n_coeffs + 2 * n_pts
-        config_rows = [row[:n_coeffs] + row[n_coeffs + n_pts :] for row in rows]
-        rank_config = rank_of(config_rows, n_coeffs + n_pts, field)
+        rank_config, rank_aug = _incidence_ranks(rows, n_coeffs, n_pts, field)
         measured.append(rank_config - n_pts - 3)
-        rank_aug = rank_of(rows, width, field)
         incidence_rank = rank_aug - n_pts
         fiber_dims.append(n_coeffs + n_pts - incidence_rank)
     return DimensionReport(

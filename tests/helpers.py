@@ -6,12 +6,14 @@ prime-field eliminations, so that agreement between the two routes is
 evidence and not circularity.  The residual oracles rebuild every
 product of node linears by plain form multiplication and take the
 finiteness Jacobian by finite differences, independent of the one-pass
-synthetic division in the package.
+synthetic division in the package.  The incidence-rank oracle takes the
+configuration and augmented ranks with two separate eliminations.
 """
 
 from fractions import Fraction
 
 from scrollgeom.forms import BinaryForm, divide_exact, vanishing_at
+from scrollgeom.linalg import rank_of
 
 
 def _as_plain(x):
@@ -178,3 +180,15 @@ def oracle_jacobian_columns(gram, node_values, field):
         moved = oracle_residual(gram, shifted, field)
         columns.append([(a - b) / step for a, b in zip(moved.coeffs, base.coeffs)])
     return columns
+
+
+def oracle_incidence_ranks(rows, n_coeffs, n_pts, field):
+    """(rank of [J_c | gauge], rank of [J_c | J_s | gauge]) by two rank_of calls.
+
+    The rows come as [J_c | J_s | gauge] with n_coeffs, n_pts and n_pts
+    columns.
+    """
+    config_rows = [row[:n_coeffs] + row[n_coeffs + n_pts :] for row in rows]
+    rank_config = rank_of(config_rows, n_coeffs + n_pts, field)
+    rank_aug = rank_of(rows, n_coeffs + 2 * n_pts, field)
+    return rank_config, rank_aug

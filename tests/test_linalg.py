@@ -4,12 +4,20 @@ from fractions import Fraction
 
 import pytest
 
-from scrollgeom.errors import SingularMatrixError
+from scrollgeom.errors import FieldMismatchError, SingularMatrixError
 from scrollgeom.fields import QQ, PrimeField
-from scrollgeom.linalg import gauss_solve, invert, mat_vec, rank_kernel, rank_of
+from scrollgeom.linalg import _forward_fp, gauss_solve, invert, mat_vec, rank_kernel, rank_of
 from scrollgeom.rngstream import as_stream
 
-from helpers import oracle_kernel_mod, oracle_kernel_q, same_span_mod, same_span_q
+from helpers import (
+    oracle_kernel_mod,
+    oracle_kernel_q,
+    oracle_rref_mod,
+    same_span_mod,
+    same_span_q,
+)
+
+MERSENNE_61 = 2**61 - 1
 
 
 def test_frozen_small_cases():
@@ -121,3 +129,119 @@ def test_invert_round_trip_fp():
     for i in range(4):
         for j in range(4):
             assert prod[i][j] == (field.one if i == j else field.zero)
+
+
+def test_float_entries_rejected_on_both_paths():
+    with pytest.raises(FieldMismatchError):
+        rank_kernel([[0.5, 1]], 2)
+    with pytest.raises(FieldMismatchError):
+        rank_kernel([[Fraction(1, 2), 1.0]], 2, QQ)
+    with pytest.raises(FieldMismatchError):
+        rank_kernel([[0.5, 1]], 2, PrimeField(7))
+
+
+# ------------------------------------------- packed prime-field elimination
+
+
+def _random_rows(rng, nrows, ncols, p):
+    return [[rng.below(p) for _ in range(ncols)] for _ in range(nrows)]
+
+
+def _low_rank_rows(rng, nrows, ncols, rank, p):
+    left = _random_rows(rng, nrows, rank, p)
+    right = _random_rows(rng, rank, ncols, p)
+    return [
+        [sum(a * right[k][j] for k, a in enumerate(row)) % p for j in range(ncols)]
+        for row in left
+    ]
+
+
+def _packed_shapes(p):
+    rng = as_stream(p % 1000 + 50)
+    dup = _random_rows(rng, 5, 9, p)
+    return {
+        "tall": _random_rows(rng, 72, 38, p),
+        "wide": _random_rows(rng, 6, 25, p),
+        "all_zero": [[0] * 7 for _ in range(5)],
+        "rank_deficient": _low_rank_rows(rng, 30, 20, 7, p),
+        "duplicate_rows": dup + dup[::-1] + dup[:2],
+        "all_p_minus_1": [[p - 1] * 12 for _ in range(15)],
+        "slot_filling": _slot_filling_rows(12, 3, p),
+        "no_rows": [],
+    }
+
+
+def _slot_filling_rows(rank, extra, p):
+    """Unit upper triangle of ones, then rows of -1 - j in column j.
+
+    Each extra row meets every pivot with entry p - 1 and gains (p - 1)**2
+    in every later slot, so its last slot takes rank such steps: at
+    p = 2**61 - 1 that needs all but the spare bit of the slot width.  The
+    extra rows lie in the span of the triangle; a trailing zero column
+    turns any carry out of a slot into a wrong rank.
+    """
+    upper = [[0] * i + [1] * (rank - i) + [0] for i in range(rank)]
+    return upper + [[(-1 - j) % p for j in range(rank)] + [0] for _ in range(extra)]
+
+
+@pytest.mark.parametrize("p", [3, 10007, MERSENNE_61])
+@pytest.mark.parametrize(
+    "shape",
+    [
+        "tall",
+        "wide",
+        "all_zero",
+        "rank_deficient",
+        "duplicate_rows",
+        "all_p_minus_1",
+        "slot_filling",
+        "no_rows",
+    ],
+)
+def test_packed_elimination_matches_oracle(p, shape):
+    rows = _packed_shapes(p)[shape]
+    ncols = len(rows[0]) if rows else 4
+    mat = [list(r) for r in rows]
+    pivots = _forward_fp(mat, ncols, p)
+    want_rank, want_pivots, want_mat = oracle_rref_mod(rows, ncols, p)
+    assert pivots == want_pivots and len(pivots) == want_rank
+    assert mat == want_mat
+    rank, kernel = rank_kernel(rows, ncols, PrimeField(p))
+    oracle_rank, oracle_basis = oracle_kernel_mod(rows, ncols, p)
+    assert rank == oracle_rank
+    assert [[x.val for x in vec] for vec in kernel] == oracle_basis
+
+
+def test_packed_elimination_shape_ranks():
+    # the shapes that pin the kernel: full rank, rank 1, rank 0
+    shapes = _packed_shapes(10007)
+    assert rank_of(shapes["tall"], 38, PrimeField(10007)) == 38
+    assert rank_of(shapes["all_p_minus_1"], 12, PrimeField(10007)) == 1
+    assert rank_of(shapes["all_zero"], 7, PrimeField(10007)) == 0
+    assert rank_of(shapes["rank_deficient"], 20, PrimeField(10007)) == 7
+
+
+def test_packed_elimination_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def matrices(draw):
+        p = draw(st.sampled_from([3, 5, 10007, MERSENNE_61]))
+        nrows = draw(st.integers(0, 9))
+        ncols = draw(st.integers(0, 9))
+        entry = st.one_of(st.integers(-p, 2 * p), st.sampled_from([0, 1, p - 1]))
+        rows = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols),
+                             min_size=nrows, max_size=nrows))
+        return p, ncols, rows
+
+    @hypothesis.settings(max_examples=200, deadline=None)
+    @hypothesis.given(matrices())
+    def check(case):
+        p, ncols, rows = case
+        rank, kernel = rank_kernel(rows, ncols, PrimeField(p))
+        oracle_rank, oracle_basis = oracle_kernel_mod(rows, ncols, p)
+        assert rank == oracle_rank
+        assert [[x.val for x in vec] for vec in kernel] == oracle_basis
+
+    check()

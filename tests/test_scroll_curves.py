@@ -3,12 +3,14 @@
 import pytest
 
 from scrollgeom.errors import DependentConditionsError
-from scrollgeom.fields import QQ, PrimeField
+from scrollgeom.fields import QQ, PrimeField, random_distinct
 from scrollgeom.forms import BinaryForm
 from scrollgeom.linalg import rank_kernel
 from scrollgeom.rngstream import RngStream
 from scrollgeom.scroll_curves import (
     CurveInScroll,
+    _coefficient_jacobian,
+    _incidence_ranks,
     ScrollSection,
     compose_section_with_embedding,
     degeneration_embeddings,
@@ -26,6 +28,8 @@ from scrollgeom.scroll_curves import (
     verify_degeneration_embeddings,
 )
 from scrollgeom.scrolls import ScrollType
+
+from helpers import oracle_incidence_ranks
 
 S0 = BinaryForm(1, (QQ(1), QQ(0)))
 S1 = BinaryForm(1, (QQ(0), QQ(1)))
@@ -432,6 +436,39 @@ def test_incidence_report_dict_layout():
     ]
     assert data["params"] == {"n": 4, "d": 2, "a": [1, 2], "k": 1, "trials": 1}
     assert data["field"] == "fp:10007"
+
+
+@pytest.mark.parametrize("field", [PrimeField(10007), QQ], ids=["fp10007", "q"])
+@pytest.mark.parametrize("degrees", [(1, 1, 2), (1, 2, 2)])
+def test_single_elimination_incidence_ranks(field, degrees):
+    scroll = ScrollType(degrees)
+    n_pts = scroll.n + 2
+    rng = RngStream.from_seed(700 + sum(degrees))
+    for trial in range(3 if field is QQ else 6):
+        child = rng.child(f"trial{trial}")
+        curve = random_curve_in_scroll(scroll, 2, field, child)
+        sigma = random_distinct(field, child, n_pts)
+        rows, n_coeffs = _coefficient_jacobian(curve, sigma, field)
+        got = _incidence_ranks(rows, n_coeffs, n_pts, field)
+        assert got == oracle_incidence_ranks(rows, n_coeffs, n_pts, field)
+
+
+def test_single_elimination_ranks_on_random_blocks():
+    # low-rank blocks make the configuration rank fall short of its width
+    field = PrimeField(101)
+    rng = RngStream.from_seed(77)
+    for _ in range(40):
+        n_coeffs, n_pts = rng.randint(0, 6), rng.randint(1, 4)
+        width = n_coeffs + 2 * n_pts
+        inner = rng.randint(1, width)
+        left = [[field.random_scalar(rng) for _ in range(inner)] for _ in range(rng.randint(1, 9))]
+        right = [[field.random_scalar(rng) for _ in range(width)] for _ in range(inner)]
+        rows = [
+            [sum((a * right[k][j] for k, a in enumerate(row)), field.zero) for j in range(width)]
+            for row in left
+        ]
+        got = _incidence_ranks(rows, n_coeffs, n_pts, field)
+        assert got == oracle_incidence_ranks(rows, n_coeffs, n_pts, field)
 
 
 # ------------------------------------------------------------ degeneration
