@@ -6,11 +6,23 @@ Forms are immutable; the formal degree is part of the value, so the zero
 form of degree 2 and the zero form of degree 3 are distinct objects.
 Coefficients may be ints, Fractions, or FpElements and are never mixed
 across fields (the scalar layer enforces this).
+
+Over the rationals the hot kernels run on Python ints: a product of forms
+clears denominators and convolves integer numerators, and a gcd first
+reduces both forms modulo a fixed 61-bit prime, where a Euclid that ends
+in a constant certifies that the forms are coprime over the rationals.
+Division divides two int coefficients as rationals, never as floats.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+from math import lcm
+
 from .errors import BothZeroError, InexactDivisionError
+
+# modulus of the coprimality certificate in form_gcd (the prime 2**61 - 1)
+GCD_PRIME = 2**61 - 1
 
 
 class BinaryForm:
@@ -78,6 +90,9 @@ class BinaryForm:
         if not isinstance(other, BinaryForm):
             return NotImplemented
         d = self.degree + other.degree
+        kinds = {type(c) for c in self.coeffs} | {type(c) for c in other.coeffs}
+        if Fraction in kinds and kinds <= _RATIONAL_TYPES:
+            return BinaryForm(d, _mul_rational(self.coeffs, other.coeffs))
         out = [None] * (d + 1)
         for i, a in enumerate(self.coeffs):
             for j, b in enumerate(other.coeffs):
@@ -136,6 +151,34 @@ class BinaryForm:
         return f"BinaryForm(deg={self.degree}: {' + '.join(terms) if terms else '0'})"
 
 
+_RATIONAL_TYPES = {int, Fraction}
+
+
+def _cleared(coeffs):
+    """(integer numerators, common denominator) of rational coefficients."""
+    den = lcm(*[c.denominator for c in coeffs])
+    return [c.numerator * (den // c.denominator) for c in coeffs], den
+
+
+def _mul_rational(a, b):
+    """Coefficients of the product of two rational coefficient lists.
+
+    The convolution runs on the integer numerators; one Fraction is built
+    per output coefficient.
+    """
+    na, da = _cleared(a)
+    nb, db = _cleared(b)
+    out = [0] * (len(na) + len(nb) - 1)
+    width = len(nb)
+    for i, x in enumerate(na):
+        if x:
+            out[i:i + width] = [o + x * y for o, y in zip(out[i:i + width], nb)]
+    den = da * db
+    if den == 1:
+        return [Fraction(c) for c in out]
+    return [Fraction(c, den) for c in out]
+
+
 def linear_form(c0, c1) -> BinaryForm:
     """c0*s0 + c1*s1."""
     return BinaryForm(1, (c0, c1))
@@ -183,13 +226,25 @@ def _poly_trim(p):
     return p
 
 
+def _div(a, b):
+    """a / b in the coefficient field; two ints divide as rationals."""
+    if isinstance(a, int) and isinstance(b, int):
+        return Fraction(a, b)
+    return a / b
+
+
+def _monic(phi):
+    """phi divided by its leading coefficient."""
+    return [_div(c, phi[-1]) for c in phi]
+
+
 def _poly_divmod(num, den):
     """Univariate division with remainder over a field, lists by power."""
     num = list(num)
     q = [0 * den[-1]] * max(len(num) - len(den) + 1, 1)
-    inv_lead = den[-1]
+    lead = den[-1]
     for k in range(len(num) - len(den), -1, -1):
-        c = num[k + len(den) - 1] / inv_lead
+        c = _div(num[k + len(den) - 1], lead)
         q[k] = c
         for i, d in enumerate(den):
             num[k + i] = num[k + i] - c * d
@@ -229,30 +284,83 @@ def divide_exact(f: BinaryForm, g: BinaryForm) -> BinaryForm:
     return q
 
 
+def _reduce_mod(phi, p):
+    """Rational t-polynomial mod p, or None where the reduction may lose degree.
+
+    None when a coefficient is not rational, p divides a denominator, or p
+    divides the leading coefficient.
+    """
+    out = []
+    for c in phi:
+        if not isinstance(c, (int, Fraction)) or c.denominator % p == 0:
+            return None
+        out.append(c.numerator * pow(c.denominator, -1, p) % p)
+    return out if out[-1] else None
+
+
+def _rem_mod(num, den, p):
+    """Remainder of num by den mod p, trimmed; den's leading entry is nonzero."""
+    num = list(num)
+    width = len(den) - 1
+    inv = pow(den[-1], -1, p)
+    for k in range(len(num) - 1 - width, -1, -1):
+        c = num[k + width] * inv % p
+        if c:
+            for i in range(width):
+                num[k + i] = (num[k + i] - c * den[i]) % p
+    num = num[:width]
+    while len(num) > 1 and not num[-1]:
+        num.pop()
+    return num or [0]
+
+
+def _coprime_mod_p(pf, pg):
+    """True only if the rational t-polynomials pf and pg are coprime.
+
+    Both are reduced mod p = GCD_PRIME, which must divide no denominator
+    and neither leading coefficient.  Then the primitive integer gcd g of
+    pf and pg divides both in Z_(p)[t] (Gauss's lemma), and its leading
+    coefficient divides theirs, so g mod p keeps its degree and divides
+    both reductions: deg gcd over the rationals <= deg gcd mod p.  A mod-p
+    Euclid that ends in a nonzero constant therefore certifies
+    coprimality.  False means "not certified", never "not coprime".
+    """
+    p = GCD_PRIME
+    a, b = _reduce_mod(pf, p), _reduce_mod(pg, p)
+    if a is None or b is None:
+        return False
+    while len(b) > 1:
+        a, b = b, _rem_mod(a, b, p)
+    return b[0] != 0
+
+
 def form_gcd(f: BinaryForm, g: BinaryForm) -> BinaryForm:
     """Monic gcd of two forms (leading s0-coefficient 1).
 
     The zero form is absorbing: gcd(0, g) is g made monic.  Raises
-    BothZeroError when both arguments vanish identically.
+    BothZeroError when both arguments vanish identically.  Rational forms
+    whose t-polynomials are certified coprime mod GCD_PRIME skip the
+    Euclid over the rationals, which would end in the same constant 1.
     """
     if f.is_zero() and g.is_zero():
         raise BothZeroError("gcd of two zero forms is undefined")
     if f.is_zero():
         v, p = _as_t_poly(g)
-        return _from_t_poly(v, [c / p[-1] for c in p])
+        return _from_t_poly(v, _monic(p))
     if g.is_zero():
         v, p = _as_t_poly(f)
-        return _from_t_poly(v, [c / p[-1] for c in p])
+        return _from_t_poly(v, _monic(p))
     vf, pf = _as_t_poly(f)
     vg, pg = _as_t_poly(g)
+    if _coprime_mod_p(pf, pg):
+        return _from_t_poly(min(vf, vg), [Fraction(1)])
     a, b = pf, pg
     while len(b) > 1 or b[0]:
         _, r = _poly_divmod(a, b)
         a, b = b, r
         if len(b) == 1 and not b[0]:
             break
-    monic = [c / a[-1] for c in a]
-    return _from_t_poly(min(vf, vg), monic)
+    return _from_t_poly(min(vf, vg), _monic(a))
 
 
 def gcd_many(forms) -> BinaryForm:
@@ -270,7 +378,7 @@ def gcd_many(forms) -> BinaryForm:
         raise BothZeroError("gcd of all-zero forms is undefined")
     if acc.degree > 0 or acc.coeffs[0] != 1:
         v, p = _as_t_poly(acc)
-        acc = _from_t_poly(v, [c / p[-1] for c in p])
+        acc = _from_t_poly(v, _monic(p))
     return acc
 
 

@@ -1,23 +1,26 @@
 """Exact rank and kernel computations over the rationals or a prime field.
 
-The rational path clears denominators row by row and runs fraction-free
-(Bareiss) forward elimination on integers, so no intermediate Fraction
-normalization cost is paid; kernels are then recovered by rational back
-substitution.  The prime-field path packs each row of int residues into
-one Python int, a fixed-width slot per entry, so a row update is a single
-big-int multiply-add; rows are unpacked once at the end and wrapped back
-into field elements.  Rational entries must be ints or Fractions, and
-prime-field entries ints or residues mod p; anything else, such as a
-float, raises FieldMismatchError.
+The rational path works on Python ints throughout.  Each row is scaled by
+the lcm of its entries' denominators and divided by its content; a
+fraction-free (Bareiss) forward pass then gives the rank, and a
+fraction-free back reduction of the echelon form gives every kernel
+entry as one quotient of ints, so a Fraction is built only for the
+kernel entries handed back.  The prime-field path packs each row of int
+residues into one Python int, a fixed-width slot per entry, so a row
+update is a single big-int multiply-add; rows are unpacked once at the
+end and wrapped back into field elements.  rank_of runs the forward pass
+alone.  Rational entries must be ints or Fractions, and prime-field
+entries ints or residues mod p; anything else, such as a float, raises
+FieldMismatchError.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from operator import lshift
 
-from .errors import FieldMismatchError, SingularMatrixError
+from .errors import FieldMismatchError
 from .fields import FpElement, PrimeField, QQ
 
 
@@ -53,25 +56,19 @@ def _int_rows_fp(rows, ncols, p):
 
 
 def _int_rows_q(rows, ncols):
-    """Clear denominators and divide out the content of each row."""
+    """Clear denominators and divide out the content of each row, on ints."""
     out = []
     for row in rows:
         if len(row) != ncols:
             raise ValueError(f"row of length {len(row)}, expected {ncols}")
-        fracs = []
         for x in row:
-            if isinstance(x, FpElement):
-                raise FieldMismatchError(f"prime-field entry {x!r} in rational matrix")
             if not isinstance(x, (int, Fraction)):
+                if isinstance(x, FpElement):
+                    raise FieldMismatchError(f"prime-field entry {x!r} in rational matrix")
                 raise FieldMismatchError(f"non-rational entry {x!r}")
-            fracs.append(Fraction(x))
-        lcm = 1
-        for f in fracs:
-            lcm = lcm * f.denominator // gcd(lcm, f.denominator)
-        ints = [int(f * lcm) for f in fracs]
-        content = 0
-        for v in ints:
-            content = gcd(content, v)
+        den = lcm(*[x.denominator for x in row])
+        ints = [x.numerator * (den // x.denominator) for x in row]
+        content = gcd(*ints)
         if content > 1:
             ints = [v // content for v in ints]
         out.append(ints)
@@ -130,49 +127,90 @@ def _forward_bareiss(mat, ncols):
 
     Every elimination step updates all lower rows and divides by the
     previous pivot, which is exact by the Sylvester identity.  Row swaps
-    and skipped columns do not disturb the exactness.
+    and skipped columns do not disturb the exactness.  Left of the current
+    column the lower rows are zero, so only the columns from it on change.
     """
     pivots = []
+    nrows = len(mat)
     r = 0
     prev = 1
     for c in range(ncols):
-        if r == len(mat):
+        if r == nrows:
             break
-        piv = None
-        for i in range(r, len(mat)):
-            if mat[i][c]:
-                piv = i
-                break
+        piv = next((i for i in range(r, nrows) if mat[i][c]), None)
         if piv is None:
             continue
         mat[r], mat[piv] = mat[piv], mat[r]
-        lead = mat[r]
-        a = lead[c]
-        for i in range(r + 1, len(mat)):
+        lead = mat[r][c:]
+        a = lead[0]
+        for i in range(r + 1, nrows):
             row = mat[i]
             b = row[c]
-            mat[i] = [(a * row[j] - b * lead[j]) // prev for j in range(ncols)]
+            row[c:] = [(a * x - b * y) // prev for x, y in zip(row[c:], lead)]
         prev = a
         pivots.append(c)
         r += 1
     return pivots
 
 
-def rank_kernel(rows, ncols: int, field=None):
-    """Rank and a right-kernel basis of the matrix with the given rows.
+def _back_reduce_bareiss(mat, pivots, ncols):
+    """Fraction-free back reduction of a Bareiss echelon form.
 
-    Returns (rank, basis) where basis is a list of length-ncols tuples of
-    field scalars, one per free column, spanning {v : M v = 0}.
+    Returns (d, free columns, red) with red[i][t] = d * rref[i][free[t]],
+    where d is the last pivot and rref the reduced row echelon form.  d is
+    the determinant of the pivot block of the rows that gave the pivots,
+    so d * rref = adj(block) * rows is an integer matrix.  Echelon row i
+    is d_i * rref[i] plus its entries at the later pivot columns times
+    those rows of rref, so red[i] = (d * row_i - sum_k row_i[p_k] * red[k])
+    / d_i, an exact division, taken from the last row up.
+    """
+    rank = len(pivots)
+    pivot_set = set(pivots)
+    free = [c for c in range(ncols) if c not in pivot_set]
+    if not rank:
+        return 1, free, []
+    d = mat[rank - 1][pivots[-1]]
+    red = [None] * rank
+    for i in range(rank - 1, -1, -1):
+        row = mat[i]
+        acc = [d * row[fc] for fc in free]
+        for k in range(i + 1, rank):
+            f = row[pivots[k]]
+            if f:
+                acc = [x - f * y for x, y in zip(acc, red[k])]
+        di = row[pivots[i]]
+        red[i] = [x // di for x in acc]
+    return d, free, red
+
+
+def _eliminate(rows, ncols, field):
+    """Forward pass: (field, integer matrix, pivot columns).
+
+    Over a prime field the matrix comes back reduced (RREF mod p); over
+    the rationals it is the Bareiss echelon form.
     """
     rows = [list(r) for r in rows]
     fld = _detect_field(rows, field)
     if isinstance(fld, PrimeField):
+        mat = _int_rows_fp(rows, ncols, fld.p)
+        return fld, mat, _forward_fp(mat, ncols, fld.p)
+    mat = _int_rows_q(rows, ncols)
+    return fld, mat, _forward_bareiss(mat, ncols)
+
+
+def rank_kernel(rows, ncols: int, field=None):
+    """Rank and a right-kernel basis of the matrix with the given rows.
+
+    Returns (rank, basis) where basis is a list of length-ncols tuples of
+    field scalars, one per free column, spanning {v : M v = 0}; the vector
+    of free column fc has a 1 there and 0 in every other free column.
+    """
+    fld, mat, pivots = _eliminate(rows, ncols, field)
+    rank = len(pivots)
+    basis = []
+    if isinstance(fld, PrimeField):
         p = fld.p
-        mat = _int_rows_fp(rows, ncols, p)
-        pivots = _forward_fp(mat, ncols, p)
-        rank = len(pivots)
         pivot_set = set(pivots)
-        basis = []
         for fc in range(ncols):
             if fc in pivot_set:
                 continue
@@ -183,29 +221,21 @@ def rank_kernel(rows, ncols: int, field=None):
             basis.append(tuple(FpElement(v, p) for v in vec))
         return rank, basis
 
-    mat = _int_rows_q(rows, ncols)
-    pivots = _forward_bareiss(mat, ncols)
-    rank = len(pivots)
-    pivot_set = set(pivots)
-    basis = []
-    for fc in range(ncols):
-        if fc in pivot_set:
-            continue
-        vec = [Fraction(0)] * ncols
-        vec[fc] = Fraction(1)
-        for i in range(rank - 1, -1, -1):
-            pc = pivots[i]
-            acc = Fraction(0)
-            for j in range(pc + 1, ncols):
-                if vec[j]:
-                    acc += Fraction(mat[i][j]) * vec[j]
-            vec[pc] = -acc / mat[i][pc]
+    d, free, red = _back_reduce_bareiss(mat, pivots, ncols)
+    zero, one = Fraction(0), Fraction(1)
+    for t, fc in enumerate(free):
+        vec = [zero] * ncols
+        vec[fc] = one
+        for i, pc in enumerate(pivots):
+            if red[i][t]:
+                vec[pc] = Fraction(-red[i][t], d)
         basis.append(tuple(vec))
     return rank, basis
 
 
 def rank_of(rows, ncols: int, field=None) -> int:
-    return rank_kernel(rows, ncols, field)[0]
+    """Rank of the matrix with the given rows, from the forward pass alone."""
+    return len(_eliminate(rows, ncols, field)[2])
 
 
 def mat_vec(mat, vec):
@@ -217,51 +247,3 @@ def mat_vec(mat, vec):
             acc = term if acc is None else acc + term
         out.append(acc)
     return out
-
-
-def gauss_solve(mat, rhs, field):
-    """Solve M x = rhs for square M by Gaussian elimination over the field."""
-    n = len(mat)
-    aug = [[field(x) for x in row] + [field(rhs[i])] for i, row in enumerate(mat)]
-    for c in range(n):
-        piv = None
-        for i in range(c, n):
-            if aug[i][c]:
-                piv = i
-                break
-        if piv is None:
-            raise SingularMatrixError(f"singular system at column {c}")
-        aug[c], aug[piv] = aug[piv], aug[c]
-        lead = aug[c][c]
-        aug[c] = [x / lead for x in aug[c]]
-        for i in range(n):
-            if i != c and aug[i][c]:
-                f = aug[i][c]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[c])]
-    return [aug[i][n] for i in range(n)]
-
-
-def invert(mat, field):
-    """Inverse of a square matrix over the field; SingularMatrixError if none."""
-    n = len(mat)
-    aug = [
-        [field(x) for x in row]
-        + [field.one if i == j else field.zero for j in range(n)]
-        for i, row in enumerate(mat)
-    ]
-    for c in range(n):
-        piv = None
-        for i in range(c, n):
-            if aug[i][c]:
-                piv = i
-                break
-        if piv is None:
-            raise SingularMatrixError(f"matrix not invertible (column {c})")
-        aug[c], aug[piv] = aug[piv], aug[c]
-        lead = aug[c][c]
-        aug[c] = [x / lead for x in aug[c]]
-        for i in range(n):
-            if i != c and aug[i][c]:
-                f = aug[i][c]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[c])]
-    return [row[n:] for row in aug]

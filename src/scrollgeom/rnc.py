@@ -21,7 +21,7 @@ from .errors import (
 )
 from .fields import field_of, random_distinct
 from .forms import BinaryForm, divide_exact, gcd_many, product_of_linears
-from .linalg import gauss_solve, invert, mat_vec, rank_kernel, rank_of
+from .linalg import mat_vec, rank_kernel, rank_of
 
 
 class Frame:
@@ -91,25 +91,35 @@ def random_frame(n: int, field, rng) -> Frame:
 def frame_transform(frame: Frame, field):
     """Matrix sending the frame to (e_0, ..., e_n, all-ones), up to scale.
 
-    Solves A*lam = P_{n+1} with A the matrix of the first n+1 points as
-    columns; the frame map is then the inverse of A*diag(lam).
+    With A the matrix of the first n+1 points as columns and lam the
+    solution of A*lam = P_{n+1}, the frame map is the inverse of
+    A*diag(lam), that is diag(1/lam) * A^-1.  A^-1 comes from the kernel
+    of [A | -I]: its basis vector with the 1 in column n+1+k is
+    (A^-1 e_k, e_k) exactly when A is invertible.
     """
     n = frame.n
-    a_cols = [[frame.points[j][i] for j in range(n + 1)] for i in range(n + 1)]
-    try:
-        lam = gauss_solve(a_cols, list(frame.points[n + 1]), field)
-    except SingularMatrixError as exc:
+    m = n + 1
+    rows = [
+        [frame.points[j][i] for j in range(m)] + [-1 if k == i else 0 for k in range(m)]
+        for i in range(m)
+    ]
+    _, basis = rank_kernel(rows, 2 * m, field)
+    # the right blocks form I only if A*X = I for the left blocks X
+    if [[1 if x == k else 0 for x in range(m)] for k in range(m)] != [
+        list(v[m:]) for v in basis
+    ]:
         raise DegenerateFrameError(
-            "first n+1 frame points do not span", subset=tuple(range(n + 1))
-        ) from exc
+            "first n+1 frame points do not span", subset=tuple(range(m))
+        ) from SingularMatrixError("frame matrix is singular")
+    # column k of A^-1 is basis[k][:m]
+    lam = [sum(basis[k][i] * frame.points[n + 1][k] for k in range(m)) for i in range(m)]
     bad = [j for j, l in enumerate(lam) if not l]
     if bad:
         involved = tuple(j for j, l in enumerate(lam) if l) + (n + 1,)
         raise DegenerateFrameError(
             f"last point lies in the span of points {involved[:-1]}", subset=involved
         )
-    scaled = [[a_cols[i][j] * lam[j] for j in range(n + 1)] for i in range(n + 1)]
-    return invert(scaled, field)
+    return [[basis[k][i] / lam[i] for k in range(m)] for i in range(m)]
 
 
 def apply_transform(matrix, point):

@@ -7,7 +7,9 @@ evidence and not circularity.  The residual oracles rebuild every
 product of node linears by plain form multiplication and take the
 finiteness Jacobian by finite differences, independent of the one-pass
 synthetic division in the package.  The incidence-rank oracle takes the
-configuration and augmented ranks with two separate eliminations.
+configuration and augmented ranks with two separate eliminations.  The
+form oracles multiply by the schoolbook double loop and take gcds by a
+plain Fraction Euclid, with no integer or modular shortcut.
 """
 
 from fractions import Fraction
@@ -192,3 +194,50 @@ def oracle_incidence_ranks(rows, n_coeffs, n_pts, field):
     rank_config = rank_of(config_rows, n_coeffs + n_pts, field)
     rank_aug = rank_of(rows, n_coeffs + 2 * n_pts, field)
     return rank_config, rank_aug
+
+
+def oracle_form_mul(f, g):
+    """Product of two forms by the schoolbook double loop on their scalars."""
+    out = [0 * f.coeffs[0] * g.coeffs[0]] * (f.degree + g.degree + 1)
+    for i, a in enumerate(f.coeffs):
+        for j, b in enumerate(g.coeffs):
+            out[i + j] = out[i + j] + a * b
+    return BinaryForm(f.degree + g.degree, out)
+
+
+def _dehomogenize_q(form):
+    """(s1 valuation, Fraction coefficients of F(t, 1) by t-power); None if zero."""
+    coeffs = [Fraction(x) for x in form.coeffs]
+    nonzero = [j for j, x in enumerate(coeffs) if x]
+    if not nonzero:
+        return None
+    v = nonzero[0]
+    return v, [coeffs[form.degree - m] for m in range(form.degree - v + 1)]
+
+
+def oracle_form_gcd_q(f, g):
+    """Monic gcd of two rational forms by a plain Fraction Euclid.
+
+    A nonzero form is s1^v * F with s1 not dividing F; the gcd is s1 to
+    the smaller v times the monic gcd of the polynomials F(t, 1).  The
+    zero form is absorbing.
+    """
+    parts = [p for p in (_dehomogenize_q(f), _dehomogenize_q(g)) if p is not None]
+    v = min(p[0] for p in parts)
+    a = parts[0][1]
+    b = parts[1][1] if len(parts) > 1 else []
+    while b:
+        r = list(a)
+        while len(r) >= len(b):
+            c = r[-1] / b[-1]
+            shift = len(r) - len(b)
+            r = [x - c * b[i - shift] if i >= shift else x for i, x in enumerate(r)]
+            while r and r[-1] == 0:
+                r.pop()
+        a, b = b, r
+    monic = [x / a[-1] for x in a]
+    degree = v + len(monic) - 1
+    coeffs = [Fraction(0)] * (degree + 1)
+    for m, c in enumerate(monic):
+        coeffs[degree - m] = c
+    return BinaryForm(degree, coeffs)

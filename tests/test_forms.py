@@ -5,9 +5,12 @@ from fractions import Fraction
 import pytest
 
 from scrollgeom.errors import BothZeroError, InexactDivisionError
-from scrollgeom.fields import QQ, PrimeField
+from scrollgeom.fields import QQ, PrimeField, is_prime_u64
 from scrollgeom.forms import (
+    GCD_PRIME,
     BinaryForm,
+    _coprime_mod_p,
+    _as_t_poly,
     compose_form,
     divide_exact,
     form_gcd,
@@ -18,6 +21,8 @@ from scrollgeom.forms import (
     vanishing_at,
 )
 from scrollgeom.rngstream import as_stream
+
+from helpers import oracle_form_gcd_q, oracle_form_mul
 
 ONE = QQ.one
 ZERO = QQ.zero
@@ -144,3 +149,146 @@ def test_fp_forms_roundtrip():
     assert (f * g).degree == 3
     assert g.evaluate(fp(5), fp(1)) == fp(0)
     assert divide_exact(f * g, g) == f
+
+
+# ------------------------------------------------- rational fast paths
+
+
+def _no_floats(form):
+    return not any(isinstance(c, float) for c in form.coeffs)
+
+
+def _as_fractions(form):
+    return BinaryForm(form.degree, [Fraction(c) for c in form.coeffs])
+
+
+def test_int_coefficient_division_stays_exact():
+    cases = [
+        (BinaryForm(1, (1, 2)), BinaryForm(1, (1, 3))),
+        (BinaryForm(2, (2, 3, 1)), BinaryForm(1, (2, 1))),
+        (BinaryForm(2, (0, 3, 6)), BinaryForm(2, (0, 0, 4))),
+        (BinaryForm.zero(1, QQ), BinaryForm(1, (3, 2))),
+    ]
+    for f, g in cases:
+        got = form_gcd(f, g)
+        assert _no_floats(got)
+        assert got == form_gcd(_as_fractions(f), _as_fractions(g)) == oracle_form_gcd_q(f, g)
+        many = gcd_many([f, g, g])
+        assert _no_floats(many)
+        assert many == gcd_many([_as_fractions(f), _as_fractions(g), _as_fractions(g)])
+    single = gcd_many([BinaryForm(1, (2, 3))])
+    assert _no_floats(single) and single.coeffs == (1, Fraction(3, 2))
+    q = divide_exact(BinaryForm(2, (2, 3, 1)), BinaryForm(1, (2, 1)))
+    assert _no_floats(q) and q.coeffs == (1, 1)
+    assert q == divide_exact(lp(2, 3, 1), lp(2, 1))
+    q2 = divide_exact(BinaryForm(2, (3, 0, -3)), BinaryForm(1, (2, 2)))
+    assert _no_floats(q2) and q2.coeffs == (Fraction(3, 2), Fraction(-3, 2))
+
+
+def test_gcd_prime_is_a_61_bit_prime():
+    assert is_prime_u64(GCD_PRIME) and GCD_PRIME.bit_length() == 61
+
+
+def test_coprime_rational_forms_skip_the_rational_euclid(monkeypatch):
+    import scrollgeom.forms as forms
+
+    def refuse(num, den):
+        raise AssertionError("Euclid over the rationals ran on certified-coprime forms")
+
+    monkeypatch.setattr(forms, "_poly_divmod", refuse)
+    got = form_gcd(lp(0, 1, Fraction(1, 3), 5), lp(0, 0, Fraction(-7, 2), 1))
+    assert got.coeffs == (0, 1) and type(got.coeffs[1]) is Fraction
+    assert form_gcd(lp(1, 2), lp(3)).coeffs == (1,)
+
+
+def test_gcd_certificate_refuses_lost_degree_and_falls_back():
+    p = GCD_PRIME
+    t = lp(1, 0)
+    h = lp(p, 1)  # p divides the leading coefficient of the common factor
+    f, g = h * t, h * lp(1, 1)  # mod p: t and t + 1, coprime; over Q: gcd h
+    assert not _coprime_mod_p(_as_t_poly(f)[1], _as_t_poly(g)[1])
+    assert form_gcd(f, g) == oracle_form_gcd_q(f, g) == BinaryForm(1, (1, Fraction(1, p)))
+    h2 = lp(1, Fraction(1, p))  # p divides a denominator
+    f2, g2 = h2 * t, h2 * lp(1, 1)
+    assert not _coprime_mod_p(_as_t_poly(f2)[1], _as_t_poly(g2)[1])
+    assert form_gcd(f2, g2) == oracle_form_gcd_q(f2, g2) == h2
+    # coprime over Q, but both reduce to t mod p: not certified, yet coprime
+    f3, g3 = t, lp(1, -p)
+    assert not _coprime_mod_p(_as_t_poly(f3)[1], _as_t_poly(g3)[1])
+    assert form_gcd(f3, g3) == oracle_form_gcd_q(f3, g3) == lp(1)
+
+
+def _rational_form_strategy(st, max_degree):
+    scalar = st.one_of(
+        st.builds(Fraction, st.integers(-30, 30), st.integers(1, 9)),
+        st.integers(-5, 5),
+        st.just(Fraction(0)),
+    )
+    return st.integers(0, max_degree).flatmap(
+        lambda d: st.lists(scalar, min_size=d + 1, max_size=d + 1).map(
+            lambda cs: BinaryForm(len(cs) - 1, cs)
+        )
+    ).filter(lambda f: not f.is_zero())
+
+
+def test_form_gcd_matches_oracle_on_planted_factors():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    forms_st = _rational_form_strategy(st, 3)
+
+    @hypothesis.settings(max_examples=200, deadline=None)
+    @hypothesis.given(forms_st, forms_st, forms_st, forms_st)
+    def check(h, a, b, c):
+        f, g, k = h * a, h * b, h * c
+        want = oracle_form_gcd_q(f, g)
+        got = form_gcd(f, g)
+        assert got == want and got.degree == want.degree
+        assert all(type(x) is Fraction for x in got.coeffs)
+        assert got.degree >= h.degree
+        assert gcd_many([f, g, k]) == oracle_form_gcd_q(want, k)
+
+    check()
+
+
+def test_form_gcd_agrees_with_sympy():
+    sympy = pytest.importorskip("sympy")
+    s0, s1 = sympy.symbols("s0 s1")
+
+    def expr(form):
+        return sum(
+            sympy.Rational(c.numerator, c.denominator) * s0 ** (form.degree - j) * s1 ** j
+            for j, c in enumerate(form.coeffs)
+        )
+
+    rng = as_stream(71)
+    for trial in range(12):
+        common = random_form(trial % 3, QQ, rng, nonzero=True)
+        if trial % 4 == 0:
+            common = common * lp(0, 1)  # a shared s1 factor
+        f = common * random_form(2 + trial % 2, QQ, rng, nonzero=True)
+        g = common * random_form(3, QQ, rng, nonzero=True)
+        got = expr(form_gcd(f, g))
+        want = sympy.gcd(expr(f), expr(g))
+        quotient, remainder = sympy.div(want, got, s0, s1)
+        assert remainder == 0 and not quotient.free_symbols and quotient != 0
+
+
+def test_rational_product_matches_schoolbook_loop():
+    rng = as_stream(72)
+    fp = PrimeField(10007)
+    cases = [
+        (lp(Fraction(1, 2), Fraction(-2, 3), 5), lp(Fraction(7, 4), 0, Fraction(1, 6))),
+        (BinaryForm(1, (1, 2)), lp(Fraction(1, 3), Fraction(3, 5))),
+        (BinaryForm(0, (1,)), lp(Fraction(9, 10), 0, Fraction(-1, 10))),
+        (lp(0, 0), lp(Fraction(1, 2))),
+        (BinaryForm(2, (1, -2, 3)), BinaryForm(1, (4, 5))),
+        (BinaryForm(1, (fp(3), fp(4))), BinaryForm(1, (fp(5), fp(10006)))),
+    ]
+    for _ in range(10):
+        f = BinaryForm(4, [Fraction(rng.randint(-99, 99), rng.randint(1, 30)) for _ in range(5)])
+        g = BinaryForm(3, [Fraction(rng.randint(-99, 99), rng.randint(1, 30)) for _ in range(4)])
+        cases.append((f, g))
+    for f, g in cases:
+        got, want = f * g, oracle_form_mul(f, g)
+        assert got == want
+        assert [type(x) for x in got.coeffs] == [type(x) for x in want.coeffs]

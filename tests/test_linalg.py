@@ -4,9 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from scrollgeom.errors import FieldMismatchError, SingularMatrixError
+from scrollgeom.errors import FieldMismatchError
 from scrollgeom.fields import QQ, PrimeField
-from scrollgeom.linalg import _forward_fp, gauss_solve, invert, mat_vec, rank_kernel, rank_of
+from scrollgeom.linalg import _forward_fp, mat_vec, rank_kernel, rank_of
 from scrollgeom.rngstream import as_stream
 
 from helpers import (
@@ -96,39 +96,6 @@ def test_rank_of_matches_rank_kernel():
                 for _ in range(rng.randint(1, 6))
             ]
             assert rank_of(rows, 6, field) == rank_kernel(rows, 6, field)[0]
-
-
-def test_gauss_solve_frozen():
-    sol = gauss_solve([[2, 1], [1, 1]], [3, 2], QQ)
-    assert list(sol) == [1, 1]
-    with pytest.raises(SingularMatrixError):
-        gauss_solve([[1, 2], [2, 4]], [1, 1], QQ)
-
-
-def test_invert_frozen():
-    inv = invert([[1, 2], [3, 4]], QQ)
-    assert [list(r) for r in inv] == [
-        [Fraction(-2), Fraction(1)],
-        [Fraction(3, 2), Fraction(-1, 2)],
-    ]
-    with pytest.raises(SingularMatrixError):
-        invert([[1, 2], [2, 4]], QQ)
-
-
-def test_invert_round_trip_fp():
-    field = PrimeField(10007)
-    rng = as_stream(40)
-    mat = [[field.random_scalar(rng) for _ in range(4)] for _ in range(4)]
-    while rank_of(mat, 4, field) < 4:
-        mat = [[field.random_scalar(rng) for _ in range(4)] for _ in range(4)]
-    inv = invert(mat, field)
-    prod = [
-        [sum((mat[i][k] * inv[k][j] for k in range(4)), field.zero) for j in range(4)]
-        for i in range(4)
-    ]
-    for i in range(4):
-        for j in range(4):
-            assert prod[i][j] == (field.one if i == j else field.zero)
 
 
 def test_float_entries_rejected_on_both_paths():
@@ -243,5 +210,118 @@ def test_packed_elimination_property():
         oracle_rank, oracle_basis = oracle_kernel_mod(rows, ncols, p)
         assert rank == oracle_rank
         assert [[x.val for x in vec] for vec in kernel] == oracle_basis
+
+    check()
+
+
+# ------------------------------------------------ fraction-free rational path
+
+
+def _fraction_rows(rng, nrows, ncols, span=9, max_den=7):
+    return [
+        [Fraction(rng.randint(-span, span), rng.randint(1, max_den)) for _ in range(ncols)]
+        for _ in range(nrows)
+    ]
+
+
+def _rational_shapes():
+    rng = as_stream(61)
+    mixed = _fraction_rows(rng, 9, 11)
+    for row in mixed:
+        row[3] = Fraction(0)  # a zero column
+    mixed[4] = [Fraction(0)] * 11  # a zero row
+    mixed[6] = [Fraction(0)] * 11
+    left = _fraction_rows(rng, 14, 4)
+    right = _fraction_rows(rng, 4, 10)
+    dup = _fraction_rows(rng, 5, 8)
+    return {
+        "mixed_denominators_zero_rows_cols": mixed,
+        "rank_deficient": [
+            [sum(a * right[k][j] for k, a in enumerate(row)) for j in range(10)]
+            for row in left
+        ],
+        "duplicate_rows": dup + dup[::-1] + [[3 * x for x in dup[0]]],
+        "wide": _fraction_rows(rng, 5, 17),
+        "tall": _fraction_rows(rng, 23, 9),
+        "ints_and_fractions": [[1, Fraction(1, 2), 0, -3], [2, 1, Fraction(5, 3), 0]],
+        "all_zero": [[0] * 5 for _ in range(3)],
+        "no_rows": [],
+    }
+
+
+def _assert_exact_rational_kernel(rows, ncols):
+    rank, kernel = rank_kernel(rows, ncols, QQ)
+    want_rank, want_basis = oracle_kernel_q(rows, ncols)
+    assert rank == want_rank == rank_of(rows, ncols, QQ)
+    assert [list(v) for v in kernel] == want_basis
+    assert all(type(x) is Fraction for v in kernel for x in v)
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [
+        "mixed_denominators_zero_rows_cols",
+        "rank_deficient",
+        "duplicate_rows",
+        "wide",
+        "tall",
+        "ints_and_fractions",
+        "all_zero",
+        "no_rows",
+    ],
+)
+def test_rational_kernel_matches_oracle(shape):
+    rows = _rational_shapes()[shape]
+    ncols = len(rows[0]) if rows else 4
+    _assert_exact_rational_kernel(rows, ncols)
+
+
+def test_rational_kernel_shape_ranks():
+    shapes = _rational_shapes()
+    assert rank_of(shapes["rank_deficient"], 10, QQ) == 4
+    assert rank_of(shapes["duplicate_rows"], 8, QQ) == 5
+    assert rank_of(shapes["all_zero"], 5, QQ) == 0
+    assert rank_of([], 3, QQ) == 0 and rank_kernel([], 0, QQ) == (0, [])
+
+
+def test_rational_kernel_quadrics_shape(monkeypatch):
+    # the matrix of `quadrics --n 10 --field q`: 42 conditions on 66 monomials
+    import scrollgeom.binary_curves as bc
+
+    seen = []
+
+    def recording_rank_kernel(rows, ncols, field=None):
+        seen.append(([list(r) for r in rows], ncols))
+        return rank_kernel(rows, ncols, field)
+
+    monkeypatch.setattr(bc, "rank_kernel", recording_rank_kernel)
+    bc.quadrics_through(bc.random_binary_curve(10, QQ, 5))
+    (rows, ncols), = seen
+    assert (len(rows), ncols) == (42, 66)
+    _assert_exact_rational_kernel(rows, ncols)
+
+
+def test_rational_kernel_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def matrices(draw):
+        nrows = draw(st.integers(0, 8))
+        ncols = draw(st.integers(0, 8))
+        entry = st.one_of(
+            st.builds(Fraction, st.integers(-20, 20), st.integers(1, 12)),
+            st.integers(-3, 3),
+            st.sampled_from([Fraction(0), Fraction(1, 2**61 - 1)]),
+        )
+        rows = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols),
+                             min_size=nrows, max_size=nrows))
+        return ncols, rows
+
+    @hypothesis.settings(max_examples=200, deadline=None)
+    @hypothesis.given(matrices())
+    def check(case):
+        ncols, rows = case
+        _assert_exact_rational_kernel(rows, ncols)
 
     check()
