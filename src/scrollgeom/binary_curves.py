@@ -153,6 +153,37 @@ def _pair_satisfies_nodes(q1, q2, pairs):
     return True
 
 
+def _node_map(pairs, degree: int, field):
+    """Coprime (q1, q2) of the given degree with (q1:q2)(R_j) = S_j.
+
+    Solves the node system for the kernel, then scans the basis and small
+    pair combinations for a coprime element.  Returns ((q1, q2) or None,
+    kernel).  A coprime element carries every node, since a node it
+    missed would be a common zero of q1 and q2; the check stays anyway.
+    """
+    rows = _node_system_rows(pairs, degree, field)
+    _, kernel = rank_kernel(rows, 2 * (degree + 1), field)
+    for vec in _candidate_vectors(kernel):
+        q1, q2 = _vector_to_pair(vec, degree)
+        if q1.is_zero() and q2.is_zero():
+            continue
+        if form_gcd(q1, q2).degree == 0:
+            if not _pair_satisfies_nodes(q1, q2, pairs):
+                raise InternalCheckError("coprime kernel element failed a node")
+            return (q1, q2), kernel
+    return None, kernel
+
+
+def _checked_node_pairs(pairs):
+    """Node pairs as tuples of tuples; (0, 0) is no point of P^1."""
+    out = []
+    for (r, s) in pairs:
+        if not (r[0] or r[1]) or not (s[0] or s[1]):
+            raise ValueError("node parameter (0, 0) is not a point of P^1")
+        out.append(((r[0], r[1]), (s[0], s[1])))
+    return out
+
+
 def gonality_map_from_nodes(pairs, n: int, field):
     """Gonality pencil from raw node-parameter pairs.
 
@@ -161,23 +192,15 @@ def gonality_map_from_nodes(pairs, n: int, field):
     second.  Returns (witness, kernel dimension).  When no kernel element
     of full degree is coprime, candidates are reduced by their gcd and
     re-verified, which recovers the identity for coincident node data.
+    A (0, 0) parameter raises ValueError.
     """
-    pairs = [((r[0], r[1]), (s[0], s[1])) for (r, s) in pairs]
+    pairs = _checked_node_pairs(pairs)
     degree = n // 2 + 1
-    rows = _node_system_rows(pairs, degree, field)
-    rank, kernel = rank_kernel(rows, 2 * (degree + 1), field)
-    kernel_dim = len(kernel)
-    if kernel_dim == 0:
+    pair, kernel = _node_map(pairs, degree, field)
+    if not kernel:
         raise NoCoprimeWitnessError("empty kernel", kernel_basis=[])
-
-    for vec in _candidate_vectors(kernel):
-        q1, q2 = _vector_to_pair(vec, degree)
-        if q1.is_zero() and q2.is_zero():
-            continue
-        if form_gcd(q1, q2).degree == 0:
-            if not _pair_satisfies_nodes(q1, q2, pairs):
-                raise InternalCheckError("coprime kernel element failed a node")
-            return GonalityWitness(q1, q2, degree + 1), kernel_dim
+    if pair is not None:
+        return GonalityWitness(*pair, degree + 1), len(kernel)
 
     # every full-degree element shares a factor; divide it out and check
     # the reduced pair against the nodes directly
@@ -191,7 +214,7 @@ def gonality_map_from_nodes(pairs, n: int, field):
         r1 = divide_exact(q1, g)
         r2 = divide_exact(q2, g)
         if _pair_satisfies_nodes(r1, r2, pairs):
-            return GonalityWitness(r1, r2, r1.degree + 1), kernel_dim
+            return GonalityWitness(r1, r2, r1.degree + 1), len(kernel)
     raise NoCoprimeWitnessError(
         "no coprime gonality witness in the scanned kernel combinations",
         kernel_basis=kernel,
@@ -209,19 +232,11 @@ def gonality_map(curve: BinaryCurve):
 
 
 def hyperelliptic_from_nodes(pairs, field) -> bool:
-    """Degree-1 node system: is there a Mobius map carrying all pairs?"""
-    pairs = [((r[0], r[1]), (s[0], s[1])) for (r, s) in pairs]
-    rows = _node_system_rows(pairs, 1, field)
-    _, kernel = rank_kernel(rows, 4, field)
-    if not kernel:
-        return False
-    for vec in _candidate_vectors(kernel):
-        q1, q2 = _vector_to_pair(vec, 1)
-        if q1.is_zero() and q2.is_zero():
-            continue
-        if form_gcd(q1, q2).degree == 0 and _pair_satisfies_nodes(q1, q2, pairs):
-            return True
-    return False
+    """Degree-1 node system: is there a Mobius map carrying all pairs?
+
+    A (0, 0) parameter raises ValueError.
+    """
+    return _node_map(_checked_node_pairs(pairs), 1, field)[0] is not None
 
 
 def hyperelliptic_test(curve: BinaryCurve) -> bool:
@@ -292,16 +307,6 @@ class ContainmentVerdict:
     anomalies: list
     description: str
 
-    def to_dict(self):
-        return {
-            "verdict": self.verdict,
-            "method": self.method,
-            "trials": self.trials,
-            "records": self.records,
-            "anomalies": self.anomalies,
-            "description": self.description,
-        }
-
 
 def _random_plane(n, field, rng):
     """(n+1) x 3 matrix of rank 3 whose column span is a plane."""
@@ -315,20 +320,13 @@ def _restrict_to_plane(gram, plane, field):
     """3x3 Gram of the quadric pulled back to plane coordinates."""
     npts = len(plane)
     gp = [
-        [sum_scalars(gram[r][c] * plane[c][j] for c in range(npts)) for j in range(3)]
+        [sum(gram[r][c] * plane[c][j] for c in range(npts)) for j in range(3)]
         for r in range(npts)
     ]
     return [
-        [sum_scalars(plane[r][i] * gp[r][j] for r in range(npts)) for j in range(3)]
+        [sum(plane[r][i] * gp[r][j] for r in range(npts)) for j in range(3)]
         for i in range(3)
     ]
-
-
-def sum_scalars(terms):
-    acc = None
-    for t in terms:
-        acc = t if acc is None else acc + t
-    return acc
 
 
 def _conic_parts(gram, field):
@@ -415,26 +413,6 @@ def _form_coeffs(form):
     return [scalar_to_str(c) for c in form.coeffs]
 
 
-def _exact_stratum(pairs, degree, field, flip):
-    """Linear stratum where one side is a Mobius map, normalized away.
-
-    With the degree-1 side gauged to the identity, the other side must be
-    a degree-`degree` map carrying node parameters across; that is the
-    node system again, solvable exactly.
-    """
-    if flip:
-        pairs = [(s, r) for (r, s) in pairs]
-    rows = _node_system_rows(pairs, degree, field)
-    rank, kernel = rank_kernel(rows, 2 * (degree + 1), field)
-    for vec in _candidate_vectors(kernel):
-        q1, q2 = _vector_to_pair(vec, degree)
-        if q1.is_zero() and q2.is_zero():
-            continue
-        if form_gcd(q1, q2).degree == 0 and _pair_satisfies_nodes(q1, q2, pairs):
-            return True, {"q1": _form_coeffs(q1), "q2": _form_coeffs(q2)}, len(kernel)
-    return False, None, len(kernel)
-
-
 def _sampled_stratum(pairs, h, k, field, rng, samples):
     """Evidence for strata with both map degrees >= 2.
 
@@ -444,7 +422,6 @@ def _sampled_stratum(pairs, h, k, field, rng, samples):
     evidence of unsolvability, not proof.
     """
     unsat = 0
-    witness = None
     for _ in range(samples):
         while True:
             p1 = random_form(h, field, rng)
@@ -452,30 +429,18 @@ def _sampled_stratum(pairs, h, k, field, rng, samples):
             if not (p1.is_zero() and p2.is_zero()) and form_gcd(p1, p2).degree == 0:
                 break
         # chi(S_j) must match psi(R_j): cross-multiplied, linear in chi
-        target_pairs = []
-        for (r, s) in pairs:
-            value = (p1.evaluate(r[0], r[1]), p2.evaluate(r[0], r[1]))
-            target_pairs.append((s, value))
-        rows = _node_system_rows(target_pairs, k, field)
-        _, kernel = rank_kernel(rows, 2 * (k + 1), field)
+        target_pairs = [
+            (s, (p1.evaluate(r[0], r[1]), p2.evaluate(r[0], r[1]))) for (r, s) in pairs
+        ]
+        chi, kernel = _node_map(target_pairs, k, field)
         if not kernel:
             unsat += 1
-            continue
-        for vec in _candidate_vectors(kernel):
-            q1, q2 = _vector_to_pair(vec, k)
-            if q1.is_zero() and q2.is_zero():
-                continue
-            if form_gcd(q1, q2).degree == 0 and _pair_satisfies_nodes(
-                q1, q2, target_pairs
-            ):
-                witness = {
-                    "psi": [_form_coeffs(p1), _form_coeffs(p2)],
-                    "chi": [_form_coeffs(q1), _form_coeffs(q2)],
-                }
-                break
-        if witness:
-            break
-    return unsat, witness
+        elif chi is not None:
+            return unsat, {
+                "psi": [_form_coeffs(p1), _form_coeffs(p2)],
+                "chi": [_form_coeffs(f) for f in chi],
+            }
+    return unsat, None
 
 
 def _dimension_audit(n, h, k):
@@ -525,6 +490,7 @@ def _stratified_search(curve, quadrics, trials, stream, anomalies, h_only=None, 
     n = curve.n
     field = curve.field
     pairs = curve.node_pairs
+    flipped = [(s, r) for (r, s) in pairs]
     bound = n // 2
     records = []
     witness_record = None
@@ -536,14 +502,15 @@ def _stratified_search(curve, quadrics, trials, stream, anomalies, h_only=None, 
                 continue
             record = {"h": h, "k": k}
             if min(h, k) == 1:
-                degree = max(h, k)
-                flip = h == 1 and k > 1
-                sat, forms, kdim = _exact_stratum(pairs, degree, field, flip)
+                # gauge the degree-1 side to the identity: the other side
+                # is a degree-max(h, k) map carrying the nodes across
+                pair, kernel = _node_map(flipped if h < k else pairs, max(h, k), field)
                 record.update(
-                    {"method": "exact-linear", "solvable": sat, "kernel_dim": kdim}
+                    method="exact-linear", solvable=pair is not None, kernel_dim=len(kernel)
                 )
-                if sat:
-                    record["witness"] = forms
+                if pair is not None:
+                    q1, q2 = pair
+                    record["witness"] = {"q1": _form_coeffs(q1), "q2": _form_coeffs(q2)}
                     witness_record = witness_record or record
             else:
                 rng = stream.child(f"stratum{h}-{k}")
@@ -590,11 +557,17 @@ def scroll_containment_witness(
     For n=4 the quadric net is probed by exact plane sections and
     resultants; for other n a stratified parametric search over induced
     map degrees runs, labeled heuristic in the verdict.  The optional
-    h_only and k_only arguments restrict the stratified sweep and are
-    rejected for the n=4 slicing method, which has no strata.
+    h_only and k_only arguments restrict the stratified sweep to degrees
+    1..floor(n/2); they are rejected outside that range and for the n=4
+    slicing method, which has no strata.
     """
     if trials < 1:
         raise ValueError("INVALID_TRIALS: need at least one trial")
+    bound = curve.n // 2
+    if any(f is not None and not 1 <= f <= bound for f in (h_only, k_only)):
+        raise ValueError(
+            f"stratum filters must lie in 1..{bound} = floor(n/2), got h={h_only}, k={k_only}"
+        )
     stream = as_stream(seed)
     quadrics = quadrics_through(curve)
     n = curve.n

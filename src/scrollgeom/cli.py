@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from dataclasses import asdict
 
 from .binary_curves import (
     gonality_map,
@@ -298,7 +299,7 @@ def _handle_incidence(args) -> dict:
         {"trial": i, "measured": m, "fiber_dim": fd, "matches": m == report.predicted}
         for i, (m, fd) in enumerate(zip(report.measured_ranks, report.fiber_dims))
     ]
-    result = report.to_dict()
+    result = asdict(report)
     result["match_count"] = sum(1 for row in rows if row["matches"])
     result["rows"] = rows
     return result
@@ -472,6 +473,8 @@ def _handle_containment(args) -> dict:
         raise _UsageError("containment needs n at least 3")
     if n == 4 and (args.h is not None or args.k is not None):
         raise _UsageError("--h/--k filter the stratified method, which only runs for n != 4")
+    if max(args.h or 0, args.k or 0) > n // 2:
+        raise _UsageError(f"--h/--k select strata up to floor(n/2) = {n // 2}")
     field = args.field
     stream = as_stream(args.seed)
     if args.control:

@@ -236,14 +236,3 @@ def rank_kernel(rows, ncols: int, field=None):
 def rank_of(rows, ncols: int, field=None) -> int:
     """Rank of the matrix with the given rows, from the forward pass alone."""
     return len(_eliminate(rows, ncols, field)[2])
-
-
-def mat_vec(mat, vec):
-    out = []
-    for row in mat:
-        acc = None
-        for a, b in zip(row, vec):
-            term = a * b
-            acc = term if acc is None else acc + term
-        out.append(acc)
-    return out

@@ -21,7 +21,7 @@ from .errors import (
 )
 from .fields import field_of, random_distinct
 from .forms import BinaryForm, divide_exact, gcd_many, product_of_linears
-from .linalg import mat_vec, rank_kernel, rank_of
+from .linalg import rank_kernel, rank_of
 
 
 class Frame:
@@ -123,7 +123,7 @@ def frame_transform(frame: Frame, field):
 
 
 def apply_transform(matrix, point):
-    return tuple(mat_vec(matrix, list(point)))
+    return tuple(sum(a * b for a, b in zip(row, point)) for row in matrix)
 
 
 class StandardRNC:
@@ -238,12 +238,11 @@ class Quadric:
         return not any(any(row) for row in self.gram)
 
     def evaluate(self, point):
-        acc = None
-        for i, row in enumerate(self.gram):
-            for j, g in enumerate(row):
-                term = g * point[i] * point[j]
-                acc = term if acc is None else acc + term
-        return acc
+        return sum(
+            g * point[i] * point[j]
+            for i, row in enumerate(self.gram)
+            for j, g in enumerate(row)
+        )
 
     def rank(self) -> int:
         return rank_of([list(r) for r in self.gram], self.n + 1)
@@ -254,11 +253,7 @@ class Quadric:
     def is_through_standard_frame(self) -> bool:
         if any(self.gram[i][i] for i in range(self.n + 1)):
             return False
-        total = None
-        for row in self.gram:
-            for g in row:
-                total = g if total is None else total + g
-        return not total
+        return not sum(g for row in self.gram for g in row)
 
     def frame_points_in_singular_locus(self):
         """Indices of standard frame points killed by the Gram matrix."""
@@ -266,19 +261,12 @@ class Quadric:
         for j in range(self.n + 1):
             if not any(row[j] for row in self.gram):
                 hits.append(j)
-        if all(not _row_sum(row) for row in self.gram):
+        if all(not sum(row) for row in self.gram):
             hits.append(self.n + 1)
         return hits
 
     def __repr__(self):
         return f"Quadric(n={self.n})"
-
-
-def _row_sum(row):
-    acc = None
-    for x in row:
-        acc = x if acc is None else acc + x
-    return acc
 
 
 def random_quadric_through_frame(n: int, field, rng) -> Quadric:
@@ -326,8 +314,8 @@ def random_rank4_quadric_through_frame(n: int, field, rng) -> Quadric:
         # v_j kills the value at coordinate point j; then slide z_0 to kill
         # the value at the all-ones point, which is linear in the slide
         v = [w[j] * z[j] / u[j] for j in range(n + 1)]
-        su, sw = _sum(u), _sum(w)
-        base = su * _sum(v) - sw * _sum(z)
+        su, sw = sum(u), sum(w)
+        base = su * sum(v) - sw * sum(z)
         slope = su * (w[0] / u[0]) - sw
         if not slope:
             continue
@@ -348,13 +336,6 @@ def random_rank4_quadric_through_frame(n: int, field, rng) -> Quadric:
         if not q.is_through_standard_frame():
             raise InternalCheckError("rank-4 construction missed the frame")
         return q
-
-
-def _sum(xs):
-    acc = None
-    for x in xs:
-        acc = x if acc is None else acc + x
-    return acc
 
 
 def _drop_linear(coeffs, value):

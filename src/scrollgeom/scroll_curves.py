@@ -181,11 +181,7 @@ def section_evaluate(section: ScrollSection, point):
         raise ValueError("invalid scroll point: base coordinates both zero")
     if not any(y):
         raise ValueError("invalid scroll point: fiber coordinates all zero")
-    acc = None
-    for comp, y_i in zip(section.comps, y):
-        term = comp.evaluate(t[0], t[1]) * y_i
-        acc = term if acc is None else acc + term
-    return acc
+    return sum(comp.evaluate(t[0], t[1]) * y_i for comp, y_i in zip(section.comps, y))
 
 
 def section_on_curve(section: ScrollSection, curve: CurveInScroll) -> BinaryForm:
@@ -393,18 +389,6 @@ class DimensionReport:
     seed: int
     field: str
     fiber_dims: list
-
-    def to_dict(self):
-        return {
-            "family": self.family,
-            "params": self.params,
-            "predicted": self.predicted,
-            "measured_ranks": self.measured_ranks,
-            "group_correction": self.group_correction,
-            "seed": self.seed,
-            "field": self.field,
-            "fiber_dims": self.fiber_dims,
-        }
 
 
 def _ds0_value(form: BinaryForm, s0, s1):

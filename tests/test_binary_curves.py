@@ -1,5 +1,7 @@
 """Binary curves: gonality pencils, quadric nets, containment experiments."""
 
+from dataclasses import asdict
+
 import pytest
 
 from scrollgeom.binary_curves import (
@@ -20,7 +22,7 @@ from scrollgeom.fields import QQ, PrimeField
 from scrollgeom.rnc import StandardRNC, composite_on_curve
 from scrollgeom.scrolls import gonality_bound
 
-from helpers import cross_ratio
+from helpers import cross_ratio, oracle_rref_mod
 
 
 def _curve(n, params1, params2, field=QQ):
@@ -41,6 +43,24 @@ def _pencil_carries_nodes(witness, pairs):
         if v1 * s[1] != v2 * s[0]:
             return False
     return True
+
+
+def _value(coeffs, point):
+    """Value of sum_i c_i * x0^(d-i) * x1^i at point = (x0, x1)."""
+    d = len(coeffs) - 1
+    return sum(c * point[0] ** (d - i) * point[1] ** i for i, c in enumerate(coeffs))
+
+
+def _coprime_mod(f, g, p):
+    """Binary forms with no common zero: their Sylvester matrix is nonsingular."""
+    d, e = len(f) - 1, len(g) - 1
+    rows = [[0] * i + list(f) + [0] * (e - 1 - i) for i in range(e)]
+    rows += [[0] * i + list(g) + [0] * (d - 1 - i) for i in range(d)]
+    return oracle_rref_mod(rows, d + e, p)[0] == d + e
+
+
+# node values of the second component are the squares of the first's
+_SQUARES = ((2, 3, 4, 5, 6), (4, 9, 16, 25, 36))
 
 
 # ------------------------------------------------------------ construction
@@ -137,6 +157,29 @@ def test_gonality_identical_node_data_reduces_to_identity():
     assert _pencil_carries_nodes(witness, pairs)
 
 
+@pytest.mark.parametrize("field", [QQ, PrimeField(10007)], ids=["q", "fp10007"])
+def test_gonality_reduces_squared_node_values(field):
+    # every degree-4 kernel element shares a factor; dividing it out
+    # leaves (s0^2 : s1^2), which carries R_j to S_j = R_j^2
+    curve = _curve(6, *_SQUARES, field)
+    witness, kernel_dim = gonality_map(curve)
+    assert kernel_dim == 3
+    assert witness.total_degree == 3
+    assert list(witness.q1.coeffs) == [1, 0, 0]
+    assert list(witness.q2.coeffs) == [0, 0, 1]
+    assert _pencil_carries_nodes(witness, curve.node_pairs)
+
+
+def test_node_maps_reject_a_zero_parameter():
+    zero, one = QQ(0), QQ(1)
+    pairs = [((QQ(v), one), (QQ(v + 1), one)) for v in range(5)]
+    for bad in (((zero, zero), (one, one)), ((one, one), (zero, zero))):
+        with pytest.raises(ValueError):
+            gonality_map_from_nodes(pairs + [bad], 4, QQ)
+        with pytest.raises(ValueError):
+            hyperelliptic_from_nodes(pairs + [bad], QQ)
+
+
 # ----------------------------------------------------------- hyperelliptic
 
 
@@ -187,7 +230,7 @@ def test_containment_slicing_none_found():
     for rec in verdict.records:
         assert set(rec) == {"trial", "hit", "note"}
     assert verdict.anomalies == []
-    data = verdict.to_dict()
+    data = asdict(verdict)
     assert list(data) == [
         "verdict",
         "method",
@@ -250,6 +293,56 @@ def test_containment_stratified_filters():
     assert {rec["h"] for rec in verdict.records} == {2}
     verdict = scroll_containment_witness(curve, 2, 9, h_only=2, k_only=3)
     assert [(rec["h"], rec["k"]) for rec in verdict.records] == [(2, 3)]
+    # a filter outside 1..floor(n/2) would select no stratum at all
+    for h_only, k_only in ((7, None), (4, None), (None, 4), (0, None)):
+        with pytest.raises(ValueError):
+            scroll_containment_witness(curve, 2, 9, h_only=h_only, k_only=k_only)
+    with pytest.raises(ValueError):
+        scroll_containment_witness(random_binary_curve(3, PrimeField(10007), 12), 2, 9, k_only=2)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(10007)], ids=["q", "fp10007"])
+@pytest.mark.parametrize("swap", [False, True], ids=["direct", "swapped"])
+def test_containment_exact_stratum_of_squared_node_values(field, swap):
+    # (s0^2 : s1^2) maps the first component's nodes onto the second's, so
+    # stratum (2, 1) is solvable; swapping the components moves it to
+    # (1, 2), which solves the node system with the pairs flipped
+    params = _SQUARES[::-1] if swap else _SQUARES
+    curve = _curve(6, *params, field)
+    verdict = scroll_containment_witness(curve, 4, 0)
+    assert verdict.verdict == "WITNESS"
+    by_stratum = {(rec["h"], rec["k"]): rec for rec in verdict.records}
+    solvable = [hk for hk, rec in by_stratum.items() if rec["solvable"]]
+    assert solvable == ([(1, 2)] if swap else [(2, 1)])
+    rec = by_stratum[solvable[0]]
+    assert rec["method"] == "exact-linear"
+    assert rec["witness"] == {"q1": ["1", "0", "0"], "q2": ["0", "0", "1"]}
+    # the degree-3 kernel holds only multiples of that map, and the exact
+    # strata report no gcd-reduced map as their witness
+    high = by_stratum[(1, 3) if swap else (3, 1)]
+    assert high["kernel_dim"] == 2
+    assert high["solvable"] is False
+
+
+def test_containment_sampled_stratum_witness():
+    field = PrimeField(101)
+    curve = random_binary_curve(6, field, 0)
+    verdict = scroll_containment_witness(curve, 4, 0)
+    assert verdict.verdict == "WITNESS"
+    found = [rec for rec in verdict.records if rec["solvable"]]
+    assert [(rec["h"], rec["k"], rec["method"]) for rec in found] == [
+        (2, 3, "sampled-evidence")
+    ]
+    witness = found[0]["witness"]
+    psi = [[field(int(c)) for c in coeffs] for coeffs in witness["psi"]]
+    chi = [[field(int(c)) for c in coeffs] for coeffs in witness["chi"]]
+    assert [len(f) for f in psi] == [3, 3] and [len(f) for f in chi] == [4, 4]
+    assert _coprime_mod(*psi, 101) and _coprime_mod(*chi, 101)
+    for (r, s) in curve.node_pairs:
+        a = [_value(f, r) for f in psi]
+        b = [_value(f, s) for f in chi]
+        assert any(a) and any(b)
+        assert b[0] * a[1] == b[1] * a[0]
 
 
 def test_containment_stratified_odd_n():

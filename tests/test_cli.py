@@ -237,6 +237,9 @@ def test_empty_stratum_is_an_embedded_anomaly(capsys):
         ("project", "--n", "5", "--node", "7"),
         ("dims", "--n", "3", "--format", "xml"),
         ("no-such-command",),
+        # filters outside the stratified sweep h, k in 1..floor(n/2)
+        ("containment", "--n", "6", "--h", "7"),
+        ("containment", "--n", "3", "--k", "2"),
     ],
 )
 def test_usage_errors_exit_2(capsys, argv):

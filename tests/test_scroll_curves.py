@@ -1,5 +1,7 @@
 """Curves in scrolls: pushforwards, interpolation, incidence, degeneration."""
 
+from dataclasses import asdict
+
 import pytest
 
 from scrollgeom.errors import DependentConditionsError
@@ -423,7 +425,7 @@ def test_incidence_estimate_validation():
 
 def test_incidence_report_dict_layout():
     report = incidence_dimension_estimate(ScrollType((1, 2)), 1, 1, 9)
-    data = report.to_dict()
+    data = asdict(report)
     assert list(data) == [
         "family",
         "params",
