@@ -3,8 +3,16 @@
 Rational scalars are plain ``fractions.Fraction`` values, so lowest terms
 and a positive denominator hold by construction.  Prime-field scalars are
 ``FpElement`` values holding the canonical representative in [0, p).
-Python ints mix freely with either kind (they embed in every field);
-mixing the two fields themselves raises FieldMismatchError.
+Python ints mix freely with either kind in arithmetic (they embed in
+every field); mixing the two fields themselves raises FieldMismatchError.
+An ``FpElement`` equals exactly one int, its residue, and hashes like it,
+so equal values hash equally in sets, dicts and Counters.
+
+``FpElement`` is the scalar type at every API boundary: forms, kernels
+and reports hold field elements.  The prime-field hot loops (form
+evaluation, the incidence Jacobian, the node-system rows, elimination)
+unwrap them once, run on plain int residues and reduce mod p once per
+result entry.
 """
 
 from __future__ import annotations
@@ -120,11 +128,11 @@ class FpElement:
         if isinstance(other, FpElement):
             return self.p == other.p and self.val == other.val
         if isinstance(other, int):
-            return (other - self.val) % self.p == 0
+            return other == self.val
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.val, self.p))
+        return hash(self.val)
 
     def __bool__(self):
         return self.val != 0

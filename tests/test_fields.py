@@ -1,5 +1,6 @@
 """Field layer: exact scalars, parsing, seeded sampling."""
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -45,6 +46,24 @@ def test_fp_element_passthrough_and_modulus_check():
         PrimeField(11)(x)
     with pytest.raises(FieldMismatchError):
         _ = x + PrimeField(11)(3)
+
+
+def test_fp_element_equals_only_its_residue_among_ints():
+    x = FpElement(3, 7)
+    assert x == 3 and 3 == x
+    assert x != 10 and x != -4 and 10 != x
+    assert x != FpElement(3, 11)
+    assert x != Fraction(3)
+
+
+def test_fp_element_hash_agrees_with_equality():
+    x = FpElement(3, 7)
+    assert hash(x) == hash(3) == hash(FpElement(10, 7))
+    assert 3 in {x} and x in {3}
+    assert 10 not in {x}
+    assert {x: "a"}[3] == "a" and {3: "b"}[x] == "b"
+    assert Counter([x, 3, FpElement(10, 7)])[3] == 3
+    assert len({FpElement(v, 7) for v in range(21)}) == 7
 
 
 def test_prime_field_rejects_composites():
@@ -102,6 +121,9 @@ def test_random_nonzero_and_distinct():
     assert all(v not in (0, 1) for v in vals)
     with pytest.raises(FieldTooSmallError):
         random_distinct(PrimeField(5), rng, 4)
+    f101 = PrimeField(101)
+    vals = random_distinct(f101, rng, 20, exclude=(f101.zero, f101.one))
+    assert len(set(vals)) == 20 and not {0, 1} & set(vals)
 
 
 def test_field_names_round_trip():
