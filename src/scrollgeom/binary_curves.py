@@ -109,14 +109,16 @@ class GonalityWitness:
 
 
 def _node_system_rows(pairs, degree: int, field):
-    """Rows of q1(R_j)*S_{j,1} - q2(R_j)*S_{j,0} = 0 over all node pairs."""
+    """Rows of q1(R_j)*S_{j,1} - q2(R_j)*S_{j,0} = 0 over all node pairs.
+
+    The entries are computed on unwrapped scalars (int residues over a
+    prime field) and reduced once each.
+    """
     rows = []
     for (r, s) in pairs:
-        r0, r1 = r
-        s0, s1 = s
+        r0, r1, s0, s1 = field.unwrap((*r, *s))
         mono = [r0 ** (degree - i) * r1 ** i for i in range(degree + 1)]
-        row = [field(m * s1) for m in mono] + [field(-(m * s0)) for m in mono]
-        rows.append(row)
+        rows.append(field.reduce([m * s1 for m in mono] + [-m * s0 for m in mono]))
     return rows
 
 

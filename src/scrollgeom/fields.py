@@ -141,6 +141,25 @@ class FpElement:
         return f"Fp{self.p}({self.val})"
 
 
+def residues(values, p: int) -> list:
+    """Int residues in [0, p) of a sequence of ints and F_p elements.
+
+    An element of another prime field, a rational or any other value
+    raises FieldMismatchError.
+    """
+    out = []
+    for x in values:
+        if isinstance(x, FpElement):
+            if x.p != p:
+                raise FieldMismatchError(f"mixed moduli {p} and {x.p}")
+            out.append(x.val)
+        elif isinstance(x, int):
+            out.append(x % p)
+        else:
+            raise FieldMismatchError(f"non prime-field entry {x!r}")
+    return out
+
+
 class RationalField:
     """The field of rationals; elements are fractions.Fraction values."""
 
@@ -159,6 +178,14 @@ class RationalField:
 
     def random_scalar(self, rng) -> Fraction:
         return Fraction(rng.randint(-RATIONAL_SPAN, RATIONAL_SPAN))
+
+    def unwrap(self, values) -> list:
+        """Rationals are computed on as they are."""
+        return list(values)
+
+    def reduce(self, values) -> list:
+        """Exact rational values need no reduction."""
+        return list(values)
 
     def __eq__(self, other):
         return isinstance(other, RationalField)
@@ -206,6 +233,15 @@ class PrimeField:
 
     def random_scalar(self, rng) -> FpElement:
         return FpElement(rng.below(self.p), self.p)
+
+    def unwrap(self, values) -> list:
+        """Int residues of field elements, for arithmetic on plain ints."""
+        return residues(values, self.p)
+
+    def reduce(self, values) -> list:
+        """Ints computed from residues, each reduced into [0, p)."""
+        p = self.p
+        return [v % p for v in values]
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p
@@ -263,13 +299,15 @@ def random_distinct(field, rng, count: int, exclude=()):
             f"{len(exclude)} fixed values needs p >= {bound}, got {field.p}"
         )
     out = []
+    seen = set(exclude)
     guard = 0
     while len(out) < count:
         guard += 1
         if guard > 10000:
             raise RuntimeError("distinct-sampling did not terminate")
         x = field.random_scalar(rng)
-        if any(x == y for y in out) or any(x == y for y in exclude):
+        if x in seen:
             continue
+        seen.add(x)
         out.append(x)
     return out

@@ -12,6 +12,9 @@ clears denominators and convolves integer numerators, and a gcd first
 reduces both forms modulo a fixed 61-bit prime, where a Euclid that ends
 in a constant certifies that the forms are coprime over the rationals.
 Division divides two int coefficients as rationals, never as floats.
+Over a prime field, forms hold FpElement coefficients, but evaluation
+unwraps them to int residues, runs a homogeneous Horner pass on plain
+ints and wraps the one reduced value back into an FpElement.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from fractions import Fraction
 from math import lcm
 
 from .errors import BothZeroError, InexactDivisionError
+from .fields import FpElement, field_of, residues
 
 # modulus of the coprimality certificate in form_gcd (the prime 2**61 - 1)
 GCD_PRIME = 2**61 - 1
@@ -109,7 +113,17 @@ class BinaryForm:
         return result
 
     def evaluate(self, s0, s1):
-        """Value at the pair (s0, s1), exact in the coefficient field."""
+        """Value at the pair (s0, s1), exact in the coefficient field.
+
+        Over F_p (a point coordinate or the leading coefficient is an
+        FpElement) a homogeneous Horner pass runs on int residues and the
+        value is reduced and wrapped once at the end.
+        """
+        for x in (s0, s1, self.coeffs[0]):
+            if isinstance(x, FpElement):
+                p = x.p
+                value = horner(residues(self.coeffs, p), *residues((s0, s1), p))
+                return FpElement(value % p, p)
         acc = None
         s0_pow = 1
         # walk j downward so s0_pow builds up as s1_pow is peeled off
@@ -149,6 +163,19 @@ class BinaryForm:
             ) or "1"
             terms.append(f"{c}*{mono}")
         return f"BinaryForm(deg={self.degree}: {' + '.join(terms) if terms else '0'})"
+
+
+def horner(coeffs, s0, s1):
+    """sum_j coeffs[j] * s0^(d-j) * s1^j by a homogeneous Horner pass.
+
+    Plain arithmetic on whatever scalars it is given, with no reduction:
+    on int residues the caller reduces the result once.
+    """
+    acc, s1_pow = 0, 1
+    for c in coeffs:
+        acc = acc * s0 + c * s1_pow
+        s1_pow *= s1
+    return acc
 
 
 _RATIONAL_TYPES = {int, Fraction}
@@ -402,8 +429,6 @@ def compose_form(outer: BinaryForm, f0: BinaryForm, f1: BinaryForm) -> BinaryFor
 
 
 def _field_like(f: BinaryForm):
-    from .fields import field_of
-
     for c in f.coeffs:
         if not isinstance(c, int):
             return field_of(c)

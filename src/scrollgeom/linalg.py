@@ -11,7 +11,10 @@ update is a single big-int multiply-add; rows are unpacked once at the
 end and wrapped back into field elements.  rank_of runs the forward pass
 alone.  Rational entries must be ints or Fractions, and prime-field
 entries ints or residues mod p; anything else, such as a float, raises
-FieldMismatchError.
+FieldMismatchError.  Callers on the prime-field hot paths (the incidence
+Jacobian, the node-system rows) hand over rows of plain int residues,
+which are reduced without a per-entry type check; kernels come back as
+FpElement tuples, the type every caller sees at the API boundary.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from math import gcd, lcm
 from operator import lshift
 
 from .errors import FieldMismatchError
-from .fields import FpElement, PrimeField, QQ
+from .fields import FpElement, PrimeField, QQ, residues
 
 
 def _detect_field(rows, field):
@@ -36,22 +39,19 @@ def _detect_field(rows, field):
     return QQ
 
 
+_INT = {int}
+
+
 def _int_rows_fp(rows, ncols, p):
+    """Rows of residues in [0, p); a row of plain ints skips the per-entry checks."""
     out = []
     for row in rows:
         if len(row) != ncols:
             raise ValueError(f"row of length {len(row)}, expected {ncols}")
-        ints = []
-        for x in row:
-            if isinstance(x, FpElement):
-                if x.p != p:
-                    raise FieldMismatchError(f"mixed moduli {p} and {x.p}")
-                ints.append(x.val)
-            elif isinstance(x, int):
-                ints.append(x % p)
-            else:
-                raise FieldMismatchError(f"non prime-field entry {x!r}")
-        out.append(ints)
+        if set(map(type, row)) <= _INT:
+            out.append([x % p for x in row])
+        else:
+            out.append(residues(row, p))
     return out
 
 

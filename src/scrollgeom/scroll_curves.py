@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .errors import DependentConditionsError
 from .fields import DEFAULT_PRIME, PrimeField, field_of, random_distinct
-from .forms import BinaryForm, compose_form, form_gcd, gcd_many, random_form
+from .forms import BinaryForm, compose_form, form_gcd, gcd_many, horner, random_form
 from .linalg import rank_kernel, rank_of
 from .rngstream import as_stream
 from .scrolls import EMPTY, ScrollType, dim_curves_in_scroll
@@ -391,19 +391,10 @@ class DimensionReport:
     fiber_dims: list
 
 
-def _ds0_value(form: BinaryForm, s0, s1):
-    """Value of the formal s0-partial of the form at (s0, s1)."""
-    d = form.degree
-    acc = None
-    for j, c in enumerate(form.coeffs):
-        e = d - j
-        if e == 0 or not c:
-            continue
-        term = c * e * s0 ** (e - 1) * s1 ** j
-        acc = term if acc is None else acc + term
-    if acc is None:
-        return form.coeffs[0] * 0
-    return acc
+def _ds0_value(coeffs, s):
+    """Value of the formal s0-partial of the form at (s : 1), unreduced."""
+    d = len(coeffs) - 1
+    return horner([(d - j) * c for j, c in enumerate(coeffs[:d])], s, 1)
 
 
 def _coefficient_jacobian(curve, sigma, field):
@@ -412,55 +403,56 @@ def _coefficient_jacobian(curve, sigma, field):
     Returns (rows of [J_c | J_s | gauge], N) where rows are stacked per
     point (n+1 coordinates each), J_s holds the motion of each marked
     parameter, and the gauge block holds one rescaling column per point.
+    The entries are computed on unwrapped scalars (int residues over a
+    prime field) and reduced once each, so over F_p the rows are ints.
     """
     scroll = curve.scroll
     n, k = scroll.n, curve.k
     slots = monomial_slots(scroll)
     y_degs = [n - k * a_i for a_i in scroll.degrees]
-    n_coeffs = 2 * (k + 1) + sum(deg + 1 for deg in y_degs)
+    y_offs = [2 * (k + 1)]
+    for deg in y_degs:
+        y_offs.append(y_offs[-1] + deg + 1)
+    n_coeffs = y_offs[-1]
     n_pts = len(sigma)
     width = n_coeffs + n_pts + n_pts
-    rows = [[field.zero] * width for _ in range(n_pts * (n + 1))]
-    one = field.one
-    for j, s in enumerate(sigma):
-        t0v = curve.t0.evaluate(s, one)
-        t1v = curve.t1.evaluate(s, one)
-        t0d = _ds0_value(curve.t0, s, one)
-        t1d = _ds0_value(curve.t1, s, one)
-        yv = [f.evaluate(s, one) for f in curve.ys]
-        yd = [_ds0_value(f, s, one) for f in curve.ys]
-        t_mono = [s ** (k - r) for r in range(k + 1)]
-        y_mono = [[s ** (deg - r) for r in range(deg + 1)] for deg in y_degs]
-        for c_idx, (i, b, c) in enumerate(slots):
-            row = rows[j * (n + 1) + c_idx]
+    coeffs = [field.unwrap(f.coeffs) for f in (curve.t0, curve.t1, *curve.ys)]
+    reduce = field.reduce
+    rows = []
+    for j, s in enumerate(field.unwrap(sigma)):
+        t0v, t1v, *yv = reduce([horner(c, s, 1) for c in coeffs])
+        t0d, t1d, *yd = reduce([_ds0_value(c, s) for c in coeffs])
+        s_pows = reduce([s ** e for e in range(max(k, *y_degs) + 1)])
+        for (i, b, c) in slots:
+            row = [0] * width
             tb = t0v ** b
             tc = t1v ** c
-            tb1 = t0v ** (b - 1) if b >= 1 else field.zero
-            tc1 = t1v ** (c - 1) if c >= 1 else field.zero
-            value = tb * tc * yv[i]
+            tb1 = t0v ** (b - 1) if b >= 1 else 0
+            tc1 = t1v ** (c - 1) if c >= 1 else 0
             # t0 and t1 coefficient blocks
             if b >= 1:
                 base = tb1 * tc * yv[i] * b
                 for r in range(k + 1):
-                    row[r] = field(base * t_mono[r])
+                    row[r] = base * s_pows[k - r]
             if c >= 1:
                 base = tb * tc1 * yv[i] * c
                 for r in range(k + 1):
-                    row[k + 1 + r] = field(base * t_mono[r])
+                    row[k + 1 + r] = base * s_pows[k - r]
             # y_i coefficient block
-            off = 2 * (k + 1) + sum(deg + 1 for deg in y_degs[:i])
+            off, deg = y_offs[i], y_degs[i]
             base = tb * tc
-            for r in range(y_degs[i] + 1):
-                row[off + r] = field(base * y_mono[i][r])
+            for r in range(deg + 1):
+                row[off + r] = base * s_pows[deg - r]
             # marked-parameter motion
-            ds = tb * tc * yd[i]
+            ds = base * yd[i]
             if b >= 1:
-                ds = ds + tb1 * tc * yv[i] * b * t0d
+                ds += tb1 * tc * yv[i] * b * t0d
             if c >= 1:
-                ds = ds + tb * tc1 * yv[i] * c * t1d
-            row[n_coeffs + j] = field(ds)
+                ds += tb * tc1 * yv[i] * c * t1d
+            row[n_coeffs + j] = ds
             # projective rescale of image point j
-            row[n_coeffs + n_pts + j] = field(value)
+            row[n_coeffs + n_pts + j] = base * yv[i]
+            rows.append(reduce(row))
     return rows, n_coeffs
 
 

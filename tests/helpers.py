@@ -9,13 +9,18 @@ finiteness Jacobian by finite differences, independent of the one-pass
 synthetic division in the package.  The incidence-rank oracle takes the
 configuration and augmented ranks with two separate eliminations.  The
 form oracles multiply by the schoolbook double loop and take gcds by a
-plain Fraction Euclid, with no integer or modular shortcut.
+plain Fraction Euclid, with no integer or modular shortcut.  The
+incidence Jacobian and node-system oracles build every entry with the
+field's own scalar arithmetic (FpElement or Fraction), evaluating forms
+as a plain sum of monomials, where the package works on unwrapped
+residues with one reduction per entry.
 """
 
 from fractions import Fraction
 
 from scrollgeom.forms import BinaryForm, divide_exact, vanishing_at
 from scrollgeom.linalg import rank_of
+from scrollgeom.scroll_curves import monomial_slots
 
 
 def _as_plain(x):
@@ -241,3 +246,76 @@ def oracle_form_gcd_q(f, g):
     for m, c in enumerate(monic):
         coeffs[degree - m] = c
     return BinaryForm(degree, coeffs)
+
+
+def oracle_form_value(form, s0, s1):
+    """sum_j c_j * s0^(d-j) * s1^j in the scalars' own arithmetic."""
+    d = form.degree
+    return sum((c * s0 ** (d - j) * s1 ** j for j, c in enumerate(form.coeffs)), 0 * s0)
+
+
+def _oracle_ds0_value(form, s0, s1):
+    """Value of the formal s0-partial of the form at (s0, s1)."""
+    d = form.degree
+    acc = form.coeffs[0] * 0
+    for j, c in enumerate(form.coeffs):
+        e = d - j
+        if e:
+            acc = acc + c * e * s0 ** (e - 1) * s1 ** j
+    return acc
+
+
+def oracle_coefficient_jacobian(curve, sigma, field):
+    """[J_c | J_s | gauge] of the incidence map, built on field elements."""
+    scroll = curve.scroll
+    n, k = scroll.n, curve.k
+    slots = monomial_slots(scroll)
+    y_degs = [n - k * a_i for a_i in scroll.degrees]
+    n_coeffs = 2 * (k + 1) + sum(deg + 1 for deg in y_degs)
+    n_pts = len(sigma)
+    width = n_coeffs + n_pts + n_pts
+    rows = [[field.zero] * width for _ in range(n_pts * (n + 1))]
+    one = field.one
+    for j, s in enumerate(sigma):
+        t0v = oracle_form_value(curve.t0, s, one)
+        t1v = oracle_form_value(curve.t1, s, one)
+        t0d = _oracle_ds0_value(curve.t0, s, one)
+        t1d = _oracle_ds0_value(curve.t1, s, one)
+        yv = [oracle_form_value(f, s, one) for f in curve.ys]
+        yd = [_oracle_ds0_value(f, s, one) for f in curve.ys]
+        t_mono = [s ** (k - r) for r in range(k + 1)]
+        y_mono = [[s ** (deg - r) for r in range(deg + 1)] for deg in y_degs]
+        for c_idx, (i, b, c) in enumerate(slots):
+            row = rows[j * (n + 1) + c_idx]
+            tb = t0v ** b
+            tc = t1v ** c
+            tb1 = t0v ** (b - 1) if b >= 1 else field.zero
+            tc1 = t1v ** (c - 1) if c >= 1 else field.zero
+            if b >= 1:
+                base = tb1 * tc * yv[i] * b
+                for r in range(k + 1):
+                    row[r] = field(base * t_mono[r])
+            if c >= 1:
+                base = tb * tc1 * yv[i] * c
+                for r in range(k + 1):
+                    row[k + 1 + r] = field(base * t_mono[r])
+            off = 2 * (k + 1) + sum(deg + 1 for deg in y_degs[:i])
+            for r in range(y_degs[i] + 1):
+                row[off + r] = field(tb * tc * y_mono[i][r])
+            ds = tb * tc * yd[i]
+            if b >= 1:
+                ds = ds + tb1 * tc * yv[i] * b * t0d
+            if c >= 1:
+                ds = ds + tb * tc1 * yv[i] * c * t1d
+            row[n_coeffs + j] = field(ds)
+            row[n_coeffs + n_pts + j] = field(tb * tc * yv[i])
+    return rows, n_coeffs
+
+
+def oracle_node_system_rows(pairs, degree, field):
+    """Rows of q1(R_j)*S_{j,1} - q2(R_j)*S_{j,0} = 0, built on field elements."""
+    rows = []
+    for (r, s) in pairs:
+        mono = [r[0] ** (degree - i) * r[1] ** i for i in range(degree + 1)]
+        rows.append([field(m * s[1]) for m in mono] + [field(-(m * s[0])) for m in mono])
+    return rows

@@ -6,6 +6,7 @@ import pytest
 
 from scrollgeom.binary_curves import (
     BinaryCurve,
+    _node_system_rows,
     gonality_map,
     gonality_map_from_nodes,
     hyperelliptic_from_nodes,
@@ -22,7 +23,7 @@ from scrollgeom.fields import QQ, PrimeField
 from scrollgeom.rnc import StandardRNC, composite_on_curve
 from scrollgeom.scrolls import gonality_bound
 
-from helpers import cross_ratio, oracle_rref_mod
+from helpers import cross_ratio, oracle_node_system_rows, oracle_rref_mod
 
 
 def _curve(n, params1, params2, field=QQ):
@@ -197,6 +198,24 @@ def test_mobius_node_pairs_are_hyperelliptic():
             firsts = [r[0] / r[1] for (r, _) in pairs]
             assert len(set(firsts)) == n + 2
             assert hyperelliptic_from_nodes(pairs, field) is True
+
+
+@pytest.mark.parametrize(
+    "field",
+    [PrimeField(101), PrimeField(10007), PrimeField(2**61 - 1), QQ],
+    ids=["fp101", "fp10007", "fp2^61-1", "q"],
+)
+def test_node_system_rows_match_field_element_oracle(field):
+    cases = [random_binary_curve(n, field, seed).node_pairs for n, seed in ((5, 1), (8, 2))]
+    cases.append(random_mobius_node_pairs(6, field, 3))
+    # points at infinity and raw int parameters on either side
+    cases.append((((1, 0), (field(3), 1)), ((field(2), field(5)), (0, -1))))
+    for pairs in cases:
+        for degree in range(1, 7):
+            rows = _node_system_rows(pairs, degree, field)
+            assert rows == oracle_node_system_rows(pairs, degree, field)
+            if field is not QQ:
+                assert all(type(x) is int and 0 <= x < field.p for row in rows for x in row)
 
 
 # --------------------------------------------------------------- quadrics

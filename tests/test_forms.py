@@ -4,8 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from scrollgeom.errors import BothZeroError, InexactDivisionError
-from scrollgeom.fields import QQ, PrimeField, is_prime_u64
+from scrollgeom.errors import BothZeroError, FieldMismatchError, InexactDivisionError
+from scrollgeom.fields import QQ, FpElement, PrimeField, is_prime_u64
 from scrollgeom.forms import (
     GCD_PRIME,
     BinaryForm,
@@ -149,6 +149,88 @@ def test_fp_forms_roundtrip():
     assert (f * g).degree == 3
     assert g.evaluate(fp(5), fp(1)) == fp(0)
     assert divide_exact(f * g, g) == f
+
+
+def test_fp_evaluate_edge_cases():
+    fp = PrimeField(101)
+    # int coefficients mixed with field elements
+    mixed = BinaryForm(2, (3, fp(5), -7)).evaluate(fp(2), fp(3))
+    assert type(mixed) is FpElement and mixed == (3 * 4 + 5 * 6 - 7 * 9) % 101
+    assert BinaryForm(1, (fp(2), 1)).evaluate(4, 205) == (2 * 4 + 205) % 101
+    # the zero form, degree 0 and s1 = 0
+    assert BinaryForm.zero(3, fp).evaluate(fp(7), fp(9)) == fp.zero
+    constant = BinaryForm(0, (1,)).evaluate(fp(3), fp(4))
+    assert type(constant) is FpElement and constant == 1
+    assert BinaryForm(0, (fp(42),)).evaluate(fp(3), fp(0)) == 42
+    assert BinaryForm(3, (fp(2), 9, 9, 9)).evaluate(fp(5), fp(0)) == 2 * 125 % 101
+    assert BinaryForm(3, (fp(2), 9, 9, 9)).evaluate(fp(0), fp(1)) == 9
+    # a modulus or a rational that does not belong
+    with pytest.raises(FieldMismatchError):
+        BinaryForm(1, (fp(1), fp(2))).evaluate(PrimeField(103)(1), 1)
+    with pytest.raises(FieldMismatchError):
+        BinaryForm(1, (PrimeField(103)(1), fp(2))).evaluate(fp(1), fp(1))
+    with pytest.raises(FieldMismatchError):
+        BinaryForm(1, (fp(1), Fraction(1, 2))).evaluate(fp(1), fp(1))
+
+
+def test_fp_evaluate_matches_naive_sum():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def cases(draw):
+        p = draw(st.sampled_from([101, 10007, 2**61 - 1]))
+        raw = st.one_of(st.integers(-2 * p, 2 * p), st.sampled_from([0, 1, p - 1]))
+        # (value, wrap as FpElement?) per coefficient and per point coordinate
+        scalar = st.tuples(raw, st.booleans())
+        degree = draw(st.integers(0, 12))
+        coeffs = draw(st.lists(scalar, min_size=degree + 1, max_size=degree + 1))
+        point = draw(st.lists(scalar, min_size=2, max_size=2))
+        hypothesis.assume(any(wrap for _, wrap in coeffs + point))
+        return p, coeffs, point
+
+    @hypothesis.settings(max_examples=200, deadline=None)
+    @hypothesis.given(cases())
+    def check(case):
+        p, coeffs, point = case
+        form = BinaryForm(len(coeffs) - 1, [FpElement(v, p) if w else v for v, w in coeffs])
+        s0, s1 = (FpElement(v, p) if w else v for v, w in point)
+        d = form.degree
+        want = sum(c * point[0][0] ** (d - j) * point[1][0] ** j
+                   for j, (c, _) in enumerate(coeffs)) % p
+        got = form.evaluate(s0, s1)
+        assert type(got) is FpElement and got.p == p and got.val == want
+
+    check()
+
+
+def test_divide_exact_inverts_multiplication():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    fp = PrimeField(10007)
+    fp_scalar = st.one_of(st.integers(0, fp.p - 1), st.sampled_from([0, 1, fp.p - 1])).map(fp)
+    q_scalar = st.one_of(
+        st.builds(Fraction, st.integers(-30, 30), st.integers(1, 9)), st.just(Fraction(0))
+    )
+
+    def forms(scalar):
+        return st.integers(0, 4).flatmap(
+            lambda d: st.lists(scalar, min_size=d + 1, max_size=d + 1).map(
+                lambda cs: BinaryForm(len(cs) - 1, cs)
+            )
+        )
+
+    @hypothesis.settings(max_examples=200, deadline=None)
+    @hypothesis.given(st.one_of(
+        st.tuples(forms(q_scalar), forms(q_scalar)),
+        st.tuples(forms(fp_scalar), forms(fp_scalar)),
+    ))
+    def check(pair):
+        f, g = pair
+        hypothesis.assume(not g.is_zero())
+        assert divide_exact(f * g, g) == f
+
+    check()
 
 
 # ------------------------------------------------- rational fast paths

@@ -325,3 +325,37 @@ def test_rational_kernel_property():
         _assert_exact_rational_kernel(rows, ncols)
 
     check()
+
+
+def test_rank_mod_p_at_most_rank_over_q():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def matrices(draw):
+        p = draw(st.sampled_from([3, 5, 7, 10007]))
+        nrows = draw(st.integers(0, 7))
+        ncols = draw(st.integers(0, 7))
+        entry = st.one_of(st.integers(-12, 12), st.sampled_from([0, p, 2 * p, -p]))
+        rows = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols),
+                             min_size=nrows, max_size=nrows))
+        return p, ncols, rows
+
+    @hypothesis.settings(max_examples=200, deadline=None)
+    @hypothesis.given(matrices())
+    def check(case):
+        p, ncols, rows = case
+        # a minor that vanishes over Z vanishes mod p, never the other way round
+        assert rank_of(rows, ncols, PrimeField(p)) <= rank_of(rows, ncols, QQ)
+
+    check()
+
+
+def test_prime_field_rows_reject_foreign_entries():
+    fp = PrimeField(7)
+    assert rank_of([[7, 14, -7], [1, 2, 3]], 3, fp) == 1
+    for bad in (PrimeField(11)(3), Fraction(1, 2), 0.5, "3"):
+        with pytest.raises(FieldMismatchError):
+            rank_kernel([[1, 2, 3], [4, bad, 6]], 3, fp)
+    with pytest.raises(ValueError):
+        rank_kernel([[1, 2, 3], [4, 5]], 3, fp)

@@ -31,7 +31,7 @@ from scrollgeom.scroll_curves import (
 )
 from scrollgeom.scrolls import ScrollType
 
-from helpers import oracle_incidence_ranks
+from helpers import oracle_coefficient_jacobian, oracle_incidence_ranks
 
 S0 = BinaryForm(1, (QQ(1), QQ(0)))
 S1 = BinaryForm(1, (QQ(0), QQ(1)))
@@ -453,6 +453,27 @@ def test_single_elimination_incidence_ranks(field, degrees):
         rows, n_coeffs = _coefficient_jacobian(curve, sigma, field)
         got = _incidence_ranks(rows, n_coeffs, n_pts, field)
         assert got == oracle_incidence_ranks(rows, n_coeffs, n_pts, field)
+
+
+@pytest.mark.parametrize(
+    "field",
+    [PrimeField(101), PrimeField(10007), PrimeField(2**61 - 1), QQ],
+    ids=["fp101", "fp10007", "fp2^61-1", "q"],
+)
+@pytest.mark.parametrize("degrees, k", [((1, 1, 2), 2), ((1, 2, 2), 2), ((2, 3), 1)])
+def test_coefficient_jacobian_matches_field_element_oracle(field, degrees, k):
+    scroll = ScrollType(degrees)
+    rng = RngStream.from_seed(900 + sum(degrees) + k)
+    for trial in range(2 if field is QQ else 4):
+        child = rng.child(f"trial{trial}")
+        curve = random_curve_in_scroll(scroll, k, field, child)
+        sigma = random_distinct(field, child, scroll.n + 2)
+        rows, n_coeffs = _coefficient_jacobian(curve, sigma, field)
+        want_rows, want_coeffs = oracle_coefficient_jacobian(curve, sigma, field)
+        assert n_coeffs == want_coeffs
+        assert rows == want_rows
+        if field is not QQ:
+            assert all(type(x) is int and 0 <= x < field.p for row in rows for x in row)
 
 
 def test_single_elimination_ranks_on_random_blocks():
