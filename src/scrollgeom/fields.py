@@ -25,6 +25,7 @@ DEFAULT_PRIME = 10007
 RATIONAL_SPAN = 999  # random rational scalars are integers in [-span, span]
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_INT = {int}
 
 
 def is_prime_u64(n: int) -> bool:
@@ -145,8 +146,11 @@ def residues(values, p: int) -> list:
     """Int residues in [0, p) of a sequence of ints and F_p elements.
 
     An element of another prime field, a rational or any other value
-    raises FieldMismatchError.
+    raises FieldMismatchError.  A sequence of plain ints is reduced
+    without a per-entry type check.
     """
+    if set(map(type, values)) <= _INT:
+        return [x % p for x in values]
     out = []
     for x in values:
         if isinstance(x, FpElement):

@@ -39,19 +39,12 @@ def _detect_field(rows, field):
     return QQ
 
 
-_INT = {int}
-
-
 def _int_rows_fp(rows, ncols, p):
-    """Rows of residues in [0, p); a row of plain ints skips the per-entry checks."""
     out = []
     for row in rows:
         if len(row) != ncols:
             raise ValueError(f"row of length {len(row)}, expected {ncols}")
-        if set(map(type, row)) <= _INT:
-            out.append([x % p for x in row])
-        else:
-            out.append(residues(row, p))
+        out.append(residues(row, p))
     return out
 
 

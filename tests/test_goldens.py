@@ -18,9 +18,6 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import jobs as joblib
 import run
 
-from scrollgeom.cli import main
-from scrollgeom.reports import normalize_for_comparison
-
 CLI, REPORTS = run.import_program()
 TABLE = run.load_goldens_table()
 
@@ -52,6 +49,6 @@ def test_stratified_containment_matches_goldens(capsys, n, field):
     for seed, want in enumerate(STRATIFIED_DIGESTS[n, field]):
         argv = ["containment", "--n", str(n), "--trials", "4", "--seed", str(seed),
                 "--field", field, "--format", "json"]
-        assert main(argv) == 0
-        normalized = normalize_for_comparison(capsys.readouterr().out, "json")
+        assert CLI.main(argv) == 0
+        normalized = REPORTS.normalize_for_comparison(capsys.readouterr().out, "json")
         assert joblib.digest(normalized) == want, argv
