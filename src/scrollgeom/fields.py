@@ -142,7 +142,7 @@ class FpElement:
         return f"Fp{self.p}({self.val})"
 
 
-def residues(values, p: int) -> list:
+def _residues(values, p: int) -> list:
     """Int residues in [0, p) of a sequence of ints and F_p elements.
 
     An element of another prime field, a rational or any other value
@@ -240,7 +240,7 @@ class PrimeField:
 
     def unwrap(self, values) -> list:
         """Int residues of field elements, for arithmetic on plain ints."""
-        return residues(values, self.p)
+        return _residues(values, self.p)
 
     def reduce(self, values) -> list:
         """Ints computed from residues, each reduced into [0, p)."""

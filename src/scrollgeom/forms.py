@@ -23,7 +23,7 @@ from fractions import Fraction
 from math import lcm
 
 from .errors import BothZeroError, InexactDivisionError
-from .fields import FpElement, field_of, residues
+from .fields import FpElement, _residues, field_of
 
 # modulus of the coprimality certificate in form_gcd (the prime 2**61 - 1)
 GCD_PRIME = 2**61 - 1
@@ -122,7 +122,7 @@ class BinaryForm:
         for x in (s0, s1, self.coeffs[0]):
             if isinstance(x, FpElement):
                 p = x.p
-                value = horner(residues(self.coeffs, p), *residues((s0, s1), p))
+                value = _horner(_residues(self.coeffs, p), *_residues((s0, s1), p))
                 return FpElement(value % p, p)
         acc = None
         s0_pow = 1
@@ -165,7 +165,7 @@ class BinaryForm:
         return f"BinaryForm(deg={self.degree}: {' + '.join(terms) if terms else '0'})"
 
 
-def horner(coeffs, s0, s1):
+def _horner(coeffs, s0, s1):
     """sum_j coeffs[j] * s0^(d-j) * s1^j by a homogeneous Horner pass.
 
     Plain arithmetic on whatever scalars it is given, with no reduction:

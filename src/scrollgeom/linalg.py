@@ -24,7 +24,7 @@ from math import gcd, lcm
 from operator import lshift
 
 from .errors import FieldMismatchError
-from .fields import FpElement, PrimeField, QQ, residues
+from .fields import FpElement, PrimeField, QQ, _residues
 
 
 def _detect_field(rows, field):
@@ -44,7 +44,7 @@ def _int_rows_fp(rows, ncols, p):
     for row in rows:
         if len(row) != ncols:
             raise ValueError(f"row of length {len(row)}, expected {ncols}")
-        out.append(residues(row, p))
+        out.append(_residues(row, p))
     return out
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .errors import DependentConditionsError
 from .fields import DEFAULT_PRIME, PrimeField, field_of, random_distinct
-from .forms import BinaryForm, compose_form, form_gcd, gcd_many, horner, random_form
+from .forms import BinaryForm, compose_form, form_gcd, gcd_many, _horner, random_form
 from .linalg import rank_kernel, rank_of
 from .rngstream import as_stream
 from .scrolls import EMPTY, ScrollType, dim_curves_in_scroll
@@ -394,7 +394,7 @@ class DimensionReport:
 def _ds0_value(coeffs, s):
     """Value of the formal s0-partial of the form at (s : 1), unreduced."""
     d = len(coeffs) - 1
-    return horner([(d - j) * c for j, c in enumerate(coeffs[:d])], s, 1)
+    return _horner([(d - j) * c for j, c in enumerate(coeffs[:d])], s, 1)
 
 
 def _coefficient_jacobian(curve, sigma, field):
@@ -420,7 +420,7 @@ def _coefficient_jacobian(curve, sigma, field):
     reduce = field.reduce
     rows = []
     for j, s in enumerate(field.unwrap(sigma)):
-        t0v, t1v, *yv = reduce([horner(c, s, 1) for c in coeffs])
+        t0v, t1v, *yv = reduce([_horner(c, s, 1) for c in coeffs])
         t0d, t1d, *yd = reduce([_ds0_value(c, s) for c in coeffs])
         s_pows = reduce([s ** e for e in range(max(k, *y_degs) + 1)])
         for (i, b, c) in slots:
