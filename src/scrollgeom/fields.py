@@ -239,7 +239,7 @@ class PrimeField:
         return FpElement(rng.below(self.p), self.p)
 
     def unwrap(self, values) -> list:
-        """Int residues of field elements, for arithmetic on plain ints."""
+        """Int residues of a sequence of field elements, for arithmetic on ints."""
         return _residues(values, self.p)
 
     def reduce(self, values) -> list:
