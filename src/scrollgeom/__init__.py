@@ -7,234 +7,10 @@ gonality pencils on binary curves, and runs seeded randomized searches
 for scroll surfaces through canonical binary curves.  All arithmetic is
 exact, over the rationals or a prime field; there is no floating point
 anywhere.
+
+The modules are the API: import from ``scrollgeom.rnc``,
+``scrollgeom.binary_curves`` and the rest.  The package root exports
+only ``__version__``.
 """
 
-from .binary_curves import (
-    BinaryCurve,
-    ContainmentVerdict,
-    GonalityWitness,
-    gonality_map,
-    gonality_map_from_nodes,
-    hyperelliptic_from_nodes,
-    hyperelliptic_test,
-    project_from_node,
-    quadrics_through,
-    random_binary_curve,
-    random_mobius_node_pairs,
-    scroll_containment_witness,
-    scroll_positive_control,
-)
-from .errors import (
-    BothZeroError,
-    CenterNotOnCurveError,
-    DegenerateFrameError,
-    DependentConditionsError,
-    FieldMismatchError,
-    FieldTooSmallError,
-    InexactDivisionError,
-    InternalCheckError,
-    NoCoprimeWitnessError,
-    NotThroughFrameError,
-    ScrollGeomError,
-    SingularMatrixError,
-    ZeroQuadricError,
-)
-from .fields import (
-    DEFAULT_PRIME,
-    QQ,
-    FpElement,
-    PrimeField,
-    RationalField,
-    field_of,
-    parse_field,
-    random_distinct,
-    random_nonzero,
-    scalar_to_str,
-)
-from .forms import (
-    BinaryForm,
-    compose_form,
-    divide_exact,
-    form_gcd,
-    gcd_many,
-    linear_form,
-    product_of_linears,
-    random_form,
-    vanishing_at,
-)
-from .linalg import rank_kernel, rank_of
-from .reports import (
-    PACKAGE_VERSION,
-    REPORT_FORMAT_VERSION,
-    build_report,
-    normalize_for_comparison,
-    render_report,
-)
-from .rnc import (
-    Frame,
-    Quadric,
-    StandardRNC,
-    apply_transform,
-    coefficient_rank,
-    composite_on_curve,
-    frame_transform,
-    project_from_frame_point,
-    random_frame,
-    random_quadric_through_frame,
-    random_rank4_quadric_through_frame,
-    random_standard_rnc,
-    residual_polynomial,
-    rnc_finiteness_rank,
-    rnc_residual_and_rank,
-    standard_frame,
-)
-from .rngstream import RngStream, as_stream
-from .scroll_curves import (
-    CurveInScroll,
-    DimensionReport,
-    PushedCurve,
-    ScrollEmbedding,
-    ScrollSection,
-    UnisecantResult,
-    compose_section_with_embedding,
-    degeneration_embeddings,
-    degeneration_equivalence_check,
-    degeneration_member,
-    incidence_dimension_estimate,
-    interpolate_unisecant,
-    monomial_slots,
-    push_forward,
-    random_curve_in_scroll,
-    random_lifted_frame,
-    section_evaluate,
-    section_on_curve,
-    sections_through_points,
-    verify_degeneration_embeddings,
-)
-from .scrolls import (
-    EMPTY,
-    ScrollType,
-    aut_dimension,
-    dim_all_scrolls,
-    dim_binary_family,
-    dim_curves_in_scroll,
-    dim_rnc,
-    dim_rnc_through_frame,
-    dim_scrolls_through_frame,
-    dim_scrolls_with_curve,
-    dim_stratum,
-    gonality_bound,
-    intersection_bound,
-    partitions_into,
-    stratification_table,
-)
-
-__version__ = PACKAGE_VERSION
-
-__all__ = [
-    "BinaryCurve",
-    "BinaryForm",
-    "BothZeroError",
-    "CenterNotOnCurveError",
-    "ContainmentVerdict",
-    "CurveInScroll",
-    "DEFAULT_PRIME",
-    "DegenerateFrameError",
-    "DependentConditionsError",
-    "DimensionReport",
-    "EMPTY",
-    "FieldMismatchError",
-    "FieldTooSmallError",
-    "FpElement",
-    "Frame",
-    "GonalityWitness",
-    "InexactDivisionError",
-    "InternalCheckError",
-    "NoCoprimeWitnessError",
-    "NotThroughFrameError",
-    "PACKAGE_VERSION",
-    "PrimeField",
-    "PushedCurve",
-    "QQ",
-    "Quadric",
-    "REPORT_FORMAT_VERSION",
-    "RationalField",
-    "RngStream",
-    "ScrollEmbedding",
-    "ScrollGeomError",
-    "ScrollSection",
-    "ScrollType",
-    "SingularMatrixError",
-    "StandardRNC",
-    "UnisecantResult",
-    "ZeroQuadricError",
-    "apply_transform",
-    "as_stream",
-    "aut_dimension",
-    "build_report",
-    "coefficient_rank",
-    "compose_form",
-    "compose_section_with_embedding",
-    "composite_on_curve",
-    "degeneration_embeddings",
-    "degeneration_equivalence_check",
-    "degeneration_member",
-    "dim_all_scrolls",
-    "dim_binary_family",
-    "dim_curves_in_scroll",
-    "dim_rnc",
-    "dim_rnc_through_frame",
-    "dim_scrolls_through_frame",
-    "dim_scrolls_with_curve",
-    "dim_stratum",
-    "divide_exact",
-    "field_of",
-    "form_gcd",
-    "frame_transform",
-    "gcd_many",
-    "gonality_bound",
-    "gonality_map",
-    "gonality_map_from_nodes",
-    "hyperelliptic_from_nodes",
-    "hyperelliptic_test",
-    "incidence_dimension_estimate",
-    "interpolate_unisecant",
-    "intersection_bound",
-    "linear_form",
-    "monomial_slots",
-    "normalize_for_comparison",
-    "parse_field",
-    "partitions_into",
-    "product_of_linears",
-    "project_from_frame_point",
-    "project_from_node",
-    "push_forward",
-    "quadrics_through",
-    "random_binary_curve",
-    "random_curve_in_scroll",
-    "random_distinct",
-    "random_form",
-    "random_frame",
-    "random_lifted_frame",
-    "random_mobius_node_pairs",
-    "random_nonzero",
-    "random_quadric_through_frame",
-    "random_rank4_quadric_through_frame",
-    "random_standard_rnc",
-    "rank_kernel",
-    "rank_of",
-    "render_report",
-    "residual_polynomial",
-    "rnc_finiteness_rank",
-    "rnc_residual_and_rank",
-    "scalar_to_str",
-    "scroll_containment_witness",
-    "scroll_positive_control",
-    "section_evaluate",
-    "section_on_curve",
-    "sections_through_points",
-    "standard_frame",
-    "stratification_table",
-    "vanishing_at",
-    "verify_degeneration_embeddings",
-]
+__version__ = "0.1.0"

@@ -10,6 +10,7 @@ strata or NONE_FOUND verdicts are embedded in the report and exit 0.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
 from dataclasses import asdict
@@ -96,7 +97,9 @@ def _add_experiment_flags(p, trials=True):
     _add_output_flags(p)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The process's one parser; parse_args leaves it unchanged, so jobs share it."""
     parser = argparse.ArgumentParser(
         prog="scrollgeom",
         description="Exact experiments on rational normal scrolls and binary curves.",

@@ -27,10 +27,6 @@ class BothZeroError(ScrollGeomError, ValueError):
     """gcd of two zero forms is undefined."""
 
 
-class SingularMatrixError(ScrollGeomError):
-    """A square system that had to be invertible was singular."""
-
-
 class DegenerateFrameError(ScrollGeomError):
     """Some n+1 of the frame points are linearly dependent."""
 
@@ -45,10 +41,6 @@ class ZeroQuadricError(ScrollGeomError, ValueError):
 
 class NotThroughFrameError(ScrollGeomError, ValueError):
     """The quadric does not vanish on the standard point frame."""
-
-
-class CenterNotOnCurveError(ScrollGeomError, ValueError):
-    """Projection center does not lie on the curve."""
 
 
 class DependentConditionsError(ScrollGeomError, ValueError):

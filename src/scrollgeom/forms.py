@@ -104,14 +104,6 @@ class BinaryForm:
                 out[i + j] = term if out[i + j] is None else out[i + j] + term
         return BinaryForm(d, out)
 
-    def power(self, e: int) -> "BinaryForm":
-        if e < 0:
-            raise ValueError("negative power of a form")
-        result = BinaryForm(0, (1,))
-        for _ in range(e):
-            result = result * self
-        return result
-
     def evaluate(self, s0, s1):
         """Value at the pair (s0, s1), exact in the coefficient field.
 
@@ -143,12 +135,6 @@ class BinaryForm:
         for j, c in enumerate(self.coeffs):
             if c:
                 return j
-        return self.degree + 1
-
-    def s0_valuation(self) -> int:
-        for j in range(self.degree, -1, -1):
-            if self.coeffs[j]:
-                return self.degree - j
         return self.degree + 1
 
     def __repr__(self):

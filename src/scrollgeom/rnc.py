@@ -12,15 +12,13 @@ arithmetic is ever needed.
 from __future__ import annotations
 
 from .errors import (
-    CenterNotOnCurveError,
     DegenerateFrameError,
     InternalCheckError,
     NotThroughFrameError,
-    SingularMatrixError,
     ZeroQuadricError,
 )
 from .fields import field_of, random_distinct
-from .forms import BinaryForm, divide_exact, gcd_many, product_of_linears
+from .forms import BinaryForm, product_of_linears
 from .linalg import rank_kernel, rank_of
 
 
@@ -68,64 +66,6 @@ def _validate_general_position(points, n, field):
         )
 
 
-def standard_frame(n: int, field):
-    pts = []
-    for j in range(n + 1):
-        pts.append(tuple(field.one if i == j else field.zero for i in range(n + 1)))
-    pts.append(tuple(field.one for _ in range(n + 1)))
-    return Frame(pts, field)
-
-
-def random_frame(n: int, field, rng) -> Frame:
-    while True:
-        pts = [
-            tuple(field.random_scalar(rng) for _ in range(n + 1))
-            for _ in range(n + 2)
-        ]
-        try:
-            return Frame(pts, field)
-        except DegenerateFrameError:
-            continue
-
-
-def frame_transform(frame: Frame, field):
-    """Matrix sending the frame to (e_0, ..., e_n, all-ones), up to scale.
-
-    With A the matrix of the first n+1 points as columns and lam the
-    solution of A*lam = P_{n+1}, the frame map is the inverse of
-    A*diag(lam), that is diag(1/lam) * A^-1.  A^-1 comes from the kernel
-    of [A | -I]: its basis vector with the 1 in column n+1+k is
-    (A^-1 e_k, e_k) exactly when A is invertible.
-    """
-    n = frame.n
-    m = n + 1
-    rows = [
-        [frame.points[j][i] for j in range(m)] + [-1 if k == i else 0 for k in range(m)]
-        for i in range(m)
-    ]
-    _, basis = rank_kernel(rows, 2 * m, field)
-    # the right blocks form I only if A*X = I for the left blocks X
-    if [[1 if x == k else 0 for x in range(m)] for k in range(m)] != [
-        list(v[m:]) for v in basis
-    ]:
-        raise DegenerateFrameError(
-            "first n+1 frame points do not span", subset=tuple(range(m))
-        ) from SingularMatrixError("frame matrix is singular")
-    # column k of A^-1 is basis[k][:m]
-    lam = [sum(basis[k][i] * frame.points[n + 1][k] for k in range(m)) for i in range(m)]
-    bad = [j for j, l in enumerate(lam) if not l]
-    if bad:
-        involved = tuple(j for j, l in enumerate(lam) if l) + (n + 1,)
-        raise DegenerateFrameError(
-            f"last point lies in the span of points {involved[:-1]}", subset=involved
-        )
-    return [[basis[k][i] / lam[i] for k in range(m)] for i in range(m)]
-
-
-def apply_transform(matrix, point):
-    return tuple(sum(a * b for a, b in zip(row, point)) for row in matrix)
-
-
 class StandardRNC:
     """Rational normal curve through the standard frame.
 
@@ -145,13 +85,15 @@ class StandardRNC:
         if field is None:
             field = field_of(params[0])
         values = (field.zero, field.one) + tuple(field(p) for p in params)
-        for i in range(len(values)):
-            for j in range(i + 1, len(values)):
-                if values[i] == values[j]:
-                    raise ValueError(
-                        f"node values must be pairwise distinct, "
-                        f"slots {i} and {j} coincide"
-                    )
+        slots = {}
+        for i, v in enumerate(values):
+            slots.setdefault(v, []).append(i)
+        clashes = [group for group in slots.values() if len(group) > 1]
+        if clashes:
+            i, j = min(clashes)[:2]
+            raise ValueError(
+                f"node values must be pairwise distinct, slots {i} and {j} coincide"
+            )
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "params", values[2:])
         object.__setattr__(self, "field", field)
@@ -247,23 +189,10 @@ class Quadric:
     def rank(self) -> int:
         return rank_of([list(r) for r in self.gram], self.n + 1)
 
-    def singular_kernel(self):
-        return rank_kernel([list(r) for r in self.gram], self.n + 1)[1]
-
     def is_through_standard_frame(self) -> bool:
         if any(self.gram[i][i] for i in range(self.n + 1)):
             return False
         return not sum(g for row in self.gram for g in row)
-
-    def frame_points_in_singular_locus(self):
-        """Indices of standard frame points killed by the Gram matrix."""
-        hits = []
-        for j in range(self.n + 1):
-            if not any(row[j] for row in self.gram):
-                hits.append(j)
-        if all(not sum(row) for row in self.gram):
-            hits.append(self.n + 1)
-        return hits
 
     def __repr__(self):
         return f"Quadric(n={self.n})"
@@ -297,47 +226,6 @@ def random_quadric_through_frame(n: int, field, rng) -> Quadric:
             return q
 
 
-def random_rank4_quadric_through_frame(n: int, field, rng) -> Quadric:
-    """Random quadric of rank exactly 4 vanishing on the standard frame.
-
-    Shape u*v - w*z with v solved from the coordinate-point conditions
-    and one entry of z tuned so the all-ones point lies on the quadric.
-    """
-    if n < 3:
-        raise ValueError("rank-4 quadrics need n >= 3")
-    while True:
-        u = [field.random_scalar(rng) for _ in range(n + 1)]
-        if not all(u):
-            continue
-        w = [field.random_scalar(rng) for _ in range(n + 1)]
-        z = [field.random_scalar(rng) for _ in range(n + 1)]
-        # v_j kills the value at coordinate point j; then slide z_0 to kill
-        # the value at the all-ones point, which is linear in the slide
-        v = [w[j] * z[j] / u[j] for j in range(n + 1)]
-        su, sw = sum(u), sum(w)
-        base = su * sum(v) - sw * sum(z)
-        slope = su * (w[0] / u[0]) - sw
-        if not slope:
-            continue
-        t = -base / slope
-        z[0] = z[0] + t
-        v[0] = w[0] * z[0] / u[0]
-        gram = [
-            [
-                (u[i] * v[j] + v[i] * u[j] - w[i] * z[j] - z[i] * w[j])
-                / field(2)
-                for j in range(n + 1)
-            ]
-            for i in range(n + 1)
-        ]
-        q = Quadric(gram)
-        if q.is_zero() or q.rank() != 4:
-            continue
-        if not q.is_through_standard_frame():
-            raise InternalCheckError("rank-4 construction missed the frame")
-        return q
-
-
 def _drop_linear(coeffs, value):
     """Coefficients of f / (s0 - value*s1) for a form f that it divides.
 
@@ -360,7 +248,7 @@ def _residual_pass(gram, node_values, field):
     composite q(phi(s)) is P * B with B = sum_m S_m and
     S_m = sum_(j != m) G_mj P_mj.  The through-frame condition makes B
     divisible by s1, and the residual is R = B / s1.  Returns R and the
-    coefficient lists of dR/dv_m for m = 2..n (see rnc_finiteness_rank).
+    coefficient lists of dR/dv_m for m = 2..n (see rnc_residual_and_rank).
     Every division is checked to be exact.
     """
     count = len(node_values)
@@ -429,58 +317,18 @@ def composite_on_curve(q: Quadric, curve: StandardRNC) -> BinaryForm:
 
 
 def rnc_residual_and_rank(q: Quadric, curve: StandardRNC):
-    """(residual_polynomial, rnc_finiteness_rank) of the pair, from one pass."""
-    _check_pair(q, curve)
-    residual, partials = _residual_pass(q.gram, curve.node_values, curve.field)
-    rows = [list(row) for row in zip(*partials)]
-    return residual, rank_of(rows, curve.n - 1, curve.field)
+    """Residual form and finiteness rank of the pair, from one pass.
 
-
-def rnc_finiteness_rank(q: Quadric, curve: StandardRNC) -> int:
-    """Rank of the Jacobian of the residual coefficients in the params.
-
-    Writing B = s1 * R = sum_m S_m as in _residual_pass, the term G_ij P_ij
-    of B contains l_m = s0 - v_m*s1 exactly once when m is not in {i, j}
-    and not at all otherwise; the latter terms add up to 2*S_m.  Since
-    dl_m/dv_m = -s1, this gives the exact partial derivative
+    The rank is that of the Jacobian of the residual coefficients in the
+    params.  Writing B = s1 * R = sum_m S_m as in _residual_pass, the term
+    G_ij P_ij of B contains l_m = s0 - v_m*s1 exactly once when m is not
+    in {i, j} and not at all otherwise; the latter terms add up to 2*S_m.
+    Since dl_m/dv_m = -s1, this gives the exact partial derivative
     dR/dv_m = -(B - 2*S_m) / l_m, a form of degree n-2, for each free
     node value v_m (m = 2..n).  Full rank n-1 certifies that the curve is
     locally the only one on the quadric near this parameter sample.
     """
-    return rnc_residual_and_rank(q, curve)[1]
-
-
-def project_from_frame_point(curve, j: int):
-    """Parametrized image of the curve under projection from frame point j.
-
-    Accepts a StandardRNC or a sequence of coordinate forms of equal
-    degree.  For j <= n the center is a coordinate point and its
-    coordinate is dropped; for j = n+1 the all-ones point is moved to a
-    coordinate point first (coordinates become differences).  The common
-    linear factor picked up by the remaining forms, the parameter of the
-    center, is divided out exactly.
-    """
-    if isinstance(curve, StandardRNC):
-        forms = curve.coordinate_forms()
-    else:
-        forms = list(curve)
-    n = len(forms) - 1
-    if not 0 <= j <= n + 1:
-        raise ValueError(f"frame index {j} out of range for P^{n}")
-    if j <= n:
-        remaining = [f for i, f in enumerate(forms) if i != j]
-    else:
-        remaining = [forms[i] - forms[n] for i in range(n)]
-    common = gcd_many(remaining)
-    if common.degree < 1:
-        raise CenterNotOnCurveError(
-            f"projection center (frame point {j}) is not on the curve"
-        )
-    return tuple(divide_exact(f, common) for f in remaining)
-
-
-def coefficient_rank(forms) -> int:
-    """Rank of the coefficient matrix of a list of equal-degree forms."""
-    degree = forms[0].degree
-    rows = [list(f.coeffs) for f in forms]
-    return rank_of(rows, degree + 1)
+    _check_pair(q, curve)
+    residual, partials = _residual_pass(q.gram, curve.node_values, curve.field)
+    rows = [list(row) for row in zip(*partials)]
+    return residual, rank_of(rows, curve.n - 1, curve.field)

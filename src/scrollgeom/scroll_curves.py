@@ -172,18 +172,6 @@ class ScrollSection:
         return f"ScrollSection(degrees={self.degrees}, m={self.m})"
 
 
-def section_evaluate(section: ScrollSection, point):
-    """Value sum_i comp_i(t) * y_i at a scroll point (y, t)."""
-    y, t = point
-    if len(y) != len(section.degrees):
-        raise ValueError(f"point has {len(y)} fiber coordinates, need {len(section.degrees)}")
-    if not (t[0] or t[1]):
-        raise ValueError("invalid scroll point: base coordinates both zero")
-    if not any(y):
-        raise ValueError("invalid scroll point: fiber coordinates all zero")
-    return sum(comp.evaluate(t[0], t[1]) * y_i for comp, y_i in zip(section.comps, y))
-
-
 def section_on_curve(section: ScrollSection, curve: CurveInScroll) -> BinaryForm:
     """Pullback of the section along the curve, degree k*m + n."""
     if section.degrees != curve.scroll.degrees:

@@ -113,20 +113,6 @@ def dim_stratum(scroll_type: ScrollType) -> int:
     return dim_all_scrolls(n, d) - (aut_dimension(st) - d * d)
 
 
-def dim_rnc(n: int) -> int:
-    """Dimension of the family of rational normal curves in P^n."""
-    if n < 2:
-        raise ValueError(f"rational normal curves need ambient dimension >= 2, got {n}")
-    return n * n + 2 * n - 3
-
-
-def dim_rnc_through_frame(n: int) -> int:
-    """Dimension of the rational normal curves through n+2 general points."""
-    if n < 2:
-        raise ValueError(f"rational normal curves need ambient dimension >= 2, got {n}")
-    return n - 1
-
-
 def dim_scrolls_through_frame(scroll_type: ScrollType) -> int:
     """Dimension of the scrolls of this type through n+2 general points."""
     st = ScrollType(scroll_type)

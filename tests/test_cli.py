@@ -1,10 +1,15 @@
 """End-to-end CLI runs: envelopes, determinism, exit codes, renderings."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from scrollgeom.cli import main
+import scrollgeom
+from scrollgeom.cli import build_parser, main
 from scrollgeom.reports import normalize_for_comparison
 from scrollgeom.scrolls import (
     EMPTY,
@@ -247,6 +252,27 @@ def test_usage_errors_exit_2(capsys, argv):
         main(list(argv))
     assert excinfo.value.code == 2
     capsys.readouterr()
+
+
+def test_shared_parser_survives_errors_and_anomalies(capsys):
+    argv = ("gonality", "--n", "4", "--seed", "7", "--trials", "2")
+    src = str(Path(scrollgeom.__file__).parent.parent)
+    fresh = subprocess.run(
+        [sys.executable, "-m", "scrollgeom.cli", *argv],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    ).stdout
+    for bad in (("gonality", "--n", "4", "--trials", "0"), ("containment", "--n", "6", "--h", "7")):
+        with pytest.raises(SystemExit) as excinfo:
+            main(list(bad))
+        assert excinfo.value.code == 2
+    code, out = _run(capsys, "incidence", "--a", "2,3", "--k", "3", "--seed", "1")
+    assert code == 0 and json.loads(out)["result"]["anomaly_code"] == "ValueError"
+    _, out = _run(capsys, *argv)
+    assert normalize_for_comparison(out, "json") == normalize_for_comparison(fresh, "json")
+    assert build_parser() is build_parser()
 
 
 # --------------------------------------------------------------- renderings

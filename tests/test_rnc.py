@@ -5,7 +5,6 @@ from fractions import Fraction
 import pytest
 
 from scrollgeom.errors import (
-    CenterNotOnCurveError,
     DegenerateFrameError,
     InternalCheckError,
     NotThroughFrameError,
@@ -13,23 +12,16 @@ from scrollgeom.errors import (
 )
 from scrollgeom.fields import QQ, PrimeField
 from scrollgeom.forms import BinaryForm, linear_form, vanishing_at
+from scrollgeom.linalg import rank_kernel, rank_of
 from scrollgeom.rnc import (
     Frame,
     Quadric,
     StandardRNC,
-    apply_transform,
-    coefficient_rank,
     composite_on_curve,
-    frame_transform,
-    project_from_frame_point,
-    random_frame,
     random_quadric_through_frame,
-    random_rank4_quadric_through_frame,
     random_standard_rnc,
     residual_polynomial,
-    rnc_finiteness_rank,
     rnc_residual_and_rank,
-    standard_frame,
     _residual_pass,
 )
 from scrollgeom.rngstream import RngStream
@@ -52,11 +44,17 @@ def _proportional(p, q):
     return any(p) and any(q)
 
 
+def _standard_frame_points(n, field):
+    # the n+1 coordinate points, then the all-ones point
+    units = [tuple(field.one if i == j else field.zero for i in range(n + 1)) for j in range(n + 1)]
+    return units + [tuple(field.one for _ in range(n + 1))]
+
+
 # ---------------------------------------------------------------- frames
 
 
 def test_standard_frame_shape():
-    fr = standard_frame(3, QQ)
+    fr = Frame(_standard_frame_points(3, QQ), QQ)
     assert fr.n == 3
     assert len(fr.points) == 5
     assert fr[0] == (QQ(1), QQ(0), QQ(0), QQ(0))
@@ -88,39 +86,9 @@ def test_frame_rejects_bad_shapes():
 
 
 def test_frame_immutable():
-    fr = standard_frame(2, QQ)
+    fr = Frame(_standard_frame_points(2, QQ), QQ)
     with pytest.raises(AttributeError):
         fr.n = 5
-
-
-def test_frame_transform_fixes_standard_frame():
-    fr = standard_frame(3, QQ)
-    mat = frame_transform(fr, QQ)
-    for i in range(4):
-        for j in range(4):
-            expected = QQ(1) if i == j else QQ(0)
-            assert mat[i][j] == expected
-
-
-def test_frame_transform_random_frames():
-    field = PrimeField(10007)
-    target = standard_frame(4, field)
-    for t in range(5):
-        rng = RngStream.from_seed(300 + t)
-        fr = random_frame(4, field, rng)
-        mat = frame_transform(fr, field)
-        for j in range(6):
-            image = apply_transform(mat, fr[j])
-            assert _proportional(image, target[j])
-
-
-def test_frame_transform_rational():
-    rng = RngStream.from_seed(17)
-    fr = random_frame(3, QQ, rng)
-    mat = frame_transform(fr, QQ)
-    target = standard_frame(3, QQ)
-    for j in range(5):
-        assert _proportional(apply_transform(mat, fr[j]), target[j])
 
 
 # ---------------------------------------------------- normalized curves
@@ -162,7 +130,19 @@ def test_coordinate_forms_match_evaluate():
 def test_coordinate_forms_full_rank():
     for n, params in ((2, (5,)), (3, (2, 3)), (5, (2, 3, 4, 5))):
         curve = StandardRNC(n, params)
-        assert coefficient_rank(curve.coordinate_forms()) == n + 1
+        rows = [list(f.coeffs) for f in curve.coordinate_forms()]
+        assert rank_of(rows, n + 1) == n + 1
+
+
+def test_coefficient_rank_frozen():
+    basis = (
+        BinaryForm(2, (QQ(1), QQ(0), QQ(0))),
+        BinaryForm(2, (QQ(0), QQ(1), QQ(0))),
+        BinaryForm(2, (QQ(0), QQ(0), QQ(1))),
+    )
+    assert rank_of([list(f.coeffs) for f in basis], 3) == 3
+    repeated = (basis[0], basis[0])
+    assert rank_of([list(f.coeffs) for f in repeated], 3) == 1
 
 
 def test_standard_rnc_rejections():
@@ -177,6 +157,14 @@ def test_standard_rnc_rejections():
         StandardRNC(3, (0, 2))
     with pytest.raises(ValueError):
         StandardRNC(3, (1, 2))
+
+
+def test_standard_rnc_names_the_first_coinciding_slots():
+    # values (0, 1, 5, 5, 1): the pair through the lowest slot comes first
+    with pytest.raises(ValueError, match="slots 1 and 4 coincide"):
+        StandardRNC(4, (5, 5, 1))
+    with pytest.raises(ValueError, match="slots 2 and 3 coincide"):
+        StandardRNC(4, (5, 5, 7), PrimeField(10007))
 
 
 def test_standard_rnc_equality_and_immutability():
@@ -224,7 +212,6 @@ def test_quadric_rank_and_frame_membership():
     assert q.rank() == 4
     assert q.is_through_standard_frame()
     assert not q.is_zero()
-    assert q.frame_points_in_singular_locus() == []
 
 
 def test_quadric_singular_locus_indices():
@@ -232,8 +219,7 @@ def test_quadric_singular_locus_indices():
     q = Quadric.from_monomials(4, {(0, 4): 1, (1, 2): -1}, QQ)
     assert q.rank() == 4
     assert q.is_through_standard_frame()
-    assert q.frame_points_in_singular_locus() == [3]
-    kernel = q.singular_kernel()
+    kernel = rank_kernel([list(r) for r in q.gram], 5)[1]
     assert len(kernel) == 1
     assert _proportional(kernel[0], (QQ(0), QQ(0), QQ(0), QQ(1), QQ(0)))
 
@@ -254,24 +240,12 @@ def test_quadric_not_through_frame_detection():
 
 def test_random_quadric_through_frame_vanishes_on_frame():
     field = PrimeField(10007)
-    fr = standard_frame(4, field)
+    fr = _standard_frame_points(4, field)
     for t in range(5):
         q = random_quadric_through_frame(4, field, RngStream.from_seed(40 + t))
         assert q.is_through_standard_frame()
         for pt in fr:
             assert q.evaluate(pt) == field.zero
-
-
-def test_random_rank4_quadric_properties():
-    for n in (3, 4, 5):
-        for field in (QQ, PrimeField(10007)):
-            q = random_rank4_quadric_through_frame(
-                n, field, RngStream.from_seed(11 * n)
-            )
-            assert q.rank() == 4
-            assert q.is_through_standard_frame()
-    with pytest.raises(ValueError):
-        random_rank4_quadric_through_frame(2, QQ, RngStream.from_seed(1))
 
 
 # -------------------------------------------------------------- residuals
@@ -341,17 +315,18 @@ def test_residual_validation():
 
 def test_finiteness_rank_frozen():
     q = _hyperbolic_quadric()
-    assert rnc_finiteness_rank(q, StandardRNC(3, (2, 3))) == 2
+    assert rnc_residual_and_rank(q, StandardRNC(3, (2, 3)))[1] == 2
 
 
 def test_finiteness_rank_random_cases():
+    # x0*x1 - x2*x3 has rank 4 and passes through the standard frame
     field = PrimeField(10007)
     for n in (3, 4, 5):
         rng = RngStream.from_seed(500 + n)
         curve = random_standard_rnc(n, field, rng.child("curve"))
-        q = random_rank4_quadric_through_frame(n, field, rng.child("quadric"))
-        rank = rnc_finiteness_rank(q, curve)
-        assert rank == n - 1
+        q = Quadric.from_monomials(n, {(0, 1): 1, (2, 3): -1}, field)
+        assert q.rank() == 4 and q.is_through_standard_frame()
+        assert rnc_residual_and_rank(q, curve)[1] == n - 1
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(10007), PrimeField(101)], ids=str)
@@ -371,7 +346,6 @@ def test_residual_pass_matches_oracles(field):
             rank = oracle_rref_mod(rows, n - 1, field.p)[0]
         assert rnc_residual_and_rank(q, curve) == (residual, rank)
         assert residual_polynomial(q, curve) == residual
-        assert rnc_finiteness_rank(q, curve) == rank
 
 
 def _through_frame_gram(size, entries, field):
@@ -437,66 +411,3 @@ def test_residual_pass_checks_s1_divisibility():
     with pytest.raises(InternalCheckError):
         _residual_pass(gram, StandardRNC(3, (2, 3)).node_values, QQ)
 
-
-# ------------------------------------------------------------- projection
-
-
-def test_project_twisted_cubic_from_coordinate_point():
-    curve = StandardRNC(3, (2, 3))
-    conic = project_from_frame_point(curve, 0)
-    assert len(conic) == 3
-    assert all(f.degree == 2 for f in conic)
-    assert coefficient_rank(conic) == 3
-
-
-def test_project_twisted_cubic_from_all_ones_point():
-    curve = StandardRNC(3, (2, 3))
-    conic = project_from_frame_point(curve, 4)
-    assert len(conic) == 3
-    assert all(f.degree == 2 for f in conic)
-    assert coefficient_rank(conic) == 3
-
-
-def test_projection_commutes_with_the_linear_map():
-    curve = StandardRNC(4, (2, 3, 7))
-    j = 2
-    image = project_from_frame_point(curve, j)
-    for s0, s1 in ((QQ(5), QQ(1)), (QQ(-1), QQ(2)), (QQ(1), QQ(0))):
-        source = curve.evaluate(s0, s1)
-        dropped = tuple(c for i, c in enumerate(source) if i != j)
-        target = tuple(f.evaluate(s0, s1) for f in image)
-        if any(dropped):
-            assert _proportional(dropped, target)
-
-
-def test_projection_center_must_lie_on_curve():
-    conic = (
-        BinaryForm(2, (QQ(1), QQ(0), QQ(0))),
-        BinaryForm(2, (QQ(0), QQ(1), QQ(0))),
-        BinaryForm(2, (QQ(0), QQ(0), QQ(1))),
-    )
-    # e_1 is off the conic: s0^2 and s1^2 cannot vanish together
-    with pytest.raises(CenterNotOnCurveError):
-        project_from_frame_point(conic, 1)
-    with pytest.raises(ValueError):
-        project_from_frame_point(conic, 7)
-
-
-def test_projection_over_prime_field():
-    field = PrimeField(10007)
-    curve = random_standard_rnc(5, field, RngStream.from_seed(77))
-    image = project_from_frame_point(curve, 3)
-    assert len(image) == 5
-    assert all(f.degree == 4 for f in image)
-    assert coefficient_rank(image) == 5
-
-
-def test_coefficient_rank_frozen():
-    basis = (
-        BinaryForm(2, (QQ(1), QQ(0), QQ(0))),
-        BinaryForm(2, (QQ(0), QQ(1), QQ(0))),
-        BinaryForm(2, (QQ(0), QQ(0), QQ(1))),
-    )
-    assert coefficient_rank(basis) == 3
-    repeated = (basis[0], basis[0])
-    assert coefficient_rank(repeated) == 1

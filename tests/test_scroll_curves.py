@@ -24,7 +24,6 @@ from scrollgeom.scroll_curves import (
     push_forward,
     random_curve_in_scroll,
     random_lifted_frame,
-    section_evaluate,
     section_on_curve,
     sections_through_points,
     verify_degeneration_embeddings,
@@ -204,22 +203,6 @@ def test_scroll_section_equality():
     assert a != c
 
 
-def test_section_evaluate_frozen():
-    sec = ScrollSection((1, 2), 0, (qform(1, 0), qform(0, 0, 1)))
-    value = section_evaluate(sec, ((QQ(2), QQ(3)), (QQ(5), QQ(7))))
-    assert value == QQ(157)  # 5*2 + 49*3
-
-
-def test_section_evaluate_validation():
-    sec = ScrollSection((1, 2), 0, (qform(1, 0), qform(0, 0, 1)))
-    with pytest.raises(ValueError):
-        section_evaluate(sec, ((QQ(1),), (QQ(1), QQ(0))))
-    with pytest.raises(ValueError):
-        section_evaluate(sec, ((QQ(0), QQ(0)), (QQ(1), QQ(0))))
-    with pytest.raises(ValueError):
-        section_evaluate(sec, ((QQ(1), QQ(1)), (QQ(0), QQ(0))))
-
-
 def test_section_on_curve_degree_and_mismatch():
     scroll = ScrollType((1, 2))
     curve = random_curve_in_scroll(scroll, 1, QQ, RngStream.from_seed(8))
@@ -244,8 +227,9 @@ def test_sections_vanish_at_their_points():
     secs = sections_through_points(scroll, 1, frame)
     assert len(secs) >= 1
     for sec in secs:
-        for point in frame:
-            assert section_evaluate(sec, point) == QQ(0)
+        for y, t in frame:
+            # the section's value sum_i comp_i(t) * y_i at the point (y, t)
+            assert sum(comp.evaluate(*t) * y_i for comp, y_i in zip(sec.comps, y)) == 0
 
 
 # ------------------------------------------------------------ lifted frames

@@ -9,8 +9,6 @@ from scrollgeom.scrolls import (
     dim_all_scrolls,
     dim_binary_family,
     dim_curves_in_scroll,
-    dim_rnc,
-    dim_rnc_through_frame,
     dim_scrolls_through_frame,
     dim_scrolls_with_curve,
     dim_stratum,
@@ -85,13 +83,13 @@ def test_dim_stratum_frozen():
 
 
 def test_rnc_dimensions_frozen():
-    assert dim_rnc(3) == 12
-    assert dim_rnc(4) == 21
-    assert dim_rnc_through_frame(3) == 2
-    assert dim_rnc_through_frame(4) == 3
-    # curves of degree n in P^n are the d=1 scrolls
-    for n in range(2, 13):
-        assert dim_rnc(n) == dim_all_scrolls(n, 1)
+    # rational normal curves in P^n are the d=1 scrolls, of type (n,): a
+    # family of dimension n^2 + 2n - 3, of which n - 1 pass through n+2
+    # general points
+    assert dim_all_scrolls(3, 1) == 12
+    assert dim_all_scrolls(4, 1) == 21
+    assert dim_scrolls_through_frame(ScrollType((3,))) == 2
+    assert dim_scrolls_through_frame(ScrollType((4,))) == 3
 
 
 def test_dim_scrolls_through_frame_frozen():

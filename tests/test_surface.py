@@ -1,0 +1,47 @@
+"""The public surface is what the program and the acceptance gate use.
+
+Every top-level public function and class in ``src/scrollgeom`` must be
+read somewhere in ``src/`` outside its own definition, or by an
+acceptance criterion.  A name counts where code reads it (a name or an
+attribute), not where it is imported, so a re-export is not a use.
+"""
+
+import ast
+from collections import Counter
+from pathlib import Path
+
+import scrollgeom
+from scrollgeom import reports
+
+PACKAGE = Path(scrollgeom.__file__).parent
+ACCEPTANCE = Path(__file__).with_name("test_acceptance.py")
+
+
+def _reads(tree):
+    out = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            out[node.attr] += 1
+    return out
+
+
+def test_every_public_definition_is_used():
+    modules = {path.name: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    reads = sum((_reads(tree) for tree in modules.values()), Counter())
+    gate = _reads(ast.parse(ACCEPTANCE.read_text()))
+    unused = [
+        f"{name}:{node.lineno} {node.name}"
+        for name, tree in modules.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+        and not gate[node.name]
+        and reads[node.name] == _reads(node)[node.name]
+    ]
+    assert unused == []
+
+
+def test_package_version_matches_reports():
+    assert scrollgeom.__version__ == reports.PACKAGE_VERSION
