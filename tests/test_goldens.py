@@ -4,7 +4,8 @@ Every job of every benchmark workload runs at the primary and the
 held-out seed, through the benchmark's own runner, and the digest of its
 normalized report must equal the one in perfbench/goldens.json.  The
 stratified containment search, which no benchmark job renders in json,
-is pinned by its own table below.  A change that alters any report byte
+and the node projection and the positive control over prime fields, which
+no benchmark job runs, are pinned by their own tables below.  A change that alters any report byte
 (other than wall_clock_ms) fails here.
 """
 
@@ -34,6 +35,12 @@ def test_reports_match_goldens(workload, seed):
         assert joblib.digest(normalized) == want, job.argv
 
 
+def _json_digest(capsys, argv):
+    assert CLI.main(argv) == 0
+    normalized = REPORTS.normalize_for_comparison(capsys.readouterr().out, "json")
+    return joblib.digest(normalized)
+
+
 # digest of the normalized json report of
 # `containment --n N --trials 4 --seed S --field F`, per (N, F) and seed 0, 1, 2;
 # over fp:101 seeds 0 and 1 end in a sampled-evidence WITNESS, so the
@@ -52,6 +59,44 @@ def test_stratified_containment_matches_goldens(capsys, n, field):
     for seed, want in enumerate(STRATIFIED_DIGESTS[n, field]):
         argv = ["containment", "--n", str(n), "--trials", "4", "--seed", str(seed),
                 "--field", field, "--format", "json"]
-        assert CLI.main(argv) == 0
-        normalized = REPORTS.normalize_for_comparison(capsys.readouterr().out, "json")
-        assert joblib.digest(normalized) == want, argv
+        assert _json_digest(capsys, argv) == want, argv
+
+
+# digest of the normalized json report of
+# `project --n N --node J --seed S --field F`, per (N, J, F) and seed 0, 1, 2;
+# node n + 1 is the node at infinity, whose projection renormalizes the
+# remaining parameters by a Mobius map
+PROJECTION_DIGESTS = {
+    (5, 0, "q"): ["d0de4fc41bd672c4", "3ebe1e00d0141581", "592b4715a6e027ea"],
+    (5, 0, "fp:10007"): ["19ed6d9a3692479e", "89bbf044668d62c4", "254456b39548eab7"],
+    (5, 6, "q"): ["b610404297f131a5", "0822090f1f18c051", "3f2568d4ef073efd"],
+    (5, 6, "fp:10007"): ["ef2a99e8a9ecaa4b", "752bec7dedcf8483", "777e1593bb0b9b9c"],
+    (6, 3, "q"): ["64c6cf5a1fd9e348", "c1e9672b81438e3f", "c25e9caeb87a0ee0"],
+    (6, 3, "fp:10007"): ["2828556f81e91380", "7d586d69ffb6ad44", "706555e33229510a"],
+    (6, 7, "q"): ["a006305845524e96", "87126d2f7301ace8", "3800df7994e0808e"],
+    (6, 7, "fp:10007"): ["a95b48033940c329", "e176ce84e4e8e03c", "4c3634e50906a0c0"],
+}
+
+
+@pytest.mark.parametrize("n, node, field", sorted(PROJECTION_DIGESTS))
+def test_projection_matches_goldens(capsys, n, node, field):
+    for seed, want in enumerate(PROJECTION_DIGESTS[n, node, field]):
+        argv = ["project", "--n", str(n), "--node", str(node), "--seed", str(seed),
+                "--field", field, "--format", "json"]
+        assert _json_digest(capsys, argv) == want, argv
+
+
+# digest of the normalized json report of
+# `containment --control --trials 4 --seed S --field F`, per F and seed 0, 1, 2
+CONTROL_DIGESTS = {
+    "fp:101": ["8f6151743c5dfc29", "812f224a0d2db660", "c8cc1913b3229ca1"],
+    "fp:10007": ["e5593cd7eb032e20", "c98e9f019ba9acdc", "e124ca82bafa71c6"],
+}
+
+
+@pytest.mark.parametrize("field", sorted(CONTROL_DIGESTS))
+def test_positive_control_matches_goldens(capsys, field):
+    for seed, want in enumerate(CONTROL_DIGESTS[field]):
+        argv = ["containment", "--control", "--trials", "4", "--seed", str(seed),
+                "--field", field, "--format", "json"]
+        assert _json_digest(capsys, argv) == want, argv
