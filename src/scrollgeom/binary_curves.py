@@ -710,22 +710,23 @@ def _linear_root(form):
 
 
 def _normalize_node_values(values, field):
-    """Mobius-normalize six node parameters to (0, 1, *, *, *, infinity).
+    """Mobius-normalize node parameters to (0, 1, *, ..., *, infinity).
 
-    values[0] goes to 0, values[1] to 1 and values[5] to infinity; the
-    middle three become the StandardRNC parameters.
+    values[0] goes to 0, values[1] to 1 and values[-1] to infinity; the
+    values between become the StandardRNC parameters.  None when two
+    values coincide.
     """
-    v0, v1, v5 = values[0], values[1], values[5]
-    denom_ref = v1 - v5
+    v0, v1, vinf = values[0], values[1], values[-1]
+    denom_ref = v1 - vinf
     if not denom_ref:
         return None
     out = []
-    for x in values[2:5]:
-        den = (x - v5) * (v1 - v0)
+    for x in values[2:-1]:
+        den = (x - vinf) * (v1 - v0)
         if not den:
             return None
         out.append((x - v0) * denom_ref / den)
-    if len(set(out) | {field.zero, field.one}) < 5:
+    if len(set(out) | {field.zero, field.one}) < len(values) - 1:
         return None
     return tuple(out)
 
@@ -761,9 +762,4 @@ def _projected_params(values, j: int, field):
         span = w1 - w0
         return tuple((x - w0) / span for x in rem[2:])
     # dropping the infinity node: old node n becomes the new infinity
-    v0, v1, vn = values[0], values[1], values[n]
-    ref = v1 - vn
-    out = []
-    for x in values[2:n]:
-        out.append((x - v0) * ref / ((x - vn) * (v1 - v0)))
-    return tuple(out)
+    return _normalize_node_values(values, field)

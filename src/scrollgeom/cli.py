@@ -374,7 +374,7 @@ def _handle_gonality(args) -> dict:
                     "kernel_dim": None,
                     "map_degree": None,
                     "total_degree": None,
-                    "bound": gonality_bound(n + 2),
+                    "bound": gonality_bound(n + 1),
                     "q1": "",
                     "q2": "",
                     "note": f"{type(exc).__name__}: {exc}",

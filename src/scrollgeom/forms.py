@@ -7,14 +7,17 @@ form of degree 2 and the zero form of degree 3 are distinct objects.
 Coefficients may be ints, Fractions, or FpElements and are never mixed
 across fields (the scalar layer enforces this).
 
-Over the rationals the hot kernels run on Python ints: a product of forms
-clears denominators and convolves integer numerators, and a gcd first
-reduces both forms modulo a fixed 61-bit prime, where a Euclid that ends
-in a constant certifies that the forms are coprime over the rationals.
-Division divides two int coefficients as rationals, never as floats.
-Over a prime field, forms hold FpElement coefficients, but evaluation
-unwraps them to int residues, runs a homogeneous Horner pass on plain
-ints and wraps the one reduced value back into an FpElement.
+A product of forms is one integer convolution for both fields: over
+F_p it convolves int residues and wraps each output coefficient once as
+an FpElement; over the rationals it clears denominators, convolves the
+integer numerators and builds one Fraction per output coefficient (ints
+stay ints).  Any other coefficient type raises FieldMismatchError.
+Evaluation is one homogeneous Horner pass; over F_p it runs on int
+residues and wraps the one reduced value back into an FpElement.  A gcd
+of rational forms first reduces both modulo a fixed 61-bit prime, where
+a Euclid that ends in a constant certifies that the forms are coprime
+over the rationals.  Division divides two int coefficients as rationals,
+never as floats.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
-from .errors import BothZeroError, InexactDivisionError
+from .errors import BothZeroError, FieldMismatchError, InexactDivisionError
 from .fields import FpElement, _residues, field_of
 
 # modulus of the coprimality certificate in form_gcd (the prime 2**61 - 1)
@@ -93,42 +96,22 @@ class BinaryForm:
     def __mul__(self, other):
         if not isinstance(other, BinaryForm):
             return NotImplemented
-        d = self.degree + other.degree
-        kinds = {type(c) for c in self.coeffs} | {type(c) for c in other.coeffs}
-        if Fraction in kinds and kinds <= _RATIONAL_TYPES:
-            return BinaryForm(d, _mul_rational(self.coeffs, other.coeffs))
-        out = [None] * (d + 1)
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                term = a * b
-                out[i + j] = term if out[i + j] is None else out[i + j] + term
-        return BinaryForm(d, out)
+        return BinaryForm(self.degree + other.degree, _convolve(self.coeffs, other.coeffs))
 
     def evaluate(self, s0, s1):
         """Value at the pair (s0, s1), exact in the coefficient field.
 
         Over F_p (a point coordinate or the leading coefficient is an
         FpElement) a homogeneous Horner pass runs on int residues and the
-        value is reduced and wrapped once at the end.
+        value is reduced and wrapped once at the end; otherwise it runs on
+        the values as they are.
         """
         for x in (s0, s1, self.coeffs[0]):
             if isinstance(x, FpElement):
                 p = x.p
                 value = _horner(_residues(self.coeffs, p), *_residues((s0, s1), p))
                 return FpElement(value % p, p)
-        acc = None
-        s0_pow = 1
-        # walk j downward so s0_pow builds up as s1_pow is peeled off
-        s1_pow = 1
-        vals = []
-        for j in range(self.degree, -1, -1):
-            vals.append((j, s0_pow))
-            s0_pow = s0_pow * s0
-        for j, s0p in reversed(vals):
-            term = self.coeffs[j] * s0p * s1_pow
-            acc = term if acc is None else acc + term
-            s1_pow = s1_pow * s1
-        return acc
+        return _horner(self.coeffs, s0, s1)
 
     def s1_valuation(self) -> int:
         """Multiplicity of the s1 factor (degree+1 for the zero form)."""
@@ -164,28 +147,38 @@ def _horner(coeffs, s0, s1):
     return acc
 
 
-_RATIONAL_TYPES = {int, Fraction}
-
-
 def _cleared(coeffs):
     """(integer numerators, common denominator) of rational coefficients."""
     den = lcm(*[c.denominator for c in coeffs])
     return [c.numerator * (den // c.denominator) for c in coeffs], den
 
 
-def _mul_rational(a, b):
-    """Coefficients of the product of two rational coefficient lists.
+def _convolve(a, b):
+    """Coefficients of the product of two coefficient lists, by one int convolution.
 
-    The convolution runs on the integer numerators; one Fraction is built
-    per output coefficient.
+    Over F_p (an entry is an FpElement) the convolution runs on int
+    residues and each output is reduced and wrapped once.  Over the
+    rationals it runs on the cleared integer numerators, with one Fraction
+    per output when an input held one; all-int inputs give ints.  Any
+    other scalar type raises FieldMismatchError.
     """
-    na, da = _cleared(a)
-    nb, db = _cleared(b)
+    kinds = set(map(type, a)) | set(map(type, b))
+    if FpElement in kinds:
+        p = next(x.p for x in a + b if isinstance(x, FpElement))
+        na, nb = _residues(a, p), _residues(b, p)
+    elif kinds <= {int, Fraction}:
+        (na, da), (nb, db) = _cleared(a), _cleared(b)
+    else:
+        raise FieldMismatchError(f"coefficient types {kinds} belong to no field")
     out = [0] * (len(na) + len(nb) - 1)
     width = len(nb)
     for i, x in enumerate(na):
         if x:
             out[i:i + width] = [o + x * y for o, y in zip(out[i:i + width], nb)]
+    if FpElement in kinds:
+        return [FpElement(c, p) for c in out]
+    if Fraction not in kinds:
+        return out
     den = da * db
     if den == 1:
         return [Fraction(c) for c in out]

@@ -5,10 +5,11 @@ the lcm of its entries' denominators and divided by its content; a
 fraction-free (Bareiss) forward pass then gives the rank, and a
 fraction-free back reduction of the echelon form gives every kernel
 entry as one quotient of ints, so a Fraction is built only for the
-kernel entries handed back.  The prime-field path packs each row of int
-residues into one Python int, a fixed-width slot per entry, so a row
-update is a single big-int multiply-add; rows are unpacked once at the
-end and wrapped back into field elements.  rank_of runs the forward pass
+nonzero kernel entries handed back.  The prime-field path packs each row
+of int residues into one Python int, a fixed-width slot per entry, so a
+row update is a single big-int multiply-add; rows are unpacked once at
+the end, and the reduced echelon form already holds the kernel.  One
+loop builds the basis for both fields.  rank_of runs the forward pass
 alone.  Rational entries must be ints or Fractions, and prime-field
 entries ints or residues mod p; anything else, such as a float, raises
 FieldMismatchError.  Callers on the prime-field hot paths (the incidence
@@ -20,6 +21,7 @@ FpElement tuples, the type every caller sees at the API boundary.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 from math import gcd, lcm
 from operator import lshift
 
@@ -146,10 +148,10 @@ def _forward_bareiss(mat, ncols):
     return pivots
 
 
-def _back_reduce_bareiss(mat, pivots, ncols):
+def _back_reduce_bareiss(mat, pivots, free):
     """Fraction-free back reduction of a Bareiss echelon form.
 
-    Returns (d, free columns, red) with red[i][t] = d * rref[i][free[t]],
+    Returns (d, red) with red[i][t] = d * rref[i][free[t]],
     where d is the last pivot and rref the reduced row echelon form.  d is
     the determinant of the pivot block of the rows that gave the pivots,
     so d * rref = adj(block) * rows is an integer matrix.  Echelon row i
@@ -158,10 +160,8 @@ def _back_reduce_bareiss(mat, pivots, ncols):
     / d_i, an exact division, taken from the last row up.
     """
     rank = len(pivots)
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
     if not rank:
-        return 1, free, []
+        return 1, []
     d = mat[rank - 1][pivots[-1]]
     red = [None] * rank
     for i in range(rank - 1, -1, -1):
@@ -173,7 +173,7 @@ def _back_reduce_bareiss(mat, pivots, ncols):
                 acc = [x - f * y for x, y in zip(acc, red[k])]
         di = row[pivots[i]]
         red[i] = [x // di for x in acc]
-    return d, free, red
+    return d, red
 
 
 def _eliminate(rows, ncols, field):
@@ -200,28 +200,23 @@ def rank_kernel(rows, ncols: int, field=None):
     """
     fld, mat, pivots = _eliminate(rows, ncols, field)
     rank = len(pivots)
-    basis = []
+    pivot_set = set(pivots)
+    free = [c for c in range(ncols) if c not in pivot_set]
     if isinstance(fld, PrimeField):
-        p = fld.p
-        pivot_set = set(pivots)
-        for fc in range(ncols):
-            if fc in pivot_set:
-                continue
-            vec = [0] * ncols
-            vec[fc] = 1
-            for i, pc in enumerate(pivots):
-                vec[pc] = (-mat[i][fc]) % p
-            basis.append(tuple(FpElement(v, p) for v in vec))
-        return rank, basis
-
-    d, free, red = _back_reduce_bareiss(mat, pivots, ncols)
-    zero, one = Fraction(0), Fraction(1)
+        # the forward pass left the RREF mod p: red is its free columns, d = 1
+        red = [[row[fc] for fc in free] for row in mat[:rank]]
+        scalar = partial(FpElement, p=fld.p)
+    else:
+        d, red = _back_reduce_bareiss(mat, pivots, free)
+        scalar = partial(Fraction, denominator=d)
+    zero, one = fld.zero, fld.one
+    basis = []
     for t, fc in enumerate(free):
         vec = [zero] * ncols
         vec[fc] = one
         for i, pc in enumerate(pivots):
             if red[i][t]:
-                vec[pc] = Fraction(-red[i][t], d)
+                vec[pc] = scalar(-red[i][t])
         basis.append(tuple(vec))
     return rank, basis
 

@@ -206,6 +206,7 @@ def random_quadric_through_frame(n: int, field, rng) -> Quadric:
     """
     while True:
         gram = [[field.zero for _ in range(n + 1)] for _ in range(n + 1)]
+        rest = field.zero
         for i in range(n + 1):
             for j in range(i + 1, n + 1):
                 if (i, j) == (0, 1):
@@ -213,11 +214,7 @@ def random_quadric_through_frame(n: int, field, rng) -> Quadric:
                 x = field.random_scalar(rng)
                 gram[i][j] = x
                 gram[j][i] = x
-        rest = field.zero
-        for i in range(n + 1):
-            for j in range(i + 1, n + 1):
-                if (i, j) != (0, 1):
-                    rest = rest + gram[i][j]
+                rest = rest + x
         fix = -rest
         gram[0][1] = fix
         gram[1][0] = fix

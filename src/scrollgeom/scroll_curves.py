@@ -526,6 +526,14 @@ class ScrollEmbedding:
 
 
 def _resolve_degeneration_indices(degrees, donor, recipient):
+    """(degrees as an int tuple, donor index, recipient index), validated.
+
+    degrees may be a ScrollType or a sequence; a missing donor is the first
+    block of positive degree and a missing recipient the last other block.
+    """
+    if isinstance(degrees, ScrollType):
+        degrees = degrees.degrees
+    degrees = tuple(int(a) for a in degrees)
     d = len(degrees)
     if d < 2:
         raise ValueError("the degeneration needs at least two fiber blocks")
@@ -543,7 +551,7 @@ def _resolve_degeneration_indices(degrees, donor, recipient):
         raise ValueError(f"recipient index {recipient} out of range")
     if recipient == donor:
         raise ValueError("donor and recipient must differ")
-    return donor, recipient
+    return degrees, donor, recipient
 
 
 def degeneration_member(degrees, lam, donor=None, recipient=None, field=None) -> ScrollSection:
@@ -555,10 +563,7 @@ def degeneration_member(degrees, lam, donor=None, recipient=None, field=None) ->
     At lam=0 this cuts the degenerate scroll, at lam != 0 a scroll of the
     original type.
     """
-    if isinstance(degrees, ScrollType):
-        degrees = degrees.degrees
-    degrees = tuple(int(a) for a in degrees)
-    donor, recipient = _resolve_degeneration_indices(degrees, donor, recipient)
+    degrees, donor, recipient = _resolve_degeneration_indices(degrees, donor, recipient)
     if field is None:
         field = field_of(lam)
     lam = field(lam)
@@ -574,7 +579,7 @@ def degeneration_member(degrees, lam, donor=None, recipient=None, field=None) ->
     return ScrollSection(tuple(aux), 0, comps, field)
 
 
-def degeneration_embeddings(degrees, donor=None, recipient=None, field=None):
+def degeneration_embeddings(degrees, donor=None, recipient=None, *, field):
     """The two scroll embeddings bracketing the degeneration family.
 
     The first embeds the original scroll as the lam-free locus
@@ -582,12 +587,7 @@ def degeneration_embeddings(degrees, donor=None, recipient=None, field=None):
     scroll (donor degree down one, recipient degree up one) as the lam=0
     member.
     """
-    if isinstance(degrees, ScrollType):
-        degrees = degrees.degrees
-    degrees = tuple(int(a) for a in degrees)
-    donor, recipient = _resolve_degeneration_indices(degrees, donor, recipient)
-    if field is None:
-        raise ValueError("field is required to build embedding factors")
+    degrees, donor, recipient = _resolve_degeneration_indices(degrees, donor, recipient)
     one = field.one
     aux = list(degrees)
     aux[donor] -= 1
@@ -635,19 +635,14 @@ def compose_section_with_embedding(section: ScrollSection, emb: ScrollEmbedding)
     return out
 
 
-def verify_degeneration_embeddings(degrees, donor=None, recipient=None, field=None) -> bool:
+def verify_degeneration_embeddings(degrees, donor=None, recipient=None, *, field) -> bool:
     """Check both scroll embeddings land inside their family members.
 
     The original scroll must satisfy the lam-free relation of its image
     and the degenerate scroll must satisfy the lam=0 member identically.
     """
-    if field is None:
-        raise ValueError("field is required")
-    if isinstance(degrees, ScrollType):
-        degrees = degrees.degrees
-    degrees = tuple(int(a) for a in degrees)
-    donor, recipient = _resolve_degeneration_indices(degrees, donor, recipient)
-    phi1, phi2 = degeneration_embeddings(degrees, donor, recipient, field)
+    degrees, donor, recipient = _resolve_degeneration_indices(degrees, donor, recipient)
+    phi1, phi2 = degeneration_embeddings(degrees, donor, recipient, field=field)
 
     aux = phi1.aux_degrees
     one = field.one
@@ -676,10 +671,7 @@ def degeneration_equivalence_check(degrees, lam, donor=None, recipient=None, fie
     lam = field(lam)
     if not lam:
         raise ValueError("lam must be nonzero; the lam=0 member is the degenerate scroll")
-    if isinstance(degrees, ScrollType):
-        degrees = degrees.degrees
-    degrees = tuple(int(a) for a in degrees)
-    donor, recipient = _resolve_degeneration_indices(degrees, donor, recipient)
+    degrees, donor, recipient = _resolve_degeneration_indices(degrees, donor, recipient)
     member_one = degeneration_member(degrees, field.one, donor, recipient, field)
     member_lam = degeneration_member(degrees, lam, donor, recipient, field)
     rescaled = list(member_one.comps)

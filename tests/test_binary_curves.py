@@ -399,15 +399,16 @@ def test_projection_preserves_cross_ratios_finite_center():
 
 
 def test_projection_preserves_cross_ratios_infinity_center():
-    curve = random_binary_curve(5, QQ, 82)
-    image = project_from_node(curve, curve.n + 1)
-    for comp, new_comp in ((curve.comp1, image.comp1), (curve.comp2, image.comp2)):
-        old = list(comp.node_values)
-        new = list(new_comp.node_values)
-        # nodes 0..3 stay finite; the last finite node moves to infinity
-        assert cross_ratio(old[0], old[1], old[2], old[3]) == cross_ratio(
-            new[0], new[1], new[2], new[3]
-        )
+    for n, field in ((5, QQ), (5, PrimeField(10007)), (6, QQ), (6, PrimeField(10007))):
+        curve = random_binary_curve(n, field, 82)
+        image = project_from_node(curve, curve.n + 1)
+        for comp, new_comp in ((curve.comp1, image.comp1), (curve.comp2, image.comp2)):
+            old = list(comp.node_values)
+            new = list(new_comp.node_values)
+            # the finite nodes but the last keep their order; the last moves to infinity
+            assert len(new) == len(old) - 1
+            for i in range(len(new) - 3):
+                assert cross_ratio(*old[i:i + 4]) == cross_ratio(*new[i:i + 4])
 
 
 def test_projection_validation():

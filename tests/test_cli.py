@@ -164,6 +164,16 @@ def test_gonality_field_too_small_names_the_bound(capsys, p):
         )
 
 
+@pytest.mark.parametrize("p", [13, 29])
+def test_gonality_anomaly_rows_use_the_curve_genus(capsys, p):
+    # at n=5 the genus is 6: every row, solved or anomalous, has bound 4
+    doc = _run_json(capsys, "gonality", "--n", "5", "--field", f"fp:{p}", "--trials", "4",
+                    "--seed", "0")
+    rows = doc["result"]["rows"]
+    assert any(row["kernel_dim"] is None for row in rows)
+    assert [row["bound"] for row in rows] == [4] * 4
+
+
 def test_hyperelliptic_report(capsys):
     doc = _run_json(capsys, "hyperelliptic", "--n", "4", "--trials", "3", "--seed", "2")
     assert doc["result"]["false_count"] == 3

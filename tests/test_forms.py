@@ -371,3 +371,10 @@ def test_rational_product_matches_schoolbook_loop():
         got, want = f * g, oracle_form_mul(f, g)
         assert got == want
         assert [type(x) for x in got.coeffs] == [type(x) for x in want.coeffs]
+    # the oracle keeps int * int = 35 over F_11 unreduced; the product reduces it
+    f11 = PrimeField(11)
+    got = BinaryForm(1, (5, f11(1))) * BinaryForm(1, (7, f11(1)))
+    assert got == BinaryForm(2, (f11(2), f11(1), f11(1)))
+    assert all(type(x) is FpElement and x.p == 11 for x in got.coeffs)
+    with pytest.raises(FieldMismatchError):
+        BinaryForm(1, (0.5, 1)) * BinaryForm(0, (Fraction(1, 3),))

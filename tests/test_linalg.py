@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from scrollgeom.errors import FieldMismatchError
-from scrollgeom.fields import QQ, PrimeField
+from scrollgeom.fields import QQ, FpElement, PrimeField
 from scrollgeom.linalg import _forward_fp, rank_kernel, rank_of
 from scrollgeom.rngstream import as_stream
 
@@ -76,6 +76,7 @@ def test_oracle_agreement_prime_field():
         want_rank, want_kernel = oracle_kernel_mod(rows, ncols, p)
         assert rank == want_rank
         assert same_span_mod(kernel, want_kernel, ncols, p)
+        assert all(type(x) is FpElement and x.p == p for v in kernel for x in v)
 
 
 def test_mixed_int_rows_accepted():
@@ -85,6 +86,7 @@ def test_mixed_int_rows_accepted():
     fp = PrimeField(7)
     rank, kernel = rank_kernel([[1, 2, 3], [fp(2), 4, fp(6)]], 3, fp)
     assert rank == 1 and len(kernel) == 2
+    assert all(type(x) is FpElement and x.p == 7 for v in kernel for x in v)
 
 
 def test_rank_of_matches_rank_kernel():
@@ -177,6 +179,7 @@ def test_packed_elimination_matches_oracle(p, shape):
     oracle_rank, oracle_basis = oracle_kernel_mod(rows, ncols, p)
     assert rank == oracle_rank
     assert [[x.val for x in vec] for vec in kernel] == oracle_basis
+    assert all(type(x) is FpElement and x.p == p for v in kernel for x in v)
 
 
 def test_packed_elimination_shape_ranks():
@@ -210,6 +213,7 @@ def test_packed_elimination_property():
         oracle_rank, oracle_basis = oracle_kernel_mod(rows, ncols, p)
         assert rank == oracle_rank
         assert [[x.val for x in vec] for vec in kernel] == oracle_basis
+        assert all(type(x) is FpElement and x.p == p for v in kernel for x in v)
 
     check()
 

@@ -529,7 +529,7 @@ def test_degeneration_embeddings_structure():
     assert phi1.source_degrees == (1, 2)
     assert phi2.source_degrees == (0, 3)
     assert phi1.aux_degrees == phi2.aux_degrees == (0, 2, 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         degeneration_embeddings((1, 2))
 
 
