@@ -19,7 +19,7 @@ from .errors import (
     NoCoprimeWitnessError,
 )
 from .fields import QQ, scalar_to_str
-from .forms import BinaryForm, divide_exact, form_gcd, gcd_many, random_form
+from .forms import BinaryForm, _cleared, _div, divide_exact, form_gcd, gcd_many, random_form
 from .linalg import rank_kernel, rank_of
 from .rnc import Frame, Quadric, StandardRNC, random_standard_rnc
 from .rngstream import as_stream
@@ -318,7 +318,21 @@ def _random_plane(n, field, rng):
             return mat
 
 
-def _restrict_to_plane(gram, plane, field):
+def _integral_gram(gram, field):
+    """A nonzero multiple of a rational Gram matrix with int entries.
+
+    Every test of a plane trial is blind to a nonzero scalar factor on a
+    conic, so the trials may run on the cleared matrix; a prime-field Gram
+    matrix is returned as it is.
+    """
+    if field != QQ:
+        return gram
+    size = len(gram)
+    ints, _ = _cleared([x for row in gram for x in row])
+    return [ints[i:i + size] for i in range(0, size * size, size)]
+
+
+def _restrict_to_plane(gram, plane):
     """3x3 Gram of the quadric pulled back to plane coordinates."""
     npts = len(plane)
     gp = [
@@ -331,7 +345,7 @@ def _restrict_to_plane(gram, plane, field):
     ]
 
 
-def _conic_parts(gram, field):
+def _conic_parts(gram):
     """Split uT*H*u as A(x0,x1) + B(x0,x1)*x2 + C*x2^2."""
     a = BinaryForm(2, (gram[0][0], gram[0][1] + gram[1][0], gram[1][1]))
     b = BinaryForm(1, (gram[0][2] + gram[2][0], gram[1][2] + gram[2][1]))
@@ -349,15 +363,16 @@ def _pair_resultant(p1, p2):
     return lead * lead - mixed * tail
 
 
-def _plane_trial(quadrics, n, field, rng):
+def _plane_trial(grams, n, field, rng):
     """One plane-section trial: can the restricted conics share a zero?
 
-    Returns (hit, note).  A miss is certified exactly: with all leading
-    x2^2 coefficients nonzero, a common conic zero forces every pairwise
-    resultant to vanish somewhere, so a constant gcd rules it out.
+    grams are the Gram matrices of the quadric net, each up to a nonzero
+    scalar.  Returns (hit, note).  A miss is certified exactly: with all
+    leading x2^2 coefficients nonzero, a common conic zero forces every
+    pairwise resultant to vanish somewhere, so a constant gcd rules it out.
     """
     plane = _random_plane(n, field, rng)
-    grams = [_restrict_to_plane(q.gram, plane, field) for q in quadrics]
+    grams = [_restrict_to_plane(g, plane) for g in grams]
     nonzero = [g for g in grams if any(any(row) for row in g)]
     if len(nonzero) < len(grams):
         return True, "plane lies inside a quadric of the net"
@@ -369,10 +384,10 @@ def _plane_trial(quadrics, n, field, rng):
         change = [[field.random_scalar(rng) for _ in range(3)] for _ in range(3)]
         if rank_of(change, 3, field) != 3:
             continue
-        nonzero = [_restrict_to_plane(g, change, field) for g in nonzero]
+        nonzero = [_restrict_to_plane(g, change) for g in nonzero]
     else:
         return True, "no leading-coefficient normalization found (inconclusive)"
-    parts = [_conic_parts(g, field) for g in nonzero]
+    parts = [_conic_parts(g) for g in nonzero]
     resultants = []
     for i in range(len(parts)):
         for j in range(i + 1, len(parts)):
@@ -387,11 +402,12 @@ def _plane_trial(quadrics, n, field, rng):
 
 def _slicing_search(curve, quadrics, trials, stream, anomalies):
     field = curve.field
+    grams = [_integral_gram(q.gram, field) for q in quadrics]
     records = []
     hits = 0
     for t in range(trials):
         rng = stream.child(f"trial{t}")
-        hit, note = _plane_trial(quadrics, curve.n, field, rng)
+        hit, note = _plane_trial(grams, curve.n, field, rng)
         hits += 1 if hit else 0
         records.append({"trial": t, "hit": hit, "note": note})
     if 2 * hits > trials:
@@ -630,11 +646,12 @@ def scroll_positive_control(seed, field=None) -> BinaryCurve:
             continue
         # second unisecant through the same five scroll points
         rows = []
-        for t, (u1, u2) in zip(taus, fibers):
+        for t, fiber in zip(field.unwrap(taus), fibers):
+            u1, u2 = field.unwrap(fiber)
             m1 = [t ** (4 - r) for r in range(5)]
             m2 = [t ** (1 - r) for r in range(2)]
             rows.append(
-                [field(m * u2) for m in m1] + [field(-(m * u1)) for m in m2]
+                field.reduce([m * u2 for m in m1] + [-(m * u1) for m in m2])
             )
         _, kernel = rank_kernel(rows, 7, field)
         if len(kernel) < 2:
@@ -706,7 +723,7 @@ def _linear_root(form):
     c0, c1 = form.coeffs
     if not c0:
         raise ZeroDivisionError("root at infinity")
-    return -c1 / c0
+    return _div(-c1, c0)
 
 
 def _normalize_node_values(values, field):
@@ -725,7 +742,7 @@ def _normalize_node_values(values, field):
         den = (x - vinf) * (v1 - v0)
         if not den:
             return None
-        out.append((x - v0) * denom_ref / den)
+        out.append(_div((x - v0) * denom_ref, den))
     if len(set(out) | {field.zero, field.one}) < len(values) - 1:
         return None
     return tuple(out)
@@ -760,6 +777,6 @@ def _projected_params(values, j: int, field):
         rem = [v for i, v in enumerate(values) if i != j]
         w0, w1 = rem[0], rem[1]
         span = w1 - w0
-        return tuple((x - w0) / span for x in rem[2:])
+        return tuple(_div(x - w0, span) for x in rem[2:])
     # dropping the infinity node: old node n becomes the new infinity
     return _normalize_node_values(values, field)

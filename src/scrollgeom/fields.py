@@ -1,7 +1,11 @@
 """Exact scalars: arbitrary-precision rationals and odd prime fields.
 
-Rational scalars are plain ``fractions.Fraction`` values, so lowest terms
-and a positive denominator hold by construction.  Prime-field scalars are
+Rational scalars are plain ints when they are whole and
+``fractions.Fraction`` values otherwise: sampling and the field's zero and
+one give ints, ``QQ(num, den)`` builds a Fraction, and a Fraction appears
+only where a true division makes one (``forms._div`` divides two ints as
+rationals, never as floats).  A Fraction keeps lowest terms and a
+positive denominator by construction.  Prime-field scalars are
 ``FpElement`` values holding the canonical representative in [0, p).
 Python ints mix freely with either kind in arithmetic (they embed in
 every field); mixing the two fields themselves raises FieldMismatchError.
@@ -165,7 +169,11 @@ def _residues(values, p: int) -> list:
 
 
 class RationalField:
-    """The field of rationals; elements are fractions.Fraction values."""
+    """The field of rationals; elements are ints when whole, else Fractions.
+
+    zero, one and random_scalar give ints; calling the field, QQ(num, den),
+    builds a Fraction, so QQ(3) / QQ(5) is the rational 3/5.
+    """
 
     name = "q"
 
@@ -173,15 +181,15 @@ class RationalField:
         return Fraction(num, den)
 
     @property
-    def zero(self) -> Fraction:
-        return Fraction(0)
+    def zero(self) -> int:
+        return 0
 
     @property
-    def one(self) -> Fraction:
-        return Fraction(1)
+    def one(self) -> int:
+        return 1
 
-    def random_scalar(self, rng) -> Fraction:
-        return Fraction(rng.randint(-RATIONAL_SPAN, RATIONAL_SPAN))
+    def random_scalar(self, rng) -> int:
+        return rng.randint(-RATIONAL_SPAN, RATIONAL_SPAN)
 
     def unwrap(self, values) -> list:
         """Rationals are computed on as they are."""
@@ -276,13 +284,18 @@ def parse_field(text: str):
 
 
 def scalar_to_str(x) -> str:
-    """Exact decimal serialization: residue, integer, or num/den."""
+    """Exact decimal serialization: residue, integer, or num/den.
+
+    Anything but an FpElement, int or Fraction, a float included, raises
+    TypeError.
+    """
     if isinstance(x, FpElement):
         return str(x.val)
-    f = Fraction(x)
-    if f.denominator == 1:
-        return str(f.numerator)
-    return f"{f.numerator}/{f.denominator}"
+    if not isinstance(x, (int, Fraction)):
+        raise TypeError(f"not a scalar: {x!r}")
+    if x.denominator == 1:
+        return str(x.numerator)
+    return f"{x.numerator}/{x.denominator}"
 
 
 def random_nonzero(field, rng):

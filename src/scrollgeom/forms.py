@@ -17,7 +17,9 @@ residues and wraps the one reduced value back into an FpElement.  A gcd
 of rational forms first reduces both modulo a fixed 61-bit prime, where
 a Euclid that ends in a constant certifies that the forms are coprime
 over the rationals.  Division divides two int coefficients as rationals,
-never as floats.
+never as floats; ``_div`` is the one true division in the package.  A
+sum, difference, negation or scaling over F_p reduces and wraps every
+output coefficient, so an int beside FpElements never stays unreduced.
 """
 
 from __future__ import annotations
@@ -78,20 +80,22 @@ class BinaryForm:
             return NotImplemented
         if self.degree != other.degree:
             raise ValueError(f"degree mismatch: {self.degree} vs {other.degree}")
-        return BinaryForm(self.degree, [a + b for a, b in zip(self.coeffs, other.coeffs)])
+        coeffs = [a + b for a, b in zip(self.coeffs, other.coeffs)]
+        return BinaryForm(self.degree, _in_field(coeffs))
 
     def __sub__(self, other):
         if not isinstance(other, BinaryForm):
             return NotImplemented
         if self.degree != other.degree:
             raise ValueError(f"degree mismatch: {self.degree} vs {other.degree}")
-        return BinaryForm(self.degree, [a - b for a, b in zip(self.coeffs, other.coeffs)])
+        coeffs = [a - b for a, b in zip(self.coeffs, other.coeffs)]
+        return BinaryForm(self.degree, _in_field(coeffs))
 
     def __neg__(self):
-        return BinaryForm(self.degree, [-a for a in self.coeffs])
+        return BinaryForm(self.degree, _in_field([-a for a in self.coeffs]))
 
     def scale(self, scalar) -> "BinaryForm":
-        return BinaryForm(self.degree, [scalar * a for a in self.coeffs])
+        return BinaryForm(self.degree, _in_field([scalar * a for a in self.coeffs]))
 
     def __mul__(self, other):
         if not isinstance(other, BinaryForm):
@@ -132,6 +136,20 @@ class BinaryForm:
             ) or "1"
             terms.append(f"{c}*{mono}")
         return f"BinaryForm(deg={self.degree}: {' + '.join(terms) if terms else '0'})"
+
+
+def _in_field(coeffs):
+    """Coefficients as they are, or over F_p each reduced and wrapped once.
+
+    An int beside an FpElement is a residue that plain int arithmetic left
+    unreduced; beside one, a coefficient of no prime field raises
+    FieldMismatchError.
+    """
+    kinds = set(map(type, coeffs))
+    if FpElement not in kinds or kinds == {FpElement}:
+        return coeffs
+    p = next(x.p for x in coeffs if isinstance(x, FpElement))
+    return [FpElement(v, p) for v in _residues(coeffs, p)]
 
 
 def _horner(coeffs, s0, s1):

@@ -17,8 +17,8 @@ from .errors import (
     NotThroughFrameError,
     ZeroQuadricError,
 )
-from .fields import field_of, random_distinct
-from .forms import BinaryForm, product_of_linears
+from .fields import QQ, field_of, random_distinct
+from .forms import BinaryForm, _div, product_of_linears
 from .linalg import rank_kernel, rank_of
 
 
@@ -84,7 +84,10 @@ class StandardRNC:
             raise ValueError(f"need {n - 1} parameters for P^{n}, got {len(params)}")
         if field is None:
             field = field_of(params[0])
-        values = (field.zero, field.one) + tuple(field(p) for p in params)
+        # a whole rational stays an int, where field(p) would build a Fraction
+        values = (field.zero, field.one) + tuple(
+            p if type(p) is int and field == QQ else field(p) for p in params
+        )
         slots = {}
         for i, v in enumerate(values):
             slots.setdefault(v, []).append(i)
@@ -164,14 +167,13 @@ class Quadric:
     @classmethod
     def from_monomials(cls, n: int, coeffs: dict, field):
         """Build from {(i, j): c} meaning sum of c * x_i * x_j terms."""
-        two_inv = field.one / field(2)
         gram = [[field.zero for _ in range(n + 1)] for _ in range(n + 1)]
         for (i, j), c in coeffs.items():
             c = field(c)
             if i == j:
                 gram[i][i] = gram[i][i] + c
             else:
-                half = c * two_inv
+                half = _div(c, 2)
                 gram[i][j] = gram[i][j] + half
                 gram[j][i] = gram[j][i] + half
         return cls(gram)

@@ -279,6 +279,7 @@ def interpolate_unisecant(scroll: ScrollType, lifted_frame, field=None) -> Unise
 
     rows = []
     for (y, t) in points:
+        y, t = field.unwrap(y), field.unwrap(t)
         pivot = next(i for i in range(d) if y[i])
         mono = []
         for deg in y_degs:
@@ -287,12 +288,12 @@ def interpolate_unisecant(scroll: ScrollType, lifted_frame, field=None) -> Unise
             if i == pivot:
                 continue
             # y_i(t_j) * y_pivot_marked - y_pivot(t_j) * y_i_marked = 0
-            row = [field.zero] * total
+            row = [0] * total
             for r, v in enumerate(mono[i]):
-                row[offsets[i] + r] = field(v * y[pivot])
+                row[offsets[i] + r] = v * y[pivot]
             for r, v in enumerate(mono[pivot]):
-                row[offsets[pivot] + r] = row[offsets[pivot] + r] - field(v * y[i])
-            rows.append(row)
+                row[offsets[pivot] + r] = -(v * y[i])
+            rows.append(field.reduce(row))
 
     if not rows:
         # d = 1: the scroll is a single block and the curve is forced
@@ -348,11 +349,12 @@ def sections_through_points(scroll: ScrollType, m: int, points, field=None):
     total = offsets[-1]
     rows = []
     for (y, t) in points:
+        y, t = field.unwrap(y), field.unwrap(t)
         row = []
         for i, deg in enumerate(comp_degs):
             for r in range(deg + 1):
-                row.append(field(t[0] ** (deg - r) * t[1] ** r * y[i]))
-        rows.append(row)
+                row.append(t[0] ** (deg - r) * t[1] ** r * y[i])
+        rows.append(field.reduce(row))
     _, kernel = rank_kernel(rows, total, field)
     out = []
     for vec in kernel:

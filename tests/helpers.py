@@ -18,6 +18,7 @@ residues with one reduction per entry.
 
 from fractions import Fraction
 
+from scrollgeom.fields import FpElement
 from scrollgeom.forms import BinaryForm, divide_exact, vanishing_at
 from scrollgeom.linalg import rank_of
 from scrollgeom.scroll_curves import monomial_slots
@@ -134,8 +135,11 @@ def same_span_mod(basis_a, basis_b, ncols, p):
 
 
 def cross_ratio(a, b, c, d):
-    """(a-c)(b-d) / (a-d)(b-c) of four distinct scalars."""
-    return ((a - c) * (b - d)) / ((a - d) * (b - c))
+    """(a-c)(b-d) / (a-d)(b-c) of four distinct scalars; ints divide as rationals."""
+    num, den = (a - c) * (b - d), (a - d) * (b - c)
+    if isinstance(num, int) and isinstance(den, int):
+        num = Fraction(num)
+    return num / den
 
 
 def oracle_residual(gram, node_values, field):
@@ -202,8 +206,16 @@ def oracle_incidence_ranks(rows, n_coeffs, n_pts, field):
 
 
 def oracle_form_mul(f, g):
-    """Product of two forms by the schoolbook double loop on their scalars."""
-    out = [0 * f.coeffs[0] * g.coeffs[0]] * (f.degree + g.degree + 1)
+    """Product of two forms by the schoolbook double loop on their scalars.
+
+    Over F_p every coefficient sums from the field's zero, so an int * int
+    product beside FpElement coefficients is reduced too.
+    """
+    zero = 0 * f.coeffs[0] * g.coeffs[0]
+    for x in f.coeffs + g.coeffs:
+        if isinstance(x, FpElement):
+            zero = FpElement(0, x.p)
+    out = [zero] * (f.degree + g.degree + 1)
     for i, a in enumerate(f.coeffs):
         for j, b in enumerate(g.coeffs):
             out[i + j] = out[i + j] + a * b

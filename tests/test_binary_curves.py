@@ -1,12 +1,18 @@
 """Binary curves: gonality pencils, quadric nets, containment experiments."""
 
 from dataclasses import asdict
+from fractions import Fraction
 
 import pytest
 
 from scrollgeom.binary_curves import (
     BinaryCurve,
+    _conic_parts,
+    _integral_gram,
     _node_system_rows,
+    _pair_resultant,
+    _plane_trial,
+    _restrict_to_plane,
     gonality_map,
     gonality_map_from_nodes,
     hyperelliptic_from_nodes,
@@ -21,6 +27,7 @@ from scrollgeom.binary_curves import (
 from scrollgeom.errors import FieldTooSmallError
 from scrollgeom.fields import QQ, PrimeField
 from scrollgeom.rnc import StandardRNC, composite_on_curve
+from scrollgeom.rngstream import as_stream
 from scrollgeom.scrolls import gonality_bound
 
 from helpers import cross_ratio, oracle_node_system_rows, oracle_rref_mod
@@ -258,6 +265,86 @@ def test_containment_slicing_none_found():
         "anomalies",
         "description",
     ]
+
+
+def _random_conic_gram(rng, fractions):
+    """Symmetric 3x3 matrix of ints, or of Fractions, with a nonzero x2^2 entry.
+
+    The plane trials resolve in x2 only after making that entry nonzero.
+    """
+    gram = [[0] * 3 for _ in range(3)]
+    for i in range(3):
+        for j in range(i, 3):
+            x = rng.randint(-9, 9)
+            if (i, j) == (2, 2) and not x:
+                x = 1
+            if fractions:
+                x = Fraction(x, rng.randint(1, 6))
+            gram[i][j] = gram[j][i] = x
+    return gram
+
+
+def test_pair_resultant_agrees_with_sympy():
+    sympy = pytest.importorskip("sympy")
+    x0, x1, x2 = sympy.symbols("x0 x1 x2")
+    u = (x0, x1, x2)
+
+    def rational(c):
+        return sympy.Rational(c.numerator, c.denominator)
+
+    rng = as_stream(81)
+    for trial in range(16):
+        g1, g2 = (_random_conic_gram(rng, fractions=trial % 2 == 1) for _ in range(2))
+        conics = [
+            sum(rational(g[i][j]) * u[i] * u[j] for i in range(3) for j in range(3))
+            for g in (g1, g2)
+        ]
+        res = _pair_resultant(_conic_parts(g1), _conic_parts(g2))
+        got = sum(
+            rational(c) * x0 ** (res.degree - k) * x1 ** k for k, c in enumerate(res.coeffs)
+        )
+        assert sympy.expand(got - sympy.resultant(*conics, x2)) == 0
+
+
+def test_cleared_plane_section_is_a_multiple_of_the_rational_one():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    entry = st.one_of(
+        st.integers(-9, 9), st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
+    )
+    coordinates = st.lists(st.integers(-99, 99), min_size=3, max_size=3)
+
+    @hypothesis.settings(max_examples=150, deadline=None)
+    @hypothesis.given(
+        upper=st.lists(entry, min_size=15, max_size=15),
+        plane=st.lists(coordinates, min_size=5, max_size=5),
+    )
+    def check(upper, plane):
+        gram = [[0] * 5 for _ in range(5)]
+        slots = [(i, j) for i in range(5) for j in range(i, 5)]
+        for (i, j), x in zip(slots, upper):
+            gram[i][j] = gram[j][i] = x
+        cleared = _integral_gram(gram, QQ)
+        assert all(type(x) is int for row in cleared for x in row)
+        exact = [x for row in _restrict_to_plane(gram, plane) for x in row]
+        scaled = [x for row in _restrict_to_plane(cleared, plane) for x in row]
+        assert all(type(x) is int for x in scaled)
+        ratio = next((Fraction(s) / e for s, e in zip(scaled, exact) if e), None)
+        assert ratio != 0
+        assert scaled == ([ratio * e for e in exact] if ratio is not None else exact)
+
+    check()
+
+
+def test_plane_trials_on_cleared_grams_match_the_rational_ones():
+    for seed in range(6):
+        curve = random_binary_curve(4, QQ, 40 + seed)
+        grams = [q.gram for q in quadrics_through(curve)]
+        cleared = [_integral_gram(g, QQ) for g in grams]
+        stream = as_stream(seed)
+        for t in range(4):
+            want = _plane_trial(grams, 4, QQ, stream.child(f"trial{t}"))
+            assert _plane_trial(cleared, 4, QQ, stream.child(f"trial{t}")) == want
 
 
 def test_containment_validation():

@@ -24,6 +24,9 @@ def test_rational_field_basics():
     assert QQ(3) == Fraction(3)
     assert QQ(1, 3) == Fraction(1, 3)
     assert QQ.zero == 0 and QQ.one == 1
+    assert type(QQ.zero) is type(QQ.one) is int
+    ratio = QQ(3) / QQ(5)
+    assert type(ratio) is Fraction and ratio == Fraction(3, 5)
     assert QQ.name == "q"
 
 
@@ -97,6 +100,9 @@ def test_scalar_to_str_exact():
     assert scalar_to_str(Fraction(4, 2)) == "2"
     assert scalar_to_str(7) == "7"
     assert scalar_to_str(PrimeField(10007)(123)) == "123"
+    for bad in (0.1, 2.0, "7", None):
+        with pytest.raises(TypeError):
+            scalar_to_str(bad)
 
 
 def test_random_scalar_deterministic_and_bounded():
@@ -106,7 +112,7 @@ def test_random_scalar_deterministic_and_bounded():
     rng = as_stream(5)
     for _ in range(50):
         v = QQ.random_scalar(rng)
-        assert isinstance(v, Fraction) and -999 <= v <= 999
+        assert isinstance(v, (int, Fraction)) and -999 <= v <= 999
     fp = PrimeField(10007)
     for _ in range(50):
         v = fp.random_scalar(rng)

@@ -148,6 +148,20 @@ def test_fp_forms_roundtrip():
     assert divide_exact(f * g, g) == f
 
 
+def test_mixed_int_fp_sums_and_scales_reduce():
+    f11 = PrimeField(11)
+    f = BinaryForm(1, (5, f11(1)))
+    total = f + BinaryForm(1, (7, f11(1)))
+    assert total == BinaryForm(1, (f11(1), f11(2)))
+    assert (f - BinaryForm(1, (7, f11(1)))) == BinaryForm(1, (f11(9), f11(0)))
+    assert -f == BinaryForm(1, (f11(6), f11(10)))
+    assert f.scale(3) == BinaryForm(1, (f11(4), f11(3)))
+    for form in (total, f.scale(3), -f):
+        assert all(type(x) is FpElement and x.p == 11 for x in form.coeffs)
+    with pytest.raises(FieldMismatchError):
+        BinaryForm(1, (Fraction(1, 2), 1)) + BinaryForm(1, (0, f11(1)))
+
+
 def test_fp_evaluate_edge_cases():
     fp = PrimeField(101)
     # int coefficients mixed with field elements
@@ -371,10 +385,11 @@ def test_rational_product_matches_schoolbook_loop():
         got, want = f * g, oracle_form_mul(f, g)
         assert got == want
         assert [type(x) for x in got.coeffs] == [type(x) for x in want.coeffs]
-    # the oracle keeps int * int = 35 over F_11 unreduced; the product reduces it
+    # int * int = 35 over F_11 is reduced by both the product and the oracle
     f11 = PrimeField(11)
-    got = BinaryForm(1, (5, f11(1))) * BinaryForm(1, (7, f11(1)))
-    assert got == BinaryForm(2, (f11(2), f11(1), f11(1)))
+    f, g = BinaryForm(1, (5, f11(1))), BinaryForm(1, (7, f11(1)))
+    got = f * g
+    assert got == BinaryForm(2, (f11(2), f11(1), f11(1))) == oracle_form_mul(f, g)
     assert all(type(x) is FpElement and x.p == 11 for x in got.coeffs)
     with pytest.raises(FieldMismatchError):
         BinaryForm(1, (0.5, 1)) * BinaryForm(0, (Fraction(1, 3),))

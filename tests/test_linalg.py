@@ -258,7 +258,7 @@ def _assert_exact_rational_kernel(rows, ncols):
     want_rank, want_basis = oracle_kernel_q(rows, ncols)
     assert rank == want_rank == rank_of(rows, ncols, QQ)
     assert [list(v) for v in kernel] == want_basis
-    assert all(type(x) is Fraction for v in kernel for x in v)
+    assert all(type(x) in (int, Fraction) for v in kernel for x in v)
 
 
 @pytest.mark.parametrize(
@@ -329,6 +329,29 @@ def test_rational_kernel_property():
         _assert_exact_rational_kernel(rows, ncols)
 
     check()
+
+
+def test_rational_kernel_agrees_with_sympy_nullspace():
+    sympy = pytest.importorskip("sympy")
+    rng = as_stream(64)
+    cases = list(_rational_shapes().values())[:-1]  # sympy needs a row
+    for trial in range(12):
+        nrows, ncols = 1 + trial % 6, 2 + (5 * trial) % 7
+        rows = _fraction_rows(rng, nrows, ncols)
+        if trial % 2:  # int entries, some of them repeated rows
+            rows = [[x.numerator for x in row] for row in rows]
+            rows.append([2 * x for x in rows[0]])
+        cases.append(rows)
+    for rows in cases:
+        ncols = len(rows[0])
+        rank, kernel = rank_kernel(rows, ncols, QQ)
+        matrix = sympy.Matrix(
+            [[sympy.Rational(x.numerator, x.denominator) for x in row] for row in rows]
+        )
+        # sympy's basis has the same normal form: 1 at its free column, 0 at the others
+        want = [[Fraction(int(x.p), int(x.q)) for x in vec] for vec in matrix.nullspace()]
+        assert rank == matrix.rank()
+        assert [list(v) for v in kernel] == want
 
 
 def test_rank_mod_p_at_most_rank_over_q():

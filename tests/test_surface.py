@@ -45,3 +45,23 @@ def test_every_public_definition_is_used():
 
 def test_package_version_matches_reports():
     assert scrollgeom.__version__ == reports.PACKAGE_VERSION
+
+
+def _scoped(node, scope="<module>"):
+    """(name of the innermost enclosing function, node) for every node below."""
+    for child in ast.iter_child_nodes(node):
+        yield scope, child
+        inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else scope
+        yield from _scoped(child, inner)
+
+
+def test_every_true_division_is_the_field_aware_one():
+    # whole rationals are ints, and a bare / on two ints gives a float;
+    # forms._div divides them as a Fraction
+    divisions = [
+        (path.name, scope)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for scope, node in _scoped(ast.parse(path.read_text()))
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div)
+    ]
+    assert divisions == [("forms.py", "_div")]
