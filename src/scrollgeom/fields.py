@@ -14,9 +14,10 @@ so equal values hash equally in sets, dicts and Counters.
 
 ``FpElement`` is the scalar type at every API boundary: forms, kernels
 and reports hold field elements.  The prime-field hot loops (form
-evaluation, the incidence Jacobian, the node-system rows, elimination)
-unwrap them once, run on plain int residues and reduce mod p once per
-result entry.
+evaluation and division, the rnc residual pass, the incidence Jacobian,
+the node-system rows, elimination) unwrap them once, run on plain int
+residues and reduce mod p once per result entry.  Over the rationals
+``unwrap`` and ``reduce`` hand their argument back untouched.
 """
 
 from __future__ import annotations
@@ -191,13 +192,13 @@ class RationalField:
     def random_scalar(self, rng) -> int:
         return rng.randint(-RATIONAL_SPAN, RATIONAL_SPAN)
 
-    def unwrap(self, values) -> list:
-        """Rationals are computed on as they are."""
-        return list(values)
+    def unwrap(self, values):
+        """Rationals are computed on as they are: values is returned itself."""
+        return values
 
-    def reduce(self, values) -> list:
-        """Exact rational values need no reduction."""
-        return list(values)
+    def reduce(self, values):
+        """Exact rational values need no reduction: values is returned itself."""
+        return values
 
     def __eq__(self, other):
         return isinstance(other, RationalField)
@@ -229,11 +230,18 @@ class PrimeField:
         return f"fp:{self.p}"
 
     def __call__(self, val) -> FpElement:
+        """val in this field: an int reduced mod p, or an FpElement of this p.
+
+        Anything else, a Fraction or a float included, raises
+        FieldMismatchError, as mixing the fields in arithmetic does.
+        """
         if isinstance(val, FpElement):
             if val.p != self.p:
                 raise FieldMismatchError(f"mixed moduli {self.p} and {val.p}")
             return val
-        return FpElement(int(val), self.p)
+        if not isinstance(val, int):
+            raise FieldMismatchError(f"{val!r} is not an element of F_{self.p}")
+        return FpElement(val, self.p)
 
     @property
     def zero(self) -> FpElement:

@@ -16,10 +16,13 @@ Evaluation is one homogeneous Horner pass; over F_p it runs on int
 residues and wraps the one reduced value back into an FpElement.  A gcd
 of rational forms first reduces both modulo a fixed 61-bit prime, where
 a Euclid that ends in a constant certifies that the forms are coprime
-over the rationals.  Division divides two int coefficients as rationals,
-never as floats; ``_div`` is the one true division in the package.  A
-sum, difference, negation or scaling over F_p reduces and wraps every
-output coefficient, so an int beside FpElements never stays unreduced.
+over the rationals.  Over F_p, division and the Euclid run on int
+residues with one modular inverse of the divisor's lead per division,
+and only their results are wrapped as FpElements.  Division divides two
+int coefficients as rationals, never as floats; ``_div`` is the one true
+division in the package.  A sum, difference, negation or scaling over
+F_p reduces and wraps every output coefficient, so an int beside
+FpElements never stays unreduced.
 """
 
 from __future__ import annotations
@@ -138,6 +141,11 @@ class BinaryForm:
         return f"BinaryForm(deg={self.degree}: {' + '.join(terms) if terms else '0'})"
 
 
+def _prime_of(coeffs):
+    """p when a coefficient is an FpElement of F_p, else None (the rationals)."""
+    return next((x.p for x in coeffs if isinstance(x, FpElement)), None)
+
+
 def _in_field(coeffs):
     """Coefficients as they are, or over F_p each reduced and wrapped once.
 
@@ -148,7 +156,7 @@ def _in_field(coeffs):
     kinds = set(map(type, coeffs))
     if FpElement not in kinds or kinds == {FpElement}:
         return coeffs
-    p = next(x.p for x in coeffs if isinstance(x, FpElement))
+    p = _prime_of(coeffs)
     return [FpElement(v, p) for v in _residues(coeffs, p)]
 
 
@@ -182,7 +190,7 @@ def _convolve(a, b):
     """
     kinds = set(map(type, a)) | set(map(type, b))
     if FpElement in kinds:
-        p = next(x.p for x in a + b if isinstance(x, FpElement))
+        p = _prime_of(a + b)
         na, nb = _residues(a, p), _residues(b, p)
     elif kinds <= {int, Fraction}:
         (na, da), (nb, db) = _cleared(a), _cleared(b)
@@ -221,27 +229,30 @@ def product_of_linears(values, field) -> BinaryForm:
     return result
 
 
-def _as_t_poly(f: BinaryForm):
+def _as_t_poly(f: BinaryForm, p=None):
     """Strip the s1 factor; return (s1 valuation, coefficients by t-power).
 
     Writing f = s1^v * F with s1 not dividing F, F corresponds to a
     polynomial in t = s0/s1 whose leading coefficient is nonzero.  The
-    returned list is indexed by t-power, length = degree(F) + 1.
+    returned list is indexed by t-power, length = degree(F) + 1.  With a
+    prime p it holds int residues mod p, else the coefficients as they are.
     """
-    v = f.s1_valuation()
-    if v > f.degree:
-        raise ValueError("zero form has no t-polynomial")
-    return v, [f.coeffs[f.degree - m] for m in range(f.degree - v + 1)]
+    coeffs = _residues(f.coeffs, p) if p else f.coeffs
+    for v, c in enumerate(coeffs):
+        if c:
+            return v, list(reversed(coeffs[v:]))
+    raise ValueError("zero form has no t-polynomial")
 
 
-def _from_t_poly(s1_power: int, phi) -> BinaryForm:
-    """Inverse of _as_t_poly; phi must have a nonzero leading coefficient."""
-    dphi = len(phi) - 1
-    degree = s1_power + dphi
-    coeffs = [0 * phi[0]] * (degree + 1)
-    for m, c in enumerate(phi):
-        coeffs[degree - m] = c
-    return BinaryForm(degree, coeffs)
+def _from_t_poly(s1_power: int, phi, p=None) -> BinaryForm:
+    """Inverse of _as_t_poly; phi must have a nonzero leading coefficient.
+
+    With a prime p, phi holds int residues and the form FpElements.
+    """
+    coeffs = [0 * phi[0]] * s1_power + phi[::-1]
+    if p:
+        coeffs = [FpElement(c, p) for c in coeffs]
+    return BinaryForm(len(coeffs) - 1, coeffs)
 
 
 def _poly_trim(p):
@@ -257,26 +268,50 @@ def _div(a, b):
     return a / b
 
 
-def _monic(phi):
-    """phi divided by its leading coefficient."""
-    return [_div(c, phi[-1]) for c in phi]
+def _poly_divmod(num, den, p=None):
+    """(quotient, remainder) of t-polynomials, lists by power, both trimmed.
 
-
-def _poly_divmod(num, den):
-    """Univariate division with remainder over a field, lists by power."""
+    den's leading entry must be nonzero.  With a prime p the entries are
+    int residues: each quotient entry is one product with the inverse of
+    den's lead reduced mod p, the subtractions run on unreduced ints, and
+    the remainder is reduced once at the end.  Without one the entries are
+    rationals and each quotient entry is one _div.
+    """
     num = list(num)
-    q = [0 * den[-1]] * max(len(num) - len(den) + 1, 1)
+    width = len(den) - 1
     lead = den[-1]
-    for k in range(len(num) - len(den), -1, -1):
-        c = _div(num[k + len(den) - 1], lead)
-        q[k] = c
-        for i, d in enumerate(den):
-            num[k + i] = num[k + i] - c * d
-    return _poly_trim(q), _poly_trim(num)
+    inv = pow(lead, -1, p) if p else None
+    quot = [0 * lead] * max(len(num) - width, 1)
+    for k in range(len(num) - 1 - width, -1, -1):
+        c = num[k + width] * inv % p if p else _div(num[k + width], lead)
+        quot[k] = c
+        if c:
+            for i in range(width):
+                num[k + i] -= c * den[i]
+    rem = num[:width] or [0 * lead]
+    if p:
+        rem = [x % p for x in rem]
+    return _poly_trim(quot), _poly_trim(rem)
+
+
+def _monic(phi, p=None):
+    """phi divided by its leading coefficient: its quotient by that constant."""
+    return _poly_divmod(phi, phi[-1:], p)[0]
+
+
+def _monic_form(f: BinaryForm) -> BinaryForm:
+    """f divided by the leading coefficient of its t-polynomial."""
+    p = _prime_of(f.coeffs)
+    v, phi = _as_t_poly(f, p)
+    return _from_t_poly(v, _monic(phi, p), p)
 
 
 def divide_exact(f: BinaryForm, g: BinaryForm) -> BinaryForm:
-    """Quotient f/g when g divides f exactly, else InexactDivisionError."""
+    """Quotient f/g when g divides f exactly, else InexactDivisionError.
+
+    Over F_p the division runs on int residues and the quotient comes back
+    as FpElements.
+    """
     if g.is_zero():
         raise ZeroDivisionError("division of a form by the zero form")
     if f.is_zero():
@@ -288,20 +323,17 @@ def divide_exact(f: BinaryForm, g: BinaryForm) -> BinaryForm:
             f"degree {f.degree} form not divisible by degree {g.degree} form",
             remainder=f,
         )
-    vf, pf = _as_t_poly(f)
-    vg, pg = _as_t_poly(g)
+    p = _prime_of(f.coeffs + g.coeffs)
+    vf, pf = _as_t_poly(f, p)
+    vg, pg = _as_t_poly(g, p)
     if vf < vg or len(pf) < len(pg):
         raise InexactDivisionError("divisor has a factor the dividend lacks", remainder=f)
-    q_poly, r_poly = _poly_divmod(pf, pg)
+    q_poly, r_poly = _poly_divmod(pf, pg, p)
+    # q picks up the leftover s1 power; its t-lead is nonzero, so its
+    # degree is f.degree - g.degree
+    q = _from_t_poly(vf - vg, q_poly, p)
     if any(r_poly):
-        raise InexactDivisionError(
-            "nonzero remainder", remainder=f - g * _from_t_poly(vf - vg, q_poly)
-        )
-    # q picks up the leftover s1 power and must be padded to full degree
-    q = _from_t_poly(vf - vg, _poly_trim(q_poly))
-    if q.degree != f.degree - g.degree:
-        pad = [0 * q.coeffs[0]] * (f.degree - g.degree - q.degree)
-        q = BinaryForm(f.degree - g.degree, pad + list(q.coeffs))
+        raise InexactDivisionError("nonzero remainder", remainder=f - g * q)
     check = f - g * q
     if not check.is_zero():
         raise InexactDivisionError("division self-check failed", remainder=check)
@@ -322,22 +354,6 @@ def _reduce_mod(phi, p):
     return out if out[-1] else None
 
 
-def _rem_mod(num, den, p):
-    """Remainder of num by den mod p, trimmed; den's leading entry is nonzero."""
-    num = list(num)
-    width = len(den) - 1
-    inv = pow(den[-1], -1, p)
-    for k in range(len(num) - 1 - width, -1, -1):
-        c = num[k + width] * inv % p
-        if c:
-            for i in range(width):
-                num[k + i] = (num[k + i] - c * den[i]) % p
-    num = num[:width]
-    while len(num) > 1 and not num[-1]:
-        num.pop()
-    return num or [0]
-
-
 def _coprime_mod_p(pf, pg):
     """True only if the rational t-polynomials pf and pg are coprime.
 
@@ -354,7 +370,7 @@ def _coprime_mod_p(pf, pg):
     if a is None or b is None:
         return False
     while len(b) > 1:
-        a, b = b, _rem_mod(a, b, p)
+        a, b = b, _poly_divmod(a, b, p)[1]
     return b[0] != 0
 
 
@@ -365,26 +381,23 @@ def form_gcd(f: BinaryForm, g: BinaryForm) -> BinaryForm:
     BothZeroError when both arguments vanish identically.  Rational forms
     whose t-polynomials are certified coprime mod GCD_PRIME skip the
     Euclid over the rationals, which would end in the same constant 1.
+    Over F_p the Euclid runs on int residues and only the gcd is wrapped
+    as FpElements.
     """
     if f.is_zero() and g.is_zero():
         raise BothZeroError("gcd of two zero forms is undefined")
     if f.is_zero():
-        v, p = _as_t_poly(g)
-        return _from_t_poly(v, _monic(p))
+        return _monic_form(g)
     if g.is_zero():
-        v, p = _as_t_poly(f)
-        return _from_t_poly(v, _monic(p))
-    vf, pf = _as_t_poly(f)
-    vg, pg = _as_t_poly(g)
-    if _coprime_mod_p(pf, pg):
+        return _monic_form(f)
+    p = _prime_of(f.coeffs + g.coeffs)
+    vf, a = _as_t_poly(f, p)
+    vg, b = _as_t_poly(g, p)
+    if not p and _coprime_mod_p(a, b):
         return _from_t_poly(min(vf, vg), [Fraction(1)])
-    a, b = pf, pg
     while len(b) > 1 or b[0]:
-        _, r = _poly_divmod(a, b)
-        a, b = b, r
-        if len(b) == 1 and not b[0]:
-            break
-    return _from_t_poly(min(vf, vg), _monic(a))
+        a, b = b, _poly_divmod(a, b, p)[1]
+    return _from_t_poly(min(vf, vg), _monic(a, p), p)
 
 
 def gcd_many(forms) -> BinaryForm:
@@ -401,8 +414,7 @@ def gcd_many(forms) -> BinaryForm:
     if acc.is_zero():
         raise BothZeroError("gcd of all-zero forms is undefined")
     if acc.degree > 0 or acc.coeffs[0] != 1:
-        v, p = _as_t_poly(acc)
-        acc = _from_t_poly(v, _monic(p))
+        acc = _monic_form(acc)
     return acc
 
 

@@ -17,7 +17,7 @@ from .errors import (
     NotThroughFrameError,
     ZeroQuadricError,
 )
-from .fields import QQ, field_of, random_distinct
+from .fields import QQ, FpElement, PrimeField, field_of, random_distinct
 from .forms import BinaryForm, _div, product_of_linears
 from .linalg import rank_kernel, rank_of
 
@@ -110,9 +110,9 @@ class StandardRNC:
         return (self.field.zero, self.field.one) + self.params
 
     def coordinate_forms(self):
-        values = self.node_values
-        full = product_of_linears(values, self.field).coeffs
-        return [BinaryForm(self.n, _drop_linear(full, v)) for v in values]
+        field = self.field
+        _, singles = _node_singles(self.node_values, field)
+        return [BinaryForm(self.n, _elements(c, field)) for c in singles]
 
     def evaluate(self, s0, s1):
         """Point of P^n at parameter (s0 : s1)."""
@@ -225,19 +225,41 @@ def random_quadric_through_frame(n: int, field, rng) -> Quadric:
             return q
 
 
-def _drop_linear(coeffs, value):
+def _elements(values, field):
+    """Computed values as field elements: F_p residues wrapped, rationals as they are."""
+    if isinstance(field, PrimeField):
+        return [FpElement(v, field.p) for v in values]
+    return values
+
+
+def _drop_linear(coeffs, value, field):
     """Coefficients of f / (s0 - value*s1) for a form f that it divides.
 
+    Runs on int residues over F_p and on rationals as they are.
     Coefficient k of (s0 - value*s1) * g is g_k - value*g_(k-1), so the
     quotient follows by Horner's rule and what is left of the last
-    coefficient is the remainder, which must vanish.
+    coefficient is the remainder.  Over F_p the Horner values stay
+    unreduced ints until the one field.reduce of the list; the remainder
+    must vanish after that reduction.
     """
-    quotient = [coeffs[0]]
-    for c in coeffs[1:-1]:
-        quotient.append(c + value * quotient[-1])
-    if coeffs[-1] + value * quotient[-1]:
+    out = [coeffs[0]]
+    for c in coeffs[1:]:
+        out.append(c + value * out[-1])
+    out = field.reduce(out)
+    if out.pop():
         raise InternalCheckError(f"s0 - {value}*s1 does not divide the form")
-    return quotient
+    return out
+
+
+def _node_singles(node_values, field):
+    """(unwrapped node values, coefficient lists of P / l_k for every k).
+
+    P = prod_k l_k with l_k = s0 - v_k*s1.  The lists hold int residues
+    over F_p and rationals as they are.
+    """
+    values = field.unwrap(node_values)
+    full = field.unwrap(product_of_linears(values, field).coeffs)
+    return values, [_drop_linear(full, v, field) for v in values]
 
 
 def _residual_pass(gram, node_values, field):
@@ -249,30 +271,35 @@ def _residual_pass(gram, node_values, field):
     divisible by s1, and the residual is R = B / s1.  Returns R and the
     coefficient lists of dR/dv_m for m = 2..n (see rnc_residual_and_rank).
     Every division is checked to be exact.
+
+    The pass runs on int residues over F_p (rationals as they are): the
+    Gram rows and node values are unwrapped once, the S_m sums stay
+    unreduced ints, B is reduced once before its checks, each division
+    reduces its quotient once, and only R's coefficients are wrapped as
+    FpElements.  The partials come back as residue lists.
     """
     count = len(node_values)
-    full = product_of_linears(node_values, field).coeffs
-    singles = [_drop_linear(full, v) for v in node_values]
-    sums = [[field.zero] * (count - 1) for _ in range(count)]
+    values, singles = _node_singles(node_values, field)
+    sums = [[0] * (count - 1) for _ in range(count)]
     for i in range(count):
-        row = gram[i]
+        row = field.unwrap(gram[i])
         for j in range(i + 1, count):
             g = row[j]
             if not g:
                 continue
-            terms = [g * c for c in _drop_linear(singles[i], node_values[j])]
+            terms = [g * c for c in _drop_linear(singles[i], values[j], field)]
             sums[i] = [a + t for a, t in zip(sums[i], terms)]
             sums[j] = [a + t for a, t in zip(sums[j], terms)]
-    b = [sum(col, field.zero) for col in zip(*sums)]
+    b = field.reduce([sum(col) for col in zip(*sums)])
     if b[0]:
         raise InternalCheckError("B is not divisible by s1 despite validated preconditions")
-    residual = BinaryForm(len(b) - 2, b[1:])
+    residual = BinaryForm(len(b) - 2, _elements(b[1:], field))
     if residual.degree != count - 3:
         raise InternalCheckError(f"residual degree {residual.degree} != {count - 3}")
     partials = []
     for m in range(2, count):
         diff = [s + s - x for x, s in zip(b, sums[m])]
-        partials.append(_drop_linear(diff, node_values[m]))
+        partials.append(_drop_linear(diff, values[m], field))
     return residual, partials
 
 

@@ -8,17 +8,19 @@ product of node linears by plain form multiplication and take the
 finiteness Jacobian by finite differences, independent of the one-pass
 synthetic division in the package.  The incidence-rank oracle takes the
 configuration and augmented ranks with two separate eliminations.  The
-form oracles multiply by the schoolbook double loop and take gcds by a
-plain Fraction Euclid, with no integer or modular shortcut.  The
-incidence Jacobian and node-system oracles build every entry with the
-field's own scalar arithmetic (FpElement or Fraction), evaluating forms
-as a plain sum of monomials, where the package works on unwrapped
-residues with one reduction per entry.
+form oracles multiply by the schoolbook double loop, and divide and take
+gcds by plain long division on the field's own scalars (Fraction or
+FpElement), with no integer or residue shortcut.  The incidence Jacobian
+and node-system oracles build every entry with the field's own scalar
+arithmetic (FpElement or Fraction), evaluating forms as a plain sum of
+monomials, where the package works on unwrapped residues with one
+reduction per entry.
 """
 
+from collections import Counter
 from fractions import Fraction
 
-from scrollgeom.fields import FpElement
+from scrollgeom.fields import QQ, FpElement
 from scrollgeom.forms import BinaryForm, divide_exact, vanishing_at
 from scrollgeom.linalg import rank_of
 from scrollgeom.scroll_curves import monomial_slots
@@ -222,9 +224,9 @@ def oracle_form_mul(f, g):
     return BinaryForm(f.degree + g.degree, out)
 
 
-def _dehomogenize_q(form):
-    """(s1 valuation, Fraction coefficients of F(t, 1) by t-power); None if zero."""
-    coeffs = [Fraction(x) for x in form.coeffs]
+def _dehomogenize(form, field):
+    """(s1 valuation, coefficients of F(t, 1) by t-power) in the field; None if zero."""
+    coeffs = [field(x) for x in form.coeffs]
     nonzero = [j for j, x in enumerate(coeffs) if x]
     if not nonzero:
         return None
@@ -232,14 +234,24 @@ def _dehomogenize_q(form):
     return v, [coeffs[form.degree - m] for m in range(form.degree - v + 1)]
 
 
-def oracle_form_gcd_q(f, g):
-    """Monic gcd of two rational forms by a plain Fraction Euclid.
+def _rehomogenize(v, phi, field):
+    """The form s1^v * F for the t-polynomial phi of F."""
+    degree = v + len(phi) - 1
+    coeffs = [field(0)] * (degree + 1)
+    for m, c in enumerate(phi):
+        coeffs[degree - m] = c
+    return BinaryForm(degree, coeffs)
+
+
+def oracle_form_gcd(f, g, field=QQ):
+    """Monic gcd of two forms by a plain Euclid on the field's own scalars.
 
     A nonzero form is s1^v * F with s1 not dividing F; the gcd is s1 to
     the smaller v times the monic gcd of the polynomials F(t, 1).  The
-    zero form is absorbing.
+    zero form is absorbing.  Coefficients are taken into the field
+    first (Fraction, or FpElement for an int beside FpElements).
     """
-    parts = [p for p in (_dehomogenize_q(f), _dehomogenize_q(g)) if p is not None]
+    parts = [p for p in (_dehomogenize(f, field), _dehomogenize(g, field)) if p is not None]
     v = min(p[0] for p in parts)
     a = parts[0][1]
     b = parts[1][1] if len(parts) > 1 else []
@@ -252,12 +264,59 @@ def oracle_form_gcd_q(f, g):
             while r and r[-1] == 0:
                 r.pop()
         a, b = b, r
-    monic = [x / a[-1] for x in a]
-    degree = v + len(monic) - 1
-    coeffs = [Fraction(0)] * (degree + 1)
-    for m, c in enumerate(monic):
-        coeffs[degree - m] = c
-    return BinaryForm(degree, coeffs)
+    return _rehomogenize(v, [x / a[-1] for x in a], field)
+
+
+def oracle_poly_divmod(num, den, field):
+    """(quotient, remainder) of t-polynomials by schoolbook long division.
+
+    Runs on the field's own scalars (FpElement arithmetic over F_p); both
+    lists are trimmed of zero leading entries down to length one.
+    """
+    r = [field(x) for x in num]
+    d = [field(x) for x in den]
+    quot = [field(0)] * max(len(r) - len(d) + 1, 1)
+    while len(r) >= len(d):
+        shift = len(r) - len(d)
+        c = r[-1] / d[-1]
+        quot[shift] = c
+        # the leading entry cancels and is dropped
+        r = [x - c * d[i - shift] if i >= shift else x for i, x in enumerate(r)][:-1]
+    r = r or [field(0)]
+    while len(quot) > 1 and not quot[-1]:
+        quot.pop()
+    while len(r) > 1 and not r[-1]:
+        r.pop()
+    return quot, r
+
+
+def oracle_divide_exact(f, g, field):
+    """f / g by long division of the t-polynomials; None when g does not divide f."""
+    (vf, pf), (vg, pg) = _dehomogenize(f, field), _dehomogenize(g, field)
+    if f.degree < g.degree or vf < vg or len(pf) < len(pg):
+        return None
+    quot, rem = oracle_poly_divmod(pf, pg, field)
+    if any(rem):
+        return None
+    return _rehomogenize(vf - vg, quot, field)
+
+
+_FP_ARITHMETIC = (
+    "__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+    "__truediv__", "__rtruediv__", "__neg__", "__pow__",
+)
+
+
+def count_fp_arithmetic(monkeypatch):
+    """Count every FpElement arithmetic call from here on; returns the Counter."""
+    calls = Counter()
+    for name in _FP_ARITHMETIC:
+        def counted(*args, _real=getattr(FpElement, name), _name=name):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(FpElement, name, counted)
+    return calls
 
 
 def oracle_form_value(form, s0, s1):

@@ -47,6 +47,12 @@ def test_fp_element_passthrough_and_modulus_check():
     assert f7(x) is x or f7(x) == x
     with pytest.raises(FieldMismatchError):
         PrimeField(11)(x)
+    # only ints and elements of the same field convert, never by truncation
+    with pytest.raises(FieldMismatchError):
+        f7(Fraction(1, 2))
+    with pytest.raises(FieldMismatchError):
+        f7(2.9)
+    assert f7(-1) == f7(6) and f7(-1).val == 6
     with pytest.raises(FieldMismatchError):
         _ = x + PrimeField(11)(3)
 

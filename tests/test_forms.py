@@ -11,6 +11,7 @@ from scrollgeom.forms import (
     BinaryForm,
     _coprime_mod_p,
     _as_t_poly,
+    _poly_divmod,
     compose_form,
     divide_exact,
     form_gcd,
@@ -22,7 +23,13 @@ from scrollgeom.forms import (
 )
 from scrollgeom.rngstream import as_stream
 
-from helpers import oracle_form_gcd_q, oracle_form_mul
+from helpers import (
+    count_fp_arithmetic,
+    oracle_divide_exact,
+    oracle_form_gcd,
+    oracle_form_mul,
+    oracle_poly_divmod,
+)
 
 ONE = QQ.one
 ZERO = QQ.zero
@@ -265,7 +272,7 @@ def test_int_coefficient_division_stays_exact():
     for f, g in cases:
         got = form_gcd(f, g)
         assert _no_floats(got)
-        assert got == form_gcd(_as_fractions(f), _as_fractions(g)) == oracle_form_gcd_q(f, g)
+        assert got == form_gcd(_as_fractions(f), _as_fractions(g)) == oracle_form_gcd(f, g)
         many = gcd_many([f, g, g])
         assert _no_floats(many)
         assert many == gcd_many([_as_fractions(f), _as_fractions(g), _as_fractions(g)])
@@ -285,8 +292,13 @@ def test_gcd_prime_is_a_61_bit_prime():
 def test_coprime_rational_forms_skip_the_rational_euclid(monkeypatch):
     import scrollgeom.forms as forms
 
-    def refuse(num, den):
-        raise AssertionError("Euclid over the rationals ran on certified-coprime forms")
+    modular = forms._poly_divmod
+
+    def refuse(num, den, p=None):
+        # the mod-p certificate divides too; only a rational division is refused
+        if p is None:
+            raise AssertionError("Euclid over the rationals ran on certified-coprime forms")
+        return modular(num, den, p)
 
     monkeypatch.setattr(forms, "_poly_divmod", refuse)
     got = form_gcd(lp(0, 1, Fraction(1, 3), 5), lp(0, 0, Fraction(-7, 2), 1))
@@ -300,15 +312,15 @@ def test_gcd_certificate_refuses_lost_degree_and_falls_back():
     h = lp(p, 1)  # p divides the leading coefficient of the common factor
     f, g = h * t, h * lp(1, 1)  # mod p: t and t + 1, coprime; over Q: gcd h
     assert not _coprime_mod_p(_as_t_poly(f)[1], _as_t_poly(g)[1])
-    assert form_gcd(f, g) == oracle_form_gcd_q(f, g) == BinaryForm(1, (1, Fraction(1, p)))
+    assert form_gcd(f, g) == oracle_form_gcd(f, g) == BinaryForm(1, (1, Fraction(1, p)))
     h2 = lp(1, Fraction(1, p))  # p divides a denominator
     f2, g2 = h2 * t, h2 * lp(1, 1)
     assert not _coprime_mod_p(_as_t_poly(f2)[1], _as_t_poly(g2)[1])
-    assert form_gcd(f2, g2) == oracle_form_gcd_q(f2, g2) == h2
+    assert form_gcd(f2, g2) == oracle_form_gcd(f2, g2) == h2
     # coprime over Q, but both reduce to t mod p: not certified, yet coprime
     f3, g3 = t, lp(1, -p)
     assert not _coprime_mod_p(_as_t_poly(f3)[1], _as_t_poly(g3)[1])
-    assert form_gcd(f3, g3) == oracle_form_gcd_q(f3, g3) == lp(1)
+    assert form_gcd(f3, g3) == oracle_form_gcd(f3, g3) == lp(1)
 
 
 def _rational_form_strategy(st, max_degree):
@@ -333,12 +345,12 @@ def test_form_gcd_matches_oracle_on_planted_factors():
     @hypothesis.given(forms_st, forms_st, forms_st, forms_st)
     def check(h, a, b, c):
         f, g, k = h * a, h * b, h * c
-        want = oracle_form_gcd_q(f, g)
+        want = oracle_form_gcd(f, g)
         got = form_gcd(f, g)
         assert got == want and got.degree == want.degree
         assert all(type(x) is Fraction for x in got.coeffs)
         assert got.degree >= h.degree
-        assert gcd_many([f, g, k]) == oracle_form_gcd_q(want, k)
+        assert gcd_many([f, g, k]) == oracle_form_gcd(want, k)
 
     check()
 
@@ -393,3 +405,102 @@ def test_rational_product_matches_schoolbook_loop():
     assert all(type(x) is FpElement and x.p == 11 for x in got.coeffs)
     with pytest.raises(FieldMismatchError):
         BinaryForm(1, (0.5, 1)) * BinaryForm(0, (Fraction(1, 3),))
+
+
+# ------------------------------------------------- prime-field division
+
+
+def _all_fp(form, p):
+    return all(type(c) is FpElement and c.p == p for c in form.coeffs)
+
+
+def test_prime_field_gcd_does_no_fp_element_arithmetic(monkeypatch):
+    fp = PrimeField(10007)
+    rng = as_stream(73)
+    common = random_form(3, fp, rng, nonzero=True)
+    f = common * random_form(5, fp, rng, nonzero=True)
+    g = common * random_form(5, fp, rng, nonzero=True)
+    assert f.degree == g.degree == 8
+    want = oracle_form_gcd(f, g, fp)
+    calls = count_fp_arithmetic(monkeypatch)
+    got = form_gcd(f, g)
+    assert not calls
+    # the counters do see FpElement arithmetic
+    _ = fp.one + fp.one
+    assert calls["__add__"] == 1
+    monkeypatch.undo()
+    assert got == want and got.degree >= 3 and _all_fp(got, fp.p)
+
+
+def test_prime_field_division_outputs_are_field_elements():
+    f11 = PrimeField(11)
+    h = BinaryForm(2, (f11(3), 5, 0))  # an int beside FpElements
+    g = BinaryForm(1, (1, f11(4)))
+    q = divide_exact(h * g, g)
+    assert q == h and _all_fp(q, 11)
+    got = form_gcd(h * g, BinaryForm(1, (2, 8)) * g)
+    assert got == oracle_form_gcd(h * g, BinaryForm(1, (2, 8)) * g, f11) and _all_fp(got, 11)
+    # 22*s0 + 3*s1 is 3*s1 mod 11: an int that is zero mod p is no lead
+    got = form_gcd(BinaryForm(1, (22, f11(3))), BinaryForm(1, (f11(0), 5)))
+    assert got == BinaryForm(1, (0, 1)) and _all_fp(got, 11)
+    single = gcd_many([BinaryForm(1, (f11(2), 3))])
+    assert single.coeffs == (f11(1), f11(7)) and _all_fp(single, 11)
+
+
+def test_prime_field_division_matches_fp_element_long_division():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    fp = PrimeField(101)
+    residues = st.lists(st.integers(0, 100), min_size=1, max_size=8)
+
+    @hypothesis.settings(max_examples=200, deadline=None)
+    @hypothesis.given(residues, residues)
+    def check(num, den):
+        hypothesis.assume(den[-1])
+        quot, rem = _poly_divmod(num, den, fp.p)
+        want_quot, want_rem = oracle_poly_divmod(num, den, fp)
+        assert quot == want_quot and rem == want_rem
+        assert all(type(x) is int and 0 <= x < fp.p for x in quot + rem)
+
+    check()
+
+
+def _mixed_fp_forms(st, field, max_degree):
+    # each coefficient an unreduced int or an FpElement
+    coeff = st.tuples(st.integers(-300, 300), st.booleans()).map(
+        lambda pair: field(pair[0]) if pair[1] else pair[0]
+    )
+    return st.integers(0, max_degree).flatmap(
+        lambda d: st.lists(coeff, min_size=d + 1, max_size=d + 1).map(
+            lambda cs: BinaryForm(len(cs) - 1, cs)
+        )
+    ).filter(lambda f: any(type(c) is FpElement for c in f.coeffs))
+
+
+def test_prime_field_gcd_and_division_match_fp_element_oracles():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    fp = PrimeField(101)
+    forms_st = _mixed_fp_forms(st, fp, 4)
+
+    def nonzero(form):
+        return any(fp(c) for c in form.coeffs)
+
+    @hypothesis.settings(max_examples=200, deadline=None)
+    @hypothesis.given(forms_st, forms_st, forms_st)
+    def check(h, a, b):
+        hypothesis.assume(nonzero(h) and nonzero(a) and nonzero(b))
+        f, g = h * a, h * b
+        got = form_gcd(f, g)
+        assert got == oracle_form_gcd(f, g, fp) and _all_fp(got, fp.p)
+        assert got.degree >= h.degree
+        for num, den in ((f, h), (a, b), (b, a)):
+            want = oracle_divide_exact(num, den, fp)
+            if want is None:
+                with pytest.raises(InexactDivisionError):
+                    divide_exact(num, den)
+            else:
+                q = divide_exact(num, den)
+                assert q == want and _all_fp(q, fp.p)
+
+    check()

@@ -6,11 +6,12 @@ import pytest
 
 from scrollgeom.errors import (
     DegenerateFrameError,
+    FieldMismatchError,
     InternalCheckError,
     NotThroughFrameError,
     ZeroQuadricError,
 )
-from scrollgeom.fields import QQ, PrimeField
+from scrollgeom.fields import QQ, FpElement, PrimeField
 from scrollgeom.forms import BinaryForm, linear_form, vanishing_at
 from scrollgeom.linalg import rank_kernel, rank_of
 from scrollgeom.rnc import (
@@ -22,11 +23,13 @@ from scrollgeom.rnc import (
     random_standard_rnc,
     residual_polynomial,
     rnc_residual_and_rank,
+    _drop_linear,
     _residual_pass,
 )
 from scrollgeom.rngstream import RngStream
 
 from helpers import (
+    count_fp_arithmetic,
     oracle_jacobian_columns,
     oracle_residual,
     oracle_rref_mod,
@@ -165,6 +168,15 @@ def test_standard_rnc_names_the_first_coinciding_slots():
         StandardRNC(4, (5, 5, 1))
     with pytest.raises(ValueError, match="slots 2 and 3 coincide"):
         StandardRNC(4, (5, 5, 7), PrimeField(10007))
+
+
+def test_standard_rnc_rejects_non_field_params():
+    # a Fraction or a float is no element of F_7; truncating 1/2 to 0 would
+    # pass it off as a clash with the fixed node value 0
+    with pytest.raises(FieldMismatchError):
+        StandardRNC(3, (Fraction(1, 2), 3), PrimeField(7))
+    with pytest.raises(FieldMismatchError):
+        StandardRNC(3, (2.9, 3), PrimeField(7))
 
 
 def test_standard_rnc_equality_and_immutability():
@@ -348,12 +360,14 @@ def test_residual_pass_matches_oracles(field):
         assert residual_polynomial(q, curve) == residual
 
 
-def _through_frame_gram(size, entries, field):
-    # zero diagonal, and slot (0, 1) cancels the sum of the other entries
+def _through_frame_gram(size, entries, field, wrap=None):
+    # zero diagonal, and slot (0, 1) cancels the sum of the other entries;
+    # an entry whose wrap flag is False stays a plain int
     gram = [[field.zero] * size for _ in range(size)]
     pairs = [(i, j) for i in range(size) for j in range(i + 1, size) if (i, j) != (0, 1)]
-    for (i, j), x in zip(pairs, entries):
-        gram[i][j] = gram[j][i] = field(x)
+    wrap = wrap or [True] * len(pairs)
+    for (i, j), x, w in zip(pairs, entries, wrap):
+        gram[i][j] = gram[j][i] = field(x) if w else x
     fix = -sum((gram[i][j] for i, j in pairs), field.zero)
     gram[0][1] = gram[1][0] = fix
     return gram
@@ -368,10 +382,11 @@ def test_residual_pass_property():
         field=st.sampled_from([QQ, PrimeField(101)]),
         values=st.lists(st.integers(-50, 50), min_size=3, max_size=9, unique=True),
         entries=st.lists(st.integers(-9, 9), min_size=36, max_size=36),
+        wrap=st.lists(st.booleans(), min_size=36, max_size=36),
     )
-    def check(field, values, entries):
+    def check(field, values, entries, wrap):
         values = [field(v) for v in values]
-        gram = _through_frame_gram(len(values), entries, field)
+        gram = _through_frame_gram(len(values), entries, field, wrap)
         residual, partials = _residual_pass(gram, values, field)
         assert residual == oracle_residual(gram, values, field)
         assert partials == oracle_jacobian_columns(gram, values, field)
@@ -411,3 +426,44 @@ def test_residual_pass_checks_s1_divisibility():
     with pytest.raises(InternalCheckError):
         _residual_pass(gram, StandardRNC(3, (2, 3)).node_values, QQ)
 
+
+def test_drop_linear_checks_the_reduced_remainder():
+    f101 = PrimeField(101)
+    # (s0 - 2*s1) * (s0 - 3*s1) + s1^2 leaves the remainder 1 mod 101
+    with pytest.raises(InternalCheckError):
+        _drop_linear([1, -5, 7], 2, f101)
+    # s0^2 + 97*s1^2 = (s0 - 2*s1) * (s0 + 2*s1) mod 101: the unreduced
+    # int remainder is 97 + 2*2 = 101, a nonzero multiple of p
+    assert _drop_linear([1, 0, 97], 2, f101) == [1, 2]
+    with pytest.raises(InternalCheckError):
+        _drop_linear([1, 0, 97], 2, QQ)
+    assert _drop_linear([1, -5, 6], 2, QQ) == [1, -3]
+
+
+def test_prime_field_residual_pass_does_no_fp_element_arithmetic(monkeypatch):
+    field = PrimeField(10007)
+    rng = RngStream.from_seed(710)
+    curve = random_standard_rnc(10, field, rng.child("curve"))
+    q = random_quadric_through_frame(10, field, rng.child("quadric"))
+    calls = count_fp_arithmetic(monkeypatch)
+    residual, partials = _residual_pass(q.gram, curve.node_values, field)
+    coordinates = curve.coordinate_forms()
+    assert not calls
+    # the counters do see FpElement arithmetic
+    _ = field.one * field.one
+    assert calls["__mul__"] == 1
+    monkeypatch.undo()
+    assert residual == oracle_residual(q.gram, curve.node_values, field)
+    assert partials == oracle_jacobian_columns(q.gram, curve.node_values, field)
+    for s0, s1 in ((field(7), field.one), (field.one, field.zero)):
+        assert tuple(f.evaluate(s0, s1) for f in coordinates) == curve.evaluate(s0, s1)
+
+
+def test_residual_and_coordinate_form_types_at_the_boundary():
+    for field in (PrimeField(10007), QQ):
+        curve = StandardRNC(5, (5, 9, 11, 13), field)
+        q = random_quadric_through_frame(5, field, RngStream.from_seed(77))
+        residual = rnc_residual_and_rank(q, curve)[0]
+        coeffs = residual.coeffs + tuple(c for f in curve.coordinate_forms() for c in f.coeffs)
+        kind = FpElement if field is not QQ else int
+        assert all(type(c) is kind for c in coeffs)
