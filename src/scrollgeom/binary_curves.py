@@ -19,7 +19,7 @@ from .errors import (
     NoCoprimeWitnessError,
 )
 from .fields import QQ, scalar_to_str
-from .forms import BinaryForm, _cleared, _div, divide_exact, form_gcd, gcd_many, random_form
+from .forms import BinaryForm, _cleared, _div, _horner, divide_exact, form_gcd, gcd_many, random_form
 from .linalg import rank_kernel, rank_of
 from .rnc import Frame, Quadric, StandardRNC, random_standard_rnc
 from .rngstream import as_stream
@@ -144,13 +144,19 @@ def _candidate_vectors(kernel):
                     )
 
 
-def _pair_satisfies_nodes(q1, q2, pairs):
+def _pair_satisfies_nodes(q1, q2, pairs, field):
+    """True when (q1 : q2) is defined at every R_j and carries it to S_j.
+
+    Over F_p the evaluations and cross-products run on int residues, with
+    one reduction per value.
+    """
+    c1, c2 = field.unwrap(q1.coeffs), field.unwrap(q2.coeffs)
     for (r, s) in pairs:
-        v1 = q1.evaluate(r[0], r[1])
-        v2 = q2.evaluate(r[0], r[1])
+        r0, r1, s0, s1 = field.unwrap(r + s)
+        v1, v2 = field.reduce([_horner(c1, r0, r1), _horner(c2, r0, r1)])
         if not (v1 or v2):
             return False
-        if v1 * s[1] - v2 * s[0]:
+        if field.reduce([v1 * s1 - v2 * s0])[0]:
             return False
     return True
 
@@ -170,7 +176,7 @@ def _node_map(pairs, degree: int, field):
         if q1.is_zero() and q2.is_zero():
             continue
         if form_gcd(q1, q2).degree == 0:
-            if not _pair_satisfies_nodes(q1, q2, pairs):
+            if not _pair_satisfies_nodes(q1, q2, pairs, field):
                 raise InternalCheckError("coprime kernel element failed a node")
             return (q1, q2), kernel
     return None, kernel
@@ -215,7 +221,7 @@ def gonality_map_from_nodes(pairs, n: int, field):
             continue
         r1 = divide_exact(q1, g)
         r2 = divide_exact(q2, g)
-        if _pair_satisfies_nodes(r1, r2, pairs):
+        if _pair_satisfies_nodes(r1, r2, pairs, field):
             return GonalityWitness(r1, r2, r1.degree + 1), len(kernel)
     raise NoCoprimeWitnessError(
         "no coprime gonality witness in the scanned kernel combinations",
@@ -270,15 +276,14 @@ def random_mobius_node_pairs(n: int, field, seed):
 # quadrics through the curve
 
 
-def quadrics_through(curve: BinaryCurve):
-    """Basis of the quadrics vanishing on both parametrized components.
+def _quadric_rows(curve: BinaryCurve):
+    """(monomial pairs (i, j), i <= j, and the rows of the conditions on them).
 
-    Unknowns are the monomial coefficients c_{ij} (i <= j); the equations
-    say the composite degree-2n forms on each component vanish.  Node
-    conditions are implied, so no separate point equations appear.
+    Unknowns are the monomial coefficients c_{ij}; the equations say the
+    composite degree-2n forms on each component vanish.  Node conditions
+    are implied, so no separate point equations appear.
     """
     n = curve.n
-    field = curve.field
     phi1 = curve.comp1.coordinate_forms()
     phi2 = curve.comp2.coordinate_forms()
     pair_index = [(i, j) for i in range(n + 1) for j in range(i, n + 1)]
@@ -288,12 +293,24 @@ def quadrics_through(curve: BinaryCurve):
         f2 = phi2[i] * phi2[j]
         cols.append(list(f1.coeffs) + list(f2.coeffs))
     rows = [[col[r] for col in cols] for r in range(2 * (2 * n + 1))]
-    _, kernel = rank_kernel(rows, len(pair_index), field)
+    return pair_index, rows
+
+
+def quadrics_through(curve: BinaryCurve):
+    """Basis of the quadrics vanishing on both parametrized components."""
+    pair_index, rows = _quadric_rows(curve)
+    _, kernel = rank_kernel(rows, len(pair_index), curve.field)
     out = []
     for vec in kernel:
         coeffs = {pair_index[idx]: v for idx, v in enumerate(vec) if v}
-        out.append(Quadric.from_monomials(n, coeffs, field))
+        out.append(Quadric.from_monomials(curve.n, coeffs, curve.field))
     return out
+
+
+def quadric_space_dimension(curve: BinaryCurve) -> int:
+    """Dimension of the space of quadrics through the curve, from one rank."""
+    pair_index, rows = _quadric_rows(curve)
+    return len(pair_index) - rank_of(rows, len(pair_index), curve.field)
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from .binary_curves import (
     hyperelliptic_from_nodes,
     hyperelliptic_test,
     project_from_node,
-    quadrics_through,
+    quadric_space_dimension,
     random_binary_curve,
     random_mobius_node_pairs,
     scroll_containment_witness,
@@ -434,7 +434,7 @@ def _handle_quadrics(args) -> dict:
     rows = []
     for t in range(args.trials):
         curve = random_binary_curve(n, field, stream.child(f"trial{t}"))
-        dim = len(quadrics_through(curve))
+        dim = quadric_space_dimension(curve)
         rows.append({"trial": t, "dim": dim, "expected": expected, "matches": dim == expected})
     return {
         "n": n,

@@ -66,7 +66,13 @@ class BinaryForm:
         return cls(degree, coeffs)
 
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        """True when every coefficient is zero in the field.
+
+        Over F_p the coefficients are reduced first, so an int beside
+        FpElements that is a multiple of p counts as zero.
+        """
+        p = _prime_of(self.coeffs)
+        return not any(_residues(self.coeffs, p) if p else self.coeffs)
 
     def __eq__(self, other):
         if not isinstance(other, BinaryForm):

@@ -1,21 +1,25 @@
 """Exact rank and kernel computations over the rationals or a prime field.
 
-The rational path works on Python ints throughout.  Each row is scaled by
-the lcm of its entries' denominators and divided by its content; a
-fraction-free (Bareiss) forward pass then gives the rank, and a
-fraction-free back reduction of the echelon form gives every kernel
-entry as one quotient of ints, so a Fraction is built only for the
-nonzero kernel entries handed back.  The prime-field path packs each row
-of int residues into one Python int, a fixed-width slot per entry, so a
-row update is a single big-int multiply-add; rows are unpacked once at
-the end, and the reduced echelon form already holds the kernel.  One
-loop builds the basis for both fields.  rank_of runs the forward pass
-alone.  Rational entries must be ints or Fractions, and prime-field
-entries ints or residues mod p; anything else, such as a float, raises
-FieldMismatchError.  Callers on the prime-field hot paths (the incidence
-Jacobian, the node-system rows) hand over rows of plain int residues,
-which are reduced without a per-entry type check; kernels come back as
-FpElement tuples, the type every caller sees at the API boundary.
+Both fields eliminate in two steps.  A forward pass gives a row echelon
+form, whose pivot columns give the rank: pivot_columns and rank_of stop
+there.  Only rank_kernel runs the back reduction that follows.  The
+rational path works on Python ints throughout.  Each row is scaled by
+the lcm of its entries' denominators and divided by its content; the
+forward pass is fraction-free (Bareiss), and the fraction-free back
+reduction gives every kernel entry as one quotient of ints, so a
+Fraction is built only for the nonzero kernel entries handed back.  The
+prime-field path packs each row of int residues into one Python int, a
+fixed-width slot per entry, so a row update is a single big-int
+multiply-add.  Its forward pass updates only the rows below each pivot;
+its back reduction unpacks each pivot row once, from the last up, and
+clears that pivot's column from the rows above.  One loop builds the
+basis for both fields.  Rational entries must be ints or Fractions, and
+prime-field entries ints or residues mod p; anything else, such as a
+float, raises FieldMismatchError.  Callers on the prime-field hot paths
+(the incidence Jacobian, the node-system rows) hand over rows of plain
+int residues, which are reduced without a per-entry type check; kernels
+come back as FpElement tuples, the type every caller sees at the API
+boundary.
 """
 
 from __future__ import annotations
@@ -41,12 +45,24 @@ def _detect_field(rows, field):
     return QQ
 
 
-def _int_rows_fp(rows, ncols, p):
+def _slots(p, nrows, ncols):
+    """(bit offset of each column, slot mask) of nrows packed rows mod p.
+
+    Entry j of a row sits in a slot of w = 2*bitlen(p-1) + bitlen(nrows) + 1
+    bits at bit w*j; _forward_fp gives the bound that sets w.
+    """
+    w = 2 * (p - 1).bit_length() + nrows.bit_length() + 1
+    return [w * j for j in range(ncols)], (1 << w) - 1
+
+
+def _packed_rows_fp(rows, ncols, p):
+    """Each row's int residues mod p packed into one int, laid out by _slots."""
+    shifts, _ = _slots(p, len(rows), ncols)
     out = []
     for row in rows:
         if len(row) != ncols:
             raise ValueError(f"row of length {len(row)}, expected {ncols}")
-        out.append(_residues(row, p))
+        out.append(sum(map(lshift, _residues(row, p), shifts)))
     return out
 
 
@@ -70,51 +86,73 @@ def _int_rows_q(rows, ncols):
     return out
 
 
-def _forward_fp(mat, ncols, p):
-    """In-place RREF mod p on packed rows; returns pivot column list.
+def _forward_fp(rows, ncols, p):
+    """In-place row echelon form mod p of packed rows; returns pivot column list.
 
-    Each row is held as one int with entry j in a slot of
-    w = 2*bitlen(p-1) + bitlen(nrows) + 1 bits at bit w*j, so clearing a
-    column from a row is one big-int multiply-add, row += f * neg_lead,
-    where f < p is the row's entry and neg_lead packs (p - lead_j) mod p
-    (Kronecker substitution).  Only the pivot row is unpacked, reduced mod
-    p and repacked, once per pivot.  A slot starts below p, gains less
-    than p**2 per update and takes at most nrows updates (one per pivot),
-    so it stays below p + nrows*(p-1)**2 < 2**w: no slot carries into the
-    next, and every slot stays congruent to its entry mod p.  The reduced
-    rows are unpacked once at the end; the rows below the rank are zero.
+    Clearing a column from a row is one big-int multiply-add,
+    row += f * neg_lead, where f < p is the row's entry and neg_lead packs
+    p - lead_j, which is congruent to -lead_j (Kronecker substitution).
+    Each step reads the column only from the rows not yet pivots, unpacks
+    the pivot row once, scales it to lead 1, repacks it with zeros left of
+    the pivot, and updates only the rows below it.  A slot starts below p
+    and gains at most (p-1)*p per update.  Between two reductions a row
+    takes at most one update per pivot, here or in _back_reduce_fp, so it
+    stays below p + nrows*(p-1)*p < 2**w (as p <= 2**bitlen(p-1)): no slot
+    carries into the next, and every slot stays congruent to its entry
+    mod p.
     """
-    nrows = len(mat)
-    w = 2 * (p - 1).bit_length() + nrows.bit_length() + 1
-    mask = (1 << w) - 1
-    shifts = [w * j for j in range(ncols)]
-    rows = [sum(map(lshift, row, shifts)) for row in mat]
+    nrows = len(rows)
+    shifts, mask = _slots(p, nrows, ncols)
+    all_p = sum(p << s for s in shifts)
     pivots = []
     r = 0
     for c in range(ncols):
         if r == nrows:
             break
         sc = shifts[c]
-        col = [(v >> sc & mask) % p for v in rows]
-        piv = next((i for i in range(r, nrows) if col[i]), None)
-        if piv is None:
+        col = [(v >> sc & mask) % p for v in rows[r:]]
+        k = next((i for i, f in enumerate(col) if f), None)
+        if k is None:
             continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        col[r], col[piv] = col[piv], col[r]
-        inv = pow(col[r], -1, p)
-        col[r] = 0
+        rows[r], rows[r + k] = rows[r + k], rows[r]
+        inv = pow(col[k], -1, p)
+        col[k] = col[0]
+        tail = shifts[c:]
         v = rows[r]
-        lead = [(v >> s & mask) * inv % p for s in shifts]
-        rows[r] = sum(map(lshift, lead, shifts))
-        neg_lead = sum(map(lshift, [-x % p for x in lead], shifts))
-        for i, f in enumerate(col):
+        lead = [(v >> s & mask) * inv % p for s in tail]
+        rows[r] = sum(map(lshift, lead, tail))
+        neg_lead = (all_p >> sc << sc) - rows[r]
+        for i, f in enumerate(col[1:], r + 1):
             if f:
                 rows[i] += f * neg_lead
         pivots.append(c)
         r += 1
-    mat[:r] = [[(v >> s & mask) % p for s in shifts] for v in rows[:r]]
-    mat[r:] = [[0] * ncols for _ in range(nrows - r)]
     return pivots
+
+
+def _back_reduce_fp(rows, pivots, ncols, p):
+    """Reduced row echelon form mod p of the packed echelon form of _forward_fp.
+
+    Goes from the last pivot up: each pivot row, whose later pivot columns
+    are already cleared, is unpacked and reduced mod p once, then its
+    pivot column is cleared from the pivot rows above it, one multiply-add
+    each.  Returns the rank nonzero rows of the RREF as int residue lists.
+    """
+    shifts, mask = _slots(p, len(rows), ncols)
+    out = [None] * len(pivots)
+    for k in range(len(pivots) - 1, -1, -1):
+        c = pivots[k]
+        tail = shifts[c:]
+        v = rows[k]
+        red = [(v >> s & mask) % p for s in tail]
+        out[k] = [0] * c + red
+        neg_lead = sum(map(lshift, [-x % p for x in red], tail))
+        sc = shifts[c]
+        for i in range(k):
+            f = (rows[i] >> sc & mask) % p
+            if f:
+                rows[i] += f * neg_lead
+    return out
 
 
 def _forward_bareiss(mat, ncols):
@@ -177,15 +215,15 @@ def _back_reduce_bareiss(mat, pivots, free):
 
 
 def _eliminate(rows, ncols, field):
-    """Forward pass: (field, integer matrix, pivot columns).
+    """Forward pass: (field, echelon rows, pivot columns).
 
-    Over a prime field the matrix comes back reduced (RREF mod p); over
-    the rationals it is the Bareiss echelon form.
+    Over a prime field the echelon rows are packed ints (_forward_fp);
+    over the rationals they are the Bareiss echelon form.
     """
     rows = [list(r) for r in rows]
     fld = _detect_field(rows, field)
     if isinstance(fld, PrimeField):
-        mat = _int_rows_fp(rows, ncols, fld.p)
+        mat = _packed_rows_fp(rows, ncols, fld.p)
         return fld, mat, _forward_fp(mat, ncols, fld.p)
     mat = _int_rows_q(rows, ncols)
     return fld, mat, _forward_bareiss(mat, ncols)
@@ -202,9 +240,12 @@ def rank_kernel(rows, ncols: int, field=None):
     rank = len(pivots)
     pivot_set = set(pivots)
     free = [c for c in range(ncols) if c not in pivot_set]
+    if not free:  # full column rank: the kernel is zero, no back reduction
+        return rank, []
     if isinstance(fld, PrimeField):
-        # the forward pass left the RREF mod p: red is its free columns, d = 1
-        red = [[row[fc] for fc in free] for row in mat[:rank]]
+        # red is the free columns of the RREF mod p, d = 1
+        rref = _back_reduce_fp(mat, pivots, ncols, fld.p)
+        red = [[row[fc] for fc in free] for row in rref]
         scalar = partial(FpElement, p=fld.p)
     else:
         d, red = _back_reduce_bareiss(mat, pivots, free)
@@ -221,6 +262,16 @@ def rank_kernel(rows, ncols: int, field=None):
     return rank, basis
 
 
+def pivot_columns(rows, ncols: int, field=None) -> list:
+    """Pivot columns of a row echelon form, from the forward pass alone.
+
+    A column is a pivot exactly when it is not in the span of the columns
+    before it, whatever rows the elimination picked, so the rank of the
+    first m columns is the number of pivots below m.
+    """
+    return _eliminate(rows, ncols, field)[2]
+
+
 def rank_of(rows, ncols: int, field=None) -> int:
-    """Rank of the matrix with the given rows, from the forward pass alone."""
-    return len(_eliminate(rows, ncols, field)[2])
+    """Rank of the matrix with the given rows."""
+    return len(pivot_columns(rows, ncols, field))

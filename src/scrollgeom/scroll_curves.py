@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from .errors import DependentConditionsError
 from .fields import DEFAULT_PRIME, PrimeField, field_of, random_distinct
 from .forms import BinaryForm, compose_form, form_gcd, gcd_many, _horner, random_form
-from .linalg import rank_kernel, rank_of
+from .linalg import pivot_columns, rank_kernel, rank_of
 from .rngstream import as_stream
 from .scrolls import EMPTY, ScrollType, dim_curves_in_scroll
 
@@ -447,17 +447,16 @@ def _coefficient_jacobian(curve, sigma, field):
 
 
 def _incidence_ranks(rows, n_coeffs: int, n_pts: int, field):
-    """(rank of [J_c | gauge], rank of [J_c | gauge | J_s]) in one elimination.
+    """(rank of [J_c | gauge], rank of [J_c | gauge | J_s]) in one forward pass.
 
     The Jacobian rows come as [J_c | J_s | gauge]; the columns are
-    reordered so the configuration block is a prefix of the augmented one.
+    reordered so the configuration block is a prefix of the augmented one,
+    whose rank is the number of pivots inside it.
     """
     n_config = n_coeffs + n_pts
     reordered = [r[:n_coeffs] + r[n_config:] + r[n_coeffs:n_config] for r in rows]
-    rank_aug, kernel = rank_kernel(reordered, n_config + n_pts, field)
-    # greedy pivots on a prefix give its rank; basis vectors end at their free column
-    prefix_free = sum(1 for vec in kernel if not any(vec[n_config:]))
-    return n_config - prefix_free, rank_aug
+    pivots = pivot_columns(reordered, n_config + n_pts, field)
+    return sum(1 for c in pivots if c < n_config), len(pivots)
 
 
 def incidence_dimension_estimate(

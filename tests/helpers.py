@@ -7,7 +7,7 @@ evidence and not circularity.  The residual oracles rebuild every
 product of node linears by plain form multiplication and take the
 finiteness Jacobian by finite differences, independent of the one-pass
 synthetic division in the package.  The incidence-rank oracle takes the
-configuration and augmented ranks with two separate eliminations.  The
+configuration and augmented ranks from two separate naive RREFs.  The
 form oracles multiply by the schoolbook double loop, and divide and take
 gcds by plain long division on the field's own scalars (Fraction or
 FpElement), with no integer or residue shortcut.  The incidence Jacobian
@@ -22,7 +22,6 @@ from fractions import Fraction
 
 from scrollgeom.fields import QQ, FpElement
 from scrollgeom.forms import BinaryForm, divide_exact, vanishing_at
-from scrollgeom.linalg import rank_of
 from scrollgeom.scroll_curves import monomial_slots
 
 
@@ -107,6 +106,12 @@ def oracle_kernel_mod(rows, ncols, p):
             vec[pc] = (-mat[r_i][fc]) % p
         basis.append(vec)
     return rank, basis
+
+
+def oracle_rank(rows, ncols, field):
+    """Rank by the naive RREF of the field: mod p, or over the rationals."""
+    p = getattr(field, "p", None)
+    return (oracle_rref_mod(rows, ncols, p) if p else oracle_rref_q(rows, ncols))[0]
 
 
 def same_span_q(basis_a, basis_b, ncols):
@@ -196,14 +201,14 @@ def oracle_jacobian_columns(gram, node_values, field):
 
 
 def oracle_incidence_ranks(rows, n_coeffs, n_pts, field):
-    """(rank of [J_c | gauge], rank of [J_c | J_s | gauge]) by two rank_of calls.
+    """(rank of [J_c | gauge], rank of [J_c | J_s | gauge]) by two naive RREFs.
 
     The rows come as [J_c | J_s | gauge] with n_coeffs, n_pts and n_pts
     columns.
     """
     config_rows = [row[:n_coeffs] + row[n_coeffs + n_pts :] for row in rows]
-    rank_config = rank_of(config_rows, n_coeffs + n_pts, field)
-    rank_aug = rank_of(rows, n_coeffs + 2 * n_pts, field)
+    rank_config = oracle_rank(config_rows, n_coeffs + n_pts, field)
+    rank_aug = oracle_rank(rows, n_coeffs + 2 * n_pts, field)
     return rank_config, rank_aug
 
 

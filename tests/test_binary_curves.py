@@ -11,6 +11,7 @@ from scrollgeom.binary_curves import (
     _integral_gram,
     _node_system_rows,
     _pair_resultant,
+    _pair_satisfies_nodes,
     _plane_trial,
     _restrict_to_plane,
     gonality_map,
@@ -18,6 +19,7 @@ from scrollgeom.binary_curves import (
     hyperelliptic_from_nodes,
     hyperelliptic_test,
     project_from_node,
+    quadric_space_dimension,
     quadrics_through,
     random_binary_curve,
     random_mobius_node_pairs,
@@ -30,7 +32,7 @@ from scrollgeom.rnc import StandardRNC, composite_on_curve
 from scrollgeom.rngstream import as_stream
 from scrollgeom.scrolls import gonality_bound
 
-from helpers import cross_ratio, oracle_node_system_rows, oracle_rref_mod
+from helpers import count_fp_arithmetic, cross_ratio, oracle_node_system_rows, oracle_rref_mod
 
 
 def _curve(n, params1, params2, field=QQ):
@@ -225,6 +227,21 @@ def test_node_system_rows_match_field_element_oracle(field):
                 assert all(type(x) is int and 0 <= x < field.p for row in rows for x in row)
 
 
+def test_prime_field_node_check_does_no_fp_element_arithmetic(monkeypatch):
+    fp = PrimeField(10007)
+    curve = random_binary_curve(8, fp, 41)
+    witness, _ = gonality_map(curve)
+    pairs = curve.node_pairs
+    wrong = ((pairs[0][0], pairs[1][1]),) + pairs[1:]
+    calls = count_fp_arithmetic(monkeypatch)
+    assert _pair_satisfies_nodes(witness.q1, witness.q2, pairs, fp)
+    assert not _pair_satisfies_nodes(witness.q1, witness.q2, wrong, fp)
+    assert not calls
+    # the counters do see FpElement arithmetic
+    _ = fp.one + fp.one
+    assert calls["__add__"] == 1
+
+
 # --------------------------------------------------------------- quadrics
 
 
@@ -232,8 +249,9 @@ def test_quadric_space_dimensions():
     for n, expected in ((3, 1), (4, 3), (5, 6), (6, 10)):
         curve = random_binary_curve(n, PrimeField(10007), 70 + n)
         quadrics = quadrics_through(curve)
-        assert len(quadrics) == expected
+        assert len(quadrics) == expected == quadric_space_dimension(curve)
         assert expected == (n - 1) * (n - 2) // 2
+    assert quadric_space_dimension(random_binary_curve(5, QQ, 72)) == 6
 
 
 def test_quadrics_vanish_on_both_components():

@@ -432,6 +432,17 @@ def test_prime_field_gcd_does_no_fp_element_arithmetic(monkeypatch):
     assert got == want and got.degree >= 3 and _all_fp(got, fp.p)
 
 
+def test_int_multiples_of_p_make_a_prime_field_form_zero():
+    f11 = PrimeField(11)
+    z = BinaryForm(1, (11, f11(0)))
+    assert z.is_zero() and BinaryForm(2, (f11(0), -22, 0)).is_zero()
+    assert not BinaryForm(1, (12, f11(0))).is_zero()
+    with pytest.raises(BothZeroError):
+        form_gcd(z, z)
+    with pytest.raises(ZeroDivisionError):
+        divide_exact(BinaryForm(1, (f11(1), 2)), z)
+
+
 def test_prime_field_division_outputs_are_field_elements():
     f11 = PrimeField(11)
     h = BinaryForm(2, (f11(3), 5, 0))  # an int beside FpElements

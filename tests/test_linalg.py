@@ -1,18 +1,28 @@
 """Exact linear algebra against a naive textbook oracle."""
 
+import sys
 from fractions import Fraction
 
 import pytest
 
 from scrollgeom.errors import FieldMismatchError
 from scrollgeom.fields import QQ, FpElement, PrimeField
-from scrollgeom.linalg import _forward_fp, rank_kernel, rank_of
+from scrollgeom.linalg import (
+    _back_reduce_fp,
+    _forward_fp,
+    _packed_rows_fp,
+    _slots,
+    pivot_columns,
+    rank_kernel,
+    rank_of,
+)
 from scrollgeom.rngstream import as_stream
 
 from helpers import (
     oracle_kernel_mod,
     oracle_kernel_q,
     oracle_rref_mod,
+    oracle_rref_q,
     same_span_mod,
     same_span_q,
 )
@@ -170,11 +180,14 @@ def _slot_filling_rows(rank, extra, p):
 def test_packed_elimination_matches_oracle(p, shape):
     rows = _packed_shapes(p)[shape]
     ncols = len(rows[0]) if rows else 4
-    mat = [list(r) for r in rows]
-    pivots = _forward_fp(mat, ncols, p)
+    packed = _packed_rows_fp(rows, ncols, p)
+    pivots = _forward_fp(packed, ncols, p)
     want_rank, want_pivots, want_mat = oracle_rref_mod(rows, ncols, p)
     assert pivots == want_pivots and len(pivots) == want_rank
-    assert mat == want_mat
+    # the forward pass leaves the rows below the rank zero mod p
+    shifts, mask = _slots(p, len(rows), ncols)
+    assert not any((v >> s & mask) % p for v in packed[want_rank:] for s in shifts)
+    assert _back_reduce_fp(packed, pivots, ncols, p) == want_mat[:want_rank]
     rank, kernel = rank_kernel(rows, ncols, PrimeField(p))
     oracle_rank, oracle_basis = oracle_kernel_mod(rows, ncols, p)
     assert rank == oracle_rank
@@ -214,6 +227,49 @@ def test_packed_elimination_property():
         assert rank == oracle_rank
         assert [[x.val for x in vec] for vec in kernel] == oracle_basis
         assert all(type(x) is FpElement and x.p == p for v in kernel for x in v)
+
+    check()
+
+
+def test_pivot_columns_property():
+    # pivot_columns is the forward pass alone; every column prefix's rank
+    # is the number of pivots inside it
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def matrices(draw):
+        p = draw(st.sampled_from([3, 5, 10007, MERSENNE_61, None]))  # None: the rationals
+        nrows = draw(st.integers(0, 8))
+        ncols = draw(st.integers(0, 8))
+        if p is None:
+            entry = st.one_of(
+                st.builds(Fraction, st.integers(-20, 20), st.integers(1, 12)),
+                st.integers(-3, 3),
+            )
+        else:
+            entry = st.one_of(st.integers(-p, 2 * p), st.sampled_from([0, 1, p - 1]))
+        rows = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols),
+                             min_size=nrows, max_size=nrows))
+        if len(rows) >= 2 and draw(st.booleans()):  # a dependent row
+            rows.append([a + 2 * b for a, b in zip(rows[0], rows[-1])])
+        return p, ncols, rows
+
+    @hypothesis.settings(max_examples=200, deadline=None)
+    @hypothesis.given(matrices())
+    def check(case):
+        p, ncols, rows = case
+        field = PrimeField(p) if p else QQ
+
+        def oracle(mat, width):
+            return oracle_rref_mod(mat, width, p) if p else oracle_rref_q(mat, width)
+
+        pivots = pivot_columns(rows, ncols, field)
+        assert pivots == oracle(rows, ncols)[1]
+        for m in range(ncols + 1):
+            prefix = [row[:m] for row in rows]
+            want = sum(1 for c in pivots if c < m)
+            assert rank_of(prefix, m, field) == want == oracle(prefix, m)[0]
 
     check()
 
@@ -303,6 +359,31 @@ def test_rational_kernel_quadrics_shape(monkeypatch):
     (rows, ncols), = seen
     assert (len(rows), ncols) == (42, 66)
     _assert_exact_rational_kernel(rows, ncols)
+
+
+def test_rank_only_callers_build_no_kernel(monkeypatch, capsys):
+    # incidence and quadrics need ranks only: the forward pass, no kernel basis
+    from scrollgeom.binary_curves import quadrics_through, random_binary_curve
+    from scrollgeom.cli import main
+    from scrollgeom.scroll_curves import incidence_dimension_estimate
+
+    calls = []
+
+    def counted_rank_kernel(rows, ncols, field=None):
+        calls.append((len(rows), ncols))
+        return rank_kernel(rows, ncols, field)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("scrollgeom") and getattr(mod, "rank_kernel", None) is rank_kernel:
+            monkeypatch.setattr(mod, "rank_kernel", counted_rank_kernel)
+    incidence_dimension_estimate((1, 1, 2), 2, 3, 0, PrimeField(10007))
+    for field in ("q", "fp:10007"):
+        assert main(["quadrics", "--n", "6", "--trials", "2", "--field", field]) == 0
+    capsys.readouterr()
+    assert calls == []
+    # the counter does see a kernel caller
+    quadrics_through(random_binary_curve(4, QQ, 5))
+    assert calls == [(18, 15)]
 
 
 def test_rational_kernel_property():
