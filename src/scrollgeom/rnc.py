@@ -19,7 +19,7 @@ from .errors import (
 )
 from .fields import QQ, FpElement, PrimeField, field_of, random_distinct
 from .forms import BinaryForm, _div, product_of_linears
-from .linalg import rank_kernel, rank_of
+from .linalg import _detect_field, rank_kernel, rank_of
 
 
 class Frame:
@@ -192,9 +192,15 @@ class Quadric:
         return rank_of([list(r) for r in self.gram], self.n + 1)
 
     def is_through_standard_frame(self) -> bool:
+        """Zero diagonal (coordinate points) and zero entry sum (all-ones point).
+
+        The sum runs on int residues over F_p, on rationals as they are.
+        """
         if any(self.gram[i][i] for i in range(self.n + 1)):
             return False
-        return not sum(g for row in self.gram for g in row)
+        field = _detect_field(self.gram, None)
+        entries = field.unwrap([g for row in self.gram for g in row])
+        return not field.reduce([sum(entries)])[0]
 
     def __repr__(self):
         return f"Quadric(n={self.n})"

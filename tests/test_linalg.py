@@ -2,14 +2,19 @@
 
 import sys
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
 from scrollgeom.errors import FieldMismatchError
 from scrollgeom.fields import QQ, FpElement, PrimeField
+import scrollgeom.linalg as linalg
 from scrollgeom.linalg import (
+    CERTIFICATE_PRIME,
     _back_reduce_fp,
     _forward_fp,
+    _forward_q,
+    _int_rows_q,
     _packed_rows_fp,
     _slots,
     pivot_columns,
@@ -309,12 +314,26 @@ def _rational_shapes():
     }
 
 
+def _assert_primitive_echelon(rows, ncols):
+    """The rational forward pass leaves an echelon form of primitive rows."""
+    mat = _int_rows_q(rows, ncols)
+    pivots = _forward_q(mat, ncols)
+    assert pivots == oracle_rref_q(rows, ncols)[1]
+    for i, row in enumerate(mat):
+        if i < len(pivots):
+            assert not any(row[:pivots[i]]) and row[pivots[i]]
+            assert gcd(*row) == 1
+        else:
+            assert not any(row)
+
+
 def _assert_exact_rational_kernel(rows, ncols):
     rank, kernel = rank_kernel(rows, ncols, QQ)
     want_rank, want_basis = oracle_kernel_q(rows, ncols)
     assert rank == want_rank == rank_of(rows, ncols, QQ)
     assert [list(v) for v in kernel] == want_basis
     assert all(type(x) in (int, Fraction) for v in kernel for x in v)
+    _assert_primitive_echelon(rows, ncols)
 
 
 @pytest.mark.parametrize(
@@ -387,8 +406,12 @@ def test_rank_only_callers_build_no_kernel(monkeypatch, capsys):
 
 
 def test_rational_kernel_property():
+    # every rational entry point against the naive RREF, also on rows with
+    # large common factors, planted dependent rows and multiples of the
+    # certificate prime
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
+    big = CERTIFICATE_PRIME
 
     @st.composite
     def matrices(draw):
@@ -398,15 +421,26 @@ def test_rational_kernel_property():
             st.builds(Fraction, st.integers(-20, 20), st.integers(1, 12)),
             st.integers(-3, 3),
             st.sampled_from([Fraction(0), Fraction(1, 2**61 - 1)]),
+            st.builds(lambda k: k * big, st.integers(-3, 3)),
+            st.sampled_from([big + 1, big * big, Fraction(1, big)]),
         )
         rows = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols),
                              min_size=nrows, max_size=nrows))
+        factors = draw(st.lists(st.sampled_from([1, 1, 2**64 + 13, big, 6**30]),
+                                min_size=nrows, max_size=nrows))
+        rows = [[f * x for x in row] for f, row in zip(factors, rows)]
+        for _ in range(draw(st.integers(0, 2)) if rows else 0):  # planted dependent rows
+            a, b = draw(st.integers(-3, 3)), draw(st.sampled_from([1, -2, big]))
+            i, j = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, len(rows) - 1))
+            rows.insert(draw(st.integers(0, len(rows))),
+                        [a * x + b * y for x, y in zip(rows[i], rows[j])])
         return ncols, rows
 
-    @hypothesis.settings(max_examples=200, deadline=None)
+    @hypothesis.settings(max_examples=300, deadline=None)
     @hypothesis.given(matrices())
     def check(case):
         ncols, rows = case
+        assert pivot_columns(rows, ncols, QQ) == oracle_rref_q(rows, ncols)[1]
         _assert_exact_rational_kernel(rows, ncols)
 
     check()
@@ -433,6 +467,53 @@ def test_rational_kernel_agrees_with_sympy_nullspace():
         want = [[Fraction(int(x.p), int(x.q)) for x in vec] for vec in matrix.nullspace()]
         assert rank == matrix.rank()
         assert [list(v) for v in kernel] == want
+
+
+def test_rational_rank_survives_a_bad_certificate_prime():
+    # mod CERTIFICATE_PRIME each matrix loses rank; rank_of must not trust that
+    big = CERTIFICATE_PRIME
+    cases = [
+        ([[big, 1], [0, big]], 2, 2),
+        ([[1, big + 2], [1, 2]], 2, 2),
+        ([[1, 1 + big, 0], [1, 1, big], [2, 2 + big, big]], 3, 2),
+        ([[Fraction(1, 3), Fraction(big + 2, 3)], [1, 2]], 2, 2),
+        ([[big + 1, 1], [1, 1 - big], [2, 2]], 2, 2),
+    ]
+    for rows, ncols, want in cases:
+        # the certificate sees the rows cleared of denominators and content
+        assert rank_of(_int_rows_q(rows, ncols), ncols, PrimeField(big)) < want
+        assert rank_of(rows, ncols, QQ) == want == oracle_rref_q(rows, ncols)[0]
+        assert len(pivot_columns(rows, ncols, QQ)) == want
+
+
+def test_full_rank_rnc_ranks_take_the_certificate(monkeypatch):
+    # the rnc finiteness ranks over q are full: certified mod p, with no
+    # rational forward pass
+    from scrollgeom.rnc import (
+        random_quadric_through_frame,
+        random_standard_rnc,
+        rnc_residual_and_rank,
+    )
+    from scrollgeom.rngstream import RngStream
+
+    calls = []
+
+    def counted_forward_q(mat, ncols):
+        calls.append((len(mat), ncols))
+        return _forward_q(mat, ncols)
+
+    monkeypatch.setattr(linalg, "_forward_q", counted_forward_q)
+    for n, seed in ((10, 3), (12, 4), (14, 5)):
+        rng = RngStream.from_seed(seed)
+        curve = random_standard_rnc(n, QQ, rng.child("curve"))
+        quad = random_quadric_through_frame(n, QQ, rng.child("quadric"))
+        assert rnc_residual_and_rank(quad, curve)[1] == n - 1
+    assert calls == []
+    # the counter does see the exact pass: a rank-deficient matrix, and
+    # pivot_columns, which never takes the certificate
+    assert rank_of([[1, 2], [2, 4]], 2, QQ) == 1
+    assert pivot_columns([[1, 0], [0, 1]], 2, QQ) == [0, 1]
+    assert calls == [(2, 2), (2, 2)]
 
 
 def test_rank_mod_p_at_most_rank_over_q():

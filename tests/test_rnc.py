@@ -459,6 +459,28 @@ def test_prime_field_residual_pass_does_no_fp_element_arithmetic(monkeypatch):
         assert tuple(f.evaluate(s0, s1) for f in coordinates) == curve.evaluate(s0, s1)
 
 
+def test_prime_field_frame_check_does_no_fp_element_arithmetic(monkeypatch):
+    field = PrimeField(10007)
+    rng = RngStream.from_seed(712)
+    curve = random_standard_rnc(10, field, rng.child("curve"))
+    q = random_quadric_through_frame(10, field, rng.child("quadric"))
+    off_sum = Quadric.from_monomials(3, {(0, 1): 1, (2, 3): 10006 * 3}, field)
+    # int entries in a prime-field Gram matrix count mod p
+    mixed = Quadric([[field.zero, 10007 * 5], [10007 * 5, field.zero]])
+    calls = count_fp_arithmetic(monkeypatch)
+    assert q.is_through_standard_frame()
+    assert not off_sum.is_through_standard_frame()
+    assert mixed.is_through_standard_frame()
+    _, rank = rnc_residual_and_rank(q, curve)
+    assert not calls
+    # the counters do see FpElement arithmetic
+    _ = field.one + field.one
+    assert calls["__add__"] == 1
+    monkeypatch.undo()
+    assert rank == 9
+    assert off_sum.evaluate((field.one,) * 4) != field.zero
+
+
 def test_residual_and_coordinate_form_types_at_the_boundary():
     for field in (PrimeField(10007), QQ):
         curve = StandardRNC(5, (5, 9, 11, 13), field)
