@@ -122,10 +122,10 @@ def _node_system_rows(pairs, degree: int, field):
     return rows
 
 
-def _vector_to_pair(vec, degree: int):
+def _vector_to_pair(vec, degree: int, field):
     half = degree + 1
-    q1 = BinaryForm(degree, vec[:half])
-    q2 = BinaryForm(degree, vec[half:])
+    q1 = BinaryForm.over(degree, vec[:half], field)
+    q2 = BinaryForm.over(degree, vec[half:], field)
     return q1, q2
 
 
@@ -150,7 +150,7 @@ def _pair_satisfies_nodes(q1, q2, pairs, field):
     Over F_p the evaluations and cross-products run on int residues, with
     one reduction per value.
     """
-    c1, c2 = field.unwrap(q1.coeffs), field.unwrap(q2.coeffs)
+    c1, c2 = q1.values, q2.values
     for (r, s) in pairs:
         r0, r1, s0, s1 = field.unwrap(r + s)
         v1, v2 = field.reduce([_horner(c1, r0, r1), _horner(c2, r0, r1)])
@@ -172,7 +172,7 @@ def _node_map(pairs, degree: int, field):
     rows = _node_system_rows(pairs, degree, field)
     _, kernel = rank_kernel(rows, 2 * (degree + 1), field)
     for vec in _candidate_vectors(kernel):
-        q1, q2 = _vector_to_pair(vec, degree)
+        q1, q2 = _vector_to_pair(vec, degree, field)
         if q1.is_zero() and q2.is_zero():
             continue
         if form_gcd(q1, q2).degree == 0:
@@ -213,7 +213,7 @@ def gonality_map_from_nodes(pairs, n: int, field):
     # every full-degree element shares a factor; divide it out and check
     # the reduced pair against the nodes directly
     for vec in _candidate_vectors(kernel):
-        q1, q2 = _vector_to_pair(vec, degree)
+        q1, q2 = _vector_to_pair(vec, degree, field)
         if q1.is_zero() or q2.is_zero():
             continue
         g = form_gcd(q1, q2)
@@ -291,7 +291,7 @@ def _quadric_rows(curve: BinaryCurve):
     for (i, j) in pair_index:
         f1 = phi1[i] * phi1[j]
         f2 = phi2[i] * phi2[j]
-        cols.append(list(f1.coeffs) + list(f2.coeffs))
+        cols.append(f1.values + f2.values)
     rows = [[col[r] for col in cols] for r in range(2 * (2 * n + 1))]
     return pair_index, rows
 
@@ -336,11 +336,11 @@ def _random_plane(n, field, rng):
 
 
 def _integral_gram(gram, field):
-    """A nonzero multiple of a rational Gram matrix with int entries.
+    """A nonzero multiple of a Gram matrix of working values with int entries.
 
     Every test of a plane trial is blind to a nonzero scalar factor on a
     conic, so the trials may run on the cleared matrix; a prime-field Gram
-    matrix is returned as it is.
+    matrix of residues is returned as it is.
     """
     if field != QQ:
         return gram
@@ -362,10 +362,10 @@ def _restrict_to_plane(gram, plane):
     ]
 
 
-def _conic_parts(gram):
+def _conic_parts(gram, field):
     """Split uT*H*u as A(x0,x1) + B(x0,x1)*x2 + C*x2^2."""
-    a = BinaryForm(2, (gram[0][0], gram[0][1] + gram[1][0], gram[1][1]))
-    b = BinaryForm(1, (gram[0][2] + gram[2][0], gram[1][2] + gram[2][1]))
+    a = BinaryForm.over(2, (gram[0][0], gram[0][1] + gram[1][0], gram[1][1]), field)
+    b = BinaryForm.over(1, (gram[0][2] + gram[2][0], gram[1][2] + gram[2][1]), field)
     c = gram[2][2]
     return a, b, c
 
@@ -404,7 +404,7 @@ def _plane_trial(grams, n, field, rng):
         nonzero = [_restrict_to_plane(g, change) for g in nonzero]
     else:
         return True, "no leading-coefficient normalization found (inconclusive)"
-    parts = [_conic_parts(g) for g in nonzero]
+    parts = [_conic_parts(g, field) for g in nonzero]
     resultants = []
     for i in range(len(parts)):
         for j in range(i + 1, len(parts)):
@@ -419,7 +419,7 @@ def _plane_trial(grams, n, field, rng):
 
 def _slicing_search(curve, quadrics, trials, stream, anomalies):
     field = curve.field
-    grams = [_integral_gram(q.gram, field) for q in quadrics]
+    grams = [_integral_gram(q.values, field) for q in quadrics]
     records = []
     hits = 0
     for t in range(trials):
@@ -643,8 +643,8 @@ def scroll_positive_control(seed, field=None) -> BinaryCurve:
     scroll = ScrollType((0, 3))
     stream = as_stream(seed)
     one = field.one
-    s0 = BinaryForm(1, (one, field.zero))
-    s1 = BinaryForm(1, (field.zero, one))
+    s0 = BinaryForm.over(1, (1, 0), field)
+    s1 = BinaryForm.over(1, (0, 1), field)
     for attempt in range(64):
         rng = stream.child(f"attempt{attempt}")
         try:
@@ -686,7 +686,7 @@ def scroll_positive_control(seed, field=None) -> BinaryCurve:
                     1,
                     s0,
                     s1,
-                    (BinaryForm(4, cand[:5]), BinaryForm(1, cand[5:])),
+                    (BinaryForm.over(4, cand[:5], field), BinaryForm.over(1, cand[5:], field)),
                 )
             except ValueError:
                 continue

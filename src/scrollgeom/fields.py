@@ -5,19 +5,18 @@ Rational scalars are plain ints when they are whole and
 one give ints, ``QQ(num, den)`` builds a Fraction, and a Fraction appears
 only where a true division makes one (``forms._div`` divides two ints as
 rationals, never as floats).  A Fraction keeps lowest terms and a
-positive denominator by construction.  Prime-field scalars are
-``FpElement`` values holding the canonical representative in [0, p).
-Python ints mix freely with either kind in arithmetic (they embed in
-every field); mixing the two fields themselves raises FieldMismatchError.
+positive denominator by construction.  Prime-field scalars handed out
+are ``FpElement`` values holding the canonical representative in [0, p).
 An ``FpElement`` equals exactly one int, its residue, and hashes like it,
 so equal values hash equally in sets, dicts and Counters.
 
-``FpElement`` is the scalar type at every API boundary: forms, kernels
-and reports hold field elements.  The prime-field hot loops (form
-evaluation and division, the rnc residual pass, the incidence Jacobian,
-the node-system rows, elimination) unwrap them once, run on plain int
-residues and reduce mod p once per result entry.  Over the rationals
-``unwrap`` and ``reduce`` hand their argument back untouched.
+Forms, quadrics and matrices carry their field and compute on its
+working values, int residues in [0, p) over F_p.  A field's ``unwrap``
+turns given scalars into working values (ints embed in every field, any
+other value raises FieldMismatchError), ``reduce`` brings computed ints
+into [0, p) and ``wrap`` builds the FpElements handed out; over the
+rationals all three return their argument.  ``infer_field`` alone reads
+a field off given scalars, for callers that name none.
 """
 
 from __future__ import annotations
@@ -31,6 +30,7 @@ RATIONAL_SPAN = 999  # random rational scalars are integers in [-span, span]
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _INT = {int}
+_RATIONAL = {int, Fraction}
 
 
 def is_prime_u64(n: int) -> bool:
@@ -193,12 +193,16 @@ class RationalField:
         return rng.randint(-RATIONAL_SPAN, RATIONAL_SPAN)
 
     def unwrap(self, values):
-        """Rationals are computed on as they are: values is returned itself."""
+        """values itself; an entry other than an int or a Fraction raises FieldMismatchError."""
+        if not set(map(type, values)) <= _RATIONAL:
+            raise FieldMismatchError(f"non-rational entry among {values!r}")
         return values
 
     def reduce(self, values):
-        """Exact rational values need no reduction: values is returned itself."""
+        """Exact rational values need no reduction or wrapping: values itself."""
         return values
+
+    wrap = reduce
 
     def __eq__(self, other):
         return isinstance(other, RationalField)
@@ -263,6 +267,11 @@ class PrimeField:
         p = self.p
         return [v % p for v in values]
 
+    def wrap(self, values) -> list:
+        """Residues in [0, p) as the FpElements handed out at the boundary."""
+        p = self.p
+        return [FpElement(v, p) for v in values]
+
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p
 
@@ -273,13 +282,19 @@ class PrimeField:
         return f"GF({self.p})"
 
 
-def field_of(x):
-    """The field a scalar belongs to."""
-    if isinstance(x, FpElement):
-        return PrimeField(x.p)
-    if isinstance(x, (Fraction, int)):
+def infer_field(values):
+    """F_p when an FpElement of F_p is among values, else the rationals.
+
+    Ints embed in every field.  FpElements of two primes, an FpElement
+    beside a Fraction, or a float raise FieldMismatchError.
+    """
+    kinds = set(map(type, values))
+    if kinds <= _RATIONAL:
         return QQ
-    raise TypeError(f"not a scalar: {x!r}")
+    primes = {x.p for x in values if type(x) is FpElement}
+    if len(primes) != 1 or not kinds <= {int, FpElement}:
+        raise FieldMismatchError(f"no one field holds all of {values!r}")
+    return PrimeField(primes.pop())
 
 
 def parse_field(text: str):

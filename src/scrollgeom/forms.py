@@ -1,28 +1,29 @@
-"""Homogeneous binary forms with exact coefficients.
+"""Homogeneous binary forms with exact coefficients over a field.
 
-A form of degree d in the variables s0, s1 is stored as a dense tuple of
-d+1 coefficients, entry j holding the coefficient of s0^(d-j) * s1^j.
+A form of degree d in the variables s0, s1 is a dense tuple of d+1
+coefficients, entry j holding the coefficient of s0^(d-j) * s1^j.
 Forms are immutable; the formal degree is part of the value, so the zero
 form of degree 2 and the zero form of degree 3 are distinct objects.
-Coefficients may be ints, Fractions, or FpElements and are never mixed
-across fields (the scalar layer enforces this).
 
-A product of forms is one integer convolution for both fields: over
-F_p it convolves int residues and wraps each output coefficient once as
-an FpElement; over the rationals it clears denominators, convolves the
-integer numerators and builds one Fraction per output coefficient (ints
-stay ints).  Any other coefficient type raises FieldMismatchError.
-Evaluation is one homogeneous Horner pass; over F_p it runs on int
-residues and wraps the one reduced value back into an FpElement.  A gcd
-of rational forms first reduces both modulo a fixed 61-bit prime, where
-a Euclid that ends in a constant certifies that the forms are coprime
-over the rationals.  Over F_p, division and the Euclid run on int
-residues with one modular inverse of the divisor's lead per division,
-and only their results are wrapped as FpElements.  Division divides two
-int coefficients as rationals, never as floats; ``_div`` is the one true
-division in the package.  A sum, difference, negation or scaling over
-F_p reduces and wraps every output coefficient, so an int beside
-FpElements never stays unreduced.
+A form carries its field and stores that field's working values
+(``values``): int residues in [0, p) over F_p, ints or Fractions over the
+rationals.  ``coeffs`` hands them out as field elements, FpElements over
+F_p.  Every operation runs one code path for both fields on the stored
+values and ends in ``field.reduce``.  Forms over one field stay in it;
+otherwise the field comes from all their scalars (``_common``): ints
+embed in every field, so an all-int rational form joins a prime-field
+form, while two primes or a Fraction beside F_p raise
+FieldMismatchError.
+
+A product is one integer convolution: the rational values are cleared of
+denominators first, and one Fraction is built per output coefficient
+when a denominator is left.  Evaluation is one homogeneous Horner pass.
+Division and the Euclid work on t-polynomials: over F_p with one modular
+inverse of the divisor's lead per division, over the rationals with
+``_div``, the one true division in the package, which divides two ints
+as rationals, never as floats.  A gcd of rational forms first reduces
+both modulo a fixed 61-bit prime, where a Euclid that ends in a constant
+certifies that the forms are coprime over the rationals.
 """
 
 from __future__ import annotations
@@ -31,104 +32,113 @@ from fractions import Fraction
 from math import lcm
 
 from .errors import BothZeroError, FieldMismatchError, InexactDivisionError
-from .fields import FpElement, _residues, field_of
+from .fields import infer_field
 
 # modulus of the coprimality certificate in form_gcd (the prime 2**61 - 1)
 GCD_PRIME = 2**61 - 1
 
 
 class BinaryForm:
-    __slots__ = ("degree", "coeffs")
+    __slots__ = ("degree", "values", "field")
 
     def __init__(self, degree: int, coeffs):
+        """The form with these coefficients; its field is inferred from them."""
         coeffs = tuple(coeffs)
-        if degree < 0 or len(coeffs) != degree + 1:
+        field = infer_field(coeffs)
+        self._store(degree, field.unwrap(coeffs), field)
+
+    @classmethod
+    def over(cls, degree: int, coeffs, field) -> "BinaryForm":
+        """The form over field with these coefficients: field elements or ints."""
+        form = object.__new__(cls)
+        form._store(degree, field.unwrap(tuple(coeffs)), field)
+        return form
+
+    def _store(self, degree, values, field):
+        values = tuple(values)
+        if degree < 0 or len(values) != degree + 1:
             raise ValueError(
-                f"degree-{degree} form needs {degree + 1} coefficients, got {len(coeffs)}"
+                f"degree-{degree} form needs {degree + 1} coefficients, got {len(values)}"
             )
         object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "field", field)
 
     def __setattr__(self, name, value):
         raise AttributeError("BinaryForm is immutable")
 
+    @property
+    def coeffs(self) -> tuple:
+        """The coefficients as field elements: FpElements over F_p."""
+        return tuple(self.field.wrap(self.values))
+
     @classmethod
     def zero(cls, degree: int, field) -> "BinaryForm":
-        return cls(degree, [field.zero] * (degree + 1))
+        return _form(degree, [0] * (degree + 1), field)
 
     @classmethod
     def monomial(cls, degree: int, s1_power: int, scalar) -> "BinaryForm":
         """scalar * s0^(degree - s1_power) * s1^s1_power."""
         if not 0 <= s1_power <= degree:
             raise ValueError(f"s1 power {s1_power} out of range for degree {degree}")
-        coeffs = [0 * scalar] * (degree + 1)
+        coeffs = [0] * (degree + 1)
         coeffs[s1_power] = scalar
         return cls(degree, coeffs)
 
     def is_zero(self) -> bool:
-        """True when every coefficient is zero in the field.
-
-        Over F_p the coefficients are reduced first, so an int beside
-        FpElements that is a multiple of p counts as zero.
-        """
-        p = _prime_of(self.coeffs)
-        return not any(_residues(self.coeffs, p) if p else self.coeffs)
+        """True when every coefficient is zero in the field."""
+        return not any(self.values)
 
     def __eq__(self, other):
         if not isinstance(other, BinaryForm):
             return NotImplemented
-        if self.degree != other.degree:
-            return False
-        return all(a == b for a, b in zip(self.coeffs, other.coeffs))
+        return self.degree == other.degree and self.coeffs == other.coeffs
 
     def __hash__(self):
-        return hash((self.degree, self.coeffs))
+        return hash((self.degree, self.values))
 
     def __add__(self, other):
         if not isinstance(other, BinaryForm):
             return NotImplemented
         if self.degree != other.degree:
             raise ValueError(f"degree mismatch: {self.degree} vs {other.degree}")
-        coeffs = [a + b for a, b in zip(self.coeffs, other.coeffs)]
-        return BinaryForm(self.degree, _in_field(coeffs))
+        f, g = _common(self, other)
+        return _form(f.degree, [a + b for a, b in zip(f.values, g.values)], f.field)
 
     def __sub__(self, other):
         if not isinstance(other, BinaryForm):
             return NotImplemented
         if self.degree != other.degree:
             raise ValueError(f"degree mismatch: {self.degree} vs {other.degree}")
-        coeffs = [a - b for a, b in zip(self.coeffs, other.coeffs)]
-        return BinaryForm(self.degree, _in_field(coeffs))
+        f, g = _common(self, other)
+        return _form(f.degree, [a - b for a, b in zip(f.values, g.values)], f.field)
 
     def __neg__(self):
-        return BinaryForm(self.degree, _in_field([-a for a in self.coeffs]))
+        return _form(self.degree, [-a for a in self.values], self.field)
 
     def scale(self, scalar) -> "BinaryForm":
-        return BinaryForm(self.degree, _in_field([scalar * a for a in self.coeffs]))
+        f, (c,) = _with_scalars(self, (scalar,))
+        return _form(f.degree, [c * a for a in f.values], f.field)
 
     def __mul__(self, other):
         if not isinstance(other, BinaryForm):
             return NotImplemented
-        return BinaryForm(self.degree + other.degree, _convolve(self.coeffs, other.coeffs))
+        f, g = _common(self, other)
+        return _form(f.degree + g.degree, _convolve(f.values, g.values), f.field)
 
     def evaluate(self, s0, s1):
         """Value at the pair (s0, s1), exact in the coefficient field.
 
-        Over F_p (a point coordinate or the leading coefficient is an
-        FpElement) a homogeneous Horner pass runs on int residues and the
-        value is reduced and wrapped once at the end; otherwise it runs on
-        the values as they are.
+        One homogeneous Horner pass on the working values, reduced and
+        handed out as a field element once.
         """
-        for x in (s0, s1, self.coeffs[0]):
-            if isinstance(x, FpElement):
-                p = x.p
-                value = _horner(_residues(self.coeffs, p), *_residues((s0, s1), p))
-                return FpElement(value % p, p)
-        return _horner(self.coeffs, s0, s1)
+        f, point = _with_scalars(self, (s0, s1))
+        field = f.field
+        return field.wrap(field.reduce([_horner(f.values, *point)]))[0]
 
     def s1_valuation(self) -> int:
         """Multiplicity of the s1 factor (degree+1 for the zero form)."""
-        for j, c in enumerate(self.coeffs):
+        for j, c in enumerate(self.values):
             if c:
                 return j
         return self.degree + 1
@@ -147,23 +157,32 @@ class BinaryForm:
         return f"BinaryForm(deg={self.degree}: {' + '.join(terms) if terms else '0'})"
 
 
-def _prime_of(coeffs):
-    """p when a coefficient is an FpElement of F_p, else None (the rationals)."""
-    return next((x.p for x in coeffs if isinstance(x, FpElement)), None)
+def _form(degree: int, values, field) -> BinaryForm:
+    """The form over field with these computed working values, reduced once."""
+    form = object.__new__(BinaryForm)
+    form._store(degree, field.reduce(values), field)
+    return form
 
 
-def _in_field(coeffs):
-    """Coefficients as they are, or over F_p each reduced and wrapped once.
+def _common(f: BinaryForm, g: BinaryForm):
+    """f and g over one field: their own, else the one infer_field finds.
 
-    An int beside an FpElement is a residue that plain int arithmetic left
-    unreduced; beside one, a coefficient of no prime field raises
-    FieldMismatchError.
+    It reads all their coefficients, so an all-int rational form joins F_p.
     """
-    kinds = set(map(type, coeffs))
-    if FpElement not in kinds or kinds == {FpElement}:
-        return coeffs
-    p = _prime_of(coeffs)
-    return [FpElement(v, p) for v in _residues(coeffs, p)]
+    if f.field == g.field:
+        return f, g
+    field = infer_field(f.coeffs + g.coeffs)
+    return [h if h.field == field else BinaryForm.over(h.degree, h.coeffs, field)
+            for h in (f, g)]
+
+
+def _with_scalars(f: BinaryForm, scalars):
+    """(f, the scalars' values) in one field: f's own, else by the rule of _common."""
+    try:
+        return f, f.field.unwrap(scalars)
+    except FieldMismatchError:
+        f, g = _common(f, BinaryForm(len(scalars) - 1, scalars))
+        return f, g.values
 
 
 def _horner(coeffs, s0, s1):
@@ -186,35 +205,20 @@ def _cleared(coeffs):
 
 
 def _convolve(a, b):
-    """Coefficients of the product of two coefficient lists, by one int convolution.
+    """Coefficients of the product of two value lists, by one int convolution.
 
-    Over F_p (an entry is an FpElement) the convolution runs on int
-    residues and each output is reduced and wrapped once.  Over the
-    rationals it runs on the cleared integer numerators, with one Fraction
-    per output when an input held one; all-int inputs give ints.  Any
-    other scalar type raises FieldMismatchError.
+    The values are cleared of denominators (int residues have none), and
+    one Fraction is built per output coefficient when a denominator is
+    left; the caller reduces the result.
     """
-    kinds = set(map(type, a)) | set(map(type, b))
-    if FpElement in kinds:
-        p = _prime_of(a + b)
-        na, nb = _residues(a, p), _residues(b, p)
-    elif kinds <= {int, Fraction}:
-        (na, da), (nb, db) = _cleared(a), _cleared(b)
-    else:
-        raise FieldMismatchError(f"coefficient types {kinds} belong to no field")
+    (na, da), (nb, db) = _cleared(a), _cleared(b)
     out = [0] * (len(na) + len(nb) - 1)
     width = len(nb)
     for i, x in enumerate(na):
         if x:
             out[i:i + width] = [o + x * y for o, y in zip(out[i:i + width], nb)]
-    if FpElement in kinds:
-        return [FpElement(c, p) for c in out]
-    if Fraction not in kinds:
-        return out
     den = da * db
-    if den == 1:
-        return [Fraction(c) for c in out]
-    return [Fraction(c, den) for c in out]
+    return out if den == 1 else [Fraction(c, den) for c in out]
 
 
 def linear_form(c0, c1) -> BinaryForm:
@@ -224,41 +228,35 @@ def linear_form(c0, c1) -> BinaryForm:
 
 def vanishing_at(value) -> BinaryForm:
     """The linear form s0 - value*s1, zero at the point (value : 1)."""
-    return BinaryForm(1, (1 + 0 * value, -value))
+    return BinaryForm(1, (1, -value))
 
 
 def product_of_linears(values, field) -> BinaryForm:
-    """prod_i (s0 - value_i * s1); the empty product is the constant 1."""
-    result = BinaryForm(0, (field.one,))
+    """prod_i (s0 - value_i * s1) over field; the empty product is the constant 1."""
+    result = _form(0, [1], field)
     for v in values:
-        result = result * vanishing_at(v)
+        result = result * BinaryForm.over(1, (1, -v), field)
     return result
 
 
-def _as_t_poly(f: BinaryForm, p=None):
-    """Strip the s1 factor; return (s1 valuation, coefficients by t-power).
+def _as_t_poly(f: BinaryForm):
+    """Strip the s1 factor; return (s1 valuation, values by t-power).
 
     Writing f = s1^v * F with s1 not dividing F, F corresponds to a
     polynomial in t = s0/s1 whose leading coefficient is nonzero.  The
-    returned list is indexed by t-power, length = degree(F) + 1.  With a
-    prime p it holds int residues mod p, else the coefficients as they are.
+    returned list is indexed by t-power, length = degree(F) + 1.
     """
-    coeffs = _residues(f.coeffs, p) if p else f.coeffs
-    for v, c in enumerate(coeffs):
+    values = f.values
+    for v, c in enumerate(values):
         if c:
-            return v, list(reversed(coeffs[v:]))
+            return v, list(reversed(values[v:]))
     raise ValueError("zero form has no t-polynomial")
 
 
-def _from_t_poly(s1_power: int, phi, p=None) -> BinaryForm:
-    """Inverse of _as_t_poly; phi must have a nonzero leading coefficient.
-
-    With a prime p, phi holds int residues and the form FpElements.
-    """
-    coeffs = [0 * phi[0]] * s1_power + phi[::-1]
-    if p:
-        coeffs = [FpElement(c, p) for c in coeffs]
-    return BinaryForm(len(coeffs) - 1, coeffs)
+def _from_t_poly(s1_power: int, phi, field) -> BinaryForm:
+    """Inverse of _as_t_poly; phi must have a nonzero leading coefficient."""
+    values = [0 * phi[0]] * s1_power + phi[::-1]
+    return _form(len(values) - 1, values, field)
 
 
 def _poly_trim(p):
@@ -307,37 +305,32 @@ def _monic(phi, p=None):
 
 def _monic_form(f: BinaryForm) -> BinaryForm:
     """f divided by the leading coefficient of its t-polynomial."""
-    p = _prime_of(f.coeffs)
-    v, phi = _as_t_poly(f, p)
-    return _from_t_poly(v, _monic(phi, p), p)
+    v, phi = _as_t_poly(f)
+    return _from_t_poly(v, _monic(phi, getattr(f.field, "p", None)), f.field)
 
 
 def divide_exact(f: BinaryForm, g: BinaryForm) -> BinaryForm:
-    """Quotient f/g when g divides f exactly, else InexactDivisionError.
-
-    Over F_p the division runs on int residues and the quotient comes back
-    as FpElements.
-    """
+    """Quotient f/g when g divides f exactly, else InexactDivisionError."""
+    f, g = _common(f, g)
+    field = f.field
     if g.is_zero():
         raise ZeroDivisionError("division of a form by the zero form")
     if f.is_zero():
         deg_q = max(f.degree - g.degree, 0)
-        zero = 0 * g.coeffs[g.s1_valuation()]
-        return BinaryForm(deg_q, [zero] * (deg_q + 1))
+        return _form(deg_q, [0 * g.values[g.s1_valuation()]] * (deg_q + 1), field)
     if f.degree < g.degree:
         raise InexactDivisionError(
             f"degree {f.degree} form not divisible by degree {g.degree} form",
             remainder=f,
         )
-    p = _prime_of(f.coeffs + g.coeffs)
-    vf, pf = _as_t_poly(f, p)
-    vg, pg = _as_t_poly(g, p)
+    vf, pf = _as_t_poly(f)
+    vg, pg = _as_t_poly(g)
     if vf < vg or len(pf) < len(pg):
         raise InexactDivisionError("divisor has a factor the dividend lacks", remainder=f)
-    q_poly, r_poly = _poly_divmod(pf, pg, p)
+    q_poly, r_poly = _poly_divmod(pf, pg, getattr(field, "p", None))
     # q picks up the leftover s1 power; its t-lead is nonzero, so its
     # degree is f.degree - g.degree
-    q = _from_t_poly(vf - vg, q_poly, p)
+    q = _from_t_poly(vf - vg, q_poly, field)
     if any(r_poly):
         raise InexactDivisionError("nonzero remainder", remainder=f - g * q)
     check = f - g * q
@@ -349,12 +342,11 @@ def divide_exact(f: BinaryForm, g: BinaryForm) -> BinaryForm:
 def _reduce_mod(phi, p):
     """Rational t-polynomial mod p, or None where the reduction may lose degree.
 
-    None when a coefficient is not rational, p divides a denominator, or p
-    divides the leading coefficient.
+    None when p divides a denominator or the leading coefficient.
     """
     out = []
     for c in phi:
-        if not isinstance(c, (int, Fraction)) or c.denominator % p == 0:
+        if c.denominator % p == 0:
             return None
         out.append(c.numerator * pow(c.denominator, -1, p) % p)
     return out if out[-1] else None
@@ -387,23 +379,23 @@ def form_gcd(f: BinaryForm, g: BinaryForm) -> BinaryForm:
     BothZeroError when both arguments vanish identically.  Rational forms
     whose t-polynomials are certified coprime mod GCD_PRIME skip the
     Euclid over the rationals, which would end in the same constant 1.
-    Over F_p the Euclid runs on int residues and only the gcd is wrapped
-    as FpElements.
     """
+    f, g = _common(f, g)
     if f.is_zero() and g.is_zero():
         raise BothZeroError("gcd of two zero forms is undefined")
     if f.is_zero():
         return _monic_form(g)
     if g.is_zero():
         return _monic_form(f)
-    p = _prime_of(f.coeffs + g.coeffs)
-    vf, a = _as_t_poly(f, p)
-    vg, b = _as_t_poly(g, p)
+    field = f.field
+    p = getattr(field, "p", None)  # over the rationals _poly_divmod takes None
+    vf, a = _as_t_poly(f)
+    vg, b = _as_t_poly(g)
     if not p and _coprime_mod_p(a, b):
-        return _from_t_poly(min(vf, vg), [Fraction(1)])
+        return _from_t_poly(min(vf, vg), [Fraction(1)], field)
     while len(b) > 1 or b[0]:
         a, b = b, _poly_divmod(a, b, p)[1]
-    return _from_t_poly(min(vf, vg), _monic(a, p), p)
+    return _from_t_poly(min(vf, vg), _monic(a, p), field)
 
 
 def gcd_many(forms) -> BinaryForm:
@@ -419,7 +411,7 @@ def gcd_many(forms) -> BinaryForm:
             return acc
     if acc.is_zero():
         raise BothZeroError("gcd of all-zero forms is undefined")
-    if acc.degree > 0 or acc.coeffs[0] != 1:
+    if acc.degree > 0 or acc.values[0] != 1:
         acc = _monic_form(acc)
     return acc
 
@@ -428,30 +420,27 @@ def compose_form(outer: BinaryForm, f0: BinaryForm, f1: BinaryForm) -> BinaryFor
     """Substitute s0 -> f0 and s1 -> f1 into outer; f0, f1 of equal degree."""
     if f0.degree != f1.degree:
         raise ValueError("substituted forms must share a degree")
+    f0, f1 = _common(f0, f1)
+    outer, f0 = _common(outer, f0)
+    outer, f1 = _common(outer, f1)
+    field = outer.field
     d = outer.degree
     # powers of f0 ascending, powers of f1 descending, paired by index
-    pow0 = [BinaryForm(0, (1,))]
-    pow1 = [BinaryForm(0, (1,))]
+    pow0 = [_form(0, [1], field)]
+    pow1 = [_form(0, [1], field)]
     for _ in range(d):
         pow0.append(pow0[-1] * f0)
         pow1.append(pow1[-1] * f1)
-    acc = BinaryForm.zero(d * f0.degree, _field_like(outer))
-    for j, c in enumerate(outer.coeffs):
+    acc = BinaryForm.zero(d * f0.degree, field)
+    for j, c in enumerate(outer.values):
         if not c:
             continue
-        acc = acc + (pow0[d - j] * pow1[j]).scale(c)
+        acc = acc + pow0[d - j] * pow1[j] * _form(0, [c], field)
     return acc
-
-
-def _field_like(f: BinaryForm):
-    for c in f.coeffs:
-        if not isinstance(c, int):
-            return field_of(c)
-    return field_of(f.coeffs[0])
 
 
 def random_form(degree: int, field, rng, nonzero: bool = False) -> BinaryForm:
     while True:
-        f = BinaryForm(degree, [field.random_scalar(rng) for _ in range(degree + 1)])
+        f = BinaryForm.over(degree, [field.random_scalar(rng) for _ in range(degree + 1)], field)
         if not nonzero or not f.is_zero():
             return f

@@ -1,30 +1,31 @@
 """Exact rank and kernel computations over the rationals or a prime field.
 
+Every entry point takes the field as its third positional argument.
+Entries may be field elements or ints, and the field's ``unwrap`` checks
+each row (a float raises FieldMismatchError); rows of plain int residues
+from the prime-field hot paths pass without a per-entry type check.
+
 Both fields eliminate in two steps.  A forward pass gives a row echelon
 form, whose pivot columns give the rank: pivot_columns and rank_of stop
-there.  Only rank_kernel runs the back step that follows.  The rational
-path works on Python ints throughout.  Each row is scaled by the lcm of
-its entries' denominators and divided by its content.  Its forward pass
-is fraction-free and keeps every row primitive: a row update is the
-smallest integer combination that clears the pivot column, divided by
-its content, so a row is never larger than its Bareiss counterpart and
-sheds the common factors that Bareiss rows carry.  Its back step solves
-for each free column's kernel vector over one common denominator, so a
-Fraction is built only for the nonzero kernel entries handed back.
-rank_of over the rationals first runs the prime-field forward pass mod
-CERTIFICATE_PRIME, which settles any rank of min(nrows, ncols); only a
-smaller rank runs the rational pass.  The prime-field path packs each
-row of int residues into one Python int, a fixed-width slot per entry,
-so a row update is a single big-int multiply-add.  Its forward pass
-updates only the rows below each pivot; its back reduction unpacks each
-pivot row once, from the last up, and clears that pivot's column from
-the rows above.  One loop builds the basis for both fields.  Rational
-entries must be ints or Fractions, and prime-field entries ints or
-residues mod p; anything else, such as a float, raises
-FieldMismatchError.  Callers on the prime-field hot paths (the incidence
-Jacobian, the node-system rows) hand over rows of plain int residues,
-which are reduced without a per-entry type check; kernels come back as
-FpElement tuples, the type every caller sees at the API boundary.
+there.  Only rank_kernel runs the back step that follows, and its kernel
+vectors come back as field elements built by one ``field.wrap`` each.
+The rational path works on Python ints throughout.  Each row is scaled by
+the lcm of its entries' denominators and divided by its content.  Its
+forward pass is fraction-free and keeps every row primitive: a row update
+is the smallest integer combination that clears the pivot column,
+divided by its content, so a row is never larger than its Bareiss
+counterpart and sheds the common factors that Bareiss rows carry.  Its
+back step solves for each free column's kernel vector over one common
+denominator, so a Fraction is built only for the nonzero kernel entries
+handed back.  rank_of over the rationals first runs the prime-field
+forward pass mod CERTIFICATE_PRIME, which settles any rank of
+min(nrows, ncols); only a smaller rank runs the rational pass.  The
+prime-field path packs each row of int residues into one Python int, a
+fixed-width slot per entry, so a row update is a single big-int
+multiply-add.  Its forward pass updates only the rows below each pivot;
+its back reduction unpacks each pivot row once, from the last up, and
+clears that pivot's column from the rows above.  One loop builds the
+basis for both fields.
 """
 
 from __future__ import annotations
@@ -34,23 +35,10 @@ from functools import reduce
 from math import gcd, lcm
 from operator import lshift
 
-from .errors import FieldMismatchError
-from .fields import FpElement, PrimeField, QQ, _residues
+from .fields import PrimeField, QQ, _residues
 
 # The modulus of rank_of's certificate over the rationals (a Mersenne prime).
 CERTIFICATE_PRIME = 2**31 - 1
-
-
-def _detect_field(rows, field):
-    if field is not None:
-        return field
-    for row in rows:
-        for x in row:
-            if isinstance(x, FpElement):
-                return PrimeField(x.p)
-            if isinstance(x, Fraction):
-                return QQ
-    return QQ
 
 
 def _slots(p, nrows, ncols):
@@ -80,11 +68,7 @@ def _int_rows_q(rows, ncols):
     for row in rows:
         if len(row) != ncols:
             raise ValueError(f"row of length {len(row)}, expected {ncols}")
-        for x in row:
-            if not isinstance(x, (int, Fraction)):
-                if isinstance(x, FpElement):
-                    raise FieldMismatchError(f"prime-field entry {x!r} in rational matrix")
-                raise FieldMismatchError(f"non-rational entry {x!r}")
+        row = QQ.unwrap(row)
         den = lcm(*[x.denominator for x in row])
         ints = [x.numerator * (den // x.denominator) for x in row]
         content = gcd(*ints)
@@ -241,66 +225,62 @@ def _solve_free_q(mat, pivots, fc):
 
 
 def _eliminate(rows, ncols, field):
-    """Forward pass: (field, echelon rows, pivot columns).
+    """Forward pass: (echelon rows, pivot columns).
 
     Over a prime field the echelon rows are packed ints (_forward_fp);
     over the rationals they are primitive int rows (_forward_q).  Both
     build their rows anew, so the caller's rows are never changed.
     """
-    fld = _detect_field(rows, field)
-    if isinstance(fld, PrimeField):
-        mat = _packed_rows_fp(rows, ncols, fld.p)
-        return fld, mat, _forward_fp(mat, ncols, fld.p)
+    if isinstance(field, PrimeField):
+        mat = _packed_rows_fp(rows, ncols, field.p)
+        return mat, _forward_fp(mat, ncols, field.p)
     mat = _int_rows_q(rows, ncols)
-    return fld, mat, _forward_q(mat, ncols)
+    return mat, _forward_q(mat, ncols)
 
 
-def rank_kernel(rows, ncols: int, field=None):
+def rank_kernel(rows, ncols: int, field):
     """Rank and a right-kernel basis of the matrix with the given rows.
 
     Returns (rank, basis) where basis is a list of length-ncols tuples of
     field scalars, one per free column, spanning {v : M v = 0}; the vector
     of free column fc has a 1 there and 0 in every other free column.
     """
-    fld, mat, pivots = _eliminate(rows, ncols, field)
+    mat, pivots = _eliminate(rows, ncols, field)
     rank = len(pivots)
     pivot_set = set(pivots)
     free = [c for c in range(ncols) if c not in pivot_set]
     if not free:  # full column rank: the kernel is zero, no back reduction
         return rank, []
     # solved[t][i]: entry at pivots[i] of free column free[t]'s vector
-    if isinstance(fld, PrimeField):
-        rref = _back_reduce_fp(mat, pivots, ncols, fld.p)
-        solved = [[FpElement(-row[fc], fld.p) if row[fc] else 0 for row in rref]
-                  for fc in free]
+    if isinstance(field, PrimeField):
+        rref = _back_reduce_fp(mat, pivots, ncols, field.p)
+        solved = [[-row[fc] % field.p for row in rref] for fc in free]
     else:
         solved = []
         for fc in free:
             d, nums = _solve_free_q(mat, pivots, fc)
             solved.append([Fraction(x, d) if x else 0 for x in nums])
-    zero, one = fld.zero, fld.one
     basis = []
     for fc, column in zip(free, solved):
-        vec = [zero] * ncols
-        vec[fc] = one
+        vec = [0] * ncols
+        vec[fc] = 1
         for pc, x in zip(pivots, column):
-            if x:
-                vec[pc] = x
-        basis.append(tuple(vec))
+            vec[pc] = x
+        basis.append(tuple(field.wrap(vec)))
     return rank, basis
 
 
-def pivot_columns(rows, ncols: int, field=None) -> list:
+def pivot_columns(rows, ncols: int, field) -> list:
     """Pivot columns of a row echelon form, from the forward pass alone.
 
     A column is a pivot exactly when it is not in the span of the columns
     before it, whatever rows the elimination picked, so the rank of the
     first m columns is the number of pivots below m.
     """
-    return _eliminate(rows, ncols, field)[2]
+    return _eliminate(rows, ncols, field)[1]
 
 
-def rank_of(rows, ncols: int, field=None) -> int:
+def rank_of(rows, ncols: int, field) -> int:
     """Rank of the matrix with the given rows.
 
     Over the rationals the forward pass first runs mod CERTIFICATE_PRIME
@@ -310,9 +290,8 @@ def rank_of(rows, ncols: int, field=None) -> int:
     come from a prime that divides a minor, so the exact forward pass
     decides.
     """
-    fld = _detect_field(rows, field)
-    if isinstance(fld, PrimeField):
-        return len(pivot_columns(rows, ncols, fld))
+    if isinstance(field, PrimeField):
+        return len(pivot_columns(rows, ncols, field))
     mat = _int_rows_q(rows, ncols)
     bound = min(len(mat), ncols)
     packed = _packed_rows_fp(mat, ncols, CERTIFICATE_PRIME)

@@ -7,6 +7,11 @@ node values (0, 1, a_2, ..., a_n) hits coordinate point j at parameter
 kept in cleared-denominator form, coordinate j being the product of the
 linear factors of all the other node values, so only polynomial
 arithmetic is ever needed.
+
+A Quadric, like a BinaryForm, carries its field and stores its working
+values (int residues over F_p), which the residual pass, the coordinate
+forms and the frame check read for both fields; ``gram`` hands out field
+elements.
 """
 
 from __future__ import annotations
@@ -17,9 +22,9 @@ from .errors import (
     NotThroughFrameError,
     ZeroQuadricError,
 )
-from .fields import QQ, FpElement, PrimeField, field_of, random_distinct
+from .fields import infer_field, random_distinct
 from .forms import BinaryForm, _div, product_of_linears
-from .linalg import _detect_field, rank_kernel, rank_of
+from .linalg import rank_kernel, rank_of
 
 
 class Frame:
@@ -27,7 +32,7 @@ class Frame:
 
     __slots__ = ("n", "points")
 
-    def __init__(self, points, field=None):
+    def __init__(self, points, field):
         points = [tuple(p) for p in points]
         n = len(points) - 2
         if n < 1:
@@ -83,11 +88,8 @@ class StandardRNC:
         if len(params) != n - 1:
             raise ValueError(f"need {n - 1} parameters for P^{n}, got {len(params)}")
         if field is None:
-            field = field_of(params[0])
-        # a whole rational stays an int, where field(p) would build a Fraction
-        values = (field.zero, field.one) + tuple(
-            p if type(p) is int and field == QQ else field(p) for p in params
-        )
+            field = infer_field(params)
+        values = (field.zero, field.one) + tuple(field.wrap(field.unwrap(params)))
         slots = {}
         for i, v in enumerate(values):
             slots.setdefault(v, []).append(i)
@@ -112,7 +114,7 @@ class StandardRNC:
     def coordinate_forms(self):
         field = self.field
         _, singles = _node_singles(self.node_values, field)
-        return [BinaryForm(self.n, _elements(c, field)) for c in singles]
+        return [BinaryForm.over(self.n, c, field) for c in singles]
 
     def evaluate(self, s0, s1):
         """Point of P^n at parameter (s0 : s1)."""
@@ -145,24 +147,42 @@ def random_standard_rnc(n: int, field, rng) -> StandardRNC:
 
 
 class Quadric:
-    """Quadric hypersurface held as an exact symmetric Gram matrix."""
+    """Quadric hypersurface held as an exact symmetric Gram matrix over its field."""
 
-    __slots__ = ("n", "gram")
+    __slots__ = ("n", "values", "field")
 
     def __init__(self, gram):
-        gram = tuple(tuple(row) for row in gram)
-        size = len(gram)
-        if any(len(row) != size for row in gram):
+        """The quadric with this Gram matrix; its field is inferred from the entries."""
+        gram = [tuple(row) for row in gram]
+        self._store(gram, infer_field([x for row in gram for x in row]))
+
+    @classmethod
+    def over(cls, gram, field) -> "Quadric":
+        """The quadric over field with this Gram matrix of ints or field elements."""
+        q = object.__new__(cls)
+        q._store(gram, field)
+        return q
+
+    def _store(self, gram, field):
+        values = tuple(tuple(field.unwrap(tuple(row))) for row in gram)
+        size = len(values)
+        if any(len(row) != size for row in values):
             raise ValueError("Gram matrix must be square")
         for i in range(size):
             for j in range(i + 1, size):
-                if not gram[i][j] == gram[j][i]:
+                if not values[i][j] == values[j][i]:
                     raise ValueError(f"Gram matrix not symmetric at ({i},{j})")
         object.__setattr__(self, "n", size - 1)
-        object.__setattr__(self, "gram", gram)
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "field", field)
 
     def __setattr__(self, name, value):
         raise AttributeError("Quadric is immutable")
+
+    @property
+    def gram(self) -> tuple:
+        """The Gram matrix as field elements: FpElements over F_p."""
+        return tuple(tuple(self.field.wrap(row)) for row in self.values)
 
     @classmethod
     def from_monomials(cls, n: int, coeffs: dict, field):
@@ -176,31 +196,27 @@ class Quadric:
                 half = _div(c, 2)
                 gram[i][j] = gram[i][j] + half
                 gram[j][i] = gram[j][i] + half
-        return cls(gram)
+        return cls.over(gram, field)
 
     def is_zero(self) -> bool:
-        return not any(any(row) for row in self.gram)
+        return not any(any(row) for row in self.values)
 
     def evaluate(self, point):
-        return sum(
-            g * point[i] * point[j]
-            for i, row in enumerate(self.gram)
-            for j, g in enumerate(row)
-        )
+        """Value at a point of the quadric's field."""
+        field = self.field
+        x = field.unwrap(point)
+        rows = enumerate(self.values)
+        total = sum(g * x[i] * x[j] for i, row in rows for j, g in enumerate(row))
+        return field.wrap(field.reduce([total]))[0]
 
     def rank(self) -> int:
-        return rank_of([list(r) for r in self.gram], self.n + 1)
+        return rank_of([list(r) for r in self.values], self.n + 1, self.field)
 
     def is_through_standard_frame(self) -> bool:
-        """Zero diagonal (coordinate points) and zero entry sum (all-ones point).
-
-        The sum runs on int residues over F_p, on rationals as they are.
-        """
-        if any(self.gram[i][i] for i in range(self.n + 1)):
+        """Zero diagonal (coordinate points) and zero entry sum (all-ones point)."""
+        if any(self.values[i][i] for i in range(self.n + 1)):
             return False
-        field = _detect_field(self.gram, None)
-        entries = field.unwrap([g for row in self.gram for g in row])
-        return not field.reduce([sum(entries)])[0]
+        return not self.field.reduce([sum(map(sum, self.values))])[0]
 
     def __repr__(self):
         return f"Quadric(n={self.n})"
@@ -226,16 +242,9 @@ def random_quadric_through_frame(n: int, field, rng) -> Quadric:
         fix = -rest
         gram[0][1] = fix
         gram[1][0] = fix
-        q = Quadric(gram)
+        q = Quadric.over(gram, field)
         if not q.is_zero():
             return q
-
-
-def _elements(values, field):
-    """Computed values as field elements: F_p residues wrapped, rationals as they are."""
-    if isinstance(field, PrimeField):
-        return [FpElement(v, field.p) for v in values]
-    return values
 
 
 def _drop_linear(coeffs, value, field):
@@ -264,7 +273,7 @@ def _node_singles(node_values, field):
     over F_p and rationals as they are.
     """
     values = field.unwrap(node_values)
-    full = field.unwrap(product_of_linears(values, field).coeffs)
+    full = product_of_linears(values, field).values
     return values, [_drop_linear(full, v, field) for v in values]
 
 
@@ -278,11 +287,10 @@ def _residual_pass(gram, node_values, field):
     coefficient lists of dR/dv_m for m = 2..n (see rnc_residual_and_rank).
     Every division is checked to be exact.
 
-    The pass runs on int residues over F_p (rationals as they are): the
-    Gram rows and node values are unwrapped once, the S_m sums stay
-    unreduced ints, B is reduced once before its checks, each division
-    reduces its quotient once, and only R's coefficients are wrapped as
-    FpElements.  The partials come back as residue lists.
+    The pass runs on the field's working values, int residues over F_p:
+    the Gram rows and node values are unwrapped once, the S_m sums stay
+    unreduced ints, B is reduced once before its checks and each division
+    reduces its quotient once.  The partials come back as value lists.
     """
     count = len(node_values)
     values, singles = _node_singles(node_values, field)
@@ -299,7 +307,7 @@ def _residual_pass(gram, node_values, field):
     b = field.reduce([sum(col) for col in zip(*sums)])
     if b[0]:
         raise InternalCheckError("B is not divisible by s1 despite validated preconditions")
-    residual = BinaryForm(len(b) - 2, _elements(b[1:], field))
+    residual = BinaryForm.over(len(b) - 2, b[1:], field)
     if residual.degree != count - 3:
         raise InternalCheckError(f"residual degree {residual.degree} != {count - 3}")
     partials = []
@@ -309,7 +317,10 @@ def _residual_pass(gram, node_values, field):
     return residual, partials
 
 
-def _check_pair(q: Quadric, curve: StandardRNC):
+def _check_pair(q: Quadric, curve: StandardRNC) -> Quadric:
+    """q in the curve's field (ints embed in every field), checked to have a residual."""
+    if q.field != curve.field:
+        q = Quadric.over(q.gram, curve.field)
     if q.is_zero():
         raise ZeroQuadricError("residual of the zero quadric is undefined")
     if q.n != curve.n:
@@ -319,6 +330,7 @@ def _check_pair(q: Quadric, curve: StandardRNC):
             "quadric does not vanish on the standard frame "
             "(needs zero diagonal and zero total Gram sum)"
         )
+    return q
 
 
 def residual_polynomial(q: Quadric, curve: StandardRNC) -> BinaryForm:
@@ -329,8 +341,8 @@ def residual_polynomial(q: Quadric, curve: StandardRNC) -> BinaryForm:
     quotient is returned.  The curve lies on the quadric exactly when the
     returned form is identically zero.
     """
-    _check_pair(q, curve)
-    return _residual_pass(q.gram, curve.node_values, curve.field)[0]
+    q = _check_pair(q, curve)
+    return _residual_pass(q.values, curve.node_values, curve.field)[0]
 
 
 def composite_on_curve(q: Quadric, curve: StandardRNC) -> BinaryForm:
@@ -338,8 +350,9 @@ def composite_on_curve(q: Quadric, curve: StandardRNC) -> BinaryForm:
     phis = curve.coordinate_forms()
     field = curve.field
     acc = BinaryForm.zero(2 * curve.n, field)
+    gram = q.gram
     for i in range(curve.n + 1):
-        row = q.gram[i]
+        row = gram[i]
         if row[i]:
             acc = acc + (phis[i] * phis[i]).scale(row[i])
         for j in range(i + 1, curve.n + 1):
@@ -360,7 +373,7 @@ def rnc_residual_and_rank(q: Quadric, curve: StandardRNC):
     node value v_m (m = 2..n).  Full rank n-1 certifies that the curve is
     locally the only one on the quadric near this parameter sample.
     """
-    _check_pair(q, curve)
-    residual, partials = _residual_pass(q.gram, curve.node_values, curve.field)
+    q = _check_pair(q, curve)
+    residual, partials = _residual_pass(q.values, curve.node_values, curve.field)
     rows = [list(row) for row in zip(*partials)]
     return residual, rank_of(rows, curve.n - 1, curve.field)

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DependentConditionsError
-from .fields import DEFAULT_PRIME, PrimeField, field_of, random_distinct
+from .fields import DEFAULT_PRIME, PrimeField, infer_field, random_distinct
 from .forms import BinaryForm, compose_form, form_gcd, gcd_many, _horner, random_form
 from .linalg import pivot_columns, rank_kernel, rank_of
 from .rngstream import as_stream
@@ -65,7 +65,7 @@ class CurveInScroll:
         object.__setattr__(self, "t0", t0)
         object.__setattr__(self, "t1", t1)
         object.__setattr__(self, "ys", ys)
-        object.__setattr__(self, "field", field_of(t0.coeffs[0]))
+        object.__setattr__(self, "field", t0.field)
 
     def __setattr__(self, name, value):
         raise AttributeError("CurveInScroll is immutable")
@@ -107,15 +107,15 @@ def push_forward(curve: CurveInScroll) -> PushedCurve:
     scroll = curve.scroll
     n = scroll.n
     slots = monomial_slots(scroll)
-    t0_pows = [BinaryForm(0, (curve.field.one,))]
-    t1_pows = [BinaryForm(0, (curve.field.one,))]
+    one = BinaryForm.over(0, (1,), curve.field)
+    t0_pows, t1_pows = [one], [one]
     for _ in range(max(scroll.degrees) if scroll.degrees else 0):
         t0_pows.append(t0_pows[-1] * curve.t0)
         t1_pows.append(t1_pows[-1] * curve.t1)
     forms = []
     for (i, b, c) in slots:
         forms.append(t0_pows[b] * t1_pows[c] * curve.ys[i])
-    rank = rank_of([list(f.coeffs) for f in forms], n + 1, curve.field)
+    rank = rank_of([list(f.values) for f in forms], n + 1, curve.field)
     return PushedCurve(tuple(forms), slots, rank, rank < n + 1)
 
 
@@ -129,7 +129,7 @@ class ScrollSection:
 
     __slots__ = ("degrees", "m", "comps", "field")
 
-    def __init__(self, degrees, m: int, comps, field=None):
+    def __init__(self, degrees, m: int, comps):
         if isinstance(degrees, ScrollType):
             degrees = degrees.degrees
         degrees = tuple(int(a) for a in degrees)
@@ -143,12 +143,10 @@ class ScrollSection:
                 raise ValueError(f"class degree a_{i + 1} + m = {a_i + m} < 0")
             if comp.degree != a_i + m:
                 raise ValueError(f"component {i + 1} must have degree {a_i + m}")
-        if field is None:
-            field = field_of(comps[0].coeffs[0])
         object.__setattr__(self, "degrees", degrees)
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "comps", comps)
-        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "field", comps[0].field)
 
     def __setattr__(self, name, value):
         raise AttributeError("ScrollSection is immutable")
@@ -258,7 +256,7 @@ def interpolate_unisecant(scroll: ScrollType, lifted_frame, field=None) -> Unise
     if len(points) != n + 2:
         raise ValueError(f"need n+2 = {n + 2} points, got {len(points)}")
     if field is None:
-        field = field_of(points[0][1][0])
+        field = infer_field([x for (y, t) in points for x in y + t])
     for (y, t) in points:
         if not (t[0] or t[1]):
             raise ValueError("invalid scroll point: base coordinates both zero")
@@ -322,13 +320,12 @@ def _curve_from_fiber_vector(scroll, vec, offsets, y_degs, points, field):
     ys = []
     for i, deg in enumerate(y_degs):
         coeffs = vec[offsets[i] : offsets[i] + deg + 1]
-        ys.append(BinaryForm(deg, coeffs))
+        ys.append(BinaryForm.over(deg, coeffs, field))
     for (y, t) in points:
         if not any(f.evaluate(t[0], t[1]) for f in ys):
             return None
-    one = field.one
-    t0 = BinaryForm(1, (one, field.zero))
-    t1 = BinaryForm(1, (field.zero, one))
+    t0 = BinaryForm.over(1, (1, 0), field)
+    t1 = BinaryForm.over(1, (0, 1), field)
     try:
         return CurveInScroll(scroll, 1, t0, t1, ys)
     except ValueError:
@@ -341,7 +338,7 @@ def sections_through_points(scroll: ScrollType, m: int, points, field=None):
         scroll = ScrollType(scroll)
     degrees = scroll.degrees
     if field is None:
-        field = field_of(points[0][1][0])
+        field = infer_field([x for (y, t) in points for x in y + t])
     comp_degs = [a_i + m for a_i in degrees]
     offsets = [0]
     for deg in comp_degs:
@@ -360,8 +357,8 @@ def sections_through_points(scroll: ScrollType, m: int, points, field=None):
     for vec in kernel:
         comps = []
         for i, deg in enumerate(comp_degs):
-            comps.append(BinaryForm(deg, vec[offsets[i] : offsets[i] + deg + 1]))
-        out.append(ScrollSection(degrees, m, comps, field))
+            comps.append(BinaryForm.over(deg, vec[offsets[i] : offsets[i] + deg + 1], field))
+        out.append(ScrollSection(degrees, m, comps))
     return out
 
 
@@ -406,7 +403,7 @@ def _coefficient_jacobian(curve, sigma, field):
     n_coeffs = y_offs[-1]
     n_pts = len(sigma)
     width = n_coeffs + n_pts + n_pts
-    coeffs = [field.unwrap(f.coeffs) for f in (curve.t0, curve.t1, *curve.ys)]
+    coeffs = [f.values for f in (curve.t0, curve.t1, *curve.ys)]
     reduce = field.reduce
     rows = []
     for j, s in enumerate(field.unwrap(sigma)):
@@ -566,7 +563,7 @@ def degeneration_member(degrees, lam, donor=None, recipient=None, field=None) ->
     """
     degrees, donor, recipient = _resolve_degeneration_indices(degrees, donor, recipient)
     if field is None:
-        field = field_of(lam)
+        field = infer_field((lam,))
     lam = field(lam)
     aux = list(degrees)
     aux[donor] -= 1
@@ -577,7 +574,7 @@ def degeneration_member(degrees, lam, donor=None, recipient=None, field=None) ->
         degrees[recipient], degrees[recipient], -field.one
     )
     comps[-1] = BinaryForm.monomial(1, 0, field.one)
-    return ScrollSection(tuple(aux), 0, comps, field)
+    return ScrollSection(tuple(aux), 0, comps)
 
 
 def degeneration_embeddings(degrees, donor=None, recipient=None, *, field):
@@ -596,7 +593,7 @@ def degeneration_embeddings(degrees, donor=None, recipient=None, *, field):
     aux = tuple(aux)
     d = len(degrees)
 
-    unit = BinaryForm(0, (one,))
+    unit = BinaryForm.over(0, (1,), field)
     t0 = BinaryForm.monomial(1, 0, one)
 
     slots1 = []
@@ -651,7 +648,7 @@ def verify_degeneration_embeddings(degrees, donor=None, recipient=None, *, field
     comps1 = [BinaryForm.zero(a, field) for a in aux]
     comps1[donor] = BinaryForm.monomial(degrees[donor] - 1, degrees[donor] - 1, -one)
     comps1[-1] = BinaryForm.monomial(1, 0, one)
-    relation1 = ScrollSection(aux, 0, comps1, field)
+    relation1 = ScrollSection(aux, 0, comps1)
     pulled1 = compose_section_with_embedding(relation1, phi1)
     if not all(f.is_zero() for f in pulled1):
         return False
@@ -668,7 +665,7 @@ def degeneration_equivalence_check(degrees, lam, donor=None, recipient=None, fie
     to the lam-section; checked as equality of component forms.
     """
     if field is None:
-        field = field_of(lam)
+        field = infer_field((lam,))
     lam = field(lam)
     if not lam:
         raise ValueError("lam must be nonzero; the lam=0 member is the degenerate scroll")
@@ -677,5 +674,5 @@ def degeneration_equivalence_check(degrees, lam, donor=None, recipient=None, fie
     member_lam = degeneration_member(degrees, lam, donor, recipient, field)
     rescaled = list(member_one.comps)
     rescaled[donor] = rescaled[donor].scale(lam)
-    substituted = ScrollSection(member_one.degrees, 0, rescaled, field)
+    substituted = ScrollSection(member_one.degrees, 0, rescaled)
     return substituted == member_lam

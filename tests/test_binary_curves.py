@@ -317,7 +317,7 @@ def test_pair_resultant_agrees_with_sympy():
             sum(rational(g[i][j]) * u[i] * u[j] for i in range(3) for j in range(3))
             for g in (g1, g2)
         ]
-        res = _pair_resultant(_conic_parts(g1), _conic_parts(g2))
+        res = _pair_resultant(_conic_parts(g1, QQ), _conic_parts(g2, QQ))
         got = sum(
             rational(c) * x0 ** (res.degree - k) * x1 ** k for k, c in enumerate(res.coeffs)
         )

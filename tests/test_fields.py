@@ -11,7 +11,7 @@ from scrollgeom.fields import (
     QQ,
     FpElement,
     PrimeField,
-    field_of,
+    infer_field,
     parse_field,
     random_distinct,
     random_nonzero,
@@ -81,13 +81,19 @@ def test_prime_field_rejects_composites():
             PrimeField(bad)
 
 
-def test_field_of_dispatch():
-    assert field_of(Fraction(2, 3)) is QQ
-    assert field_of(5) is QQ
-    fp = field_of(PrimeField(7)(3))
+def test_infer_field_dispatch():
+    f7 = PrimeField(7)
+    assert infer_field([Fraction(2, 3)]) is QQ
+    assert infer_field([5]) is QQ and infer_field([]) is QQ
+    fp = infer_field([f7(3)])
     assert isinstance(fp, PrimeField) and fp.p == 7
+    # ints embed in every field
+    assert infer_field([2, f7(3), -9]) == f7
     with pytest.raises(TypeError):
-        field_of("a string")
+        infer_field(["a string"])
+    for mixed in ([f7(1), PrimeField(11)(1)], [f7(1), Fraction(1, 2)], [0.5, 1]):
+        with pytest.raises(FieldMismatchError):
+            infer_field(mixed)
 
 
 def test_parse_field():

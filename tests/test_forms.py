@@ -515,3 +515,48 @@ def test_prime_field_gcd_and_division_match_fp_element_oracles():
                 assert q == want and _all_fp(q, fp.p)
 
     check()
+
+
+# ------------------------------------------------- forms carry their field
+
+
+def test_forms_carry_their_field():
+    f11 = PrimeField(11)
+    assert BinaryForm.zero(3, PrimeField(11)).field == PrimeField(11)
+    f = BinaryForm.over(2, [1, 13, -1], f11)  # plain ints, reduced into F_11
+    g = BinaryForm.over(1, [1, 4], f11)
+    assert f.field is f11 and f.values == (1, 2, 10) and _all_fp(f, 11)
+    h = BinaryForm.over(1, [2, 5], f11)
+    results = {
+        "+": f + f,
+        "*": f * g,
+        "scale": f.scale(3),
+        "divide_exact": divide_exact(f * g, g),
+        "form_gcd": form_gcd(f * g, g * h),
+        "compose_form": compose_form(f, g, h),
+    }
+    for name, form in results.items():
+        assert form.field == f11 and _all_fp(form, 11), name
+    assert results["divide_exact"] == f and results["form_gcd"] == g
+
+
+_BINARY_OPS = {
+    "+": lambda f, g: f + g,
+    "-": lambda f, g: f - g,
+    "*": lambda f, g: f * g,
+    "divide_exact": divide_exact,
+    "form_gcd": form_gcd,
+    "compose_form": lambda f, g: compose_form(f, g, g),
+}
+
+
+@pytest.mark.parametrize("op", sorted(_BINARY_OPS))
+def test_forms_of_two_fields_do_not_mix(op):
+    f11, f13 = PrimeField(11), PrimeField(13)
+    over_11 = BinaryForm(1, (f11(1), f11(2)))
+    over_13 = BinaryForm(1, (f13(1), f13(2)))
+    rational = BinaryForm(1, (Fraction(1, 2), 1))
+    pairs = [(over_11, over_13), (over_13, over_11), (rational, over_11), (over_11, rational)]
+    for f, g in pairs:
+        with pytest.raises(FieldMismatchError):
+            _BINARY_OPS[op](f, g)

@@ -36,15 +36,15 @@ MERSENNE_61 = 2**61 - 1
 
 
 def test_frozen_small_cases():
-    rank, kernel = rank_kernel([[1, 2], [2, 4]], 2)
+    rank, kernel = rank_kernel([[1, 2], [2, 4]], 2, QQ)
     assert rank == 1 and len(kernel) == 1
     x, y = kernel[0]
     assert x + 2 * y == 0 and (x or y)
 
-    rank, kernel = rank_kernel([[1, 0, 0], [0, 1, 0], [0, 0, 1]], 3)
+    rank, kernel = rank_kernel([[1, 0, 0], [0, 1, 0], [0, 0, 1]], 3, QQ)
     assert rank == 3 and kernel == []
 
-    rank, kernel = rank_kernel([[0, 0, 0, 0], [0, 0, 0, 0]], 4)
+    rank, kernel = rank_kernel([[0, 0, 0, 0], [0, 0, 0, 0]], 4, QQ)
     assert rank == 0 and len(kernel) == 4
 
 
@@ -117,7 +117,7 @@ def test_rank_of_matches_rank_kernel():
 
 def test_float_entries_rejected_on_both_paths():
     with pytest.raises(FieldMismatchError):
-        rank_kernel([[0.5, 1]], 2)
+        rank_kernel([[0.5, 1]], 2, QQ)
     with pytest.raises(FieldMismatchError):
         rank_kernel([[Fraction(1, 2), 1.0]], 2, QQ)
     with pytest.raises(FieldMismatchError):

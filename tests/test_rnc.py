@@ -134,7 +134,7 @@ def test_coordinate_forms_full_rank():
     for n, params in ((2, (5,)), (3, (2, 3)), (5, (2, 3, 4, 5))):
         curve = StandardRNC(n, params)
         rows = [list(f.coeffs) for f in curve.coordinate_forms()]
-        assert rank_of(rows, n + 1) == n + 1
+        assert rank_of(rows, n + 1, QQ) == n + 1
 
 
 def test_coefficient_rank_frozen():
@@ -143,9 +143,9 @@ def test_coefficient_rank_frozen():
         BinaryForm(2, (QQ(0), QQ(1), QQ(0))),
         BinaryForm(2, (QQ(0), QQ(0), QQ(1))),
     )
-    assert rank_of([list(f.coeffs) for f in basis], 3) == 3
+    assert rank_of([list(f.coeffs) for f in basis], 3, QQ) == 3
     repeated = (basis[0], basis[0])
-    assert rank_of([list(f.coeffs) for f in repeated], 3) == 1
+    assert rank_of([list(f.coeffs) for f in repeated], 3, QQ) == 1
 
 
 def test_standard_rnc_rejections():
@@ -231,7 +231,7 @@ def test_quadric_singular_locus_indices():
     q = Quadric.from_monomials(4, {(0, 4): 1, (1, 2): -1}, QQ)
     assert q.rank() == 4
     assert q.is_through_standard_frame()
-    kernel = rank_kernel([list(r) for r in q.gram], 5)[1]
+    kernel = rank_kernel([list(r) for r in q.gram], 5, QQ)[1]
     assert len(kernel) == 1
     assert _proportional(kernel[0], (QQ(0), QQ(0), QQ(0), QQ(1), QQ(0)))
 
@@ -241,6 +241,28 @@ def test_quadric_validation():
         Quadric([[QQ(0), QQ(1)], [QQ(2), QQ(0)]])
     with pytest.raises(ValueError):
         Quadric([[QQ(0), QQ(1)]])
+
+
+def test_quadrics_carry_their_field():
+    field = PrimeField(10007)
+    assert Quadric.from_monomials(3, {(0, 1): 1, (2, 3): -1}, field).field is field
+    assert Quadric.from_monomials(3, {(0, 1): 1}, QQ).field is QQ
+
+
+def test_quadric_symmetry_is_checked_in_its_field():
+    fp = PrimeField(10007)
+    # 10010 is 3 mod 10007
+    q = Quadric([[fp.zero, fp(3)], [10010, fp.zero]])
+    assert q.field == fp and q.gram == ((fp.zero, fp(3)), (fp(3), fp.zero))
+
+
+def test_quadric_of_int_multiples_of_p_is_the_zero_quadric():
+    fp = PrimeField(10007)
+    m = 10007 * 5
+    zero = Quadric([[fp.zero, m, 0], [m, fp.zero, 0], [0, 0, fp.zero]])
+    assert zero.rank() == 0 and zero.is_zero()
+    with pytest.raises(ZeroQuadricError):
+        residual_polynomial(zero, StandardRNC(2, (5,), fp))
 
 
 def test_quadric_not_through_frame_detection():

@@ -65,3 +65,14 @@ def test_every_true_division_is_the_field_aware_one():
         if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div)
     ]
     assert divisions == [("forms.py", "_div")]
+
+
+def test_only_the_field_layer_and_reports_read_fp_element():
+    # forms, quadrics and matrices carry their field, so no other module
+    # looks for FpElement among its scalars to find it
+    readers = [
+        path.name
+        for path in sorted(PACKAGE.glob("*.py"))
+        if _reads(ast.parse(path.read_text()))["FpElement"]
+    ]
+    assert readers == ["fields.py", "reports.py"]
