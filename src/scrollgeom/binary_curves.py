@@ -147,12 +147,16 @@ def _candidate_vectors(kernel):
 def _pair_satisfies_nodes(q1, q2, pairs, field):
     """True when (q1 : q2) is defined at every R_j and carries it to S_j.
 
-    Over F_p the evaluations and cross-products run on int residues, with
-    one reduction per value.
+    Neither test changes when (q1, q2) or the node pairs are scaled by a
+    nonzero constant, so both are cleared of denominators first and the
+    evaluations and cross-products run on ints: int residues over F_p,
+    with one reduction per value.
     """
-    c1, c2 = q1.values, q2.values
-    for (r, s) in pairs:
-        r0, r1, s0, s1 = field.unwrap(r + s)
+    forms, _ = _cleared(q1.values + q2.values)
+    c1, c2 = forms[:len(q1.values)], forms[len(q1.values):]
+    nodes, _ = _cleared(field.unwrap([x for (r, s) in pairs for x in r + s]))
+    for j in range(0, len(nodes), 4):
+        r0, r1, s0, s1 = nodes[j:j + 4]
         v1, v2 = field.reduce([_horner(c1, r0, r1), _horner(c2, r0, r1)])
         if not (v1 or v2):
             return False

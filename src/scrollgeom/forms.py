@@ -15,21 +15,27 @@ embed in every field, so an all-int rational form joins a prime-field
 form, while two primes or a Fraction beside F_p raise
 FieldMismatchError.
 
-A product is one integer convolution: the rational values are cleared of
-denominators first, and one Fraction is built per output coefficient
-when a denominator is left.  Evaluation is one homogeneous Horner pass.
-Division and the Euclid work on t-polynomials: over F_p with one modular
-inverse of the divisor's lead per division, over the rationals with
-``_div``, the one true division in the package, which divides two ints
-as rationals, never as floats.  A gcd of rational forms first reduces
-both modulo a fixed 61-bit prime, where a Euclid that ends in a constant
-certifies that the forms are coprime over the rationals.
+Over the rationals the kernels run on ints cleared of denominators, and
+a Fraction is built only for an output, through ``_div``, the one true
+division in the package, which divides two ints as rationals, never as
+floats.  A product is one integer convolution, with one Fraction per
+output coefficient when a denominator is left.  Evaluation is one
+homogeneous Horner pass; over the rationals it runs on the cleared
+coefficients and point and divides once.  Division and the Euclid work
+on t-polynomials: over F_p with one modular inverse of the divisor's
+lead per division, over the rationals by one fraction-free
+pseudo-division on ints (``_pseudo_divmod``), with one ``_div`` per
+output entry.  A gcd of rational forms first reduces both modulo a fixed
+61-bit prime, where a Euclid that ends in a constant certifies that the
+forms are coprime over the rationals.  Otherwise its Euclid is the
+primitive remainder sequence on ints, and only the monic gcd at the end
+builds Fractions.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .errors import BothZeroError, FieldMismatchError, InexactDivisionError
 from .fields import infer_field
@@ -129,12 +135,12 @@ class BinaryForm:
     def evaluate(self, s0, s1):
         """Value at the pair (s0, s1), exact in the coefficient field.
 
-        One homogeneous Horner pass on the working values, reduced and
-        handed out as a field element once.
+        One homogeneous Horner pass on ints (_value), reduced and handed
+        out as a field element once.
         """
         f, point = _with_scalars(self, (s0, s1))
         field = f.field
-        return field.wrap(field.reduce([_horner(f.values, *point)]))[0]
+        return field.wrap(field.reduce([_value(f.values, *point)]))[0]
 
     def s1_valuation(self) -> int:
         """Multiplicity of the s1 factor (degree+1 for the zero form)."""
@@ -198,8 +204,24 @@ def _horner(coeffs, s0, s1):
     return acc
 
 
+def _value(values, s0, s1):
+    """sum_j values[j] * s0^(d-j) * s1^j by one Horner pass on ints.
+
+    Ints, int residues among them, go straight to _horner, and the caller
+    reduces.  Rational values and point are cleared of denominators, den
+    and e, and the int value is divided once, by den * e^d: one Fraction,
+    built by _div.
+    """
+    if set(map(type, values)) | {type(s0), type(s1)} <= {int}:
+        return _horner(values, s0, s1)
+    (nums, den), ((e0, e1), e) = _cleared(values), _cleared((s0, s1))
+    return _div(_horner(nums, e0, e1), den * e ** (len(nums) - 1))
+
+
 def _cleared(coeffs):
     """(integer numerators, common denominator) of rational coefficients."""
+    if set(map(type, coeffs)) <= {int}:
+        return list(coeffs), 1
     den = lcm(*[c.denominator for c in coeffs])
     return [c.numerator * (den // c.denominator) for c in coeffs], den
 
@@ -254,8 +276,12 @@ def _as_t_poly(f: BinaryForm):
 
 
 def _from_t_poly(s1_power: int, phi, field) -> BinaryForm:
-    """Inverse of _as_t_poly; phi must have a nonzero leading coefficient."""
-    values = [0 * phi[0]] * s1_power + phi[::-1]
+    """Inverse of _as_t_poly; phi must have a nonzero leading coefficient.
+
+    The zeros of the s1 factor take phi's scalar type.
+    """
+    zeros = [0 * phi[0]] * s1_power if s1_power else []
+    values = zeros + phi[::-1]
     return _form(len(values) - 1, values, field)
 
 
@@ -272,6 +298,46 @@ def _div(a, b):
     return a / b
 
 
+def _pseudo_divmod(num, den):
+    """(quot, rem, scale) of int t-polynomials: scale * num = quot * den + rem.
+
+    Fraction-free long division by den, whose leading entry lead is
+    nonzero.  Before each step the live part of the remainder and the
+    quotient are multiplied by m = lead / g, g = gcd(lead, top entry), so
+    that the top entry cancels against (top / g) * den.  scale is the
+    product of the factors m.  rem is untrimmed, at most len(den) - 1 long
+    ([0] when den is a constant).
+    """
+    num = list(num)
+    width = len(den) - 1
+    lead = den[-1]
+    quot = [0] * max(len(num) - width, 1)
+    scale = 1
+    for k in range(len(num) - 1 - width, -1, -1):
+        top = num[k + width]
+        if not top:
+            continue
+        g = gcd(top, lead)
+        m = lead // g
+        if m != 1:
+            scale *= m
+            num = [x * m for x in num[:k + width]]
+            quot = [x * m for x in quot]
+        c = top // g
+        quot[k] = c
+        for i in range(width):
+            num[k + i] -= c * den[i]
+    return quot, num[:width] or [0], scale
+
+
+def _primitive(nums):
+    """An int t-polynomial divided by its content, trimmed."""
+    content = gcd(*nums)
+    if content > 1:
+        nums = [x // content for x in nums]
+    return _poly_trim(nums)
+
+
 def _poly_divmod(num, den, p=None):
     """(quotient, remainder) of t-polynomials, lists by power, both trimmed.
 
@@ -279,22 +345,26 @@ def _poly_divmod(num, den, p=None):
     int residues: each quotient entry is one product with the inverse of
     den's lead reduced mod p, the subtractions run on unreduced ints, and
     the remainder is reduced once at the end.  Without one the entries are
-    rationals and each quotient entry is one _div.
+    rationals: both lists are cleared of denominators, _pseudo_divmod
+    divides the ints, and each quotient entry and nonzero remainder entry
+    is one _div; a zero remainder entry stays the int 0.
     """
+    if not p:
+        (nn, dn), (nd, dd) = _cleared(num), _cleared(den)
+        quot, rem, scale = _pseudo_divmod(nn, nd)
+        return (_poly_trim([_div(q * dd, scale * dn) for q in quot]),
+                _poly_trim([_div(r, scale * dn) if r else 0 for r in rem]))
     num = list(num)
     width = len(den) - 1
-    lead = den[-1]
-    inv = pow(lead, -1, p) if p else None
-    quot = [0 * lead] * max(len(num) - width, 1)
+    inv = pow(den[-1], -1, p)
+    quot = [0] * max(len(num) - width, 1)
     for k in range(len(num) - 1 - width, -1, -1):
-        c = num[k + width] * inv % p if p else _div(num[k + width], lead)
+        c = num[k + width] * inv % p
         quot[k] = c
         if c:
             for i in range(width):
                 num[k + i] -= c * den[i]
-    rem = num[:width] or [0 * lead]
-    if p:
-        rem = [x % p for x in rem]
+    rem = [x % p for x in num[:width]] or [0]
     return _poly_trim(quot), _poly_trim(rem)
 
 
@@ -339,33 +409,21 @@ def divide_exact(f: BinaryForm, g: BinaryForm) -> BinaryForm:
     return q
 
 
-def _reduce_mod(phi, p):
-    """Rational t-polynomial mod p, or None where the reduction may lose degree.
-
-    None when p divides a denominator or the leading coefficient.
-    """
-    out = []
-    for c in phi:
-        if c.denominator % p == 0:
-            return None
-        out.append(c.numerator * pow(c.denominator, -1, p) % p)
-    return out if out[-1] else None
-
-
 def _coprime_mod_p(pf, pg):
     """True only if the rational t-polynomials pf and pg are coprime.
 
-    Both are reduced mod p = GCD_PRIME, which must divide no denominator
-    and neither leading coefficient.  Then the primitive integer gcd g of
-    pf and pg divides both in Z_(p)[t] (Gauss's lemma), and its leading
-    coefficient divides theirs, so g mod p keeps its degree and divides
-    both reductions: deg gcd over the rationals <= deg gcd mod p.  A mod-p
-    Euclid that ends in a nonzero constant therefore certifies
+    Both are cleared of denominators, which keeps their gcd over the
+    rationals, and reduced mod p = GCD_PRIME, which must divide neither
+    cleared leading coefficient.  Then the primitive integer gcd g of the
+    cleared polynomials divides both in Z[t] (Gauss's lemma), and its
+    leading coefficient divides theirs, so g mod p keeps its degree and
+    divides both reductions: deg gcd over the rationals <= deg gcd mod p.
+    A mod-p Euclid that ends in a nonzero constant therefore certifies
     coprimality.  False means "not certified", never "not coprime".
     """
     p = GCD_PRIME
-    a, b = _reduce_mod(pf, p), _reduce_mod(pg, p)
-    if a is None or b is None:
+    a, b = ([x % p for x in _cleared(phi)[0]] for phi in (pf, pg))
+    if not (a[-1] and b[-1]):
         return False
     while len(b) > 1:
         a, b = b, _poly_divmod(a, b, p)[1]
@@ -378,7 +436,10 @@ def form_gcd(f: BinaryForm, g: BinaryForm) -> BinaryForm:
     The zero form is absorbing: gcd(0, g) is g made monic.  Raises
     BothZeroError when both arguments vanish identically.  Rational forms
     whose t-polynomials are certified coprime mod GCD_PRIME skip the
-    Euclid over the rationals, which would end in the same constant 1.
+    Euclid.  Otherwise the rational Euclid is the primitive remainder
+    sequence on ints: each pseudo-remainder divided by its content, with
+    the same degrees as the remainders over the rationals, whose last
+    nonzero entry _monic turns into the monic gcd.
     """
     f, g = _common(f, g)
     if f.is_zero() and g.is_zero():
@@ -391,10 +452,12 @@ def form_gcd(f: BinaryForm, g: BinaryForm) -> BinaryForm:
     p = getattr(field, "p", None)  # over the rationals _poly_divmod takes None
     vf, a = _as_t_poly(f)
     vg, b = _as_t_poly(g)
-    if not p and _coprime_mod_p(a, b):
-        return _from_t_poly(min(vf, vg), [Fraction(1)], field)
+    if not p:
+        if _coprime_mod_p(a, b):
+            return _from_t_poly(min(vf, vg), [Fraction(1)], field)
+        a, b = _primitive(_cleared(a)[0]), _primitive(_cleared(b)[0])
     while len(b) > 1 or b[0]:
-        a, b = b, _poly_divmod(a, b, p)[1]
+        a, b = b, _poly_divmod(a, b, p)[1] if p else _primitive(_pseudo_divmod(a, b)[1])
     return _from_t_poly(min(vf, vg), _monic(a, p), field)
 
 

@@ -219,23 +219,16 @@ class UnisecantResult:
 
 
 def _t_values_injective(points, field):
-    for i in range(len(points)):
-        u = points[i][1]
-        for j in range(i + 1, len(points)):
-            v = points[j][1]
-            if not (u[0] * v[1] - u[1] * v[0]):
-                return False
-    return True
+    """True when the base values of the points are pairwise distinct in P^1."""
+    ts = [t for (_, t) in points]
+    return all(field.reduce([u[0] * v[1] - u[1] * v[0]
+                             for i, u in enumerate(ts) for v in ts[i + 1:]]))
 
 
 def _hyperplane_conditions_rank(scroll, points, field):
     slots = monomial_slots(scroll)
-    rows = []
-    for (y, t) in points:
-        row = []
-        for (i, b, c) in slots:
-            row.append(t[0] ** b * t[1] ** c * y[i])
-        rows.append(row)
+    rows = [field.reduce([t[0] ** b * t[1] ** c * y[i] for (i, b, c) in slots])
+            for (y, t) in points]
     return rank_of(rows, scroll.n + 1, field)
 
 
@@ -257,6 +250,8 @@ def interpolate_unisecant(scroll: ScrollType, lifted_frame, field=None) -> Unise
         raise ValueError(f"need n+2 = {n + 2} points, got {len(points)}")
     if field is None:
         field = infer_field([x for (y, t) in points for x in y + t])
+    # working values, unwrapped once: int residues over F_p
+    points = [(tuple(field.unwrap(y)), tuple(field.unwrap(t))) for (y, t) in points]
     for (y, t) in points:
         if not (t[0] or t[1]):
             raise ValueError("invalid scroll point: base coordinates both zero")
@@ -277,7 +272,6 @@ def interpolate_unisecant(scroll: ScrollType, lifted_frame, field=None) -> Unise
 
     rows = []
     for (y, t) in points:
-        y, t = field.unwrap(y), field.unwrap(t)
         pivot = next(i for i in range(d) if y[i])
         mono = []
         for deg in y_degs:

@@ -306,21 +306,41 @@ def oracle_divide_exact(f, g, field):
     return _rehomogenize(vf - vg, quot, field)
 
 
-_FP_ARITHMETIC = (
+_ARITHMETIC = (
     "__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
     "__truediv__", "__rtruediv__", "__neg__", "__pow__",
 )
 
 
-def count_fp_arithmetic(monkeypatch):
-    """Count every FpElement arithmetic call from here on; returns the Counter."""
+def _count_arithmetic(cls, monkeypatch):
     calls = Counter()
-    for name in _FP_ARITHMETIC:
-        def counted(*args, _real=getattr(FpElement, name), _name=name):
+    for name in _ARITHMETIC:
+        def counted(*args, _real=getattr(cls, name), _name=name):
             calls[_name] += 1
             return _real(*args)
 
-        monkeypatch.setattr(FpElement, name, counted)
+        monkeypatch.setattr(cls, name, counted)
+    return calls
+
+
+def count_fp_arithmetic(monkeypatch):
+    """Count every FpElement arithmetic call from here on; returns the Counter."""
+    return _count_arithmetic(FpElement, monkeypatch)
+
+
+def count_fraction_arithmetic(monkeypatch):
+    """Count every Fraction arithmetic call, and every Fraction built, from here on.
+
+    Returns the Counter; "__new__" counts the Fractions built, an
+    arithmetic call's result among them.
+    """
+    calls = _count_arithmetic(Fraction, monkeypatch)
+
+    def built(cls, *args, _real=Fraction.__new__, **kwargs):
+        calls["__new__"] += 1
+        return _real(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", built)
     return calls
 
 

@@ -32,7 +32,13 @@ from scrollgeom.rnc import StandardRNC, composite_on_curve
 from scrollgeom.rngstream import as_stream
 from scrollgeom.scrolls import gonality_bound
 
-from helpers import count_fp_arithmetic, cross_ratio, oracle_node_system_rows, oracle_rref_mod
+from helpers import (
+    count_fp_arithmetic,
+    count_fraction_arithmetic,
+    cross_ratio,
+    oracle_node_system_rows,
+    oracle_rref_mod,
+)
 
 
 def _curve(n, params1, params2, field=QQ):
@@ -240,6 +246,46 @@ def test_prime_field_node_check_does_no_fp_element_arithmetic(monkeypatch):
     # the counters do see FpElement arithmetic
     _ = fp.one + fp.one
     assert calls["__add__"] == 1
+
+
+def _rational_witness():
+    curve = random_binary_curve(8, QQ, 41)
+    witness, _ = gonality_map(curve)
+    pairs = curve.node_pairs
+    wrong = ((pairs[0][0], pairs[1][1]),) + pairs[1:]
+    return witness.q1, witness.q2, pairs, wrong
+
+
+def test_rational_node_check_does_no_fraction_arithmetic(monkeypatch):
+    q1, q2, pairs, wrong = _rational_witness()
+    # the kernel vectors carry Fractions, so the check has some to clear
+    assert any(type(x) is Fraction for x in q1.values + q2.values)
+    calls = count_fraction_arithmetic(monkeypatch)
+    assert _pair_satisfies_nodes(q1, q2, pairs, QQ)
+    assert not _pair_satisfies_nodes(q1, q2, wrong, QQ)
+    assert not calls
+    # the counters do see Fraction arithmetic
+    _ = Fraction(1, 2) + 1
+    assert calls["__add__"] == 1
+
+
+def test_node_check_is_unchanged_by_a_common_scale():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    q1, q2, pairs, wrong = _rational_witness()
+    # (q1 : q1) is constant where defined, so it misses the node S = (1 : 0)
+    cases = [(q1, q2, pairs, True), (q1, q2, wrong, False), (q1, q1, pairs, False)]
+    scalars = st.one_of(
+        st.integers(-10**6, 10**6), st.fractions(max_denominator=10**6)
+    ).filter(bool)
+
+    @hypothesis.settings(max_examples=100, deadline=None)
+    @hypothesis.given(scalars)
+    def check(c):
+        for f, g, node_pairs, want in cases:
+            assert _pair_satisfies_nodes(f.scale(c), g.scale(c), node_pairs, QQ) is want
+
+    check()
 
 
 # --------------------------------------------------------------- quadrics

@@ -1,5 +1,6 @@
 """Dense binary forms: arithmetic, exact division, gcd, composition."""
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ from scrollgeom.forms import (
     _coprime_mod_p,
     _as_t_poly,
     _poly_divmod,
+    _pseudo_divmod,
     compose_form,
     divide_exact,
     form_gcd,
@@ -25,9 +27,11 @@ from scrollgeom.rngstream import as_stream
 
 from helpers import (
     count_fp_arithmetic,
+    count_fraction_arithmetic,
     oracle_divide_exact,
     oracle_form_gcd,
     oracle_form_mul,
+    oracle_form_value,
     oracle_poly_divmod,
 )
 
@@ -292,18 +296,17 @@ def test_gcd_prime_is_a_61_bit_prime():
 def test_coprime_rational_forms_skip_the_rational_euclid(monkeypatch):
     import scrollgeom.forms as forms
 
-    modular = forms._poly_divmod
+    def refuse(num, den):
+        # the rational Euclid runs on the integer remainders of this core
+        raise AssertionError("integer Euclid ran on certified-coprime forms")
 
-    def refuse(num, den, p=None):
-        # the mod-p certificate divides too; only a rational division is refused
-        if p is None:
-            raise AssertionError("Euclid over the rationals ran on certified-coprime forms")
-        return modular(num, den, p)
-
-    monkeypatch.setattr(forms, "_poly_divmod", refuse)
+    monkeypatch.setattr(forms, "_pseudo_divmod", refuse)
     got = form_gcd(lp(0, 1, Fraction(1, 3), 5), lp(0, 0, Fraction(-7, 2), 1))
     assert got.coeffs == (0, 1) and type(got.coeffs[1]) is Fraction
     assert form_gcd(lp(1, 2), lp(3)).coeffs == (1,)
+    # the refusal is live: a common factor does reach the core
+    with pytest.raises(AssertionError, match="integer Euclid"):
+        form_gcd(lp(1, -2) * lp(1, 1), lp(1, -2) * lp(1, 3))
 
 
 def test_gcd_certificate_refuses_lost_degree_and_falls_back():
@@ -313,10 +316,12 @@ def test_gcd_certificate_refuses_lost_degree_and_falls_back():
     f, g = h * t, h * lp(1, 1)  # mod p: t and t + 1, coprime; over Q: gcd h
     assert not _coprime_mod_p(_as_t_poly(f)[1], _as_t_poly(g)[1])
     assert form_gcd(f, g) == oracle_form_gcd(f, g) == BinaryForm(1, (1, Fraction(1, p)))
-    h2 = lp(1, Fraction(1, p))  # p divides a denominator
+    h2 = lp(1, Fraction(1, p))  # p divides a denominator, and so the cleared leads
     f2, g2 = h2 * t, h2 * lp(1, 1)
     assert not _coprime_mod_p(_as_t_poly(f2)[1], _as_t_poly(g2)[1])
     assert form_gcd(f2, g2) == oracle_form_gcd(f2, g2) == h2
+    # a denominator p beside a lead of 1 clears to p + t: certified coprime
+    assert _coprime_mod_p(_as_t_poly(lp(Fraction(1, p), 1))[1], _as_t_poly(lp(1, 1))[1])
     # coprime over Q, but both reduce to t mod p: not certified, yet coprime
     f3, g3 = t, lp(1, -p)
     assert not _coprime_mod_p(_as_t_poly(f3)[1], _as_t_poly(g3)[1])
@@ -405,6 +410,135 @@ def test_rational_product_matches_schoolbook_loop():
     assert all(type(x) is FpElement and x.p == 11 for x in got.coeffs)
     with pytest.raises(FieldMismatchError):
         BinaryForm(1, (0.5, 1)) * BinaryForm(0, (Fraction(1, 3),))
+
+
+# ------------------------------------------------- rational kernels on ints
+
+
+def test_rational_evaluation_builds_one_fraction_and_no_arithmetic(monkeypatch):
+    f = lp(Fraction(1, 2), Fraction(-2, 3), 5, Fraction(7, 4))
+    ints = BinaryForm(3, (4, -1, 0, 9))
+    point = (Fraction(3, 5), Fraction(-2, 7))
+    want = [oracle_form_value(f, *point), oracle_form_value(ints, 2, -3),
+            oracle_form_value(ints, *point)]
+    calls = count_fraction_arithmetic(monkeypatch)
+    got = f.evaluate(*point)
+    assert calls == Counter({"__new__": 1})
+    calls.clear()
+    got_ints = ints.evaluate(2, -3)
+    assert not calls and type(got_ints) is int
+    got_point = ints.evaluate(*point)
+    assert calls == Counter({"__new__": 1})
+    # the counters do see Fraction arithmetic
+    calls.clear()
+    _ = Fraction(1, 2) + 1
+    assert calls["__add__"] == 1
+    monkeypatch.undo()
+    assert [got, got_ints, got_point] == want
+
+
+def test_rational_evaluate_matches_the_oracle_value_and_type():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    scalar = st.one_of(
+        st.integers(-40, 40),
+        st.builds(Fraction, st.integers(-40, 40), st.integers(1, 12)),
+    )
+    point = st.one_of(
+        st.tuples(scalar, scalar).filter(any),
+        st.sampled_from([(1, 0), (0, 1), (Fraction(1), 0), (0, Fraction(1))]),
+    )
+    forms_st = st.integers(0, 9).flatmap(
+        lambda d: st.lists(scalar, min_size=d + 1, max_size=d + 1).map(
+            lambda cs: BinaryForm(len(cs) - 1, cs)
+        )
+    )
+
+    @hypothesis.settings(max_examples=300, deadline=None)
+    @hypothesis.given(forms_st, point)
+    @hypothesis.example(BinaryForm(0, (3,)), (0, Fraction(1)))
+    @hypothesis.example(BinaryForm(2, (1, -2, 1)), (Fraction(1, 2), 0))
+    def check(form, at):
+        got, want = form.evaluate(*at), oracle_form_value(form, *at)
+        assert got == want and type(got) is type(want)
+        inputs = form.values + tuple(at)
+        assert type(got) is (int if all(type(x) is int for x in inputs) else Fraction)
+
+    check()
+
+
+def test_pseudo_division_is_the_rational_division_scaled():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    ints = st.lists(st.integers(-50, 50), min_size=1, max_size=9)
+
+    @hypothesis.settings(max_examples=300, deadline=None)
+    @hypothesis.given(ints, ints)
+    def check(num, den):
+        hypothesis.assume(den[-1])
+        quot, rem, scale = _pseudo_divmod(num, den)
+        assert scale and len(rem) <= max(len(den) - 1, 1)
+        # scale * num == quot * den + rem, entry by entry
+        product = [0] * (len(quot) + len(den) - 1)
+        for i, q in enumerate(quot):
+            for j, d in enumerate(den):
+                product[i + j] += q * d
+        padded = rem + [0] * (len(product) - len(rem))
+        lhs = [scale * x for x in num] + [0] * (len(product) - len(num))
+        assert lhs == [p + r for p, r in zip(product, padded)]
+        # the rational remainder, scaled: the same degree in a Euclid step
+        want_quot, want_rem = oracle_poly_divmod(num, den, QQ)
+        assert _poly_divmod(num, den) == (want_quot, want_rem)
+        assert [Fraction(r, scale) for r in rem][:len(want_rem)] == want_rem
+
+    check()
+
+
+def test_rational_gcd_builds_only_the_monic_gcd(monkeypatch):
+    h = lp(2, Fraction(-1, 3), Fraction(5, 2))
+    f = h * lp(Fraction(1, 2), 3)
+    g = h * lp(Fraction(-3, 4), 1, Fraction(2, 5))
+    assert not _coprime_mod_p(_as_t_poly(f)[1], _as_t_poly(g)[1])
+    want = oracle_form_gcd(f, g)
+    calls = count_fraction_arithmetic(monkeypatch)
+    got = form_gcd(f, g)
+    # the Euclid runs on ints; only the monic gcd's 3 entries are built
+    assert calls == Counter({"__new__": 3})
+    monkeypatch.undo()
+    assert got == want and got.degree == 2
+    assert all(type(x) is Fraction for x in got.coeffs)
+
+
+def test_form_gcd_of_planted_pairs_up_to_degree_8_agrees_with_sympy():
+    sympy = pytest.importorskip("sympy")
+    s0, s1 = sympy.symbols("s0 s1")
+
+    def expr(form):
+        return sum(
+            sympy.Rational(c.numerator, c.denominator) * s0 ** (form.degree - j) * s1 ** j
+            for j, c in enumerate(form.coeffs)
+        )
+
+    def rational_form(degree):
+        return BinaryForm(degree, [
+            Fraction(rng.randint(-99, 99), rng.randint(1, 30)) for _ in range(degree + 1)
+        ])
+
+    rng = as_stream(74)
+    seen = set()
+    for trial in range(24):
+        common = rational_form(1 + trial % 4)
+        if trial % 5 == 0:
+            common = common * lp(0, 1)  # a shared s1 factor
+        f = common * rational_form(8 - common.degree - trial % 2)
+        g = common * rational_form(7 - common.degree)
+        got = form_gcd(f, g)
+        want = sympy.gcd(expr(f), expr(g))
+        quotient, remainder = sympy.div(want, expr(got), s0, s1)
+        assert remainder == 0 and not quotient.free_symbols and quotient != 0
+        assert got == oracle_form_gcd(f, g) and got.degree >= common.degree
+        seen.add((f.degree, g.degree))
+    assert (8, 7) in seen and (7, 7) in seen
 
 
 # ------------------------------------------------- prime-field division

@@ -30,7 +30,7 @@ from scrollgeom.scroll_curves import (
 )
 from scrollgeom.scrolls import ScrollType
 
-from helpers import oracle_coefficient_jacobian, oracle_incidence_ranks
+from helpers import count_fp_arithmetic, oracle_coefficient_jacobian, oracle_incidence_ranks
 
 S0 = BinaryForm(1, (QQ(1), QQ(0)))
 S1 = BinaryForm(1, (QQ(0), QQ(1)))
@@ -277,6 +277,23 @@ def test_interpolation_over_prime_field():
     frame = random_lifted_frame(scroll, field, RngStream.from_seed(25))
     result = interpolate_unisecant(scroll, frame)
     assert result.status == "UNIQUE"
+
+
+def test_prime_field_interpolation_does_no_fp_element_arithmetic(monkeypatch):
+    field = PrimeField(10007)
+    scroll = ScrollType((2, 3, 3))
+    frame = random_lifted_frame(scroll, field, RngStream.from_seed(26))
+    calls = count_fp_arithmetic(monkeypatch)
+    result = interpolate_unisecant(scroll, frame)
+    assert not calls
+    # the counters do see FpElement arithmetic
+    _ = field.one + field.one
+    assert calls["__add__"] == 1
+    monkeypatch.undo()
+    assert result.status == "UNIQUE"
+    for (y, t) in frame:
+        fiber, _ = result.curve.point_at(t[0], t[1])
+        assert _proportional(fiber, y)
 
 
 def test_hyperplane_sections_through_frame_vanish_on_interpolant():
