@@ -19,7 +19,8 @@ from .errors import (
     NoCoprimeWitnessError,
 )
 from .fields import QQ, scalar_to_str
-from .forms import BinaryForm, _cleared, _div, _horner, divide_exact, form_gcd, gcd_many, random_form
+from .forms import (BinaryForm, _cleared, _coefficient_rows, _div, _horner, _split_forms,
+                    divide_exact, form_gcd, gcd_many, random_form)
 from .linalg import rank_kernel, rank_of
 from .rnc import Frame, Quadric, StandardRNC, random_standard_rnc
 from .rngstream import as_stream
@@ -108,27 +109,6 @@ class GonalityWitness:
     total_degree: int
 
 
-def _node_system_rows(pairs, degree: int, field):
-    """Rows of q1(R_j)*S_{j,1} - q2(R_j)*S_{j,0} = 0 over all node pairs.
-
-    The entries are computed on unwrapped scalars (int residues over a
-    prime field) and reduced once each.
-    """
-    rows = []
-    for (r, s) in pairs:
-        r0, r1, s0, s1 = field.unwrap((*r, *s))
-        mono = [r0 ** (degree - i) * r1 ** i for i in range(degree + 1)]
-        rows.append(field.reduce([m * s1 for m in mono] + [-m * s0 for m in mono]))
-    return rows
-
-
-def _vector_to_pair(vec, degree: int, field):
-    half = degree + 1
-    q1 = BinaryForm.over(degree, vec[:half], field)
-    q2 = BinaryForm.over(degree, vec[half:], field)
-    return q1, q2
-
-
 def _candidate_vectors(kernel):
     """Kernel basis first, then small integer pair combinations."""
     for vec in kernel:
@@ -168,15 +148,18 @@ def _pair_satisfies_nodes(q1, q2, pairs, field):
 def _node_map(pairs, degree: int, field):
     """Coprime (q1, q2) of the given degree with (q1:q2)(R_j) = S_j.
 
-    Solves the node system for the kernel, then scans the basis and small
-    pair combinations for a coprime element.  Returns ((q1, q2) or None,
-    kernel).  A coprime element carries every node, since a node it
-    missed would be a common zero of q1 and q2; the check stays anyway.
+    Solves the node system q1(R_j)*S_{j,1} - q2(R_j)*S_{j,0} = 0 for the
+    kernel, then scans the basis and small pair combinations for a
+    coprime element.  Returns ((q1, q2) or None, kernel).  A coprime
+    element carries every node, since a node it missed would be a common
+    zero of q1 and q2; the check stays anyway.
     """
-    rows = _node_system_rows(pairs, degree, field)
+    nodes = iter(field.unwrap([x for (r, s) in pairs for x in r + s]))
+    conditions = [(r0, r1, (s1, -s0)) for r0, r1, s0, s1 in zip(nodes, nodes, nodes, nodes)]
+    rows = _coefficient_rows(conditions, (degree, degree), field)
     _, kernel = rank_kernel(rows, 2 * (degree + 1), field)
     for vec in _candidate_vectors(kernel):
-        q1, q2 = _vector_to_pair(vec, degree, field)
+        q1, q2 = _split_forms(vec, (degree, degree), field)
         if q1.is_zero() and q2.is_zero():
             continue
         if form_gcd(q1, q2).degree == 0:
@@ -217,7 +200,7 @@ def gonality_map_from_nodes(pairs, n: int, field):
     # every full-degree element shares a factor; divide it out and check
     # the reduced pair against the nodes directly
     for vec in _candidate_vectors(kernel):
-        q1, q2 = _vector_to_pair(vec, degree, field)
+        q1, q2 = _split_forms(vec, (degree, degree), field)
         if q1.is_zero() or q2.is_zero():
             continue
         g = form_gcd(q1, q2)
@@ -332,9 +315,12 @@ class ContainmentVerdict:
 
 
 def _random_plane(n, field, rng):
-    """(n+1) x 3 matrix of rank 3 whose column span is a plane."""
+    """(n+1) x 3 matrix of rank 3 whose column span is a plane.
+
+    Its rows are drawn through field.random_scalar and unwrapped once.
+    """
     while True:
-        mat = [[field.random_scalar(rng) for _ in range(3)] for _ in range(n + 1)]
+        mat = [field.unwrap([field.random_scalar(rng) for _ in range(3)]) for _ in range(n + 1)]
         if rank_of(mat, 3, field) == 3:
             return mat
 
@@ -353,15 +339,19 @@ def _integral_gram(gram, field):
     return [ints[i:i + size] for i in range(0, size * size, size)]
 
 
-def _restrict_to_plane(gram, plane):
-    """3x3 Gram of the quadric pulled back to plane coordinates."""
+def _restrict_to_plane(gram, plane, field):
+    """3x3 Gram of the quadric pulled back to plane coordinates.
+
+    gram and plane hold working values; each entry of the result is
+    reduced once.
+    """
     npts = len(plane)
     gp = [
         [sum(gram[r][c] * plane[c][j] for c in range(npts)) for j in range(3)]
         for r in range(npts)
     ]
     return [
-        [sum(plane[r][i] * gp[r][j] for r in range(npts)) for j in range(3)]
+        field.reduce([sum(plane[r][i] * gp[r][j] for r in range(npts)) for j in range(3)])
         for i in range(3)
     ]
 
@@ -387,13 +377,14 @@ def _pair_resultant(p1, p2):
 def _plane_trial(grams, n, field, rng):
     """One plane-section trial: can the restricted conics share a zero?
 
-    grams are the Gram matrices of the quadric net, each up to a nonzero
-    scalar.  Returns (hit, note).  A miss is certified exactly: with all
-    leading x2^2 coefficients nonzero, a common conic zero forces every
-    pairwise resultant to vanish somewhere, so a constant gcd rules it out.
+    grams are the Gram matrices of the quadric net in working values, each
+    up to a nonzero scalar.  Returns (hit, note).  A miss is certified
+    exactly: with all leading x2^2 coefficients nonzero, a common conic
+    zero forces every pairwise resultant to vanish somewhere, so a
+    constant gcd rules it out.
     """
     plane = _random_plane(n, field, rng)
-    grams = [_restrict_to_plane(g, plane) for g in grams]
+    grams = [_restrict_to_plane(g, plane, field) for g in grams]
     nonzero = [g for g in grams if any(any(row) for row in g)]
     if len(nonzero) < len(grams):
         return True, "plane lies inside a quadric of the net"
@@ -402,10 +393,10 @@ def _plane_trial(grams, n, field, rng):
     for _ in range(24):
         if all(g[2][2] for g in nonzero):
             break
-        change = [[field.random_scalar(rng) for _ in range(3)] for _ in range(3)]
+        change = [field.unwrap([field.random_scalar(rng) for _ in range(3)]) for _ in range(3)]
         if rank_of(change, 3, field) != 3:
             continue
-        nonzero = [_restrict_to_plane(g, change) for g in nonzero]
+        nonzero = [_restrict_to_plane(g, change, field) for g in nonzero]
     else:
         return True, "no leading-coefficient normalization found (inconclusive)"
     parts = [_conic_parts(g, field) for g in nonzero]
@@ -665,16 +656,11 @@ def scroll_positive_control(seed, field=None) -> BinaryCurve:
         fibers = [tuple(y.evaluate(t, one) for y in curve_a.ys) for t in taus]
         if not all(f[0] or f[1] for f in fibers):
             continue
-        # second unisecant through the same five scroll points
-        rows = []
-        for t, fiber in zip(field.unwrap(taus), fibers):
-            u1, u2 = field.unwrap(fiber)
-            m1 = [t ** (4 - r) for r in range(5)]
-            m2 = [t ** (1 - r) for r in range(2)]
-            rows.append(
-                field.reduce([m * u2 for m in m1] + [-(m * u1) for m in m2])
-            )
-        _, kernel = rank_kernel(rows, 7, field)
+        # second unisecant (y1, y2) through the same five scroll points:
+        # y1(t) * u2 - y2(t) * u1 = 0 at each fiber point (u1, u2)
+        conditions = [(t, 1, (u2, -u1))
+                      for t, (u1, u2) in zip(field.unwrap(taus), map(field.unwrap, fibers))]
+        _, kernel = rank_kernel(_coefficient_rows(conditions, (4, 1), field), 7, field)
         if len(kernel) < 2:
             continue
         vec_a = tuple(curve_a.ys[0].coeffs) + tuple(curve_a.ys[1].coeffs)
@@ -685,13 +671,7 @@ def scroll_positive_control(seed, field=None) -> BinaryCurve:
             if _proportional(cand, vec_a):
                 continue
             try:
-                built = CurveInScroll(
-                    scroll,
-                    1,
-                    s0,
-                    s1,
-                    (BinaryForm.over(4, cand[:5], field), BinaryForm.over(1, cand[5:], field)),
-                )
+                built = CurveInScroll(scroll, 1, s0, s1, _split_forms(cand, (4, 1), field))
             except ValueError:
                 continue
             if all(

@@ -30,6 +30,12 @@ output entry.  A gcd of rational forms first reduces both modulo a fixed
 forms are coprime over the rationals.  Otherwise its Euclid is the
 primitive remainder sequence on ints, and only the monic gcd at the end
 builds Fractions.
+
+Every linear system on the coefficients of a few forms, conditions
+sum_i w_i * f_i(s0 : s1) = 0, has one layout, which lives in two
+helpers: ``_coefficient_rows`` builds the rows, the forms' coefficient
+blocks in order and each block in the order above, and ``_split_forms``
+cuts a kernel vector back into forms.
 """
 
 from __future__ import annotations
@@ -259,6 +265,34 @@ def product_of_linears(values, field) -> BinaryForm:
     for v in values:
         result = result * BinaryForm.over(1, (1, -v), field)
     return result
+
+
+def _coefficient_rows(conditions, degrees, field):
+    """Rows of the conditions sum_i w_i * f_i(s0, s1) = 0 on forms f_i.
+
+    The unknowns are the coefficients of forms of the given degrees,
+    concatenated in order.  Each condition (s0, s1, weights) holds working
+    values; its row has w_i * s0^(d_i - r) * s1^r at coefficient r of f_i
+    and is reduced once.
+    """
+    rows = []
+    for s0, s1, weights in conditions:
+        row, mono = [], []
+        for d, w in zip(degrees, weights):
+            if len(mono) != d + 1:  # a block of the previous degree reuses its monomials
+                mono = [s0 ** (d - r) * s1 ** r for r in range(d + 1)]
+            row += [w * m for m in mono]
+        rows.append(field.reduce(row))
+    return rows
+
+
+def _split_forms(vec, degrees, field):
+    """The forms of the given degrees whose concatenated coefficients are vec."""
+    forms, start = [], 0
+    for d in degrees:
+        forms.append(BinaryForm.over(d, vec[start:start + d + 1], field))
+        start += d + 1
+    return forms
 
 
 def _as_t_poly(f: BinaryForm):

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 from .errors import DependentConditionsError
 from .fields import DEFAULT_PRIME, PrimeField, infer_field, random_distinct
-from .forms import BinaryForm, compose_form, form_gcd, gcd_many, _horner, random_form
+from .forms import (BinaryForm, _coefficient_rows, _horner, _split_forms, compose_form, form_gcd,
+                    gcd_many, random_form)
 from .linalg import pivot_columns, rank_kernel, rank_of
 from .rngstream import as_stream
 from .scrolls import EMPTY, ScrollType, dim_curves_in_scroll
@@ -225,13 +226,6 @@ def _t_values_injective(points, field):
                              for i, u in enumerate(ts) for v in ts[i + 1:]]))
 
 
-def _hyperplane_conditions_rank(scroll, points, field):
-    slots = monomial_slots(scroll)
-    rows = [field.reduce([t[0] ** b * t[1] ** c * y[i] for (i, b, c) in slots])
-            for (y, t) in points]
-    return rank_of(rows, scroll.n + 1, field)
-
-
 def interpolate_unisecant(scroll: ScrollType, lifted_frame, field=None) -> UnisecantResult:
     """Solve for the k=1 curve through n+2 marked scroll points.
 
@@ -257,47 +251,32 @@ def interpolate_unisecant(scroll: ScrollType, lifted_frame, field=None) -> Unise
             raise ValueError("invalid scroll point: base coordinates both zero")
         if not any(y):
             raise ValueError("invalid scroll point: fiber coordinates all zero")
-    if _hyperplane_conditions_rank(scroll, points, field) < n + 1:
+    # a hyperplane is a section of L: the section conditions at m = 0
+    hyperplanes = _coefficient_rows([(*t, y) for (y, t) in points], scroll.degrees, field)
+    if rank_of(hyperplanes, n + 1, field) < n + 1:
         raise DependentConditionsError(
             "the marked points impose dependent conditions on the hyperplane system"
         )
     if not _t_values_injective(points, field):
         return UnisecantResult("NONE", None, 0)
 
-    y_degs = [n - a_i for a_i in scroll.degrees]
-    offsets = [0]
-    for deg in y_degs:
-        offsets.append(offsets[-1] + deg + 1)
-    total = offsets[-1]
-
-    rows = []
+    # y_i(t_j) * y_pivot_marked - y_pivot(t_j) * y_i_marked = 0 for i != pivot
+    conditions = []
     for (y, t) in points:
         pivot = next(i for i in range(d) if y[i])
-        mono = []
-        for deg in y_degs:
-            mono.append([t[0] ** (deg - r) * t[1] ** r for r in range(deg + 1)])
         for i in range(d):
-            if i == pivot:
-                continue
-            # y_i(t_j) * y_pivot_marked - y_pivot(t_j) * y_i_marked = 0
-            row = [0] * total
-            for r, v in enumerate(mono[i]):
-                row[offsets[i] + r] = v * y[pivot]
-            for r, v in enumerate(mono[pivot]):
-                row[offsets[pivot] + r] = -(v * y[i])
-            rows.append(field.reduce(row))
-
-    if not rows:
-        # d = 1: the scroll is a single block and the curve is forced
-        kernel = [tuple(field.one for _ in range(total))]
-        rank = 0
-    else:
-        rank, kernel = rank_kernel(rows, total, field)
-    kernel_dim = total - rank if rows else 1
+            if i != pivot:
+                weights = [0] * d
+                weights[i], weights[pivot] = y[pivot], -y[i]
+                conditions.append((*t, weights))
+    y_degs = [n - a_i for a_i in scroll.degrees]
+    total = sum(deg + 1 for deg in y_degs)
+    rank, kernel = rank_kernel(_coefficient_rows(conditions, y_degs, field), total, field)
+    kernel_dim = total - rank
     if kernel_dim == 0:
         return UnisecantResult("NONE", None, 0)
 
-    curve = _curve_from_fiber_vector(scroll, kernel[0], offsets, y_degs, points, field)
+    curve = _curve_from_fiber_vector(scroll, kernel[0], y_degs, points, field)
     if kernel_dim == 1:
         if curve is None:
             return UnisecantResult("NONE", None, 1)
@@ -305,16 +284,13 @@ def interpolate_unisecant(scroll: ScrollType, lifted_frame, field=None) -> Unise
     return UnisecantResult("POSITIVE_FAMILY", curve, kernel_dim)
 
 
-def _curve_from_fiber_vector(scroll, vec, offsets, y_degs, points, field):
+def _curve_from_fiber_vector(scroll, vec, y_degs, points, field):
     """Build the curve from a solution vector, or None if it is spurious.
 
     Cross-multiplication admits vectors whose fiber forms all vanish at
     some marked base value; those do not pass through the marked point.
     """
-    ys = []
-    for i, deg in enumerate(y_degs):
-        coeffs = vec[offsets[i] : offsets[i] + deg + 1]
-        ys.append(BinaryForm.over(deg, coeffs, field))
+    ys = _split_forms(vec, y_degs, field)
     for (y, t) in points:
         if not any(f.evaluate(t[0], t[1]) for f in ys):
             return None
@@ -334,26 +310,10 @@ def sections_through_points(scroll: ScrollType, m: int, points, field=None):
     if field is None:
         field = infer_field([x for (y, t) in points for x in y + t])
     comp_degs = [a_i + m for a_i in degrees]
-    offsets = [0]
-    for deg in comp_degs:
-        offsets.append(offsets[-1] + deg + 1)
-    total = offsets[-1]
-    rows = []
-    for (y, t) in points:
-        y, t = field.unwrap(y), field.unwrap(t)
-        row = []
-        for i, deg in enumerate(comp_degs):
-            for r in range(deg + 1):
-                row.append(t[0] ** (deg - r) * t[1] ** r * y[i])
-        rows.append(field.reduce(row))
-    _, kernel = rank_kernel(rows, total, field)
-    out = []
-    for vec in kernel:
-        comps = []
-        for i, deg in enumerate(comp_degs):
-            comps.append(BinaryForm.over(deg, vec[offsets[i] : offsets[i] + deg + 1], field))
-        out.append(ScrollSection(degrees, m, comps))
-    return out
+    conditions = [(*field.unwrap(t), field.unwrap(y)) for (y, t) in points]
+    rows = _coefficient_rows(conditions, comp_degs, field)
+    _, kernel = rank_kernel(rows, sum(deg + 1 for deg in comp_degs), field)
+    return [ScrollSection(degrees, m, _split_forms(vec, comp_degs, field)) for vec in kernel]
 
 
 # ---------------------------------------------------------------------------

@@ -415,3 +415,13 @@ def oracle_node_system_rows(pairs, degree, field):
         mono = [r[0] ** (degree - i) * r[1] ** i for i in range(degree + 1)]
         rows.append([field(m * s[1]) for m in mono] + [field(-(m * s[0])) for m in mono])
     return rows
+
+
+def oracle_hyperplane_rows(scroll, points, field):
+    """The conditions points (y, t) impose on hyperplanes, as slot rows.
+
+    One entry t0^b * t1^c * y_i per slot (i, b, c) of monomial_slots,
+    built on field elements.
+    """
+    slots = monomial_slots(scroll)
+    return [[field(t[0] ** b * t[1] ** c * y[i]) for (i, b, c) in slots] for (y, t) in points]

@@ -5,11 +5,12 @@ from fractions import Fraction
 
 import pytest
 
+from scrollgeom import binary_curves
 from scrollgeom.binary_curves import (
     BinaryCurve,
     _conic_parts,
     _integral_gram,
-    _node_system_rows,
+    _node_map,
     _pair_resultant,
     _pair_satisfies_nodes,
     _plane_trial,
@@ -28,6 +29,7 @@ from scrollgeom.binary_curves import (
 )
 from scrollgeom.errors import FieldTooSmallError
 from scrollgeom.fields import QQ, PrimeField
+from scrollgeom.linalg import rank_kernel
 from scrollgeom.rnc import StandardRNC, composite_on_curve
 from scrollgeom.rngstream import as_stream
 from scrollgeom.scrolls import gonality_bound
@@ -220,14 +222,24 @@ def test_mobius_node_pairs_are_hyperelliptic():
     [PrimeField(101), PrimeField(10007), PrimeField(2**61 - 1), QQ],
     ids=["fp101", "fp10007", "fp2^61-1", "q"],
 )
-def test_node_system_rows_match_field_element_oracle(field):
+def test_node_system_rows_match_field_element_oracle(field, monkeypatch):
+    # the rows the node solver builds through forms._coefficient_rows
+    systems = []
+
+    def capture(*args):
+        systems.append(args[0])
+        return rank_kernel(*args)
+
+    monkeypatch.setattr(binary_curves, "rank_kernel", capture)
     cases = [random_binary_curve(n, field, seed).node_pairs for n, seed in ((5, 1), (8, 2))]
     cases.append(random_mobius_node_pairs(6, field, 3))
     # points at infinity and raw int parameters on either side
     cases.append((((1, 0), (field(3), 1)), ((field(2), field(5)), (0, -1))))
     for pairs in cases:
         for degree in range(1, 7):
-            rows = _node_system_rows(pairs, degree, field)
+            systems.clear()
+            _node_map(pairs, degree, field)
+            (rows,) = systems
             assert rows == oracle_node_system_rows(pairs, degree, field)
             if field is not QQ:
                 assert all(type(x) is int and 0 <= x < field.p for row in rows for x in row)
@@ -390,8 +402,8 @@ def test_cleared_plane_section_is_a_multiple_of_the_rational_one():
             gram[i][j] = gram[j][i] = x
         cleared = _integral_gram(gram, QQ)
         assert all(type(x) is int for row in cleared for x in row)
-        exact = [x for row in _restrict_to_plane(gram, plane) for x in row]
-        scaled = [x for row in _restrict_to_plane(cleared, plane) for x in row]
+        exact = [x for row in _restrict_to_plane(gram, plane, QQ) for x in row]
+        scaled = [x for row in _restrict_to_plane(cleared, plane, QQ) for x in row]
         assert all(type(x) is int for x in scaled)
         ratio = next((Fraction(s) / e for s, e in zip(scaled, exact) if e), None)
         assert ratio != 0
@@ -409,6 +421,30 @@ def test_plane_trials_on_cleared_grams_match_the_rational_ones():
         for t in range(4):
             want = _plane_trial(grams, 4, QQ, stream.child(f"trial{t}"))
             assert _plane_trial(cleared, 4, QQ, stream.child(f"trial{t}")) == want
+
+
+def test_prime_field_plane_trials_do_no_fp_element_arithmetic(monkeypatch):
+    fp = PrimeField(10007)
+    curve = random_binary_curve(4, fp, 3)
+    grams = [_integral_gram(q.values, fp) for q in quadrics_through(curve)]
+    stream = as_stream(1)
+    calls = count_fp_arithmetic(monkeypatch)
+    notes = {_plane_trial(grams, 4, fp, stream.child(f"trial{t}"))[1] for t in range(20)}
+    assert not calls
+    # the counters do see FpElement arithmetic
+    _ = fp.one + fp.one
+    assert calls["__add__"] == 1
+    monkeypatch.undo()
+    assert "no common zero on this plane (certified by resultants)" in notes
+    # the restriction of residues is the one computed on field elements
+    rng = as_stream(2)
+    plane = [[fp.random_scalar(rng) for _ in range(3)] for _ in range(5)]
+    for gram in grams:
+        got = _restrict_to_plane(gram, [fp.unwrap(row) for row in plane], fp)
+        want = [[sum(plane[r][i] * gram[r][c] * plane[c][j] for r in range(5) for c in range(5))
+                 for j in range(3)] for i in range(3)]
+        assert got == want
+        assert all(type(x) is int and 0 <= x < fp.p for row in got for x in row)
 
 
 def test_containment_validation():

@@ -2,6 +2,7 @@
 
 import json
 import os
+from collections import Counter
 import subprocess
 import sys
 from pathlib import Path
@@ -262,6 +263,47 @@ def test_usage_errors_exit_2(capsys, argv):
         main(list(argv))
     assert excinfo.value.code == 2
     capsys.readouterr()
+
+
+_SWEEP_FIELDS = ("q", "fp:3", "fp:5", "fp:7", "fp:13", "fp:101")
+
+
+def _sweep_argvs():
+    """Every subcommand at n = 3..7 over each sweep field, one trial at seed 0."""
+    for n in range(3, 8):
+        yield ["dims", "--n", str(n)]
+        a = f"{(n - 1) // 2},{n // 2}"  # a surface scroll in P^n
+        for field in _SWEEP_FIELDS:
+            common = ["--field", field, "--seed", "0"]
+            for argv in (["rnc", "--n", str(n)], ["unisecant", "--a", a],
+                         ["incidence", "--a", a, "--k", "1"], ["gonality", "--n", str(n)],
+                         ["hyperelliptic", "--n", str(n)],
+                         ["hyperelliptic", "--n", str(n), "--control"],
+                         ["quadrics", "--n", str(n)], ["containment", "--n", str(n)]):
+                yield argv + common + ["--trials", "1"]
+            yield ["degenerate", "--a", a] + common
+            yield ["project", "--n", str(n), "--node", "0"] + common
+    for field in _SWEEP_FIELDS:
+        yield ["containment", "--control", "--field", field, "--seed", "0", "--trials", "1"]
+
+
+def test_every_accepted_input_gives_a_report_or_a_named_anomaly(capsys):
+    # any other exception fails the test with its traceback
+    outcomes = Counter()
+    usage = []
+    for argv in _sweep_argvs():
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            assert exc.code == 2, argv
+            usage.append(argv[:3])
+            capsys.readouterr()
+            continue
+        assert code == 0, argv
+        result = json.loads(capsys.readouterr().out)["result"]
+        outcomes[result.get("anomaly_code", "report")] += 1
+    assert usage == [["project", "--n", "3"]] * len(_SWEEP_FIELDS)
+    assert set(outcomes) == {"report", "FieldTooSmallError"}
 
 
 def test_shared_parser_survives_errors_and_anomalies(capsys):

@@ -12,8 +12,10 @@ from scrollgeom.forms import (
     BinaryForm,
     _coprime_mod_p,
     _as_t_poly,
+    _coefficient_rows,
     _poly_divmod,
     _pseudo_divmod,
+    _split_forms,
     compose_form,
     divide_exact,
     form_gcd,
@@ -694,3 +696,69 @@ def test_forms_of_two_fields_do_not_mix(op):
     for f, g in pairs:
         with pytest.raises(FieldMismatchError):
             _BINARY_OPS[op](f, g)
+
+
+# ------------------------------------------------- linear systems on forms
+
+
+def _form_systems(st, field):
+    """(degrees, forms, conditions): one to four forms of degree 0..6 over field.
+
+    Over the rationals the scalars are ints and Fractions; over F_p they
+    are unreduced ints, as the callers' negated residues are.
+    """
+    if field == QQ:
+        scalar = st.one_of(
+            st.integers(-40, 40), st.builds(Fraction, st.integers(-40, 40), st.integers(1, 12))
+        )
+    else:
+        scalar = st.integers(-300, 300)
+
+    def system(degrees):
+        forms = st.tuples(*[
+            st.lists(scalar, min_size=d + 1, max_size=d + 1).map(
+                lambda cs, d=d: BinaryForm.over(d, cs, field)
+            )
+            for d in degrees
+        ])
+        weights = st.lists(scalar, min_size=len(degrees), max_size=len(degrees))
+        conditions = st.lists(st.tuples(scalar, scalar, weights), max_size=5)
+        return st.tuples(st.just(tuple(degrees)), forms, conditions)
+
+    return st.lists(st.integers(0, 6), min_size=1, max_size=4).flatmap(system)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(101)], ids=["q", "fp101"])
+def test_coefficient_rows_evaluate_the_weighted_forms(field):
+    hypothesis = pytest.importorskip("hypothesis")
+
+    @hypothesis.settings(max_examples=200, deadline=None)
+    @hypothesis.given(_form_systems(hypothesis.strategies, field))
+    def check(system):
+        degrees, forms, conditions = system
+        rows = _coefficient_rows(conditions, degrees, field)
+        values = [x for f in forms for x in f.values]
+        assert len(rows) == len(conditions)
+        for row, (s0, s1, weights) in zip(rows, conditions):
+            assert len(row) == len(values)
+            if field != QQ:
+                assert all(type(x) is int and 0 <= x < field.p for x in row)
+            got = field.reduce([sum(x * v for x, v in zip(row, values))])
+            want = sum(w * oracle_form_value(f, s0, s1) for w, f in zip(weights, forms))
+            assert got == field.unwrap([want])
+
+    check()
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(101)], ids=["q", "fp101"])
+def test_split_forms_inverts_the_concatenation(field):
+    hypothesis = pytest.importorskip("hypothesis")
+
+    @hypothesis.settings(max_examples=200, deadline=None)
+    @hypothesis.given(_form_systems(hypothesis.strategies, field))
+    def check(system):
+        degrees, forms, _ = system
+        coeffs = tuple(c for f in forms for c in f.coeffs)
+        assert _split_forms(coeffs, degrees, field) == list(forms)
+
+    check()

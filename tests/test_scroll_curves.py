@@ -4,10 +4,11 @@ from dataclasses import asdict
 
 import pytest
 
+from scrollgeom import scroll_curves
 from scrollgeom.errors import DependentConditionsError
 from scrollgeom.fields import QQ, PrimeField, random_distinct
 from scrollgeom.forms import BinaryForm
-from scrollgeom.linalg import rank_kernel
+from scrollgeom.linalg import rank_kernel, rank_of
 from scrollgeom.rngstream import RngStream
 from scrollgeom.scroll_curves import (
     CurveInScroll,
@@ -30,7 +31,12 @@ from scrollgeom.scroll_curves import (
 )
 from scrollgeom.scrolls import ScrollType
 
-from helpers import count_fp_arithmetic, oracle_coefficient_jacobian, oracle_incidence_ranks
+from helpers import (
+    count_fp_arithmetic,
+    oracle_coefficient_jacobian,
+    oracle_hyperplane_rows,
+    oracle_incidence_ranks,
+)
 
 S0 = BinaryForm(1, (QQ(1), QQ(0)))
 S1 = BinaryForm(1, (QQ(0), QQ(1)))
@@ -223,13 +229,36 @@ def test_sections_through_no_points_give_full_system():
 
 def test_sections_vanish_at_their_points():
     scroll = ScrollType((1, 1, 2))
-    frame = random_lifted_frame(scroll, QQ, RngStream.from_seed(13))
-    secs = sections_through_points(scroll, 1, frame)
-    assert len(secs) >= 1
-    for sec in secs:
-        for y, t in frame:
-            # the section's value sum_i comp_i(t) * y_i at the point (y, t)
-            assert sum(comp.evaluate(*t) * y_i for comp, y_i in zip(sec.comps, y)) == 0
+    for field in (QQ, PrimeField(10007)):
+        frame = random_lifted_frame(scroll, field, RngStream.from_seed(13))
+        secs = sections_through_points(scroll, 1, frame)
+        assert len(secs) >= 1
+        for sec in secs:
+            assert sec.field == field
+            for y, t in frame:
+                # the section's value sum_i comp_i(t) * y_i at the point (y, t)
+                assert sum(comp.evaluate(*t) * y_i for comp, y_i in zip(sec.comps, y)) == 0
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(10007)], ids=["q", "fp10007"])
+def test_hyperplane_conditions_are_the_slot_rows(field, monkeypatch):
+    # a hyperplane is a section of L, so the check builds section rows at m = 0
+    systems = []
+
+    def capture(*args):
+        systems.append(args[0])
+        return rank_of(*args)
+
+    monkeypatch.setattr(scroll_curves, "rank_of", capture)
+    for degrees, seed in (((1, 2), 21), ((1, 1, 2), 22), ((0, 3), 23), ((2, 3, 3), 24)):
+        scroll = ScrollType(degrees)
+        frame = random_lifted_frame(scroll, field, RngStream.from_seed(seed))
+        systems.clear()
+        interpolate_unisecant(scroll, frame, field)
+        (rows,) = systems
+        assert rows == oracle_hyperplane_rows(scroll, frame, field)
+        if field != QQ:
+            assert all(type(x) is int and 0 <= x < field.p for row in rows for x in row)
 
 
 # ------------------------------------------------------------ lifted frames
