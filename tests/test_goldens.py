@@ -4,8 +4,9 @@ Every job of every benchmark workload runs at the primary and the
 held-out seed, through the benchmark's own runner, and the digest of its
 normalized report must equal the one in perfbench/goldens.json.  The
 stratified containment search, which no benchmark job renders in json,
-and the node projection and the positive control over prime fields, which
-no benchmark job runs, are pinned by their own tables below.  A change that alters any report byte
+the node projection and the positive control over prime fields, which
+no benchmark job runs, and the incidence ranks over fields no benchmark
+job uses are pinned by their own tables below.  A change that alters any report byte
 (other than wall_clock_ms) fails here.
 """
 
@@ -98,5 +99,26 @@ CONTROL_DIGESTS = {
 def test_positive_control_matches_goldens(capsys, field):
     for seed, want in enumerate(CONTROL_DIGESTS[field]):
         argv = ["containment", "--control", "--trials", "4", "--seed", str(seed),
+                "--field", field, "--format", "json"]
+        assert _json_digest(capsys, argv) == want, argv
+
+
+# digest of the normalized json report of
+# `incidence --a A --k K --trials 8 --seed S --field F`, per (A, K, F) and
+# seed 0, 1; the benchmark runs incidence over fp:10007 only
+INCIDENCE_DIGESTS = {
+    ("1,1,2", 2, "fp:101"): ["7538e9046b1b412d", "9ef6f4054bae3bb2"],
+    ("1,1,2", 2, "fp:2305843009213693951"): ["24eea22e28a829c9", "ef7309d081244fa5"],
+    ("1,1,2", 2, "q"): ["4d66f6a68f3d33db", "acbe619a1bf797d7"],
+    ("2,3", 1, "fp:101"): ["2cd5aa6a16ca75a7", "50e63654c342c3da"],
+    ("2,3", 1, "fp:2305843009213693951"): ["97a6162da6dcab08", "efdb85fae89482dd"],
+    ("2,3", 1, "q"): ["0e6c3a801c110b34", "566c3c8dab84511c"],
+}
+
+
+@pytest.mark.parametrize("a, k, field", sorted(INCIDENCE_DIGESTS))
+def test_incidence_matches_goldens(capsys, a, k, field):
+    for seed, want in enumerate(INCIDENCE_DIGESTS[a, k, field]):
+        argv = ["incidence", "--a", a, "--k", str(k), "--trials", "8", "--seed", str(seed),
                 "--field", field, "--format", "json"]
         assert _json_digest(capsys, argv) == want, argv
