@@ -150,9 +150,12 @@ def _node_map(pairs, degree: int, field):
 
     Solves the node system q1(R_j)*S_{j,1} - q2(R_j)*S_{j,0} = 0 for the
     kernel, then scans the basis and small pair combinations for a
-    coprime element.  Returns ((q1, q2) or None, kernel).  A coprime
-    element carries every node, since a node it missed would be a common
-    zero of q1 and q2; the check stays anyway.
+    coprime element.  A pair that vanishes together at (0 : 1) or at
+    (1 : 0) shares the factor s0 or s1, so it is passed over before any
+    gcd; the frame's node at parameter 0 makes the first basis vector such
+    a pair.  Returns ((q1, q2) or None, kernel).  A coprime element
+    carries every node, since a node it missed would be a common zero of
+    q1 and q2; the check stays anyway.
     """
     nodes = iter(field.unwrap([x for (r, s) in pairs for x in r + s]))
     conditions = [(r0, r1, (s1, -s0)) for r0, r1, s0, s1 in zip(nodes, nodes, nodes, nodes)]
@@ -160,7 +163,8 @@ def _node_map(pairs, degree: int, field):
     _, kernel = rank_kernel(rows, 2 * (degree + 1), field)
     for vec in _candidate_vectors(kernel):
         q1, q2 = _split_forms(vec, (degree, degree), field)
-        if q1.is_zero() and q2.is_zero():
+        # a common zero at (0 : 1) or (1 : 0); a zero pair has both
+        if not (q1.values[-1] or q2.values[-1]) or not (q1.values[0] or q2.values[0]):
             continue
         if form_gcd(q1, q2).degree == 0:
             if not _pair_satisfies_nodes(q1, q2, pairs, field):

@@ -22,10 +22,12 @@ forward pass mod CERTIFICATE_PRIME, which settles any rank of
 min(nrows, ncols); only a smaller rank runs the rational pass.  The
 prime-field path packs each row of int residues into one Python int, a
 fixed-width slot per entry, so a row update is a single big-int
-multiply-add.  Its forward pass updates only the rows below each pivot;
-its back reduction unpacks each pivot row once, from the last up, and
-clears that pivot's column from the rows above.  One loop builds the
-basis for both fields.
+multiply-add.  A slot is wide enough for a start anywhere below p*p plus
+one update per row, so pivot_columns_of_combinations packs the products
+of two residues that make up its rows without reducing them.  The
+forward pass updates only the rows below each pivot; the back reduction
+unpacks each pivot row once, from the last up, and clears that pivot's
+column from the rows above.  One loop builds the basis for both fields.
 """
 
 from __future__ import annotations
@@ -86,12 +88,13 @@ def _forward_fp(rows, ncols, p):
     p - lead_j, which is congruent to -lead_j (Kronecker substitution).
     Each step reads the column only from the rows not yet pivots, unpacks
     the pivot row once, scales it to lead 1, repacks it with zeros left of
-    the pivot, and updates only the rows below it.  A slot starts below p
-    and gains at most (p-1)*p per update.  Between two reductions a row
-    takes at most one update per pivot, here or in _back_reduce_fp, so it
-    stays below p + nrows*(p-1)*p < 2**w (as p <= 2**bitlen(p-1)): no slot
-    carries into the next, and every slot stays congruent to its entry
-    mod p.
+    the pivot, and updates only the rows below it.  A slot starts below
+    p*p, so it may hold an unreduced product of two residues, and gains at
+    most (p-1)*p per update.  Between two reductions a row takes at most
+    one update per pivot, here or in _back_reduce_fp, so it stays below
+    p*p + nrows*(p-1)*p < (nrows+1)*p*p <= 2**(w-1), as p <= 2**bitlen(p-1)
+    and nrows < 2**bitlen(nrows): no slot carries into the next, and every
+    slot stays congruent to its entry mod p.
     """
     nrows = len(rows)
     shifts, mask = _slots(p, nrows, ncols)
@@ -278,6 +281,38 @@ def pivot_columns(rows, ncols: int, field) -> list:
     first m columns is the number of pivots below m.
     """
     return _eliminate(rows, ncols, field)[1]
+
+
+def pivot_columns_of_combinations(blocks, ncols: int, field) -> list:
+    """pivot_columns of rows that are combinations of a few sparse vectors.
+
+    Each block is (vectors, rows).  A vector is (first column, values),
+    with values that are working values (residues in [0, p) over F_p), and
+    the vectors of one block have disjoint supports.  A row is one scalar
+    per vector of its block and stands for the sum of the scalars times
+    the vectors.  Over F_p each scalar, any int, is reduced once and the
+    row is packed as one int whose slots are products of two residues,
+    below p*p, as _forward_fp allows; the packed vectors are built once
+    per block.  Over the rationals the rows are expanded into lists.
+    """
+    if isinstance(field, PrimeField):
+        p = field.p
+        shifts, _ = _slots(p, sum(len(rows) for _, rows in blocks), ncols)
+        mat = []
+        for vectors, rows in blocks:
+            packed = [sum(map(lshift, vals, shifts[off:])) for off, vals in vectors]
+            mat += [sum([x % p * v for x, v in zip(row, packed)]) for row in rows]
+        return _forward_fp(mat, ncols, p)
+    mat = []
+    for vectors, rows in blocks:
+        for row in rows:
+            out = [0] * ncols
+            for x, (off, vals) in zip(row, vectors):
+                if x:
+                    for col, v in enumerate(vals, off):
+                        out[col] += x * v
+            mat.append(out)
+    return _eliminate(mat, ncols, field)[1]
 
 
 def rank_of(rows, ncols: int, field) -> int:

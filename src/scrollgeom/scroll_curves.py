@@ -8,6 +8,12 @@ t_0^b t_1^c y_i (b + c = a_i) lands the curve in P^n with coordinates of
 degree n.  The module also carries section interpolation through point
 frames, sampled incidence-dimension measurements, and the one-parameter
 scroll degeneration family.
+
+The incidence measurements rank the Jacobian of the curve coefficients
+to the marked image points, each point with a rescaling (gauge) column.
+Each point's rows are put in an affine chart of its image point, one
+nonzero coordinate divided out, which drops the gauge column and one
+row per point from the elimination without changing either rank.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ from .errors import DependentConditionsError
 from .fields import DEFAULT_PRIME, PrimeField, infer_field, random_distinct
 from .forms import (BinaryForm, _coefficient_rows, _horner, _split_forms, compose_form, form_gcd,
                     gcd_many, random_form)
-from .linalg import pivot_columns, rank_kernel, rank_of
+from .linalg import pivot_columns_of_combinations, rank_kernel, rank_of
 from .rngstream import as_stream
 from .scrolls import EMPTY, ScrollType, dim_curves_in_scroll
 
@@ -332,82 +338,87 @@ class DimensionReport:
     fiber_dims: list
 
 
-def _ds0_value(coeffs, s):
-    """Value of the formal s0-partial of the form at (s : 1), unreduced."""
-    d = len(coeffs) - 1
-    return _horner([(d - j) * c for j, c in enumerate(coeffs[:d])], s, 1)
+def _jacobian_blocks(curve, sigma, field):
+    """The Jacobian of the incidence map, one block of rows per marked point.
 
-
-def _coefficient_jacobian(curve, sigma, field):
-    """Partial derivatives of the n+2 image points in the curve coefficients.
-
-    Returns (rows of [J_c | J_s | gauge], N) where rows are stacked per
-    point (n+1 coordinates each), J_s holds the motion of each marked
-    parameter, and the gauge block holds one rescaling column per point.
-    The entries are computed on unwrapped scalars (int residues over a
-    prime field) and reduced once each, so over F_p the rows are ints.
+    Returns (blocks, n_coeffs).  Point j's block is (vectors, rows, gauge).
+    The vectors are its power vectors (s^e, ..., s, 1), each as (first
+    column, values), at the t0, t1 and y_1, ..., y_d coefficient blocks of
+    J_c, then the unit vector of its column in J_s.  Each image coordinate
+    t0^b t1^c y_i gives one row, held as the scalars that multiply those
+    vectors, and one gauge entry, its value: the gauge column rescales
+    image point j.  The vectors and the gauge are working values reduced
+    once (int residues over a prime field); the row scalars are products
+    of such values, left unreduced.
     """
     scroll = curve.scroll
-    n, k = scroll.n, curve.k
-    slots = monomial_slots(scroll)
+    n, k, d = scroll.n, curve.k, scroll.d
     y_degs = [n - k * a_i for a_i in scroll.degrees]
     y_offs = [2 * (k + 1)]
     for deg in y_degs:
         y_offs.append(y_offs[-1] + deg + 1)
     n_coeffs = y_offs[-1]
-    n_pts = len(sigma)
-    width = n_coeffs + n_pts + n_pts
+    slots = monomial_slots(scroll)
     coeffs = [f.values for f in (curve.t0, curve.t1, *curve.ys)]
+    # then the formal s0-partials of the same forms
+    coeffs += [[(len(c) - 1 - r) * x for r, x in enumerate(c[:-1])] for c in coeffs]
+    top, a_top = max(k, *y_degs), max(scroll.degrees)
+    zeros = [0] * d
     reduce = field.reduce
-    rows = []
+    blocks = []
     for j, s in enumerate(field.unwrap(sigma)):
-        t0v, t1v, *yv = reduce([_horner(c, s, 1) for c in coeffs])
-        t0d, t1d, *yd = reduce([_ds0_value(c, s) for c in coeffs])
-        s_pows = reduce([s ** e for e in range(max(k, *y_degs) + 1)])
+        values = reduce([_horner(c, s, 1) for c in coeffs])
+        t0v, t1v, t0d, t1d = values[0], values[1], values[d + 2], values[d + 3]
+        yv, yd = values[2:d + 2], values[d + 4:]
+        pows = reduce([s ** e for e in range(top, -1, -1)])
+        vectors = [(0, pows[top - k:]), (k + 1, pows[top - k:])]
+        vectors += [(off, pows[top - deg:]) for off, deg in zip(y_offs, y_degs)]
+        vectors.append((n_coeffs + j, [1]))
+        t0p, t1p = [1], [1]
+        for _ in range(a_top):
+            t0p.append(t0p[-1] * t0v)
+            t1p.append(t1p[-1] * t1v)
+        rows, gauge = [], []
         for (i, b, c) in slots:
-            row = [0] * width
-            tb = t0v ** b
-            tc = t1v ** c
-            tb1 = t0v ** (b - 1) if b >= 1 else 0
-            tc1 = t1v ** (c - 1) if c >= 1 else 0
-            # t0 and t1 coefficient blocks
-            if b >= 1:
-                base = tb1 * tc * yv[i] * b
-                for r in range(k + 1):
-                    row[r] = base * s_pows[k - r]
-            if c >= 1:
-                base = tb * tc1 * yv[i] * c
-                for r in range(k + 1):
-                    row[k + 1 + r] = base * s_pows[k - r]
-            # y_i coefficient block
-            off, deg = y_offs[i], y_degs[i]
-            base = tb * tc
-            for r in range(deg + 1):
-                row[off + r] = base * s_pows[deg - r]
-            # marked-parameter motion
-            ds = base * yd[i]
-            if b >= 1:
-                ds += tb1 * tc * yv[i] * b * t0d
-            if c >= 1:
-                ds += tb * tc1 * yv[i] * c * t1d
-            row[n_coeffs + j] = ds
-            # projective rescale of image point j
-            row[n_coeffs + n_pts + j] = base * yv[i]
-            rows.append(reduce(row))
-    return rows, n_coeffs
+            y = yv[i]
+            y_part = t0p[b] * t1p[c]
+            t0_part = b * t0p[b - 1] * t1p[c] * y if b else 0
+            t1_part = c * t0p[b] * t1p[c - 1] * y if c else 0
+            row = [t0_part, t1_part, *zeros, y_part * yd[i] + t0_part * t0d + t1_part * t1d]
+            row[2 + i] = y_part
+            rows.append(row)
+            gauge.append(y_part * y)
+        blocks.append((vectors, rows, reduce(gauge)))
+    return blocks, n_coeffs
 
 
-def _incidence_ranks(rows, n_coeffs: int, n_pts: int, field):
-    """(rank of [J_c | gauge], rank of [J_c | gauge | J_s]) in one forward pass.
+def _gauge_cleared_ranks(blocks, n_prefix: int, ncols: int, field):
+    """(rank of [M_prefix | gauge], rank of [M | gauge]) from one forward pass.
 
-    The Jacobian rows come as [J_c | J_s | gauge]; the columns are
-    reordered so the configuration block is a prefix of the augmented one,
-    whose rank is the number of pivots inside it.
+    M has ncols columns and M_prefix is its first n_prefix.  Each block is
+    (vectors, rows, gauge) as _jacobian_blocks gives it: a row of M is the
+    sum of its scalars times the block's vectors, whose supports are
+    disjoint, and gauge column j holds block j's gauge entries and is zero
+    on every other block.  A block is put in an affine chart: with x0 its
+    first nonzero gauge entry, in row i0, every other row becomes
+    x0*row - x*row_i0 and row i0 is dropped.  Row i0 was the only pivot of
+    its gauge column, so the block adds 1 to both ranks and the gauge
+    columns never reach the elimination; a block whose gauge column is
+    zero keeps its rows and adds 0.  The rows go to one forward pass as
+    combinations of the blocks' vectors, so over F_p each is packed as
+    one int and its scalars are reduced once there.
     """
-    n_config = n_coeffs + n_pts
-    reordered = [r[:n_coeffs] + r[n_config:] + r[n_coeffs:n_config] for r in rows]
-    pivots = pivot_columns(reordered, n_config + n_pts, field)
-    return sum(1 for c in pivots if c < n_config), len(pivots)
+    charts, cleared = [], 0
+    for vectors, rows, gauge in blocks:
+        i0 = next((i for i, x in enumerate(gauge) if x), None)
+        if i0 is not None:
+            x0, lead = gauge[i0], rows[i0]
+            rows = [[x0 * u - x * v for u, v in zip(row, lead)]
+                    for i, (row, x) in enumerate(zip(rows, gauge)) if i != i0]
+            cleared += 1
+        charts.append((vectors, rows))
+    pivots = pivot_columns_of_combinations(charts, ncols, field)
+    return cleared + sum(1 for c in pivots if c < n_prefix), cleared + len(pivots)
 
 
 def incidence_dimension_estimate(
@@ -442,9 +453,9 @@ def incidence_dimension_estimate(
         # indeterminate image, so one draw per trial suffices
         curve = random_curve_in_scroll(scroll, k, field, rng)
         sigma = random_distinct(field, rng, n + 2)
-        rows, n_coeffs = _coefficient_jacobian(curve, sigma, field)
+        blocks, n_coeffs = _jacobian_blocks(curve, sigma, field)
         n_pts = n + 2
-        rank_config, rank_aug = _incidence_ranks(rows, n_coeffs, n_pts, field)
+        rank_config, rank_aug = _gauge_cleared_ranks(blocks, n_coeffs, n_coeffs + n_pts, field)
         measured.append(rank_config - n_pts - 3)
         incidence_rank = rank_aug - n_pts
         fiber_dims.append(n_coeffs + n_pts - incidence_rank)

@@ -8,6 +8,7 @@ import pytest
 from scrollgeom import binary_curves
 from scrollgeom.binary_curves import (
     BinaryCurve,
+    _candidate_vectors,
     _conic_parts,
     _integral_gram,
     _node_map,
@@ -29,6 +30,7 @@ from scrollgeom.binary_curves import (
 )
 from scrollgeom.errors import FieldTooSmallError
 from scrollgeom.fields import QQ, PrimeField
+from scrollgeom.forms import _split_forms, form_gcd
 from scrollgeom.linalg import rank_kernel
 from scrollgeom.rnc import StandardRNC, composite_on_curve
 from scrollgeom.rngstream import as_stream
@@ -243,6 +245,34 @@ def test_node_system_rows_match_field_element_oracle(field, monkeypatch):
             assert rows == oracle_node_system_rows(pairs, degree, field)
             if field is not QQ:
                 assert all(type(x) is int and 0 <= x < field.p for row in rows for x in row)
+
+
+@pytest.mark.parametrize("field", [PrimeField(10007), QQ], ids=["fp10007", "q"])
+def test_node_map_pretest_keeps_the_unfiltered_pencil(field, monkeypatch):
+    # the scan without the pretest, a gcd for every nonzero candidate, ends
+    # at the pencil _node_map returns; with it, the only gcd is the one
+    # that certifies the pencil (the frame's node at 0 gives the first
+    # basis vector the common factor s0)
+    degrees = []
+
+    def recorded_gcd(f, g):
+        out = form_gcd(f, g)
+        degrees.append(out.degree)
+        return out
+
+    monkeypatch.setattr(binary_curves, "form_gcd", recorded_gcd)
+    for n in (12, 16):
+        degree = n // 2 + 1
+        for seed in range(8):
+            pairs = random_binary_curve(n, field, seed).node_pairs
+            degrees.clear()
+            pencil, kernel = _node_map(pairs, degree, field)
+            assert degrees == [0]
+            for vec in _candidate_vectors(kernel):
+                q1, q2 = _split_forms(vec, (degree, degree), field)
+                if not (q1.is_zero() and q2.is_zero()) and form_gcd(q1, q2).degree == 0:
+                    break
+            assert pencil == (q1, q2)
 
 
 def test_prime_field_node_check_does_no_fp_element_arithmetic(monkeypatch):

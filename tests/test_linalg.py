@@ -200,6 +200,71 @@ def test_packed_elimination_matches_oracle(p, shape):
     assert all(type(x) is FpElement and x.p == p for v in kernel for x in v)
 
 
+def _max_rep(r, p):
+    """The largest integer congruent to r mod p that is at most (p - 1)**2."""
+    return r + ((p - 1) ** 2 - r) // p * p
+
+
+@pytest.mark.parametrize("p", [101, 10007, MERSENNE_61])
+def test_forward_pass_accepts_unreduced_slots_below_p_squared(p):
+    # 63 rows, the most whose slot width is that of 32 rows, and every slot
+    # holding the largest representative up to (p-1)**2 of its entry, as
+    # an unreduced product of two residues may.  In the triangle, row i has
+    # -1 left of the diagonal and 1 on it; the three rows of -1 below lie in
+    # its span.  Each pivot meets every lower row with entry p - 1 and adds
+    # (p-1)*p to each later slot, so a lower row's last slots take 60 such
+    # updates on top of their start.  A carry out of a slot would leave the
+    # trailing zero column nonzero in a lower row: a wrong rank.
+    nrows, size = 63, 60
+    triangle = [[(-1 if c < i else int(c == i)) % p for c in range(size)] + [0]
+                for i in range(size)]
+    below = [[p - 1] * size + [0] for _ in range(nrows - size)]
+    random_rows = _random_rows(as_stream(p % 1000 + 63), 40, 20, p)
+    shapes = [
+        triangle + below,
+        random_rows + random_rows[:nrows - 40],  # rank 20, duplicates below
+        [[p - 1] * 30 for _ in range(nrows)],
+    ]
+    for rows in shapes:
+        ncols = len(rows[0])
+        shifts, mask = _slots(p, nrows, ncols)
+        unreduced = [[_max_rep(x, p) for x in row] for row in rows]
+        assert max(map(max, unreduced)) <= (p - 1) ** 2
+        packed = [sum(x << sh for x, sh in zip(row, shifts)) for row in unreduced]
+        pivots = _forward_fp(packed, ncols, p)
+        want_rank, want_pivots, _ = oracle_rref_mod(rows, ncols, p)
+        assert pivots == want_pivots and len(pivots) == want_rank
+        assert not any((v >> s & mask) % p for v in packed[want_rank:] for s in shifts)
+
+
+@pytest.mark.parametrize("p", [101, 10007, MERSENNE_61, None], ids=["101", "10007", "2^61-1", "q"])
+def test_pivot_columns_of_combinations_match_the_expanded_rows(p):
+    # rows given as scalars times vectors that cut the columns into runs;
+    # the scalars are any ints, negative and far beyond p included
+    field = PrimeField(p) if p else QQ
+    rng = as_stream(p % 1000 + 7 if p else 7)
+    top = p or 50
+    for _ in range(12):
+        ncols = rng.randint(1, 24)
+        blocks, expanded = [], []
+        for _ in range(rng.randint(1, 4)):
+            cuts = sorted({0, ncols, *(rng.randint(1, ncols) for _ in range(3))})
+            vectors = [(a, [rng.below(top) for _ in range(a, b)]) for a, b in zip(cuts, cuts[1:])]
+            rank = rng.randint(1, len(vectors))
+            rows = [[rng.randint(-top, top) * rng.randint(1, top) if t < rank else 0
+                     for t in range(len(vectors))] for _ in range(rng.randint(1, 6))]
+            rows += [[2 * x for x in row] for row in rows[:2]]  # dependent rows
+            blocks.append((vectors, rows))
+            for row in rows:
+                dense = [0] * ncols
+                for x, (off, vals) in zip(row, vectors):
+                    for col, v in enumerate(vals, off):
+                        dense[col] = x * v
+                expanded.append(dense)
+        want = oracle_rref_mod(expanded, ncols, p) if p else oracle_rref_q(expanded, ncols)
+        assert linalg.pivot_columns_of_combinations(blocks, ncols, field) == want[1]
+
+
 def test_packed_elimination_shape_ranks():
     # the shapes that pin the kernel: full rank, rank 1, rank 0
     shapes = _packed_shapes(10007)

@@ -1,6 +1,7 @@
 """Curves in scrolls: pushforwards, interpolation, incidence, degeneration."""
 
 from dataclasses import asdict
+from operator import mul
 
 import pytest
 
@@ -12,9 +13,9 @@ from scrollgeom.linalg import rank_kernel, rank_of
 from scrollgeom.rngstream import RngStream
 from scrollgeom.scroll_curves import (
     CurveInScroll,
-    _coefficient_jacobian,
-    _incidence_ranks,
     ScrollSection,
+    _gauge_cleared_ranks,
+    _jacobian_blocks,
     compose_section_with_embedding,
     degeneration_embeddings,
     degeneration_equivalence_check,
@@ -36,6 +37,7 @@ from helpers import (
     oracle_coefficient_jacobian,
     oracle_hyperplane_rows,
     oracle_incidence_ranks,
+    oracle_rank,
 )
 
 S0 = BinaryForm(1, (QQ(1), QQ(0)))
@@ -470,26 +472,76 @@ def test_incidence_report_dict_layout():
     assert data["field"] == "fp:10007"
 
 
-@pytest.mark.parametrize("field", [PrimeField(10007), QQ], ids=["fp10007", "q"])
-@pytest.mark.parametrize("degrees", [(1, 1, 2), (1, 2, 2)])
+FIELDS = [PrimeField(101), PrimeField(10007), PrimeField(2**61 - 1), QQ]
+FIELD_IDS = ["fp101", "fp10007", "fp2^61-1", "q"]
+# fiber degree k per scroll type of the incidence tests
+INCIDENCE_K = {(1, 1, 2): 2, (1, 2, 2): 2, (2, 3): 1}
+
+
+def _dense_jacobian(blocks, n_coeffs, field):
+    """The rows [J_c | J_s | gauge] that _jacobian_blocks holds by blocks."""
+    n_pts = len(blocks)
+    out = []
+    for j, (vectors, rows, gauge) in enumerate(blocks):
+        for row, x in zip(rows, gauge):
+            dense = [0] * (n_coeffs + 2 * n_pts)
+            for a, (off, vals) in zip(row, vectors):
+                for col, v in enumerate(vals, off):
+                    dense[col] += a * v
+            dense[n_coeffs + n_pts + j] = x
+            out.append(field.reduce(dense))
+    return out
+
+
+def _curve_vanishing_at_zero(scroll, k, field, rng, n_forms):
+    """A random curve whose first n_forms of (t0, y_1) vanish at (0 : 1)."""
+    while True:
+        curve = random_curve_in_scroll(scroll, k, field, rng)
+        forms = [curve.t0, curve.t1, *curve.ys]
+        for idx in (0, 2)[:n_forms]:
+            f = forms[idx]
+            forms[idx] = BinaryForm.over(f.degree, f.values[:-1] + (0,), field)
+        try:
+            return CurveInScroll(scroll, k, forms[0], forms[1], forms[2:])
+        except ValueError:
+            continue
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+@pytest.mark.parametrize("degrees", list(INCIDENCE_K))
 def test_single_elimination_incidence_ranks(field, degrees):
-    scroll = ScrollType(degrees)
+    # the ranks from the affine charts against two naive RREFs of the full
+    # field-element Jacobian [J_c | J_s | gauge]; a marked point at a zero
+    # of t0 (and of y_1) moves the chart's row i0 past the first slot
+    scroll, k = ScrollType(degrees), INCIDENCE_K[degrees]
     n_pts = scroll.n + 2
+    slots = monomial_slots(scroll)
     rng = RngStream.from_seed(700 + sum(degrees))
+    first_rows, same_block, other_block = set(), 0, 0
     for trial in range(3 if field is QQ else 6):
         child = rng.child(f"trial{trial}")
-        curve = random_curve_in_scroll(scroll, 2, field, child)
-        sigma = random_distinct(field, child, n_pts)
-        rows, n_coeffs = _coefficient_jacobian(curve, sigma, field)
-        got = _incidence_ranks(rows, n_coeffs, n_pts, field)
+        n_forms = trial % 3
+        if n_forms:
+            curve = _curve_vanishing_at_zero(scroll, k, field, child, n_forms)
+            others = random_distinct(field, child, n_pts - 1, exclude=(0,))
+            sigma = [others[0], field(0), *others[1:]]
+        else:
+            curve = random_curve_in_scroll(scroll, k, field, child)
+            sigma = random_distinct(field, child, n_pts)
+        rows, n_coeffs = oracle_coefficient_jacobian(curve, sigma, field)
+        blocks, _ = _jacobian_blocks(curve, sigma, field)
+        got = _gauge_cleared_ranks(blocks, n_coeffs, n_coeffs + n_pts, field)
         assert got == oracle_incidence_ranks(rows, n_coeffs, n_pts, field)
+        for j in range(n_pts):
+            gauge = [row[n_coeffs + n_pts + j] for row in rows[j * len(slots):(j + 1) * len(slots)]]
+            i0 = next(i for i, x in enumerate(gauge) if x)
+            first_rows.add(i0)
+            same_block += sum(1 for i, slot in enumerate(slots) if i != i0 and slot[0] == slots[i0][0])
+            other_block += sum(1 for slot in slots if slot[0] != slots[i0][0])
+    assert max(first_rows) > 0 and same_block and other_block
 
 
-@pytest.mark.parametrize(
-    "field",
-    [PrimeField(101), PrimeField(10007), PrimeField(2**61 - 1), QQ],
-    ids=["fp101", "fp10007", "fp2^61-1", "q"],
-)
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
 @pytest.mark.parametrize("degrees, k", [((1, 1, 2), 2), ((1, 2, 2), 2), ((2, 3), 1)])
 def test_coefficient_jacobian_matches_field_element_oracle(field, degrees, k):
     scroll = ScrollType(degrees)
@@ -498,30 +550,59 @@ def test_coefficient_jacobian_matches_field_element_oracle(field, degrees, k):
         child = rng.child(f"trial{trial}")
         curve = random_curve_in_scroll(scroll, k, field, child)
         sigma = random_distinct(field, child, scroll.n + 2)
-        rows, n_coeffs = _coefficient_jacobian(curve, sigma, field)
+        blocks, n_coeffs = _jacobian_blocks(curve, sigma, field)
         want_rows, want_coeffs = oracle_coefficient_jacobian(curve, sigma, field)
         assert n_coeffs == want_coeffs
-        assert rows == want_rows
-        if field is not QQ:
-            assert all(type(x) is int and 0 <= x < field.p for row in rows for x in row)
+        assert _dense_jacobian(blocks, n_coeffs, field) == want_rows
+        for vectors, _, gauge in blocks:
+            columns = [col for off, vals in vectors for col in range(off, off + len(vals))]
+            assert len(columns) == len(set(columns))  # disjoint supports
+            if field is not QQ:
+                values = gauge + [v for _, vals in vectors for v in vals]
+                assert all(type(x) is int and 0 <= x < field.p for x in values)
 
 
 def test_single_elimination_ranks_on_random_blocks():
-    # low-rank blocks make the configuration rank fall short of its width
-    field = PrimeField(101)
+    # random block-local gauge columns, as in the incidence Jacobian: some
+    # zero, some zero on their first rows, some in the span of their
+    # block's columns; low-rank blocks make the prefix rank fall short
     rng = RngStream.from_seed(77)
-    for _ in range(40):
-        n_coeffs, n_pts = rng.randint(0, 6), rng.randint(1, 4)
-        width = n_coeffs + 2 * n_pts
-        inner = rng.randint(1, width)
-        left = [[field.random_scalar(rng) for _ in range(inner)] for _ in range(rng.randint(1, 9))]
-        right = [[field.random_scalar(rng) for _ in range(width)] for _ in range(inner)]
-        rows = [
-            [sum((a * right[k][j] for k, a in enumerate(row)), field.zero) for j in range(width)]
-            for row in left
-        ]
-        got = _incidence_ranks(rows, n_coeffs, n_pts, field)
-        assert got == oracle_incidence_ranks(rows, n_coeffs, n_pts, field)
+
+    def draw(count):
+        return field.unwrap([field.random_scalar(rng) for _ in range(count)])
+
+    for trial in range(80):
+        field = PrimeField(101) if trial % 2 else QQ
+        p = getattr(field, "p", 0)
+        ncols, n_blocks = rng.randint(1, 7), rng.randint(1, 4)
+        n_prefix = rng.randint(0, ncols)
+        units = [(c, [1]) for c in range(ncols)]
+        blocks, dense = [], []
+        for j in range(n_blocks):
+            nrows, inner = rng.randint(1, 5), rng.randint(1, ncols)
+            left, right = [draw(inner) for _ in range(nrows)], [draw(ncols) for _ in range(inner)]
+            rows = [[sum(a * right[t][c] for t, a in enumerate(row)) for c in range(ncols)]
+                    for row in left]
+            kind = rng.randint(0, 3)
+            if kind == 0:
+                gauge = [0] * nrows
+            elif kind == 1:
+                gauge = [0] * (nrows - 1) + [1]
+            elif kind == 2:
+                mix = draw(ncols)
+                gauge = [sum(map(mul, row, mix)) for row in rows]
+            else:
+                gauge = draw(nrows)
+            gauge = field.reduce(gauge)
+            # row scalars may come unreduced, the gauge may not
+            blocks.append((units, [[x + p * rng.randint(0, 3) for x in row] for row in rows], gauge))
+            for row, x in zip(rows, gauge):
+                dense.append((row, [x if t == j else 0 for t in range(n_blocks)]))
+        prefix = [row[:n_prefix] + g for row, g in dense]
+        full = [row + g for row, g in dense]
+        want = (oracle_rank(prefix, n_prefix + n_blocks, field),
+                oracle_rank(full, ncols + n_blocks, field))
+        assert _gauge_cleared_ranks(blocks, n_prefix, ncols, field) == want
 
 
 # ------------------------------------------------------------ degeneration
