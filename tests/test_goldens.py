@@ -6,8 +6,8 @@ normalized report must equal the one in perfbench/goldens.json.  The
 stratified containment search, which no benchmark job renders in json,
 the node projection and the positive control over prime fields, which
 no benchmark job runs, and the incidence ranks over fields no benchmark
-job uses are pinned by their own tables below.  A change that alters any report byte
-(other than wall_clock_ms) fails here.
+job uses are pinned by their own tables below.  A change that alters any
+report byte (other than wall_clock_ms) fails here.
 """
 
 import sys
