@@ -362,8 +362,8 @@ def _restrict_to_plane(gram, plane, field):
 
 def _conic_parts(gram, field):
     """Split uT*H*u as A(x0,x1) + B(x0,x1)*x2 + C*x2^2."""
-    a = BinaryForm.over(2, (gram[0][0], gram[0][1] + gram[1][0], gram[1][1]), field)
-    b = BinaryForm.over(1, (gram[0][2] + gram[2][0], gram[1][2] + gram[2][1]), field)
+    a = BinaryForm(2, (gram[0][0], gram[0][1] + gram[1][0], gram[1][1]), field)
+    b = BinaryForm(1, (gram[0][2] + gram[2][0], gram[1][2] + gram[2][1]), field)
     c = gram[2][2]
     return a, b, c
 
@@ -626,7 +626,7 @@ def scroll_containment_witness(
 # positive control: a binary curve genuinely on a surface scroll
 
 
-def scroll_positive_control(seed, field=None) -> BinaryCurve:
+def scroll_positive_control(seed, field) -> BinaryCurve:
     """Binary curve lying on a cubic surface scroll in P^4.
 
     Two unisecant curves on the cone over the twisted cubic meet in five
@@ -635,15 +635,13 @@ def scroll_positive_control(seed, field=None) -> BinaryCurve:
     returned model is projectively equivalent to the construction and the
     containment experiment must report a witness.
     """
-    if field is None:
-        field = QQ
     from .fields import random_distinct
 
     scroll = ScrollType((0, 3))
     stream = as_stream(seed)
     one = field.one
-    s0 = BinaryForm.over(1, (1, 0), field)
-    s1 = BinaryForm.over(1, (0, 1), field)
+    s0 = BinaryForm(1, (1, 0), field)
+    s1 = BinaryForm(1, (0, 1), field)
     for attempt in range(64):
         rng = stream.child(f"attempt{attempt}")
         try:

@@ -10,13 +10,13 @@ are ``FpElement`` values holding the canonical representative in [0, p).
 An ``FpElement`` equals exactly one int, its residue, and hashes like it,
 so equal values hash equally in sets, dicts and Counters.
 
-Forms, quadrics and matrices carry their field and compute on its
-working values, int residues in [0, p) over F_p.  A field's ``unwrap``
-turns given scalars into working values (ints embed in every field, any
-other value raises FieldMismatchError), ``reduce`` brings computed ints
-into [0, p) and ``wrap`` builds the FpElements handed out; over the
-rationals all three return their argument.  ``infer_field`` alone reads
-a field off given scalars, for callers that name none.
+Forms, quadrics and matrices are built over a field their caller names
+and compute on its working values, int residues in [0, p) over F_p;
+nothing reads a field off given scalars.  A field's ``unwrap`` turns
+given scalars into working values (ints embed in every field, any other
+value raises FieldMismatchError), ``reduce`` brings computed ints into
+[0, p) and ``wrap`` builds the FpElements handed out; over the rationals
+all three return their argument.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from fractions import Fraction
 
 from .errors import FieldMismatchError
 
-DEFAULT_PRIME = 10007
 RATIONAL_SPAN = 999  # random rational scalars are integers in [-span, span]
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -280,21 +279,6 @@ class PrimeField:
 
     def __repr__(self):
         return f"GF({self.p})"
-
-
-def infer_field(values):
-    """F_p when an FpElement of F_p is among values, else the rationals.
-
-    Ints embed in every field.  FpElements of two primes, an FpElement
-    beside a Fraction, or a float raise FieldMismatchError.
-    """
-    kinds = set(map(type, values))
-    if kinds <= _RATIONAL:
-        return QQ
-    primes = {x.p for x in values if type(x) is FpElement}
-    if len(primes) != 1 or not kinds <= {int, FpElement}:
-        raise FieldMismatchError(f"no one field holds all of {values!r}")
-    return PrimeField(primes.pop())
 
 
 def parse_field(text: str):

@@ -5,15 +5,13 @@ coefficients, entry j holding the coefficient of s0^(d-j) * s1^j.
 Forms are immutable; the formal degree is part of the value, so the zero
 form of degree 2 and the zero form of degree 3 are distinct objects.
 
-A form carries its field and stores that field's working values
-(``values``): int residues in [0, p) over F_p, ints or Fractions over the
-rationals.  ``coeffs`` hands them out as field elements, FpElements over
-F_p.  Every operation runs one code path for both fields on the stored
-values and ends in ``field.reduce``.  Forms over one field stay in it;
-otherwise the field comes from all their scalars (``_common``): ints
-embed in every field, so an all-int rational form joins a prime-field
-form, while two primes or a Fraction beside F_p raise
-FieldMismatchError.
+A form is built over a field its caller names and stores that field's
+working values (``values``): int residues in [0, p) over F_p, ints or
+Fractions over the rationals.  ``coeffs`` hands them out as field
+elements, FpElements over F_p.  Every operation runs one code path for
+both fields on the stored values and ends in ``field.reduce``.  Forms
+over one field stay in it: forms of two fields, or a scalar from
+another field, raise FieldMismatchError (ints embed in every field).
 
 Over the rationals the kernels run on ints cleared of denominators, and
 a Fraction is built only for an output, through ``_div``, the one true
@@ -44,7 +42,6 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import BothZeroError, FieldMismatchError, InexactDivisionError
-from .fields import infer_field
 
 # modulus of the coprimality certificate in form_gcd (the prime 2**61 - 1)
 GCD_PRIME = 2**61 - 1
@@ -53,18 +50,9 @@ GCD_PRIME = 2**61 - 1
 class BinaryForm:
     __slots__ = ("degree", "values", "field")
 
-    def __init__(self, degree: int, coeffs):
-        """The form with these coefficients; its field is inferred from them."""
-        coeffs = tuple(coeffs)
-        field = infer_field(coeffs)
-        self._store(degree, field.unwrap(coeffs), field)
-
-    @classmethod
-    def over(cls, degree: int, coeffs, field) -> "BinaryForm":
+    def __init__(self, degree: int, coeffs, field):
         """The form over field with these coefficients: field elements or ints."""
-        form = object.__new__(cls)
-        form._store(degree, field.unwrap(tuple(coeffs)), field)
-        return form
+        self._store(degree, field.unwrap(tuple(coeffs)), field)
 
     def _store(self, degree, values, field):
         values = tuple(values)
@@ -89,13 +77,13 @@ class BinaryForm:
         return _form(degree, [0] * (degree + 1), field)
 
     @classmethod
-    def monomial(cls, degree: int, s1_power: int, scalar) -> "BinaryForm":
-        """scalar * s0^(degree - s1_power) * s1^s1_power."""
+    def monomial(cls, degree: int, s1_power: int, scalar, field) -> "BinaryForm":
+        """scalar * s0^(degree - s1_power) * s1^s1_power over field."""
         if not 0 <= s1_power <= degree:
             raise ValueError(f"s1 power {s1_power} out of range for degree {degree}")
         coeffs = [0] * (degree + 1)
         coeffs[s1_power] = scalar
-        return cls(degree, coeffs)
+        return cls(degree, coeffs, field)
 
     def is_zero(self) -> bool:
         """True when every coefficient is zero in the field."""
@@ -104,7 +92,7 @@ class BinaryForm:
     def __eq__(self, other):
         if not isinstance(other, BinaryForm):
             return NotImplemented
-        return self.degree == other.degree and self.coeffs == other.coeffs
+        return (self.field, self.degree, self.values) == (other.field, other.degree, other.values)
 
     def __hash__(self):
         return hash((self.degree, self.values))
@@ -114,29 +102,29 @@ class BinaryForm:
             return NotImplemented
         if self.degree != other.degree:
             raise ValueError(f"degree mismatch: {self.degree} vs {other.degree}")
-        f, g = _common(self, other)
-        return _form(f.degree, [a + b for a, b in zip(f.values, g.values)], f.field)
+        field = _common(self, other)
+        return _form(self.degree, [a + b for a, b in zip(self.values, other.values)], field)
 
     def __sub__(self, other):
         if not isinstance(other, BinaryForm):
             return NotImplemented
         if self.degree != other.degree:
             raise ValueError(f"degree mismatch: {self.degree} vs {other.degree}")
-        f, g = _common(self, other)
-        return _form(f.degree, [a - b for a, b in zip(f.values, g.values)], f.field)
+        field = _common(self, other)
+        return _form(self.degree, [a - b for a, b in zip(self.values, other.values)], field)
 
     def __neg__(self):
         return _form(self.degree, [-a for a in self.values], self.field)
 
     def scale(self, scalar) -> "BinaryForm":
-        f, (c,) = _with_scalars(self, (scalar,))
-        return _form(f.degree, [c * a for a in f.values], f.field)
+        (c,) = self.field.unwrap((scalar,))
+        return _form(self.degree, [c * a for a in self.values], self.field)
 
     def __mul__(self, other):
         if not isinstance(other, BinaryForm):
             return NotImplemented
-        f, g = _common(self, other)
-        return _form(f.degree + g.degree, _convolve(f.values, g.values), f.field)
+        field = _common(self, other)
+        return _form(self.degree + other.degree, _convolve(self.values, other.values), field)
 
     def evaluate(self, s0, s1):
         """Value at the pair (s0, s1), exact in the coefficient field.
@@ -144,9 +132,9 @@ class BinaryForm:
         One homogeneous Horner pass on ints (_value), reduced and handed
         out as a field element once.
         """
-        f, point = _with_scalars(self, (s0, s1))
-        field = f.field
-        return field.wrap(field.reduce([_value(f.values, *point)]))[0]
+        field = self.field
+        point = field.unwrap((s0, s1))
+        return field.wrap(field.reduce([_value(self.values, *point)]))[0]
 
     def s1_valuation(self) -> int:
         """Multiplicity of the s1 factor (degree+1 for the zero form)."""
@@ -177,24 +165,10 @@ def _form(degree: int, values, field) -> BinaryForm:
 
 
 def _common(f: BinaryForm, g: BinaryForm):
-    """f and g over one field: their own, else the one infer_field finds.
-
-    It reads all their coefficients, so an all-int rational form joins F_p.
-    """
-    if f.field == g.field:
-        return f, g
-    field = infer_field(f.coeffs + g.coeffs)
-    return [h if h.field == field else BinaryForm.over(h.degree, h.coeffs, field)
-            for h in (f, g)]
-
-
-def _with_scalars(f: BinaryForm, scalars):
-    """(f, the scalars' values) in one field: f's own, else by the rule of _common."""
-    try:
-        return f, f.field.unwrap(scalars)
-    except FieldMismatchError:
-        f, g = _common(f, BinaryForm(len(scalars) - 1, scalars))
-        return f, g.values
+    """The field of f and g; forms of two fields raise FieldMismatchError."""
+    if f.field != g.field:
+        raise FieldMismatchError(f"forms over {f.field!r} and {g.field!r} do not mix")
+    return f.field
 
 
 def _horner(coeffs, s0, s1):
@@ -249,21 +223,11 @@ def _convolve(a, b):
     return out if den == 1 else [Fraction(c, den) for c in out]
 
 
-def linear_form(c0, c1) -> BinaryForm:
-    """c0*s0 + c1*s1."""
-    return BinaryForm(1, (c0, c1))
-
-
-def vanishing_at(value) -> BinaryForm:
-    """The linear form s0 - value*s1, zero at the point (value : 1)."""
-    return BinaryForm(1, (1, -value))
-
-
 def product_of_linears(values, field) -> BinaryForm:
     """prod_i (s0 - value_i * s1) over field; the empty product is the constant 1."""
     result = _form(0, [1], field)
     for v in values:
-        result = result * BinaryForm.over(1, (1, -v), field)
+        result = result * BinaryForm(1, (1, -v), field)
     return result
 
 
@@ -290,7 +254,7 @@ def _split_forms(vec, degrees, field):
     """The forms of the given degrees whose concatenated coefficients are vec."""
     forms, start = [], 0
     for d in degrees:
-        forms.append(BinaryForm.over(d, vec[start:start + d + 1], field))
+        forms.append(BinaryForm(d, vec[start:start + d + 1], field))
         start += d + 1
     return forms
 
@@ -415,8 +379,7 @@ def _monic_form(f: BinaryForm) -> BinaryForm:
 
 def divide_exact(f: BinaryForm, g: BinaryForm) -> BinaryForm:
     """Quotient f/g when g divides f exactly, else InexactDivisionError."""
-    f, g = _common(f, g)
-    field = f.field
+    field = _common(f, g)
     if g.is_zero():
         raise ZeroDivisionError("division of a form by the zero form")
     if f.is_zero():
@@ -475,14 +438,13 @@ def form_gcd(f: BinaryForm, g: BinaryForm) -> BinaryForm:
     the same degrees as the remainders over the rationals, whose last
     nonzero entry _monic turns into the monic gcd.
     """
-    f, g = _common(f, g)
+    field = _common(f, g)
     if f.is_zero() and g.is_zero():
         raise BothZeroError("gcd of two zero forms is undefined")
     if f.is_zero():
         return _monic_form(g)
     if g.is_zero():
         return _monic_form(f)
-    field = f.field
     p = getattr(field, "p", None)  # over the rationals _poly_divmod takes None
     vf, a = _as_t_poly(f)
     vg, b = _as_t_poly(g)
@@ -517,10 +479,8 @@ def compose_form(outer: BinaryForm, f0: BinaryForm, f1: BinaryForm) -> BinaryFor
     """Substitute s0 -> f0 and s1 -> f1 into outer; f0, f1 of equal degree."""
     if f0.degree != f1.degree:
         raise ValueError("substituted forms must share a degree")
-    f0, f1 = _common(f0, f1)
-    outer, f0 = _common(outer, f0)
-    outer, f1 = _common(outer, f1)
-    field = outer.field
+    _common(f0, f1)
+    field = _common(outer, f0)
     d = outer.degree
     # powers of f0 ascending, powers of f1 descending, paired by index
     pow0 = [_form(0, [1], field)]
@@ -538,6 +498,6 @@ def compose_form(outer: BinaryForm, f0: BinaryForm, f1: BinaryForm) -> BinaryFor
 
 def random_form(degree: int, field, rng, nonzero: bool = False) -> BinaryForm:
     while True:
-        f = BinaryForm.over(degree, [field.random_scalar(rng) for _ in range(degree + 1)], field)
+        f = BinaryForm(degree, [field.random_scalar(rng) for _ in range(degree + 1)], field)
         if not nonzero or not f.is_zero():
             return f

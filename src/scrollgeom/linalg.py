@@ -1,9 +1,11 @@
 """Exact rank and kernel computations over the rationals or a prime field.
 
-Every entry point takes the field as its third positional argument.
-Entries may be field elements or ints, and the field's ``unwrap`` checks
-each row (a float raises FieldMismatchError); rows of plain int residues
-from the prime-field hot paths pass without a per-entry type check.
+Every entry point takes the field as its third positional argument, a
+required one: no entry point reads a field off its entries.  Entries may
+be elements of that field or ints, and the field's ``unwrap`` checks
+each row (a float or an element of another field raises
+FieldMismatchError); rows of plain int residues from the prime-field hot
+paths pass without a per-entry type check.
 
 Both fields eliminate in two steps.  A forward pass gives a row echelon
 form, whose pivot columns give the rank: pivot_columns and rank_of stop

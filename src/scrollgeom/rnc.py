@@ -8,21 +8,23 @@ kept in cleared-denominator form, coordinate j being the product of the
 linear factors of all the other node values, so only polynomial
 arithmetic is ever needed.
 
-A Quadric, like a BinaryForm, carries its field and stores its working
-values (int residues over F_p), which the residual pass, the coordinate
-forms and the frame check read for both fields; ``gram`` hands out field
-elements.
+A StandardRNC and a Quadric, like a BinaryForm, are built over a field
+their caller names.  A Quadric stores its working values (int residues
+over F_p), which the residual pass, the coordinate forms and the frame
+check read for both fields; ``gram`` hands out field elements.  A
+quadric and a curve over two fields do not mix (FieldMismatchError).
 """
 
 from __future__ import annotations
 
 from .errors import (
     DegenerateFrameError,
+    FieldMismatchError,
     InternalCheckError,
     NotThroughFrameError,
     ZeroQuadricError,
 )
-from .fields import infer_field, random_distinct
+from .fields import random_distinct
 from .forms import BinaryForm, _div, product_of_linears
 from .linalg import rank_kernel, rank_of
 
@@ -81,14 +83,12 @@ class StandardRNC:
 
     __slots__ = ("n", "params", "field")
 
-    def __init__(self, n: int, params, field=None):
+    def __init__(self, n: int, params, field):
         params = tuple(params)
         if n < 2:
             raise ValueError(f"need ambient dimension >= 2, got {n}")
         if len(params) != n - 1:
             raise ValueError(f"need {n - 1} parameters for P^{n}, got {len(params)}")
-        if field is None:
-            field = infer_field(params)
         values = (field.zero, field.one) + tuple(field.wrap(field.unwrap(params)))
         slots = {}
         for i, v in enumerate(values):
@@ -114,7 +114,7 @@ class StandardRNC:
     def coordinate_forms(self):
         field = self.field
         _, singles = _node_singles(self.node_values, field)
-        return [BinaryForm.over(self.n, c, field) for c in singles]
+        return [BinaryForm(self.n, c, field) for c in singles]
 
     def evaluate(self, s0, s1):
         """Point of P^n at parameter (s0 : s1)."""
@@ -151,19 +151,8 @@ class Quadric:
 
     __slots__ = ("n", "values", "field")
 
-    def __init__(self, gram):
-        """The quadric with this Gram matrix; its field is inferred from the entries."""
-        gram = [tuple(row) for row in gram]
-        self._store(gram, infer_field([x for row in gram for x in row]))
-
-    @classmethod
-    def over(cls, gram, field) -> "Quadric":
+    def __init__(self, gram, field):
         """The quadric over field with this Gram matrix of ints or field elements."""
-        q = object.__new__(cls)
-        q._store(gram, field)
-        return q
-
-    def _store(self, gram, field):
         values = tuple(tuple(field.unwrap(tuple(row))) for row in gram)
         size = len(values)
         if any(len(row) != size for row in values):
@@ -196,7 +185,7 @@ class Quadric:
                 half = _div(c, 2)
                 gram[i][j] = gram[i][j] + half
                 gram[j][i] = gram[j][i] + half
-        return cls.over(gram, field)
+        return cls(gram, field)
 
     def is_zero(self) -> bool:
         return not any(any(row) for row in self.values)
@@ -242,7 +231,7 @@ def random_quadric_through_frame(n: int, field, rng) -> Quadric:
         fix = -rest
         gram[0][1] = fix
         gram[1][0] = fix
-        q = Quadric.over(gram, field)
+        q = Quadric(gram, field)
         if not q.is_zero():
             return q
 
@@ -307,7 +296,7 @@ def _residual_pass(gram, node_values, field):
     b = field.reduce([sum(col) for col in zip(*sums)])
     if b[0]:
         raise InternalCheckError("B is not divisible by s1 despite validated preconditions")
-    residual = BinaryForm.over(len(b) - 2, b[1:], field)
+    residual = BinaryForm(len(b) - 2, b[1:], field)
     if residual.degree != count - 3:
         raise InternalCheckError(f"residual degree {residual.degree} != {count - 3}")
     partials = []
@@ -317,10 +306,10 @@ def _residual_pass(gram, node_values, field):
     return residual, partials
 
 
-def _check_pair(q: Quadric, curve: StandardRNC) -> Quadric:
-    """q in the curve's field (ints embed in every field), checked to have a residual."""
+def _check_pair(q: Quadric, curve: StandardRNC):
+    """Check that q shares the curve's field and has a residual."""
     if q.field != curve.field:
-        q = Quadric.over(q.gram, curve.field)
+        raise FieldMismatchError(f"quadric over {q.field!r} vs curve over {curve.field!r}")
     if q.is_zero():
         raise ZeroQuadricError("residual of the zero quadric is undefined")
     if q.n != curve.n:
@@ -330,7 +319,6 @@ def _check_pair(q: Quadric, curve: StandardRNC) -> Quadric:
             "quadric does not vanish on the standard frame "
             "(needs zero diagonal and zero total Gram sum)"
         )
-    return q
 
 
 def residual_polynomial(q: Quadric, curve: StandardRNC) -> BinaryForm:
@@ -341,7 +329,7 @@ def residual_polynomial(q: Quadric, curve: StandardRNC) -> BinaryForm:
     quotient is returned.  The curve lies on the quadric exactly when the
     returned form is identically zero.
     """
-    q = _check_pair(q, curve)
+    _check_pair(q, curve)
     return _residual_pass(q.values, curve.node_values, curve.field)[0]
 
 
@@ -373,7 +361,7 @@ def rnc_residual_and_rank(q: Quadric, curve: StandardRNC):
     node value v_m (m = 2..n).  Full rank n-1 certifies that the curve is
     locally the only one on the quadric near this parameter sample.
     """
-    q = _check_pair(q, curve)
+    _check_pair(q, curve)
     residual, partials = _residual_pass(q.values, curve.node_values, curve.field)
     rows = [list(row) for row in zip(*partials)]
     return residual, rank_of(rows, curve.n - 1, curve.field)

@@ -35,9 +35,13 @@ class RngStream:
         return int.from_bytes(digest[:8], "big")
 
     def below(self, bound: int) -> int:
-        """Uniform integer in [0, bound), exact via rejection sampling."""
-        if bound <= 0:
-            raise ValueError("bound must be positive")
+        """Uniform integer in [0, bound), exact via rejection sampling.
+
+        One 64-bit draw per attempt, so a bound above 2**64 raises
+        ValueError: no draw could fall below its rejection limit.
+        """
+        if not 0 < bound <= _U64:
+            raise ValueError(f"bound must be in [1, 2**64], got {bound}")
         limit = (_U64 // bound) * bound
         while True:
             v = self.next_u64()

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DependentConditionsError
-from .fields import DEFAULT_PRIME, PrimeField, infer_field, random_distinct
+from .fields import random_distinct
 from .forms import (BinaryForm, _coefficient_rows, _horner, _split_forms, compose_form, form_gcd,
                     gcd_many, random_form)
 from .linalg import pivot_columns_of_combinations, rank_kernel, rank_of
@@ -114,7 +114,7 @@ def push_forward(curve: CurveInScroll) -> PushedCurve:
     scroll = curve.scroll
     n = scroll.n
     slots = monomial_slots(scroll)
-    one = BinaryForm.over(0, (1,), curve.field)
+    one = BinaryForm(0, (1,), curve.field)
     t0_pows, t1_pows = [one], [one]
     for _ in range(max(scroll.degrees) if scroll.degrees else 0):
         t0_pows.append(t0_pows[-1] * curve.t0)
@@ -232,7 +232,7 @@ def _t_values_injective(points, field):
                              for i, u in enumerate(ts) for v in ts[i + 1:]]))
 
 
-def interpolate_unisecant(scroll: ScrollType, lifted_frame, field=None) -> UnisecantResult:
+def interpolate_unisecant(scroll: ScrollType, lifted_frame, field) -> UnisecantResult:
     """Solve for the k=1 curve through n+2 marked scroll points.
 
     The base map of a k=1 curve is an isomorphism, normalized here to the
@@ -248,8 +248,6 @@ def interpolate_unisecant(scroll: ScrollType, lifted_frame, field=None) -> Unise
     points = [(tuple(y), tuple(t)) for (y, t) in lifted_frame]
     if len(points) != n + 2:
         raise ValueError(f"need n+2 = {n + 2} points, got {len(points)}")
-    if field is None:
-        field = infer_field([x for (y, t) in points for x in y + t])
     # working values, unwrapped once: int residues over F_p
     points = [(tuple(field.unwrap(y)), tuple(field.unwrap(t))) for (y, t) in points]
     for (y, t) in points:
@@ -300,21 +298,19 @@ def _curve_from_fiber_vector(scroll, vec, y_degs, points, field):
     for (y, t) in points:
         if not any(f.evaluate(t[0], t[1]) for f in ys):
             return None
-    t0 = BinaryForm.over(1, (1, 0), field)
-    t1 = BinaryForm.over(1, (0, 1), field)
+    t0 = BinaryForm(1, (1, 0), field)
+    t1 = BinaryForm(1, (0, 1), field)
     try:
         return CurveInScroll(scroll, 1, t0, t1, ys)
     except ValueError:
         return None
 
 
-def sections_through_points(scroll: ScrollType, m: int, points, field=None):
+def sections_through_points(scroll: ScrollType, m: int, points, field):
     """Basis of sections of mL + M vanishing at all the given points."""
     if not isinstance(scroll, ScrollType):
         scroll = ScrollType(scroll)
     degrees = scroll.degrees
-    if field is None:
-        field = infer_field([x for (y, t) in points for x in y + t])
     comp_degs = [a_i + m for a_i in degrees]
     conditions = [(*field.unwrap(t), field.unwrap(y)) for (y, t) in points]
     rows = _coefficient_rows(conditions, comp_degs, field)
@@ -422,7 +418,7 @@ def _gauge_cleared_ranks(blocks, n_prefix: int, ncols: int, field):
 
 
 def incidence_dimension_estimate(
-    scroll: ScrollType, k: int, trials: int, seed: int, field=None
+    scroll: ScrollType, k: int, trials: int, seed: int, field
 ) -> DimensionReport:
     """Sampled dimension of the family of k-curves in scrolls of this type.
 
@@ -441,8 +437,6 @@ def incidence_dimension_estimate(
         raise ValueError(f"the family of k={k} curves in {scroll!r} is empty")
     if trials < 1:
         raise ValueError("trials must be positive")
-    if field is None:
-        field = PrimeField(DEFAULT_PRIME)
     n = scroll.n
     stream = as_stream(seed)
     measured = []
@@ -517,7 +511,7 @@ def _resolve_degeneration_indices(degrees, donor, recipient):
     return degrees, donor, recipient
 
 
-def degeneration_member(degrees, lam, donor=None, recipient=None, field=None) -> ScrollSection:
+def degeneration_member(degrees, lam, donor=None, recipient=None, *, field) -> ScrollSection:
     """Hyperplane-class section cutting the lam-member of the family.
 
     The auxiliary scroll keeps the given block order, lowers the donor
@@ -527,18 +521,16 @@ def degeneration_member(degrees, lam, donor=None, recipient=None, field=None) ->
     original type.
     """
     degrees, donor, recipient = _resolve_degeneration_indices(degrees, donor, recipient)
-    if field is None:
-        field = infer_field((lam,))
     lam = field(lam)
     aux = list(degrees)
     aux[donor] -= 1
     aux.append(1)
     comps = [BinaryForm.zero(a, field) for a in aux]
-    comps[donor] = BinaryForm.monomial(degrees[donor] - 1, degrees[donor] - 1, -lam)
+    comps[donor] = BinaryForm.monomial(degrees[donor] - 1, degrees[donor] - 1, -lam, field)
     comps[recipient] = comps[recipient] + BinaryForm.monomial(
-        degrees[recipient], degrees[recipient], -field.one
+        degrees[recipient], degrees[recipient], -field.one, field
     )
-    comps[-1] = BinaryForm.monomial(1, 0, field.one)
+    comps[-1] = BinaryForm.monomial(1, 0, field.one, field)
     return ScrollSection(tuple(aux), 0, comps)
 
 
@@ -558,13 +550,13 @@ def degeneration_embeddings(degrees, donor=None, recipient=None, *, field):
     aux = tuple(aux)
     d = len(degrees)
 
-    unit = BinaryForm.over(0, (1,), field)
-    t0 = BinaryForm.monomial(1, 0, one)
+    unit = BinaryForm(0, (1,), field)
+    t0 = BinaryForm.monomial(1, 0, one, field)
 
     slots1 = []
     for i in range(d):
         slots1.append((i, t0 if i == donor else unit))
-    slots1.append((donor, BinaryForm.monomial(degrees[donor] - 1, degrees[donor] - 1, one)))
+    slots1.append((donor, BinaryForm.monomial(degrees[donor] - 1, degrees[donor] - 1, one, field)))
     phi1 = ScrollEmbedding(degrees, aux, tuple(slots1))
 
     degenerate = list(degrees)
@@ -573,7 +565,9 @@ def degeneration_embeddings(degrees, donor=None, recipient=None, *, field):
     slots2 = []
     for i in range(d):
         slots2.append((i, t0 if i == recipient else unit))
-    slots2.append((recipient, BinaryForm.monomial(degrees[recipient], degrees[recipient], one)))
+    slots2.append(
+        (recipient, BinaryForm.monomial(degrees[recipient], degrees[recipient], one, field))
+    )
     phi2 = ScrollEmbedding(tuple(degenerate), aux, tuple(slots2))
     return phi1, phi2
 
@@ -611,32 +605,30 @@ def verify_degeneration_embeddings(degrees, donor=None, recipient=None, *, field
     one = field.one
     # lam-free relation t0*y_new - t1^(a_donor-1)*y_donor for the first image
     comps1 = [BinaryForm.zero(a, field) for a in aux]
-    comps1[donor] = BinaryForm.monomial(degrees[donor] - 1, degrees[donor] - 1, -one)
-    comps1[-1] = BinaryForm.monomial(1, 0, one)
+    comps1[donor] = BinaryForm.monomial(degrees[donor] - 1, degrees[donor] - 1, -one, field)
+    comps1[-1] = BinaryForm.monomial(1, 0, one, field)
     relation1 = ScrollSection(aux, 0, comps1)
     pulled1 = compose_section_with_embedding(relation1, phi1)
     if not all(f.is_zero() for f in pulled1):
         return False
 
-    member0 = degeneration_member(degrees, field.zero, donor, recipient, field)
+    member0 = degeneration_member(degrees, field.zero, donor, recipient, field=field)
     pulled2 = compose_section_with_embedding(member0, phi2)
     return all(f.is_zero() for f in pulled2)
 
 
-def degeneration_equivalence_check(degrees, lam, donor=None, recipient=None, field=None) -> bool:
+def degeneration_equivalence_check(degrees, lam, donor=None, recipient=None, *, field) -> bool:
     """Exact equivalence of the lam-member with the lam=1 member.
 
     Rescaling the donor fiber coordinate by lam carries the lam=1 section
     to the lam-section; checked as equality of component forms.
     """
-    if field is None:
-        field = infer_field((lam,))
     lam = field(lam)
     if not lam:
         raise ValueError("lam must be nonzero; the lam=0 member is the degenerate scroll")
     degrees, donor, recipient = _resolve_degeneration_indices(degrees, donor, recipient)
-    member_one = degeneration_member(degrees, field.one, donor, recipient, field)
-    member_lam = degeneration_member(degrees, lam, donor, recipient, field)
+    member_one = degeneration_member(degrees, field.one, donor, recipient, field=field)
+    member_lam = degeneration_member(degrees, lam, donor, recipient, field=field)
     rescaled = list(member_one.comps)
     rescaled[donor] = rescaled[donor].scale(lam)
     substituted = ScrollSection(member_one.degrees, 0, rescaled)

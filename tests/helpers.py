@@ -21,7 +21,7 @@ from collections import Counter
 from fractions import Fraction
 
 from scrollgeom.fields import QQ, FpElement
-from scrollgeom.forms import BinaryForm, divide_exact, vanishing_at
+from scrollgeom.forms import BinaryForm, divide_exact
 from scrollgeom.scroll_curves import monomial_slots
 
 
@@ -156,8 +156,8 @@ def oracle_residual(gram, node_values, field):
     between prefix and suffix products of the node linears l_m.
     """
     node_count = len(node_values)
-    linears = [vanishing_at(v) for v in node_values]
-    one = BinaryForm(0, (field.one,))
+    linears = [BinaryForm(1, (1, -v), field) for v in node_values]
+    one = BinaryForm(0, (field.one,), field)
     prefix = [one]
     for lin in linears:
         prefix.append(prefix[-1] * lin)
@@ -176,7 +176,7 @@ def oracle_residual(gram, node_values, field):
                 middle = middle * linears[m]
             partial = prefix[i] * middle * suffix[j + 1]
             b_form = b_form + partial.scale(g + g)
-    s1 = BinaryForm.monomial(1, 1, field.one)
+    s1 = BinaryForm.monomial(1, 1, field.one, field)
     return divide_exact(b_form, s1)
 
 
@@ -213,20 +213,12 @@ def oracle_incidence_ranks(rows, n_coeffs, n_pts, field):
 
 
 def oracle_form_mul(f, g):
-    """Product of two forms by the schoolbook double loop on their scalars.
-
-    Over F_p every coefficient sums from the field's zero, so an int * int
-    product beside FpElement coefficients is reduced too.
-    """
-    zero = 0 * f.coeffs[0] * g.coeffs[0]
-    for x in f.coeffs + g.coeffs:
-        if isinstance(x, FpElement):
-            zero = FpElement(0, x.p)
-    out = [zero] * (f.degree + g.degree + 1)
+    """Product of two forms of one field by the schoolbook double loop on their scalars."""
+    out = [0 * f.coeffs[0] * g.coeffs[0]] * (f.degree + g.degree + 1)
     for i, a in enumerate(f.coeffs):
         for j, b in enumerate(g.coeffs):
             out[i + j] = out[i + j] + a * b
-    return BinaryForm(f.degree + g.degree, out)
+    return BinaryForm(f.degree + g.degree, out, f.field)
 
 
 def _dehomogenize(form, field):
@@ -245,7 +237,7 @@ def _rehomogenize(v, phi, field):
     coeffs = [field(0)] * (degree + 1)
     for m, c in enumerate(phi):
         coeffs[degree - m] = c
-    return BinaryForm(degree, coeffs)
+    return BinaryForm(degree, coeffs, field)
 
 
 def oracle_form_gcd(f, g, field=QQ):
@@ -253,8 +245,7 @@ def oracle_form_gcd(f, g, field=QQ):
 
     A nonzero form is s1^v * F with s1 not dividing F; the gcd is s1 to
     the smaller v times the monic gcd of the polynomials F(t, 1).  The
-    zero form is absorbing.  Coefficients are taken into the field
-    first (Fraction, or FpElement for an int beside FpElements).
+    zero form is absorbing.  Coefficients are taken into the field first.
     """
     parts = [p for p in (_dehomogenize(f, field), _dehomogenize(g, field)) if p is not None]
     v = min(p[0] for p in parts)

@@ -21,7 +21,7 @@ from scrollgeom.binary_curves import (
 )
 from scrollgeom.cli import main
 from scrollgeom.fields import QQ, PrimeField
-from scrollgeom.forms import BinaryForm, linear_form, vanishing_at
+from scrollgeom.forms import BinaryForm
 from scrollgeom.reports import normalize_for_comparison
 from scrollgeom.rnc import (
     Quadric,
@@ -211,7 +211,7 @@ def test_criterion_04_gonality_pencils():
 @criterion(5, "residual-factorization")
 def test_criterion_05_residual_factorization():
     good = 0
-    s1 = BinaryForm.monomial(1, 1, FP.one)
+    s1 = BinaryForm.monomial(1, 1, FP.one, FP)
     for n in range(3, 9):
         stream = as_stream(5000 + n)
         for t in range(100):
@@ -219,9 +219,9 @@ def test_criterion_05_residual_factorization():
             curve = random_standard_rnc(n, FP, rng.child("curve"))
             quad = random_quadric_through_frame(n, FP, rng.child("quadric"))
             residual = residual_polynomial(quad, curve)
-            node_product = BinaryForm(0, (FP.one,))
+            node_product = BinaryForm(0, (FP.one,), FP)
             for v in curve.node_values:
-                node_product = node_product * vanishing_at(v)
+                node_product = node_product * BinaryForm(1, (1, -v), FP)
             if residual.degree == n - 2 and composite_on_curve(quad, curve) == (
                 residual * s1 * node_product
             ):
@@ -233,8 +233,8 @@ def test_criterion_05_residual_factorization():
     closed = True
     for a2 in (QQ(2), QQ(5)):
         for a3 in (QQ(3), QQ(7)):
-            residual = residual_polynomial(quad, StandardRNC(3, (a2, a3)))
-            if residual != linear_form(a3 - QQ(1) - a2, a2):
+            residual = residual_polynomial(quad, StandardRNC(3, (a2, a3), QQ))
+            if residual != BinaryForm(1, (a3 - QQ(1) - a2, a2), QQ):
                 closed = False
     ok = good == 600 and closed
     return ok, f"{good}/600 exact divisions, closed form {'ok' if closed else 'off'}"
@@ -283,7 +283,7 @@ def test_criterion_08_containment_search():
         verdict = scroll_containment_witness(curve, 20, 500 + i)
         if verdict.verdict == "NONE_FOUND" and not verdict.anomalies:
             none_found += 1
-    control = scroll_containment_witness(scroll_positive_control(3), 20, 77)
+    control = scroll_containment_witness(scroll_positive_control(3, QQ), 20, 77)
     elapsed = time.perf_counter() - start
     if elapsed >= 300.0:
         return False, f"took {elapsed:.0f}s, budget 300s"

@@ -109,8 +109,8 @@ def test_binary_curve_to_dict():
 
 
 def test_binary_curve_rejections():
-    a = StandardRNC(3, (QQ(2), QQ(3)))
-    b = StandardRNC(3, (QQ(4), QQ(5)))
+    a = StandardRNC(3, (QQ(2), QQ(3)), QQ)
+    b = StandardRNC(3, (QQ(4), QQ(5)), QQ)
     with pytest.raises(ValueError):
         BinaryCurve(2, a, b)
     with pytest.raises(ValueError):
@@ -486,7 +486,7 @@ def test_containment_validation():
 
 
 def test_positive_control_is_detected():
-    control = scroll_positive_control(11)
+    control = scroll_positive_control(11, QQ)
     assert control.n == 4
     assert control.field is QQ
     assert len(quadrics_through(control)) == 3
@@ -498,8 +498,8 @@ def test_positive_control_is_detected():
 
 
 def test_positive_control_determinism():
-    one = scroll_positive_control(11)
-    two = scroll_positive_control(11)
+    one = scroll_positive_control(11, QQ)
+    two = scroll_positive_control(11, QQ)
     assert one.to_dict() == two.to_dict()
 
 

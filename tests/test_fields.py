@@ -7,17 +7,15 @@ import pytest
 
 from scrollgeom.errors import FieldMismatchError, FieldTooSmallError
 from scrollgeom.fields import (
-    DEFAULT_PRIME,
     QQ,
     FpElement,
     PrimeField,
-    infer_field,
     parse_field,
     random_distinct,
     random_nonzero,
     scalar_to_str,
 )
-from scrollgeom.rngstream import as_stream
+from scrollgeom.rngstream import RngStream, as_stream
 
 
 def test_rational_field_basics():
@@ -81,25 +79,10 @@ def test_prime_field_rejects_composites():
             PrimeField(bad)
 
 
-def test_infer_field_dispatch():
-    f7 = PrimeField(7)
-    assert infer_field([Fraction(2, 3)]) is QQ
-    assert infer_field([5]) is QQ and infer_field([]) is QQ
-    fp = infer_field([f7(3)])
-    assert isinstance(fp, PrimeField) and fp.p == 7
-    # ints embed in every field
-    assert infer_field([2, f7(3), -9]) == f7
-    with pytest.raises(TypeError):
-        infer_field(["a string"])
-    for mixed in ([f7(1), PrimeField(11)(1)], [f7(1), Fraction(1, 2)], [0.5, 1]):
-        with pytest.raises(FieldMismatchError):
-            infer_field(mixed)
-
-
 def test_parse_field():
     assert parse_field("q") is QQ
-    fp = parse_field(f"fp:{DEFAULT_PRIME}")
-    assert isinstance(fp, PrimeField) and fp.p == DEFAULT_PRIME
+    fp = parse_field("fp:10007")
+    assert isinstance(fp, PrimeField) and fp.p == 10007
     with pytest.raises(ValueError):
         parse_field("gf256")
     with pytest.raises(ValueError):
@@ -147,3 +130,15 @@ def test_random_nonzero_and_distinct():
 def test_field_names_round_trip():
     for name in ("q", "fp:10007", "fp:7"):
         assert parse_field(name).name == name
+
+
+def test_draw_bounds_above_64_bits_raise_before_drawing():
+    # one 64-bit draw per attempt: a larger bound would reject every draw
+    p = 2**61 - 1
+    for draw in (lambda rng: rng.below(2**64 + 1), lambda rng: rng.randint(-p**3, p**3)):
+        rng = as_stream(1)
+        with pytest.raises(ValueError):
+            draw(rng)
+        assert rng.counter == 0
+    # 2**64 itself accepts every draw, unchanged
+    assert as_stream(1).below(2**64) == RngStream.from_seed(1).next_u64()

@@ -12,7 +12,7 @@ from scrollgeom.errors import (
     ZeroQuadricError,
 )
 from scrollgeom.fields import QQ, FpElement, PrimeField
-from scrollgeom.forms import BinaryForm, linear_form, vanishing_at
+from scrollgeom.forms import BinaryForm
 from scrollgeom.linalg import rank_kernel, rank_of
 from scrollgeom.rnc import (
     Frame,
@@ -98,14 +98,14 @@ def test_frame_immutable():
 
 
 def test_standard_rnc_node_values():
-    curve = StandardRNC(3, (2, 3))
+    curve = StandardRNC(3, (2, 3), QQ)
     assert curve.node_values == (QQ(0), QQ(1), QQ(2), QQ(3))
     assert curve.params == (QQ(2), QQ(3))
     assert curve.field is QQ
 
 
 def test_standard_rnc_hits_frame_points():
-    curve = StandardRNC(3, (2, 3))
+    curve = StandardRNC(3, (2, 3), QQ)
     # parameter (1:0) lands on the all-ones point
     assert curve.evaluate(QQ(1), QQ(0)) == (QQ(1), QQ(1), QQ(1), QQ(1))
     # parameter (value_j:1) lands on coordinate point j
@@ -116,12 +116,12 @@ def test_standard_rnc_hits_frame_points():
 
 
 def test_standard_rnc_frozen_sample():
-    curve = StandardRNC(3, (2, 3))
+    curve = StandardRNC(3, (2, 3), QQ)
     assert curve.evaluate(QQ(1), QQ(1)) == (QQ(0), QQ(2), QQ(0), QQ(0))
 
 
 def test_coordinate_forms_match_evaluate():
-    curve = StandardRNC(4, (2, 3, 5))
+    curve = StandardRNC(4, (2, 3, 5), QQ)
     forms = curve.coordinate_forms()
     assert all(f.degree == 4 for f in forms)
     for s0, s1 in ((QQ(7), QQ(1)), (QQ(1), QQ(0)), (QQ(-2), QQ(3))):
@@ -132,16 +132,16 @@ def test_coordinate_forms_match_evaluate():
 
 def test_coordinate_forms_full_rank():
     for n, params in ((2, (5,)), (3, (2, 3)), (5, (2, 3, 4, 5))):
-        curve = StandardRNC(n, params)
+        curve = StandardRNC(n, params, QQ)
         rows = [list(f.coeffs) for f in curve.coordinate_forms()]
         assert rank_of(rows, n + 1, QQ) == n + 1
 
 
 def test_coefficient_rank_frozen():
     basis = (
-        BinaryForm(2, (QQ(1), QQ(0), QQ(0))),
-        BinaryForm(2, (QQ(0), QQ(1), QQ(0))),
-        BinaryForm(2, (QQ(0), QQ(0), QQ(1))),
+        BinaryForm(2, (QQ(1), QQ(0), QQ(0)), QQ),
+        BinaryForm(2, (QQ(0), QQ(1), QQ(0)), QQ),
+        BinaryForm(2, (QQ(0), QQ(0), QQ(1)), QQ),
     )
     assert rank_of([list(f.coeffs) for f in basis], 3, QQ) == 3
     repeated = (basis[0], basis[0])
@@ -150,22 +150,22 @@ def test_coefficient_rank_frozen():
 
 def test_standard_rnc_rejections():
     with pytest.raises(ValueError):
-        StandardRNC(1, ())
+        StandardRNC(1, (), QQ)
     with pytest.raises(ValueError):
-        StandardRNC(3, (2,))
+        StandardRNC(3, (2,), QQ)
     # params may not repeat or collide with the fixed values 0 and 1
     with pytest.raises(ValueError):
-        StandardRNC(3, (2, 2))
+        StandardRNC(3, (2, 2), QQ)
     with pytest.raises(ValueError):
-        StandardRNC(3, (0, 2))
+        StandardRNC(3, (0, 2), QQ)
     with pytest.raises(ValueError):
-        StandardRNC(3, (1, 2))
+        StandardRNC(3, (1, 2), QQ)
 
 
 def test_standard_rnc_names_the_first_coinciding_slots():
     # values (0, 1, 5, 5, 1): the pair through the lowest slot comes first
     with pytest.raises(ValueError, match="slots 1 and 4 coincide"):
-        StandardRNC(4, (5, 5, 1))
+        StandardRNC(4, (5, 5, 1), QQ)
     with pytest.raises(ValueError, match="slots 2 and 3 coincide"):
         StandardRNC(4, (5, 5, 7), PrimeField(10007))
 
@@ -180,10 +180,10 @@ def test_standard_rnc_rejects_non_field_params():
 
 
 def test_standard_rnc_equality_and_immutability():
-    a = StandardRNC(3, (2, 3))
-    b = StandardRNC(3, (Fraction(2), Fraction(3)))
+    a = StandardRNC(3, (2, 3), QQ)
+    b = StandardRNC(3, (Fraction(2), Fraction(3)), QQ)
     assert a == b and hash(a) == hash(b)
-    assert a != StandardRNC(3, (2, 5))
+    assert a != StandardRNC(3, (2, 5), QQ)
     with pytest.raises(AttributeError):
         a.n = 4
 
@@ -238,9 +238,9 @@ def test_quadric_singular_locus_indices():
 
 def test_quadric_validation():
     with pytest.raises(ValueError):
-        Quadric([[QQ(0), QQ(1)], [QQ(2), QQ(0)]])
+        Quadric([[QQ(0), QQ(1)], [QQ(2), QQ(0)]], QQ)
     with pytest.raises(ValueError):
-        Quadric([[QQ(0), QQ(1)]])
+        Quadric([[QQ(0), QQ(1)]], QQ)
 
 
 def test_quadrics_carry_their_field():
@@ -252,14 +252,14 @@ def test_quadrics_carry_their_field():
 def test_quadric_symmetry_is_checked_in_its_field():
     fp = PrimeField(10007)
     # 10010 is 3 mod 10007
-    q = Quadric([[fp.zero, fp(3)], [10010, fp.zero]])
+    q = Quadric([[fp.zero, fp(3)], [10010, fp.zero]], fp)
     assert q.field == fp and q.gram == ((fp.zero, fp(3)), (fp(3), fp.zero))
 
 
 def test_quadric_of_int_multiples_of_p_is_the_zero_quadric():
     fp = PrimeField(10007)
     m = 10007 * 5
-    zero = Quadric([[fp.zero, m, 0], [m, fp.zero, 0], [0, 0, fp.zero]])
+    zero = Quadric([[fp.zero, m, 0], [m, fp.zero, 0], [0, 0, fp.zero]], fp)
     assert zero.rank() == 0 and zero.is_zero()
     with pytest.raises(ZeroQuadricError):
         residual_polynomial(zero, StandardRNC(2, (5,), fp))
@@ -287,7 +287,7 @@ def test_random_quadric_through_frame_vanishes_on_frame():
 
 def test_residual_frozen_case():
     q = _hyperbolic_quadric()
-    curve = StandardRNC(3, (2, 3))
+    curve = StandardRNC(3, (2, 3), QQ)
     res = residual_polynomial(q, curve)
     assert res.degree == 1
     assert res.coeffs == (QQ(0), QQ(2))
@@ -305,8 +305,8 @@ def test_residual_closed_form_on_hyperbolic_quadric():
     q = _hyperbolic_quadric()
     for a2 in (QQ(2), QQ(5)):
         for a3 in (QQ(3), QQ(7)):
-            res = residual_polynomial(q, StandardRNC(3, (a2, a3)))
-            expected = linear_form(a3 - QQ(1) - a2, a2)
+            res = residual_polynomial(q, StandardRNC(3, (a2, a3), QQ))
+            expected = BinaryForm(1, (a3 - QQ(1) - a2, a2), QQ)
             assert res == expected
 
 
@@ -319,24 +319,24 @@ def test_residual_divides_composite():
             q = random_quadric_through_frame(n, field, rng.child("quadric"))
             res = residual_polynomial(q, curve)
             assert res.degree == n - 2
-            node_product = BinaryForm(0, (field.one,))
+            node_product = BinaryForm(0, (field.one,), field)
             for v in curve.node_values:
-                node_product = node_product * vanishing_at(v)
-            s1 = BinaryForm.monomial(1, 1, field.one)
+                node_product = node_product * BinaryForm(1, (1, -v), field)
+            s1 = BinaryForm.monomial(1, 1, field.one, field)
             assert composite_on_curve(q, curve) == res * s1 * node_product
 
 
 def test_residual_zero_iff_curve_on_quadric():
     q = _hyperbolic_quadric()
-    curve = StandardRNC(3, (2, 3))
+    curve = StandardRNC(3, (2, 3), QQ)
     assert not composite_on_curve(q, curve).is_zero()
     # the residual detects containment through the same product identity
     assert not residual_polynomial(q, curve).is_zero()
 
 
 def test_residual_validation():
-    curve = StandardRNC(3, (2, 3))
-    zero = Quadric([[QQ(0)] * 4 for _ in range(4)])
+    curve = StandardRNC(3, (2, 3), QQ)
+    zero = Quadric([[QQ(0)] * 4 for _ in range(4)], QQ)
     with pytest.raises(ZeroQuadricError):
         residual_polynomial(zero, curve)
     off_frame = Quadric.from_monomials(3, {(0, 0): 1}, QQ)
@@ -344,12 +344,18 @@ def test_residual_validation():
         residual_polynomial(off_frame, curve)
     small = Quadric.from_monomials(2, {(0, 1): 1, (0, 2): -1}, QQ)
     with pytest.raises(ValueError):
-        residual_polynomial(small, StandardRNC(3, (2, 3)))
+        residual_polynomial(small, StandardRNC(3, (2, 3), QQ))
+    # a quadric and a curve of two fields do not mix
+    f101 = PrimeField(101)
+    with pytest.raises(FieldMismatchError):
+        residual_polynomial(_hyperbolic_quadric(), StandardRNC(3, (2, 3), f101))
+    with pytest.raises(FieldMismatchError):
+        rnc_residual_and_rank(Quadric.from_monomials(3, {(0, 3): 1, (1, 2): -1}, f101), curve)
 
 
 def test_finiteness_rank_frozen():
     q = _hyperbolic_quadric()
-    assert rnc_residual_and_rank(q, StandardRNC(3, (2, 3)))[1] == 2
+    assert rnc_residual_and_rank(q, StandardRNC(3, (2, 3), QQ))[1] == 2
 
 
 def test_finiteness_rank_random_cases():
@@ -446,7 +452,7 @@ def test_residual_pass_checks_s1_divisibility():
     # x0*x2 misses the all-ones point, so B keeps an s0^(n-1) term
     gram = Quadric.from_monomials(3, {(0, 2): 1}, QQ).gram
     with pytest.raises(InternalCheckError):
-        _residual_pass(gram, StandardRNC(3, (2, 3)).node_values, QQ)
+        _residual_pass(gram, StandardRNC(3, (2, 3), QQ).node_values, QQ)
 
 
 def test_drop_linear_checks_the_reduced_remainder():
@@ -488,7 +494,7 @@ def test_prime_field_frame_check_does_no_fp_element_arithmetic(monkeypatch):
     q = random_quadric_through_frame(10, field, rng.child("quadric"))
     off_sum = Quadric.from_monomials(3, {(0, 1): 1, (2, 3): 10006 * 3}, field)
     # int entries in a prime-field Gram matrix count mod p
-    mixed = Quadric([[field.zero, 10007 * 5], [10007 * 5, field.zero]])
+    mixed = Quadric([[field.zero, 10007 * 5], [10007 * 5, field.zero]], field)
     calls = count_fp_arithmetic(monkeypatch)
     assert q.is_through_standard_frame()
     assert not off_sum.is_through_standard_frame()

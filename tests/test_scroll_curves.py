@@ -40,12 +40,12 @@ from helpers import (
     oracle_rank,
 )
 
-S0 = BinaryForm(1, (QQ(1), QQ(0)))
-S1 = BinaryForm(1, (QQ(0), QQ(1)))
+S0 = BinaryForm(1, (QQ(1), QQ(0)), QQ)
+S1 = BinaryForm(1, (QQ(0), QQ(1)), QQ)
 
 
 def qform(*coeffs):
-    return BinaryForm(len(coeffs) - 1, tuple(QQ(c) for c in coeffs))
+    return BinaryForm(len(coeffs) - 1, tuple(QQ(c) for c in coeffs), QQ)
 
 
 def _proportional(p, q):
@@ -233,7 +233,7 @@ def test_sections_vanish_at_their_points():
     scroll = ScrollType((1, 1, 2))
     for field in (QQ, PrimeField(10007)):
         frame = random_lifted_frame(scroll, field, RngStream.from_seed(13))
-        secs = sections_through_points(scroll, 1, frame)
+        secs = sections_through_points(scroll, 1, frame, field)
         assert len(secs) >= 1
         for sec in secs:
             assert sec.field == field
@@ -284,7 +284,7 @@ def test_interpolation_recovers_a_known_curve():
     curve = CurveInScroll(scroll, 1, S0, S1, (qform(1, 2, 0, 3), qform(1, 0, 1)))
     taus = [QQ(x) for x in (2, 3, 5, 7, 11, 13)]
     points = [curve.point_at(t, QQ(1)) for t in taus]
-    result = interpolate_unisecant(scroll, points)
+    result = interpolate_unisecant(scroll, points, QQ)
     assert result.status == "UNIQUE"
     assert result.kernel_dim == 1
     assert _proportional(_fiber_coeffs(result.curve), _fiber_coeffs(curve))
@@ -294,7 +294,7 @@ def test_interpolation_unique_on_random_frames():
     for degrees, seed in (((1, 2), 21), ((1, 1, 2), 22), ((2, 2), 23)):
         scroll = ScrollType(degrees)
         frame = random_lifted_frame(scroll, QQ, RngStream.from_seed(seed))
-        result = interpolate_unisecant(scroll, frame)
+        result = interpolate_unisecant(scroll, frame, QQ)
         assert result.status == "UNIQUE"
         assert result.kernel_dim == 1
         for (y, t) in frame:
@@ -306,7 +306,7 @@ def test_interpolation_over_prime_field():
     field = PrimeField(10007)
     scroll = ScrollType((1, 1, 2))
     frame = random_lifted_frame(scroll, field, RngStream.from_seed(25))
-    result = interpolate_unisecant(scroll, frame)
+    result = interpolate_unisecant(scroll, frame, field)
     assert result.status == "UNIQUE"
 
 
@@ -315,7 +315,7 @@ def test_prime_field_interpolation_does_no_fp_element_arithmetic(monkeypatch):
     scroll = ScrollType((2, 3, 3))
     frame = random_lifted_frame(scroll, field, RngStream.from_seed(26))
     calls = count_fp_arithmetic(monkeypatch)
-    result = interpolate_unisecant(scroll, frame)
+    result = interpolate_unisecant(scroll, frame, field)
     assert not calls
     # the counters do see FpElement arithmetic
     _ = field.one + field.one
@@ -331,8 +331,8 @@ def test_hyperplane_sections_through_frame_vanish_on_interpolant():
     for degrees, seed, expect in (((1, 2), 21, 1), ((1, 1, 2), 22, 2)):
         scroll = ScrollType(degrees)
         frame = random_lifted_frame(scroll, QQ, RngStream.from_seed(seed))
-        curve = interpolate_unisecant(scroll, frame).curve
-        secs = sections_through_points(scroll, 1, frame)
+        curve = interpolate_unisecant(scroll, frame, QQ).curve
+        secs = sections_through_points(scroll, 1, frame, QQ)
         assert len(secs) == expect
         for sec in secs:
             assert section_on_curve(sec, curve).is_zero()
@@ -342,7 +342,7 @@ def test_interpolation_single_block_scroll():
     # d = 1: no cross-multiplication rows, the curve is forced
     scroll = ScrollType((2,))
     points = [((QQ(c),), (QQ(t), QQ(1))) for c, t in ((1, 0), (2, 1), (3, 2), (5, 3))]
-    result = interpolate_unisecant(scroll, points)
+    result = interpolate_unisecant(scroll, points, QQ)
     assert result.status == "UNIQUE"
     assert result.kernel_dim == 1
     assert result.curve.ys[0].degree == 0
@@ -352,22 +352,22 @@ def test_interpolation_point_validation():
     scroll = ScrollType((1, 2))
     frame = random_lifted_frame(scroll, QQ, RngStream.from_seed(21))
     with pytest.raises(ValueError):
-        interpolate_unisecant(scroll, frame[:-1])
+        interpolate_unisecant(scroll, frame[:-1], QQ)
     bad_base = list(frame)
     bad_base[0] = (bad_base[0][0], (QQ(0), QQ(0)))
     with pytest.raises(ValueError):
-        interpolate_unisecant(scroll, bad_base)
+        interpolate_unisecant(scroll, bad_base, QQ)
     bad_fiber = list(frame)
     bad_fiber[0] = ((QQ(0), QQ(0)), bad_fiber[0][1])
     with pytest.raises(ValueError):
-        interpolate_unisecant(scroll, bad_fiber)
+        interpolate_unisecant(scroll, bad_fiber, QQ)
 
 
 def test_interpolation_dependent_conditions():
     # constant fiber direction spans only the first block's coordinates
     points = [((QQ(1), QQ(0)), (QQ(t), QQ(1))) for t in (0, 1, 2, 3, 4, 5)]
     with pytest.raises(DependentConditionsError):
-        interpolate_unisecant(ScrollType((1, 2)), points)
+        interpolate_unisecant(ScrollType((1, 2)), points, QQ)
 
 
 def test_interpolation_repeated_base_value_gives_none():
@@ -378,7 +378,7 @@ def test_interpolation_repeated_base_value_gives_none():
     y0, t0 = points[1]
     # move the duplicated-parameter point off the curve
     points[1] = ((y0[0] + QQ(1), y0[1] + QQ(7)), t0)
-    result = interpolate_unisecant(scroll, points)
+    result = interpolate_unisecant(scroll, points, QQ)
     assert result.status == "NONE"
     assert result.curve is None
     assert result.kernel_dim == 0
@@ -419,14 +419,14 @@ def test_two_interpolants_force_dependent_conditions():
         for idx in range(17):
             vec[idx] = vec[idx] + kv[idx]
     ys = [
-        BinaryForm(deg, vec[offsets[i] : offsets[i] + deg + 1])
+        BinaryForm(deg, vec[offsets[i] : offsets[i] + deg + 1], QQ)
         for i, deg in enumerate(y_degs)
     ]
     curve = CurveInScroll(scroll, 1, S0, S1, ys)
     points = [curve.point_at(tau, QQ(1)) for tau in taus]
     assert all(any(y) for (y, _) in points)
     with pytest.raises(DependentConditionsError):
-        interpolate_unisecant(scroll, points)
+        interpolate_unisecant(scroll, points, QQ)
 
 
 # ---------------------------------------------------- incidence dimensions
@@ -434,7 +434,7 @@ def test_two_interpolants_force_dependent_conditions():
 
 def test_incidence_estimate_matches_formula():
     for k, predicted in ((1, 6), (2, 5)):
-        report = incidence_dimension_estimate(ScrollType((1, 2)), k, 2, 1)
+        report = incidence_dimension_estimate(ScrollType((1, 2)), k, 2, 1, PrimeField(10007))
         assert report.predicted == predicted
         assert report.measured_ranks == [predicted, predicted]
         assert report.fiber_dims == [5, 5]
@@ -442,7 +442,7 @@ def test_incidence_estimate_matches_formula():
 
 
 def test_incidence_estimate_three_blocks():
-    report = incidence_dimension_estimate(ScrollType((1, 1, 2)), 3, 1, 4)
+    report = incidence_dimension_estimate(ScrollType((1, 1, 2)), 3, 1, 4, PrimeField(10007))
     assert report.predicted == 12
     assert report.measured_ranks == [12]
     assert report.fiber_dims == [5]
@@ -450,13 +450,13 @@ def test_incidence_estimate_three_blocks():
 
 def test_incidence_estimate_validation():
     with pytest.raises(ValueError):
-        incidence_dimension_estimate(ScrollType((2, 3)), 3, 5, 1)
+        incidence_dimension_estimate(ScrollType((2, 3)), 3, 5, 1, PrimeField(10007))
     with pytest.raises(ValueError):
-        incidence_dimension_estimate(ScrollType((1, 2)), 1, 0, 1)
+        incidence_dimension_estimate(ScrollType((1, 2)), 1, 0, 1, PrimeField(10007))
 
 
 def test_incidence_report_dict_layout():
-    report = incidence_dimension_estimate(ScrollType((1, 2)), 1, 1, 9)
+    report = incidence_dimension_estimate(ScrollType((1, 2)), 1, 1, 9, PrimeField(10007))
     data = asdict(report)
     assert list(data) == [
         "family",
@@ -500,7 +500,7 @@ def _curve_vanishing_at_zero(scroll, k, field, rng, n_forms):
         forms = [curve.t0, curve.t1, *curve.ys]
         for idx in (0, 2)[:n_forms]:
             f = forms[idx]
-            forms[idx] = BinaryForm.over(f.degree, f.values[:-1] + (0,), field)
+            forms[idx] = BinaryForm(f.degree, f.values[:-1] + (0,), field)
         try:
             return CurveInScroll(scroll, k, forms[0], forms[1], forms[2:])
         except ValueError:
@@ -609,7 +609,7 @@ def test_single_elimination_ranks_on_random_blocks():
 
 
 def test_degeneration_member_frozen():
-    member = degeneration_member((1, 2), QQ(1))
+    member = degeneration_member((1, 2), QQ(1), field=QQ)
     assert member.degrees == (0, 2, 1)
     assert member.m == 0
     assert [c.coeffs for c in member.comps] == [
@@ -620,7 +620,7 @@ def test_degeneration_member_frozen():
 
 
 def test_degeneration_member_at_zero():
-    member = degeneration_member((1, 2), QQ(0))
+    member = degeneration_member((1, 2), QQ(0), field=QQ)
     assert [c.coeffs for c in member.comps] == [
         (QQ(0),),
         (QQ(0), QQ(0), QQ(-1)),
@@ -629,7 +629,7 @@ def test_degeneration_member_at_zero():
 
 
 def test_degeneration_member_explicit_indices():
-    member = degeneration_member((1, 1, 2), QQ(1), donor=2, recipient=0)
+    member = degeneration_member((1, 1, 2), QQ(1), donor=2, recipient=0, field=QQ)
     assert member.degrees == (1, 1, 1, 1)
     # donor block carries -lam * t1^(a_donor - 1), recipient -t1^(a_rec)
     assert member.comps[2].coeffs == (QQ(0), QQ(-1))
@@ -639,15 +639,15 @@ def test_degeneration_member_explicit_indices():
 
 def test_degeneration_index_validation():
     with pytest.raises(ValueError):
-        degeneration_member((2,), QQ(1))
+        degeneration_member((2,), QQ(1), field=QQ)
     with pytest.raises(ValueError):
-        degeneration_member((0, 2), QQ(1), donor=0)
+        degeneration_member((0, 2), QQ(1), donor=0, field=QQ)
     with pytest.raises(ValueError):
-        degeneration_member((1, 2), QQ(1), donor=0, recipient=0)
+        degeneration_member((1, 2), QQ(1), donor=0, recipient=0, field=QQ)
     with pytest.raises(ValueError):
-        degeneration_member((1, 2), QQ(1), donor=5)
+        degeneration_member((1, 2), QQ(1), donor=5, field=QQ)
     # default donor skips leading zero blocks
-    member = degeneration_member((0, 2), QQ(1))
+    member = degeneration_member((0, 2), QQ(1), field=QQ)
     assert member.degrees == (0, 1, 1)
 
 
@@ -674,8 +674,8 @@ def test_compose_section_embedding_mismatch():
 
 
 def test_degeneration_equivalence():
-    assert degeneration_equivalence_check((1, 2), QQ(5))
-    assert degeneration_equivalence_check((2, 2), QQ(-1))
+    assert degeneration_equivalence_check((1, 2), QQ(5), field=QQ)
+    assert degeneration_equivalence_check((2, 2), QQ(-1), field=QQ)
     assert degeneration_equivalence_check((1, 1, 2), QQ(7), field=QQ)
     with pytest.raises(ValueError):
-        degeneration_equivalence_check((1, 2), QQ(0))
+        degeneration_equivalence_check((1, 2), QQ(0), field=QQ)

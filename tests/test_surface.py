@@ -76,3 +76,32 @@ def test_only_the_field_layer_and_reports_read_fp_element():
         if _reads(ast.parse(path.read_text()))["FpElement"]
     ]
     assert readers == ["fields.py", "reports.py"]
+
+
+def _public_field_defaults(tree):
+    """Names of public functions and methods, constructors included, whose field has a default."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.FunctionDef):
+            continue
+        if node.name.startswith("_") and node.name != "__init__":
+            continue
+        args = node.args
+        positional = [a.arg for a in args.posonlyargs + args.args]
+        defaulted = positional[len(positional) - len(args.defaults):]
+        defaulted += [a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+        if "field" in defaulted:
+            yield node.name
+
+
+def test_every_caller_names_the_field():
+    # forms, quadrics and experiments are built over the field their
+    # caller names: no module works a field out from scalars, and no
+    # public signature fills one in
+    inferring, defaulted = [], []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        defined = {n.name for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)}
+        if _reads(tree)["infer_field"] or "infer_field" in defined:
+            inferring.append(path.name)
+        defaulted += [f"{path.name}:{name}" for name in _public_field_defaults(tree)]
+    assert inferring == [] and defaulted == []
