@@ -223,14 +223,6 @@ def _convolve(a, b):
     return out if den == 1 else [Fraction(c, den) for c in out]
 
 
-def product_of_linears(values, field) -> BinaryForm:
-    """prod_i (s0 - value_i * s1) over field; the empty product is the constant 1."""
-    result = _form(0, [1], field)
-    for v in values:
-        result = result * BinaryForm(1, (1, -v), field)
-    return result
-
-
 def _coefficient_rows(conditions, degrees, field):
     """Rows of the conditions sum_i w_i * f_i(s0, s1) = 0 on forms f_i.
 

@@ -17,6 +17,8 @@ quadric and a curve over two fields do not mix (FieldMismatchError).
 
 from __future__ import annotations
 
+from operator import mul
+
 from .errors import (
     DegenerateFrameError,
     FieldMismatchError,
@@ -25,7 +27,7 @@ from .errors import (
     ZeroQuadricError,
 )
 from .fields import random_distinct
-from .forms import BinaryForm, _div, product_of_linears
+from .forms import BinaryForm, _div
 from .linalg import rank_kernel, rank_of
 
 
@@ -199,7 +201,7 @@ class Quadric:
         return field.wrap(field.reduce([total]))[0]
 
     def rank(self) -> int:
-        return rank_of([list(r) for r in self.values], self.n + 1, self.field)
+        return rank_of(self.values, self.n + 1, self.field)
 
     def is_through_standard_frame(self) -> bool:
         """Zero diagonal (coordinate points) and zero entry sum (all-ones point)."""
@@ -218,7 +220,7 @@ def random_quadric_through_frame(n: int, field, rng) -> Quadric:
     solved so the total entry sum vanishes (all-ones point).
     """
     while True:
-        gram = [[field.zero for _ in range(n + 1)] for _ in range(n + 1)]
+        gram = [[0] * (n + 1) for _ in range(n + 1)]
         rest = field.zero
         for i in range(n + 1):
             for j in range(i + 1, n + 1):
@@ -256,43 +258,44 @@ def _drop_linear(coeffs, value, field):
 
 
 def _node_singles(node_values, field):
-    """(unwrapped node values, coefficient lists of P / l_k for every k).
+    """(unwrapped node values, coefficient lists of P_k = P / l_k for every k).
 
-    P = prod_k l_k with l_k = s0 - v_k*s1.  The lists hold int residues
-    over F_p and rationals as they are.
+    P = prod_k l_k, l_k = s0 - v_k*s1, takes a shift and subtract per factor
+    and one field.reduce; each P_k is one exact division.  The lists hold int
+    residues over F_p and rationals as they are.
     """
     values = field.unwrap(node_values)
-    full = product_of_linears(values, field).values
+    full = [1]
+    for v in values:
+        full = [a - v * b for a, b in zip(full + [0], [0] + full)]
+    full = field.reduce(full)
     return values, [_drop_linear(full, v, field) for v in values]
 
 
 def _residual_pass(gram, node_values, field):
     """Residual form and its partials in the free node values, in one pass.
 
-    With l_k = s0 - v_k*s1, P = prod_k l_k and P_ij = P / (l_i*l_j), the
-    composite q(phi(s)) is P * B with B = sum_m S_m and
-    S_m = sum_(j != m) G_mj P_mj.  The through-frame condition makes B
-    divisible by s1, and the residual is R = B / s1.  Returns R and the
-    coefficient lists of dR/dv_m for m = 2..n (see rnc_residual_and_rank).
-    Every division is checked to be exact.
+    With l_k = s0 - v_k*s1, P = prod_k l_k and P_j = P / l_j, the composite
+    q(phi(s)) is P * B with B = sum_m S_m, S_m = sum_(j != m) G_mj P / (l_m*l_j).
+    As l_m divides every P_j with j != m, S_m = (sum_(j != m) G_mj P_j) / l_m;
+    G_mm is never read.  The through-frame condition makes B divisible by
+    s1, and R = B / s1.  Returns R and the coefficient lists of dR/dv_m for
+    m = 2..n (see rnc_residual_and_rank).  The n+1 singles, n+1 S_m and n-1
+    partials are 3(n+1) - 2 divisions, each checked to be exact.
 
     The pass runs on the field's working values, int residues over F_p:
-    the Gram rows and node values are unwrapped once, the S_m sums stay
-    unreduced ints, B is reduced once before its checks and each division
-    reduces its quotient once.  The partials come back as value lists.
+    the Gram rows and node values are unwrapped once, the numerators of the
+    S_m stay unreduced ints, B is reduced once before its checks and each
+    division reduces its quotient once.  The partials are value lists.
     """
     count = len(node_values)
     values, singles = _node_singles(node_values, field)
-    sums = [[0] * (count - 1) for _ in range(count)]
-    for i in range(count):
-        row = field.unwrap(gram[i])
-        for j in range(i + 1, count):
-            g = row[j]
-            if not g:
-                continue
-            terms = [g * c for c in _drop_linear(singles[i], values[j], field)]
-            sums[i] = [a + t for a, t in zip(sums[i], terms)]
-            sums[j] = [a + t for a, t in zip(sums[j], terms)]
+    columns = list(zip(*singles))
+    sums = []
+    for m, v in enumerate(values):
+        row = list(field.unwrap(gram[m]))
+        row[m] = 0
+        sums.append(_drop_linear([sum(map(mul, row, col)) for col in columns], v, field))
     b = field.reduce([sum(col) for col in zip(*sums)])
     if b[0]:
         raise InternalCheckError("B is not divisible by s1 despite validated preconditions")
@@ -353,12 +356,12 @@ def rnc_residual_and_rank(q: Quadric, curve: StandardRNC):
     """Residual form and finiteness rank of the pair, from one pass.
 
     The rank is that of the Jacobian of the residual coefficients in the
-    params.  Writing B = s1 * R = sum_m S_m as in _residual_pass, the term
-    G_ij P_ij of B contains l_m = s0 - v_m*s1 exactly once when m is not
-    in {i, j} and not at all otherwise; the latter terms add up to 2*S_m.
-    Since dl_m/dv_m = -s1, this gives the exact partial derivative
-    dR/dv_m = -(B - 2*S_m) / l_m, a form of degree n-2, for each free
-    node value v_m (m = 2..n).  Full rank n-1 certifies that the curve is
+    params.  In B = s1 * R = sum_m S_m, S_m = (sum_(j != m) G_mj P_j) / l_m
+    (see _residual_pass), each term G_ij P / (l_i*l_j) contains l_m once
+    if m is not in {i, j}, else not at all; the latter add up to 2*S_m.
+    As dl_m/dv_m = -s1, dR/dv_m = -(B - 2*S_m) / l_m exactly, a form of
+    degree n-2, for each free node value v_m (m = 2..n): n-1 of the pass's
+    3(n+1) - 2 divisions.  Full rank n-1 certifies that the curve is
     locally the only one on the quadric near this parameter sample.
     """
     _check_pair(q, curve)

@@ -5,8 +5,8 @@ implementations, independent of the package's fraction-free and
 prime-field eliminations, so that agreement between the two routes is
 evidence and not circularity.  The residual oracles rebuild every
 product of node linears by plain form multiplication and take the
-finiteness Jacobian by finite differences, independent of the one-pass
-synthetic division in the package.  The incidence-rank oracle takes the
+finiteness Jacobian by finite differences, independent of the package's
+one exact division per node.  The incidence-rank oracle takes the
 configuration and augmented ranks from two separate naive RREFs.  The
 form oracles multiply by the schoolbook double loop, and divide and take
 gcds by plain long division on the field's own scalars (Fraction or
@@ -178,6 +178,14 @@ def oracle_residual(gram, node_values, field):
             b_form = b_form + partial.scale(g + g)
     s1 = BinaryForm.monomial(1, 1, field.one, field)
     return divide_exact(b_form, s1)
+
+
+def oracle_node_product(node_values, field):
+    """prod_k (s0 - v_k*s1) by schoolbook products of the node linears."""
+    out = BinaryForm(0, (field.one,), field)
+    for v in node_values:
+        out = oracle_form_mul(out, BinaryForm(1, (field.one, -v), field))
+    return out
 
 
 def oracle_jacobian_columns(gram, node_values, field):

@@ -20,9 +20,9 @@ from scrollgeom.forms import (
     divide_exact,
     form_gcd,
     gcd_many,
-    product_of_linears,
     random_form,
 )
+from scrollgeom.rnc import _node_singles
 from scrollgeom.rngstream import as_stream
 
 from helpers import (
@@ -32,6 +32,7 @@ from helpers import (
     oracle_form_gcd,
     oracle_form_mul,
     oracle_form_value,
+    oracle_node_product,
     oracle_poly_divmod,
 )
 
@@ -70,11 +71,15 @@ def test_vanishing_at_and_product():
     v = BinaryForm(1, (1, -QQ(5)), QQ)
     assert v.evaluate(QQ(5), ONE) == 0
     assert v.evaluate(ONE, ZERO) == 1
-    prod = product_of_linears([QQ(1), QQ(2), QQ(3)], QQ)
+    prod = oracle_node_product([QQ(1), QQ(2), QQ(3)], QQ)
     assert prod.degree == 3
     for r in (1, 2, 3):
         assert prod.evaluate(QQ(r), ONE) == 0
     assert prod.evaluate(QQ(4), ONE) == (4 - 1) * (4 - 2) * (4 - 3)
+    # the node product the rnc pass builds on value lists, seen through its singles
+    values, singles = _node_singles([QQ(1), QQ(2), QQ(3)], QQ)
+    for v, single in zip(values, singles):
+        assert BinaryForm(2, single, QQ) * BinaryForm(1, (1, -v), QQ) == prod
     assert BinaryForm(1, (QQ(2), QQ(-3)), QQ).evaluate(QQ(3), QQ(2)) == 0
 
 

@@ -14,6 +14,7 @@ from scrollgeom.errors import (
 from scrollgeom.fields import QQ, FpElement, PrimeField
 from scrollgeom.forms import BinaryForm
 from scrollgeom.linalg import rank_kernel, rank_of
+from scrollgeom import rnc
 from scrollgeom.rnc import (
     Frame,
     Quadric,
@@ -371,7 +372,7 @@ def test_finiteness_rank_random_cases():
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(10007), PrimeField(101)], ids=str)
 def test_residual_pass_matches_oracles(field):
-    for n in range(3, 13):
+    for n in range(3, 17):
         rng = RngStream.from_seed(700 + n)
         curve = random_standard_rnc(n, field, rng.child("curve"))
         q = random_quadric_through_frame(n, field, rng.child("quadric"))
@@ -420,6 +421,39 @@ def test_residual_pass_property():
         assert partials == oracle_jacobian_columns(gram, values, field)
 
     check()
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(10007)], ids=str)
+def test_residual_pass_divides_once_per_node(field, monkeypatch):
+    # n+1 singles P / l_k, n+1 quotients S_m and n-1 partials
+    calls = []
+    drop_linear = rnc._drop_linear
+
+    def counted(coeffs, value, field):
+        calls.append(value)
+        return drop_linear(coeffs, value, field)
+
+    monkeypatch.setattr(rnc, "_drop_linear", counted)
+    for n in (5, 10, 14):
+        rng = RngStream.from_seed(720 + n)
+        curve = random_standard_rnc(n, field, rng.child("curve"))
+        q = random_quadric_through_frame(n, field, rng.child("quadric"))
+        calls.clear()
+        _residual_pass(q.values, curve.node_values, field)
+        assert len(calls) == 3 * (n + 1) - 2
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(101)], ids=str)
+def test_residual_pass_ignores_the_gram_diagonal(field):
+    # S_m = (sum_(j != m) G_mj P_j) / l_m: l_m does not divide P_m, so
+    # the pass must leave G_mm out, whatever it holds
+    values = [field(v) for v in (0, 1, 5, 9, 14, 30, 41)]
+    entries = [(7 * k) % 19 - 9 for k in range(20)]
+    gram = _through_frame_gram(len(values), entries, field)
+    expected = _residual_pass(gram, values, field)
+    for m, row in enumerate(gram):
+        row[m] = field(3 + 2 * m)
+    assert _residual_pass(gram, values, field) == expected
 
 
 def test_residual_times_node_product_is_composite_sympy():
