@@ -22,7 +22,7 @@ from .fields import QQ, scalar_to_str
 from .forms import (BinaryForm, _cleared, _coefficient_rows, _div, _horner, _split_forms,
                     divide_exact, form_gcd, gcd_many, random_form)
 from .linalg import rank_kernel, rank_of
-from .rnc import Frame, Quadric, StandardRNC, random_standard_rnc
+from .rnc import Frame, Quadric, StandardRNC, _drop_linear, _node_singles, random_standard_rnc
 from .rngstream import as_stream
 from .scroll_curves import CurveInScroll, push_forward
 from .scrolls import (
@@ -268,22 +268,37 @@ def random_mobius_node_pairs(n: int, field, seed):
 
 
 def _quadric_rows(curve: BinaryCurve):
-    """(monomial pairs (i, j), i <= j, and the rows of the conditions on them).
+    """(monomial pairs (i, j), i <= j, and 3n rows of the conditions on them).
 
-    Unknowns are the monomial coefficients c_{ij}; the equations say the
-    composite degree-2n forms on each component vanish.  Node conditions
-    are implied, so no separate point equations appear.
+    Unknowns are the monomial coefficients c_ij.  A quadric contains a
+    component when its composite, the degree-2n form sum c_ij phi_i phi_j,
+    vanishes.  With P = prod_k l_k the monic product of the n+1 finite node
+    linears, a degree-2n form F is P*G + R with deg G = n-1 and R fixed by
+    F's values at those nodes; F's value at (1 : 0) is G's leading
+    coefficient.  So F -> (node values, lower n-1 coefficients of G) is an
+    isomorphism over every field, and F = 0 exactly when all of them vanish.
+
+    Both components pass through the frame, so the n+2 node rows serve
+    both: phi_i phi_j at node k is a nonzero multiple of [i = j = k] (the
+    unit row of x_k^2) and at (1 : 0) it is 1 (the all-ones row).  Each
+    component adds the n-1 lower coefficients of G = P / (l_i*l_j) for
+    i != j, as phi_i = P / l_i: one Horner pass on a single of
+    rnc._node_singles.  Column (k, k) gets 0 in these rows, since the unit
+    row of x_k^2 clears it whatever G of phi_k^2 puts there.  So the 3n
+    rows span the row space of the 2(2n+1) coefficients of the two
+    composites, and give the same rank and kernel basis.
     """
     n = curve.n
-    phi1 = curve.comp1.coordinate_forms()
-    phi2 = curve.comp2.coordinate_forms()
+    field = curve.field
     pair_index = [(i, j) for i in range(n + 1) for j in range(i, n + 1)]
-    cols = []
-    for (i, j) in pair_index:
-        f1 = phi1[i] * phi1[j]
-        f2 = phi2[i] * phi2[j]
-        cols.append(f1.values + f2.values)
-    rows = [[col[r] for col in cols] for r in range(2 * (2 * n + 1))]
+    rows = [[int(pair == (k, k)) for pair in pair_index] for k in range(n + 1)]
+    rows.append([1] * len(pair_index))
+    zeros = [0] * (n - 1)
+    for comp in (curve.comp1, curve.comp2):
+        values, singles = _node_singles(comp.node_values, field)
+        cols = [_drop_linear(singles[i], values[j], field)[1:] if i != j else zeros
+                for (i, j) in pair_index]
+        rows += zip(*cols)
     return pair_index, rows
 
 

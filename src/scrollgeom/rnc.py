@@ -26,7 +26,7 @@ from .errors import (
     NotThroughFrameError,
     ZeroQuadricError,
 )
-from .fields import random_distinct
+from .fields import PrimeField, random_distinct
 from .forms import BinaryForm, _div
 from .linalg import rank_kernel, rank_of
 
@@ -241,17 +241,25 @@ def random_quadric_through_frame(n: int, field, rng) -> Quadric:
 def _drop_linear(coeffs, value, field):
     """Coefficients of f / (s0 - value*s1) for a form f that it divides.
 
-    Runs on int residues over F_p and on rationals as they are.
-    Coefficient k of (s0 - value*s1) * g is g_k - value*g_(k-1), so the
-    quotient follows by Horner's rule and what is left of the last
-    coefficient is the remainder.  Over F_p the Horner values stay
-    unreduced ints until the one field.reduce of the list; the remainder
-    must vanish after that reduction.
+    Runs on working values: ints of any size over F_p, reduced to residues
+    at each step, and rationals as they are.  Coefficient k of
+    (s0 - value*s1) * g is g_k - value*g_(k-1), so the quotient follows by
+    Horner's rule and what is left of the last coefficient is the
+    remainder, which must vanish.
     """
-    out = [coeffs[0]]
-    for c in coeffs[1:]:
-        out.append(c + value * out[-1])
-    out = field.reduce(out)
+    if isinstance(field, PrimeField):
+        p = field.p
+        acc = coeffs[0] % p
+        out = [acc]
+        for c in coeffs[1:]:
+            acc = (c + value * acc) % p
+            out.append(acc)
+    else:
+        acc = coeffs[0]
+        out = [acc]
+        for c in coeffs[1:]:
+            acc = c + value * acc
+            out.append(acc)
     if out.pop():
         raise InternalCheckError(f"s0 - {value}*s1 does not divide the form")
     return out
@@ -286,7 +294,7 @@ def _residual_pass(gram, node_values, field):
     The pass runs on the field's working values, int residues over F_p:
     the Gram rows and node values are unwrapped once, the numerators of the
     S_m stay unreduced ints, B is reduced once before its checks and each
-    division reduces its quotient once.  The partials are value lists.
+    division reduces at every Horner step.  The partials are value lists.
     """
     count = len(node_values)
     values, singles = _node_singles(node_values, field)

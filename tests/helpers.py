@@ -6,15 +6,17 @@ prime-field eliminations, so that agreement between the two routes is
 evidence and not circularity.  The residual oracles rebuild every
 product of node linears by plain form multiplication and take the
 finiteness Jacobian by finite differences, independent of the package's
-one exact division per node.  The incidence-rank oracle takes the
-configuration and augmented ranks from two separate naive RREFs.  The
-form oracles multiply by the schoolbook double loop, and divide and take
-gcds by plain long division on the field's own scalars (Fraction or
-FpElement), with no integer or residue shortcut.  The incidence Jacobian
-and node-system oracles build every entry with the field's own scalar
-arithmetic (FpElement or Fraction), evaluating forms as a plain sum of
-monomials, where the package works on unwrapped residues with one
-reduction per entry.
+one exact division per node.  The quadric oracle builds the coefficient
+rows of both composites from schoolbook products of coordinate forms,
+where the package takes node values and Horner quotients.  The
+incidence-rank oracle takes the configuration and augmented ranks from
+two separate naive RREFs.  The form oracles multiply by the schoolbook
+double loop, and divide and take gcds by plain long division on the
+field's own scalars (Fraction or FpElement), with no integer or residue
+shortcut.  The incidence Jacobian and node-system oracles build every
+entry with the field's own scalar arithmetic (FpElement or Fraction),
+evaluating forms as a plain sum of monomials, where the package works on
+unwrapped residues with one reduction per entry.
 """
 
 from collections import Counter
@@ -186,6 +188,25 @@ def oracle_node_product(node_values, field):
     for v in node_values:
         out = oracle_form_mul(out, BinaryForm(1, (field.one, -v), field))
     return out
+
+
+def oracle_quadric_coefficient_rows(curve):
+    """(monomial pairs (i, j), i <= j, and the 2(2n+1) coefficient rows).
+
+    Column (i, j) holds the coefficients of the composites phi_i*phi_j on
+    both components, each coordinate form phi_i rebuilt as the schoolbook
+    product of the other node linears and multiplied by oracle_form_mul.
+    Row r says coefficient r of one composite of the quadric vanishes.
+    """
+    n, field = curve.n, curve.field
+    pairs = [(i, j) for i in range(n + 1) for j in range(i, n + 1)]
+    cols = [[] for _ in pairs]
+    for comp in (curve.comp1, curve.comp2):
+        values = comp.node_values
+        phis = [oracle_node_product(values[:i] + values[i + 1:], field) for i in range(n + 1)]
+        for col, (i, j) in zip(cols, pairs):
+            col += oracle_form_mul(phis[i], phis[j]).coeffs
+    return pairs, [list(row) for row in zip(*cols)]
 
 
 def oracle_jacobian_columns(gram, node_values, field):

@@ -1,5 +1,6 @@
 """Binary curves: gonality pencils, quadric nets, containment experiments."""
 
+from collections import Counter
 from dataclasses import asdict
 from fractions import Fraction
 
@@ -30,9 +31,9 @@ from scrollgeom.binary_curves import (
 )
 from scrollgeom.errors import FieldTooSmallError
 from scrollgeom.fields import QQ, PrimeField
-from scrollgeom.forms import _split_forms, form_gcd
-from scrollgeom.linalg import rank_kernel
-from scrollgeom.rnc import StandardRNC, composite_on_curve
+from scrollgeom.forms import BinaryForm, _split_forms, form_gcd
+from scrollgeom.linalg import rank_kernel, rank_of
+from scrollgeom.rnc import Quadric, StandardRNC, composite_on_curve
 from scrollgeom.rngstream import as_stream
 from scrollgeom.scrolls import gonality_bound
 
@@ -41,6 +42,7 @@ from helpers import (
     count_fraction_arithmetic,
     cross_ratio,
     oracle_node_system_rows,
+    oracle_quadric_coefficient_rows,
     oracle_rref_mod,
 )
 
@@ -347,6 +349,70 @@ def test_quadrics_vanish_on_both_components():
     for q in quadrics_through(curve):
         assert composite_on_curve(q, curve.comp1).is_zero()
         assert composite_on_curve(q, curve.comp2).is_zero()
+
+
+def _assert_quadrics_match_coefficient_rows(curve):
+    # the same basis and count as the kernel of the 2(2n+1) coefficient rows
+    field = curve.field
+    pairs, rows = oracle_quadric_coefficient_rows(curve)
+    rank, kernel = rank_kernel(rows, len(pairs), field)
+    expected = [
+        Quadric.from_monomials(curve.n, {pairs[k]: v for k, v in enumerate(vec) if v}, field)
+        for vec in kernel
+    ]
+    assert [q.values for q in quadrics_through(curve)] == [q.values for q in expected]
+    assert quadric_space_dimension(curve) == len(kernel) == len(pairs) - rank
+    assert rank == rank_of(rows, len(pairs), field)
+    return len(kernel)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(10007), PrimeField(101)], ids=str)
+@pytest.mark.parametrize("n", range(3, 9))
+def test_quadrics_match_coefficient_rows(n, field):
+    curve = random_binary_curve(n, field, 180 + n)
+    assert _assert_quadrics_match_coefficient_rows(curve) == (n - 1) * (n - 2) // 2
+
+
+def test_quadrics_match_coefficient_rows_on_special_curves():
+    # the positive control lies on a cubic scroll: three quadrics
+    assert _assert_quadrics_match_coefficient_rows(scroll_positive_control(3, QQ)) == 3
+    params = (Fraction(1, 2), Fraction(-3, 7), Fraction(5, 3), Fraction(7, 11))
+    _assert_quadrics_match_coefficient_rows(
+        _curve(5, params, (Fraction(2, 9), *params[1:]))
+    )
+    # P^1 over F_7 has 8 points, fewer than the 2n+1 = 11 values that fix
+    # a degree-2n form; the node-quotient rows need only the n+2 nodes
+    _assert_quadrics_match_coefficient_rows(_curve(5, (2, 3, 4, 5), (3, 4, 5, 6), PrimeField(7)))
+
+
+def test_quadrics_job_runs_no_exact_pass_and_no_form_product(monkeypatch, capsys):
+    # the 3n rows of a general curve have full row rank, so rank_of's
+    # mod-p certificate settles it, and no composite is multiplied out
+    from scrollgeom import linalg
+    from scrollgeom.cli import main
+
+    calls = Counter()
+    forward_q, form_mul = linalg._forward_q, BinaryForm.__mul__
+
+    def counted_forward_q(mat, ncols):
+        calls["_forward_q"] += 1
+        return forward_q(mat, ncols)
+
+    def counted_mul(f, g):
+        calls["mul"] += 1
+        return form_mul(f, g)
+
+    monkeypatch.setattr(linalg, "_forward_q", counted_forward_q)
+    monkeypatch.setattr(BinaryForm, "__mul__", counted_mul)
+    for seed in range(5):
+        argv = ["quadrics", "--n", "10", "--trials", "3", "--field", "q", "--seed", str(seed)]
+        assert main(argv) == 0
+    capsys.readouterr()
+    assert calls == Counter()
+    # the counters do see both: a kernel over q and a composite on a component
+    curve = random_binary_curve(4, QQ, 5)
+    composite_on_curve(quadrics_through(curve)[0], curve.comp1)
+    assert calls["_forward_q"] and calls["mul"]
 
 
 # -------------------------------------------------------------- containment

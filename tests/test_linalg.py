@@ -26,6 +26,7 @@ from scrollgeom.rngstream import as_stream
 from helpers import (
     oracle_kernel_mod,
     oracle_kernel_q,
+    oracle_quadric_coefficient_rows,
     oracle_rref_mod,
     oracle_rref_q,
     same_span_mod,
@@ -429,7 +430,9 @@ def test_rational_kernel_shape_ranks():
 
 
 def test_rational_kernel_quadrics_shape(monkeypatch):
-    # the matrix of `quadrics --n 10 --field q`: 42 conditions on 66 monomials
+    # the matrix of `quadrics --n 10 --field q`: 3n = 30 node-quotient rows
+    # on 66 monomials, and the 42 coefficient rows of the same conditions,
+    # a rank-deficient rational instance of rank 30
     import scrollgeom.binary_curves as bc
 
     seen = []
@@ -439,10 +442,14 @@ def test_rational_kernel_quadrics_shape(monkeypatch):
         return rank_kernel(rows, ncols, field)
 
     monkeypatch.setattr(bc, "rank_kernel", recording_rank_kernel)
-    bc.quadrics_through(bc.random_binary_curve(10, QQ, 5))
+    curve = bc.random_binary_curve(10, QQ, 5)
+    bc.quadrics_through(curve)
     (rows, ncols), = seen
-    assert (len(rows), ncols) == (42, 66)
+    assert (len(rows), ncols) == (30, 66)
     _assert_exact_rational_kernel(rows, ncols)
+    _, coefficient_rows = oracle_quadric_coefficient_rows(curve)
+    assert (len(coefficient_rows), rank_of(coefficient_rows, ncols, QQ)) == (42, 30)
+    _assert_exact_rational_kernel(coefficient_rows, ncols)
 
 
 def test_rank_only_callers_build_no_kernel(monkeypatch, capsys):
@@ -467,7 +474,7 @@ def test_rank_only_callers_build_no_kernel(monkeypatch, capsys):
     assert calls == []
     # the counter does see a kernel caller
     quadrics_through(random_binary_curve(4, QQ, 5))
-    assert calls == [(18, 15)]
+    assert calls == [(12, 15)]
 
 
 def test_rational_kernel_property():
