@@ -270,6 +270,8 @@ def _handle_unisecant(args) -> dict:
         raise _UsageError(f"--n {args.n} is inconsistent with --a (ambient dimension {scroll.n})")
     field = args.field
     stream = as_stream(args.seed)
+    # POSITIVE_FAMILY never occurs (see interpolate_unisecant); the key
+    # keeps the report's shape
     counts = {"UNIQUE": 0, "NONE": 0, "POSITIVE_FAMILY": 0, "ANOMALY": 0}
     rows = []
     for t in range(args.trials):

@@ -185,7 +185,8 @@ def _forward_q(mat, ncols):
             ag, bg = a // g, b // g
             new = [ag * x - bg * y for x, y in zip(row[c:], lead)]
             # pairwise: under CPython 3.11, gcd(*new) left the resident set
-            # about 0.3 MB larger after repeated 24x25 unisecant systems
+            # about 0.3 MB larger after repeated 24x25 rational kernels, the
+            # unisecant system of the time (now 11x12)
             content = reduce(gcd, new)
             if content > 1:
                 new = [v // content for v in new]

@@ -19,12 +19,13 @@ row per point from the elimination without changing either rank.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 
-from .errors import DependentConditionsError
-from .fields import random_distinct
+from .errors import DependentConditionsError, InternalCheckError
+from .fields import PrimeField, random_distinct
 from .forms import (BinaryForm, _coefficient_rows, _horner, _split_forms, compose_form, form_gcd,
                     gcd_many, random_form)
-from .linalg import pivot_columns_of_combinations, rank_kernel, rank_of
+from .linalg import _int_rows_q, pivot_columns_of_combinations, rank_kernel, rank_of
 from .rngstream import as_stream
 from .scrolls import EMPTY, ScrollType, dim_curves_in_scroll
 
@@ -220,31 +221,34 @@ def random_lifted_frame(scroll: ScrollType, field, rng):
 
 @dataclass(frozen=True)
 class UnisecantResult:
-    status: str  # UNIQUE, NONE, or POSITIVE_FAMILY
-    curve: object  # CurveInScroll for UNIQUE (and a sample if a family exists)
+    status: str  # UNIQUE or NONE
+    curve: object  # CurveInScroll for UNIQUE
     kernel_dim: int
-
-
-def _t_values_injective(points, field):
-    """True when the base values of the points are pairwise distinct in P^1."""
-    ts = [t for (_, t) in points]
-    return all(field.reduce([u[0] * v[1] - u[1] * v[0]
-                             for i, u in enumerate(ts) for v in ts[i + 1:]]))
 
 
 def interpolate_unisecant(scroll: ScrollType, lifted_frame, field) -> UnisecantResult:
     """Solve for the k=1 curve through n+2 marked scroll points.
 
     The base map of a k=1 curve is an isomorphism, normalized here to the
-    identity, so only the fiber forms y_i (degree n - a_i) are unknown.
-    Passing through a point means y(t_j) is proportional to the marked
-    fiber vector, encoded by cross-multiplication against a nonzero pivot
-    coordinate.  Kernel dimension 1 is the unique curve, 0 means none,
-    and 2 or more is a positive-dimensional family.
+    identity, so only the fiber forms y_i (degree D_i = n - a_i) are
+    unknown.  Row j of H, the (n+2) x (n+1) matrix of hyperplane
+    conditions, is the image of point (Y_j, t_j) in P^n, and rank H < n+1
+    raises DependentConditionsError.  Write [u, v] = u0*v1 - u1*v0 and
+    w_j = prod_{k != j} [t_j, t_k], nonzero once the base values are
+    distinct.  Every form G of degree n has sum_j G(t_j) / w_j = 0 (the
+    divided-difference identity), so the values at the t_j of the forms
+    of degree D_i are the vectors annihilated by (t_j0^(a_i-r) *
+    t_j1^r / w_j)_j, r = 0..a_i, the columns of H's block i over w_j.
+    Hence y passes through every point, y(t_j) a multiple of Y_j, exactly
+    when y_i(t_j) = nu_j * w_j * Y_ji with H^T nu = 0: the curves through
+    the points are the kernel of H^T, of dimension n+2 - rank H, which
+    the guard leaves at 1.  So the curve is unique up to scale and no
+    positive-dimensional family can occur.  y vanishes at t_j exactly
+    when nu_j = 0, and then no curve passes through point j.
     """
     if not isinstance(scroll, ScrollType):
         scroll = ScrollType(scroll)
-    n, d = scroll.n, scroll.d
+    n = scroll.n
     points = [(tuple(y), tuple(t)) for (y, t) in lifted_frame]
     if len(points) != n + 2:
         raise ValueError(f"need n+2 = {n + 2} points, got {len(points)}")
@@ -257,53 +261,69 @@ def interpolate_unisecant(scroll: ScrollType, lifted_frame, field) -> UnisecantR
             raise ValueError("invalid scroll point: fiber coordinates all zero")
     # a hyperplane is a section of L: the section conditions at m = 0
     hyperplanes = _coefficient_rows([(*t, y) for (y, t) in points], scroll.degrees, field)
-    if rank_of(hyperplanes, n + 1, field) < n + 1:
+    rank, kernel = rank_kernel(list(zip(*hyperplanes)), n + 2, field)
+    if rank < n + 1:
         raise DependentConditionsError(
             "the marked points impose dependent conditions on the hyperplane system"
         )
-    if not _t_values_injective(points, field):
+    # brackets[j][k] = [t_j, t_k], nonzero for all j != k when the base values are distinct
+    ts = [t for (_, t) in points]
+    brackets = [field.reduce([u[0] * v[1] - u[1] * v[0] for v in ts]) for u in ts]
+    if not all(x for j, row in enumerate(brackets) for x in row[:j]):
         return UnisecantResult("NONE", None, 0)
-
-    # y_i(t_j) * y_pivot_marked - y_pivot(t_j) * y_i_marked = 0 for i != pivot
-    conditions = []
-    for (y, t) in points:
-        pivot = next(i for i in range(d) if y[i])
-        for i in range(d):
-            if i != pivot:
-                weights = [0] * d
-                weights[i], weights[pivot] = y[pivot], -y[i]
-                conditions.append((*t, weights))
-    y_degs = [n - a_i for a_i in scroll.degrees]
-    total = sum(deg + 1 for deg in y_degs)
-    rank, kernel = rank_kernel(_coefficient_rows(conditions, y_degs, field), total, field)
-    kernel_dim = total - rank
-    if kernel_dim == 0:
-        return UnisecantResult("NONE", None, 0)
-
-    curve = _curve_from_fiber_vector(scroll, kernel[0], y_degs, points, field)
-    if kernel_dim == 1:
-        if curve is None:
-            return UnisecantResult("NONE", None, 1)
-        return UnisecantResult("UNIQUE", curve, 1)
-    return UnisecantResult("POSITIVE_FAMILY", curve, kernel_dim)
-
-
-def _curve_from_fiber_vector(scroll, vec, y_degs, points, field):
-    """Build the curve from a solution vector, or None if it is spurious.
-
-    Cross-multiplication admits vectors whose fiber forms all vanish at
-    some marked base value; those do not pass through the marked point.
-    """
-    ys = _split_forms(vec, y_degs, field)
-    for (y, t) in points:
-        if not any(f.evaluate(t[0], t[1]) for f in ys):
-            return None
-    t0 = BinaryForm(1, (1, 0), field)
-    t1 = BinaryForm(1, (0, 1), field)
+    if isinstance(field, PrimeField):
+        nu = field.unwrap(kernel[0])
+    else:  # cleared of denominators, on ints
+        nu = _int_rows_q(kernel, n + 2)[0]
+    if not all(nu):
+        return UnisecantResult("NONE", None, 1)
+    ys = _fiber_forms(scroll, nu, points, brackets, field)
     try:
-        return CurveInScroll(scroll, 1, t0, t1, ys)
-    except ValueError:
-        return None
+        curve = CurveInScroll(scroll, 1, BinaryForm(1, (1, 0), field),
+                              BinaryForm(1, (0, 1), field), ys)
+    except ValueError:  # the fiber forms share a zero off the marked points
+        return UnisecantResult("NONE", None, 1)
+    return UnisecantResult("UNIQUE", curve, 1)
+
+
+def _fiber_forms(scroll, nu, points, brackets, field):
+    """The fiber forms y_i with y_i(t_j) = nu_j * w_j * Y_ji at every point.
+
+    Lagrange interpolation at the first D_i + 1 base points gives
+    y_i = sum_{j <= D_i} c_ij * prod_{k <= D_i, k != j} l_k with
+    l_k = t_k1*s0 - t_k0*s1 and c_ij = nu_j * Y_ji * h_ij, where
+    h_ij = prod_{k > D_i} [t_j, t_k] is the part of w_j that the
+    interpolation does not divide out; brackets[j][k] holds [t_j, t_k].  The sum is one recurrence,
+    F_m = F_(m-1) * l_m + c_im * L_m with L_m = prod_{k < m} l_k shared by
+    the components, so y_i takes O(D_i^2) steps, each reduced over F_p.
+    Every marked point is then checked to lie on the curve, or
+    InternalCheckError is raised.
+    """
+    n, reduce = scroll.n, field.reduce
+    ts = [t for (_, t) in points]
+    top = max(n - a_i for a_i in scroll.degrees)
+    prefix = [[1]]  # prefix[m] = L_m
+    for (u0, u1) in ts[:top]:
+        f = prefix[-1] + [0]
+        prefix.append(reduce([u1 * a - u0 * b for a, b in zip(f, [0] + f)]))
+    ys = []
+    for i, a_i in enumerate(scroll.degrees):
+        deg = n - a_i
+        c = reduce([nu[j] * y[i] * prod(brackets[j][deg + 1:])
+                    for j, (y, _) in enumerate(points[:deg + 1])])
+        acc = [c[0]]
+        for m in range(1, deg + 1):
+            u0, u1 = ts[m]
+            f = acc + [0]
+            acc = reduce([u1 * a - u0 * b + c[m] * x
+                          for a, b, x in zip(f, [0] + f, prefix[m])])
+        ys.append(BinaryForm(deg, acc, field))
+    for (y, t) in points:
+        values = reduce([_horner(f.values, *t) for f in ys])
+        p = next(i for i, x in enumerate(y) if x)
+        if not values[p] or any(reduce([v * y[p] - values[p] * x for v, x in zip(values, y)])):
+            raise InternalCheckError("the interpolated unisecant misses a marked point")
+    return ys
 
 
 def sections_through_points(scroll: ScrollType, m: int, points, field):

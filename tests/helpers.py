@@ -16,7 +16,9 @@ field's own scalars (Fraction or FpElement), with no integer or residue
 shortcut.  The incidence Jacobian and node-system oracles build every
 entry with the field's own scalar arithmetic (FpElement or Fraction),
 evaluating forms as a plain sum of monomials, where the package works on
-unwrapped residues with one reduction per entry.
+unwrapped residues with one reduction per entry.  The unisecant oracle
+solves the cross-multiplication system on the fiber coefficients, where
+the package takes the one linear relation among the image points.
 """
 
 from collections import Counter
@@ -24,7 +26,8 @@ from fractions import Fraction
 
 from scrollgeom.fields import QQ, FpElement
 from scrollgeom.forms import BinaryForm, divide_exact
-from scrollgeom.scroll_curves import monomial_slots
+from scrollgeom.linalg import rank_kernel
+from scrollgeom.scroll_curves import CurveInScroll, monomial_slots
 
 
 def _as_plain(x):
@@ -445,3 +448,56 @@ def oracle_hyperplane_rows(scroll, points, field):
     """
     slots = monomial_slots(scroll)
     return [[field(t[0] ** b * t[1] ** c * y[i]) for (i, b, c) in slots] for (y, t) in points]
+
+
+def oracle_unisecant(scroll, points, field):
+    """(status, kernel_dim, fiber forms) of the cross-multiplication solve.
+
+    The reference for interpolate_unisecant's one-relation system: the
+    rank guard on oracle_hyperplane_rows, then the fiber forms y_i of
+    degree n - a_i with y_i(t_j) * Y_jp - y_p(t_j) * Y_ji = 0 for every
+    point j, its first nonzero fiber coordinate p and every i != p,
+    built on the field's own scalars (24 x 25 at a = (2, 3, 3)).  The
+    guard is a naive RREF; the larger system's kernel comes from the
+    package's rank_kernel, which the naive oracles check elsewhere.
+    Status "DEPENDENT" (the guard fires), "NONE", "UNIQUE" or
+    "POSITIVE_FAMILY"; the forms are those of the first kernel vector,
+    or None.
+    """
+    n = scroll.n
+    if oracle_rank(oracle_hyperplane_rows(scroll, points, field), n + 1, field) < n + 1:
+        return "DEPENDENT", None, None
+    # the field's own scalars: FpElements over F_p, ints and Fractions over q
+    ts = [tuple(field.wrap(field.unwrap(list(t)))) for (_, t) in points]
+    if any(u[0] * v[1] == u[1] * v[0] for i, u in enumerate(ts) for v in ts[i + 1:]):
+        return "NONE", 0, None
+    y_degs = [n - a_i for a_i in scroll.degrees]
+    offsets = [sum(deg + 1 for deg in y_degs[:i]) for i in range(len(y_degs))]
+    total = sum(deg + 1 for deg in y_degs)
+    rows = []
+    for (y, _), (t0, t1) in zip(points, ts):
+        y = field.wrap(field.unwrap(list(y)))
+        pivot = next(i for i, x in enumerate(y) if x)
+        for i in range(len(y)):
+            if i == pivot:
+                continue
+            row = [field.zero] * total
+            for block, weight in ((i, y[pivot]), (pivot, -y[i])):
+                deg = y_degs[block]
+                for r in range(deg + 1):
+                    row[offsets[block] + r] += weight * t0 ** (deg - r) * t1 ** r
+            rows.append(row)
+    rank, kernel = rank_kernel(rows, total, field)
+    kernel_dim = total - rank
+    if kernel_dim == 0:
+        return "NONE", 0, None
+    ys = [BinaryForm(deg, kernel[0][off:off + deg + 1], field)
+          for off, deg in zip(offsets, y_degs)]
+    status = "UNIQUE" if kernel_dim == 1 else "POSITIVE_FAMILY"
+    if any(not any(f.evaluate(*t) for f in ys) for t in ts):
+        return ("NONE" if kernel_dim == 1 else status), kernel_dim, None
+    try:
+        CurveInScroll(scroll, 1, BinaryForm(1, (1, 0), field), BinaryForm(1, (0, 1), field), ys)
+    except ValueError:
+        return ("NONE" if kernel_dim == 1 else status), kernel_dim, None
+    return status, kernel_dim, ys

@@ -1,14 +1,17 @@
 """Curves in scrolls: pushforwards, interpolation, incidence, degeneration."""
 
+import json
+from collections import Counter
 from dataclasses import asdict
 from operator import mul
 
 import pytest
 
 from scrollgeom import scroll_curves
-from scrollgeom.errors import DependentConditionsError
-from scrollgeom.fields import QQ, PrimeField, random_distinct
-from scrollgeom.forms import BinaryForm
+from scrollgeom.cli import main
+from scrollgeom.errors import DependentConditionsError, InternalCheckError
+from scrollgeom.fields import QQ, PrimeField, random_distinct, random_nonzero
+from scrollgeom.forms import BinaryForm, random_form
 from scrollgeom.linalg import rank_kernel, rank_of
 from scrollgeom.rngstream import RngStream
 from scrollgeom.scroll_curves import (
@@ -38,6 +41,7 @@ from helpers import (
     oracle_hyperplane_rows,
     oracle_incidence_ranks,
     oracle_rank,
+    oracle_unisecant,
 )
 
 S0 = BinaryForm(1, (QQ(1), QQ(0)), QQ)
@@ -244,21 +248,24 @@ def test_sections_vanish_at_their_points():
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(10007)], ids=["q", "fp10007"])
 def test_hyperplane_conditions_are_the_slot_rows(field, monkeypatch):
-    # a hyperplane is a section of L, so the check builds section rows at m = 0
+    # a hyperplane is a section of L, so the solve builds section rows at
+    # m = 0 and ranks their transpose, one column per marked point
     systems = []
 
     def capture(*args):
-        systems.append(args[0])
-        return rank_of(*args)
+        systems.append(args)
+        return rank_kernel(*args)
 
-    monkeypatch.setattr(scroll_curves, "rank_of", capture)
+    monkeypatch.setattr(scroll_curves, "rank_kernel", capture)
     for degrees, seed in (((1, 2), 21), ((1, 1, 2), 22), ((0, 3), 23), ((2, 3, 3), 24)):
         scroll = ScrollType(degrees)
         frame = random_lifted_frame(scroll, field, RngStream.from_seed(seed))
         systems.clear()
         interpolate_unisecant(scroll, frame, field)
-        (rows,) = systems
-        assert rows == oracle_hyperplane_rows(scroll, frame, field)
+        ((rows, ncols, _),) = systems
+        assert ncols == scroll.n + 2
+        oracle = oracle_hyperplane_rows(scroll, frame, field)
+        assert [list(row) for row in rows] == [list(col) for col in zip(*oracle)]
         if field != QQ:
             assert all(type(x) is int and 0 <= x < field.p for row in rows for x in row)
 
@@ -385,17 +392,7 @@ def test_interpolation_repeated_base_value_gives_none():
 
 
 def test_two_interpolants_force_dependent_conditions():
-    """A frame admitting two unisecants never passes the rank guard.
-
-    If two independent solutions pass through the same n+2 points, their
-    pairwise fiber minors all vanish at the marked parameters, so the
-    minors share the full node product; the quotient syzygy is then a
-    hyperplane containing both curves, which collapses the rank of the
-    point conditions below n+1.  This builds the natural candidate (all
-    curves proportional to a fixed fiber direction at six of the eight
-    points, so a multiple of that direction joins the kernel) and checks
-    the guard fires instead of reporting a family.
-    """
+    """Two unisecants through n+2 points make dim ker H^T >= 2, so rank H < n+1."""
     scroll = ScrollType((1, 1, 2))
     taus = [QQ(x) for x in (2, 3, 4, 5, 6, 7, 8, 9)]
     direction = (qform(1, 0, 0, 1), qform(0, 1, 0, 2), qform(1, 1, 1))
@@ -427,6 +424,178 @@ def test_two_interpolants_force_dependent_conditions():
     assert all(any(y) for (y, _) in points)
     with pytest.raises(DependentConditionsError):
         interpolate_unisecant(scroll, points, QQ)
+
+
+# scroll types of n = 3..10 for the comparison with the cross-multiplication solve
+SWEEP_SCROLLS = ((3,), (1, 2), (0, 3), (0, 0, 2), (2, 2), (1, 3), (1, 1, 1), (0, 1, 2),
+                 (1, 1, 2), (1, 1, 1, 1), (2, 3, 3))
+SWEEP_FIELDS = [QQ, PrimeField(10007), PrimeField(101), PrimeField(13), PrimeField(7),
+                PrimeField(5)]
+SWEEP_IDS = ["q", "fp10007", "fp101", "fp13", "fp7", "fp5"]
+
+
+def _random_frame(scroll, field, rng):
+    """n+2 random scroll points; base values may repeat or lie at (1 : 0)."""
+    points = []
+    while len(points) < scroll.n + 2:
+        t = (field.random_scalar(rng), field.random_scalar(rng))
+        y = tuple(field.random_scalar(rng) for _ in range(scroll.d))
+        if any(t) and any(y):
+            points.append((y, t))
+    return points
+
+
+def _assert_matches_cross_multiplication(scroll, points, field):
+    """(status, curve) after checking both against the cross-multiplication solve."""
+    status, kernel_dim, ys = oracle_unisecant(scroll, points, field)
+    try:
+        result = interpolate_unisecant(scroll, points, field)
+    except DependentConditionsError:
+        assert status == "DEPENDENT"
+        return status, None
+    assert (result.status, result.kernel_dim) == (status, kernel_dim)
+    if status == "UNIQUE":
+        assert _proportional(_fiber_coeffs(result.curve), [c for f in ys for c in f.coeffs])
+    return status, result.curve
+
+
+@pytest.mark.parametrize("field", SWEEP_FIELDS, ids=SWEEP_IDS)
+def test_unisecant_matches_cross_multiplication(field):
+    seen = Counter()
+    for degrees in SWEEP_SCROLLS:
+        scroll = ScrollType(degrees)
+        for seed in range(60):
+            rng = RngStream.from_seed(seed).child(f"unisecant{degrees}")
+            status, _ = _assert_matches_cross_multiplication(
+                scroll, _random_frame(scroll, field, rng), field)
+            seen[status] += 1
+    assert seen["UNIQUE"] > 0
+    if field.name in ("fp:13", "fp:7", "fp:5"):
+        assert seen["NONE"] > 0 and seen["DEPENDENT"] > 0
+
+
+def _special_frames(curve, field, rng):
+    """Frames on the curve with special base points, and two with a repeated one."""
+    n = curve.scroll.n
+    taus = [field(x) for x in range(1, n + 3)]
+    frames = {
+        "infinity": [(1, 0)] + [(tau, 1) for tau in taus[:n + 1]],
+        "zero and infinity": [(0, 1), (1, 0)] + [(tau, 1) for tau in taus[:n]],
+        "scaled representatives": [(s * tau, s) for tau, s in
+                                   zip(taus, (random_nonzero(field, rng) for _ in taus))],
+        "repeated": [(taus[0], 1)] + [(tau, 1) for tau in taus[:n + 1]],
+    }
+    if field == QQ:
+        frames["fractions"] = [(QQ(j, j + 2), QQ(3, j + 1)) for j in range(n + 2)]
+    out = {name: [curve.point_at(field(t0), field(t1)) for (t0, t1) in bases]
+           for name, bases in frames.items()}
+    # the repeated base value with a fiber off the curve, where one exists
+    moved = list(out["repeated"])
+    y, t = moved[1]
+    for _ in range(100):
+        other = tuple(field.random_scalar(rng) for _ in y)
+        if any(other) and not _proportional(other, y):
+            moved[1] = (other, t)
+            out["repeated off the curve"] = moved
+            break
+    return out
+
+
+@pytest.mark.parametrize("field", SWEEP_FIELDS, ids=SWEEP_IDS)
+def test_unisecant_matches_cross_multiplication_on_special_frames(field):
+    seen = Counter()
+    for degrees in SWEEP_SCROLLS:
+        scroll = ScrollType(degrees)
+        for seed in range(3):
+            rng = RngStream.from_seed(seed).child(f"special{degrees}")
+            while True:
+                ys = [random_form(scroll.n - a_i, field, rng) for a_i in degrees]
+                try:
+                    curve = CurveInScroll(scroll, 1, BinaryForm(1, (1, 0), field),
+                                          BinaryForm(1, (0, 1), field), ys)
+                    break
+                except ValueError:
+                    continue
+            for name, points in _special_frames(curve, field, rng).items():
+                status, found = _assert_matches_cross_multiplication(scroll, points, field)
+                seen[name, status] += 1
+                if status == "UNIQUE":
+                    assert _proportional(_fiber_coeffs(found), _fiber_coeffs(curve))
+    if field in (QQ, PrimeField(10007)):
+        assert seen["infinity", "UNIQUE"] == seen["zero and infinity", "UNIQUE"] == 33
+        assert seen["scaled representatives", "UNIQUE"] == 33
+        assert seen["repeated", "UNIQUE"] == 0
+    if field == QQ:
+        assert seen["fractions", "UNIQUE"] == 33
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(10007), PrimeField(101)],
+                         ids=["q", "fp10007", "fp101"])
+def test_unisecant_relation_is_the_signed_maximal_minors(field, monkeypatch):
+    # Cramer's rule: the kernel of the (n+1) x (n+2) matrix H^T of rank n+1
+    # is spanned by nu_j = (-1)^j * det(H without row j)
+    sympy = pytest.importorskip("sympy")
+    kernels = []
+
+    def capture(*args):
+        out = rank_kernel(*args)
+        kernels.append(out[1])
+        return out
+
+    monkeypatch.setattr(scroll_curves, "rank_kernel", capture)
+    for degrees in SWEEP_SCROLLS:
+        scroll = ScrollType(degrees)
+        if scroll.n > 8:
+            continue
+        for seed in range(4):
+            frame = random_lifted_frame(scroll, field, RngStream.from_seed(seed))
+            kernels.clear()
+            interpolate_unisecant(scroll, frame, field)
+            ((nu,),) = kernels
+            rows = [[getattr(x, "val", x) for x in row]
+                    for row in oracle_hyperplane_rows(scroll, frame, field)]
+            minors = [(-1) ** j * int(sympy.Matrix(rows[:j] + rows[j + 1:]).det())
+                      for j in range(scroll.n + 2)]
+            assert _proportional(nu, [field(m) for m in minors])
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(10007)], ids=["q", "fp10007"])
+def test_unisecant_checks_every_marked_point(field, monkeypatch):
+    # a relation that is off by one in one entry interpolates fiber values
+    # that miss the marked points beyond the interpolation nodes
+    def wrong_relation(rows, ncols, field):
+        rank, ((first, *rest),) = rank_kernel(rows, ncols, field)
+        return rank, [(first + 1, *rest)]
+
+    monkeypatch.setattr(scroll_curves, "rank_kernel", wrong_relation)
+    scroll = ScrollType((1, 1, 2))
+    frame = random_lifted_frame(scroll, field, RngStream.from_seed(22))
+    with pytest.raises(InternalCheckError):
+        interpolate_unisecant(scroll, frame, field)
+
+
+def test_unisecant_cli_ranks_one_transposed_system_per_trial(monkeypatch, capsys):
+    shapes, rank_calls = [], []
+
+    def counted_kernel(rows, ncols, field):
+        shapes.append((len(rows), ncols))
+        return rank_kernel(rows, ncols, field)
+
+    def counted_rank(*args):
+        rank_calls.append(args)
+        return rank_of(*args)
+
+    monkeypatch.setattr(scroll_curves, "rank_kernel", counted_kernel)
+    monkeypatch.setattr(scroll_curves, "rank_of", counted_rank)
+    for seed in range(5):
+        shapes.clear()
+        argv = ["unisecant", "--a", "2,3,3", "--field", "q", "--trials", "4",
+                "--seed", str(seed), "--format", "json"]
+        assert main(argv) == 0
+        counts = json.loads(capsys.readouterr().out)["result"]["counts"]
+        assert counts == {"UNIQUE": 4, "NONE": 0, "POSITIVE_FAMILY": 0, "ANOMALY": 0}
+        assert shapes == [(11, 12)] * 4
+    assert not rank_calls
 
 
 # ---------------------------------------------------- incidence dimensions
