@@ -210,12 +210,13 @@ def _handle_dims(args) -> dict:
         strata.extend(stratification_table(n, d, args.k if args.k is not None else d))
     rows = []
     for stratum in strata:
+        a = ",".join(map(str, stratum["a"]))
         for cell in stratum["per_k"]:
             rows.append(
                 {
                     "n": stratum["n"],
                     "d": stratum["d"],
-                    "a": ",".join(str(x) for x in stratum["a"]),
+                    "a": a,
                     "dim_all": stratum["dim_all"],
                     "dim_stratum": stratum["dim_stratum"],
                     "aut_dim": stratum["aut_dim"],

@@ -18,6 +18,7 @@ import csv
 import io
 import json
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from .fields import FpElement, scalar_to_str
 from .forms import BinaryForm
@@ -29,10 +30,20 @@ REPORT_FORMAT_VERSION = 1
 
 def exact(value):
     """Recursively convert experiment data to JSON-safe exact values."""
+    return _exact(value)
+
+
+def _exact(value):
+    # the plain types that make up nearly every report come first, by type
+    t = type(value)
+    if t is str or t is int or t is bool or value is None:
+        return value
+    if t is dict:
+        return {str(k): _exact(v) for k, v in value.items()}
+    if t is list or t is tuple:
+        return [_exact(v) for v in value]
     if value is EMPTY:
         return "EMPTY"
-    if value is None or isinstance(value, bool):
-        return value
     if isinstance(value, int):
         return value
     if isinstance(value, (Fraction, FpElement)):
@@ -47,23 +58,24 @@ def exact(value):
             "coeffs": [scalar_to_str(c) for c in value.coeffs],
         }
     if isinstance(value, dict):
-        return {str(k): exact(v) for k, v in value.items()}
+        return {str(k): _exact(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
-        return [exact(v) for v in value]
+        return [_exact(v) for v in value]
     raise TypeError(f"cannot serialize {type(value).__name__} exactly")
 
 
 def build_report(command: str, config: dict, result: dict) -> dict:
     """Assemble the envelope; the caller fills wall_clock_ms afterwards."""
+    config, result = exact((config, result))
     return {
         "command": command,
-        "config": exact(config),
+        "config": config,
         "versions": {
             "scrollgeom": PACKAGE_VERSION,
             "report_format": REPORT_FORMAT_VERSION,
         },
         "wall_clock_ms": 0,
-        "result": exact(result),
+        "result": result,
     }
 
 
@@ -97,11 +109,26 @@ def csv_projection(report: dict):
     return list(scalars.keys()), [scalars]
 
 
+# the scalar types exact() emits, by exact type: a table cell's text and
+# the value's JSON
+_CELL_TEXT = {
+    str: str,
+    int: int.__repr__,
+    bool: {False: "false", True: "true"}.__getitem__,
+    type(None): lambda _: "",
+}
+_JSON_SCALARS = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    bool: {False: "false", True: "true"}.__getitem__,
+    type(None): lambda _: "null",
+}
+
+
 def _cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
+    text = _CELL_TEXT.get(type(value))
+    if text is not None:
+        return text(value)
     if isinstance(value, int):
         return str(value)
     if isinstance(value, str):
@@ -111,7 +138,66 @@ def _cell(value) -> str:
 
 
 def render_json(report: dict) -> str:
-    return json.dumps(report, indent=2) + "\n"
+    """The bytes of json.dumps(report, indent=2) + "\\n", in one pass.
+
+    Only what exact() emits renders: str keys, and str, int, bool, None,
+    dict and list values; anything else raises TypeError.
+    """
+    out = []
+    _json_value(report, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _json_value(value, newline: str, out: list):
+    """Append value's JSON at the indent that newline ends with.
+
+    Scalars inside a container are encoded in its loop, so the recursion
+    runs once per container.
+    """
+    scalars = _JSON_SCALARS
+    encode = scalars.get(type(value))
+    if encode is not None:
+        out.append(encode(value))
+    elif type(value) is dict:
+        if not value:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for k, v in value.items():
+            if type(k) is not str:
+                raise TypeError(f"report keys must be str, got {type(k).__name__}")
+            head = sep + encode_basestring_ascii(k) + ": "
+            encode = scalars.get(type(v))
+            if encode is not None:
+                out.append(head + encode(v))
+            else:
+                out.append(head)
+                _json_value(v, inner, out)
+            sep = "," + inner
+        out.append(newline + "}")
+    elif type(value) is list:
+        if not value:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for v in value:
+            encode = scalars.get(type(v))
+            if encode is not None:
+                out.append(sep + encode(v))
+            else:
+                out.append(sep)
+                _json_value(v, inner, out)
+            sep = "," + inner
+        out.append(newline + "]")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, str):
+        out.append(encode_basestring_ascii(value))
+    else:
+        raise TypeError(f"cannot render {type(value).__name__} as report JSON")
 
 
 def render_csv(report: dict) -> str:
@@ -130,14 +216,13 @@ def _text_lines(key, value, indent: int, out: list):
     if _is_table(value):
         out.append(label)
         fields = list(value[0].keys())
-        cells = [[_cell(r.get(f)) for f in fields] for r in value]
-        widths = [
-            max(len(f), *(len(row[i]) for row in cells)) for i, f in enumerate(fields)
-        ]
+        # every row of a table has the fields' keys in the fields' order
+        cells = [list(map(_cell, r.values())) for r in value]
+        widths = [max(len(f), *map(len, col)) for f, col in zip(fields, zip(*cells))]
         inner = "  " * (indent + 1)
-        out.append(inner + "  ".join(f.ljust(w) for f, w in zip(fields, widths)))
+        out.append(inner + "  ".join(map(str.ljust, fields, widths)))
         for row in cells:
-            out.append(inner + "  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip())
+            out.append(inner + "  ".join(map(str.ljust, row, widths)).rstrip())
         return
     if isinstance(value, dict):
         if not value:

@@ -23,11 +23,24 @@ from math import prod
 
 from .errors import DependentConditionsError, InternalCheckError
 from .fields import PrimeField, random_distinct
-from .forms import (BinaryForm, _coefficient_rows, _horner, _split_forms, compose_form, form_gcd,
-                    gcd_many, random_form)
+from .forms import (BinaryForm, _coefficient_rows, _common, _horner, _split_forms, compose_form,
+                    form_gcd, gcd_many, random_form)
 from .linalg import _int_rows_q, pivot_columns_of_combinations, rank_kernel, rank_of
 from .rngstream import as_stream
 from .scrolls import EMPTY, ScrollType, dim_curves_in_scroll
+
+
+def _base_coprime(t0: BinaryForm, t1: BinaryForm) -> bool:
+    """True when the base forms share no zero on P^1.
+
+    Two linear forms share a zero exactly when they are proportional or
+    one vanishes, so at k = 1 the 2x2 determinant decides it.
+    """
+    if t0.degree != 1:
+        return form_gcd(t0, t1).degree == 0
+    field = _common(t0, t1)
+    (a0, a1), (b0, b1) = t0.values, t1.values
+    return field.reduce([a0 * b1 - a1 * b0])[0] != 0
 
 
 class CurveInScroll:
@@ -60,8 +73,7 @@ class CurveInScroll:
                 raise ValueError(f"fiber form {i + 1} must have degree {want}")
         if all(y.is_zero() for y in ys):
             raise ValueError("fiber forms must not all vanish")
-        base_gcd = form_gcd(t0, t1)
-        if base_gcd.degree != 0:
+        if not _base_coprime(t0, t1):
             raise ValueError("base forms must be coprime (k is the true degree)")
         fiber_gcd = gcd_many([y for y in ys if not y.is_zero()])
         if fiber_gcd.degree != 0:

@@ -109,15 +109,23 @@ def dim_all_scrolls(n: int, d: int) -> int:
 def dim_stratum(scroll_type: ScrollType) -> int:
     """Dimension of the locus of scrolls with the given degree type."""
     st = ScrollType(scroll_type)
-    n, d = st.n, st.d
-    return dim_all_scrolls(n, d) - (aut_dimension(st) - d * d)
+    return _stratum_dim(dim_all_scrolls(st.n, st.d), st.d, aut_dimension(st))
+
+
+def _stratum_dim(dim_all: int, d: int, aut: int) -> int:
+    # a type's locus has codimension aut - d*d in the family of all scrolls
+    return dim_all - (aut - d * d)
 
 
 def dim_scrolls_through_frame(scroll_type: ScrollType) -> int:
     """Dimension of the scrolls of this type through n+2 general points."""
     st = ScrollType(scroll_type)
-    n, d = st.n, st.d
-    return (n + 2) * d - (d * d + 2) - (aut_dimension(st) - d * d)
+    return _through_frame_dim(st.n, st.d, dim_stratum(st))
+
+
+def _through_frame_dim(n: int, d: int, stratum_dim: int) -> int:
+    # each general point imposes the codimension n - d of a d-fold in P^n
+    return stratum_dim - (n + 2) * (n - d)
 
 
 def dim_curves_in_scroll(scroll_type: ScrollType, k: int):
@@ -128,10 +136,14 @@ def dim_curves_in_scroll(scroll_type: ScrollType, k: int):
     large for a section coordinate of degree n - k*a_i to exist.
     """
     st = ScrollType(scroll_type)
-    n, d = st.n, st.d
     if k < 1:
         raise ValueError(f"fiber degree must be positive, got {k}")
-    if k > d or any(n - k * ai < 0 for ai in st):
+    return _curves_dim(st.n, st.d, st.degrees[-1], k)
+
+
+def _curves_dim(n: int, d: int, top: int, k: int):
+    # top is the largest ruling degree, so n - k*a_i >= 0 for all i iff for top
+    if k > d or n - k * top < 0:
         return EMPTY
     return (d - 1) * (n + 3 - k) + (k - 1) * (2 * d - n)
 
@@ -151,10 +163,16 @@ def dim_scrolls_with_curve(scroll_type: ScrollType, k: int):
         )
     if k < 1:
         raise ValueError(f"fiber degree must be positive, got {k}")
-    if any(n - k * ai < 0 for ai in st):
+    return _with_curve_dim(n, st.degrees[-1], dim_stratum(st), k)
+
+
+def _with_curve_dim(n: int, top: int, stratum_dim: int, k: int):
+    # d = n/2; through a frame at k = 1, and each further fiber degree
+    # costs h - 1 more conditions
+    if n - k * top < 0:
         return EMPTY
     h = n // 2
-    return h * h + n - 2 - (k - 1) * (h - 1) - (aut_dimension(st) - h * h)
+    return _through_frame_dim(n, h, stratum_dim) - (k - 1) * (h - 1)
 
 
 def intersection_bound(n: int) -> int:
@@ -211,27 +229,31 @@ def stratification_table(n: int, d: int, k_max: int | None = None):
     if k_max is None:
         k_max = n
     half_case = n % 2 == 0 and d == n // 2
+    dim_all = dim_all_scrolls(n, d)
     rows = []
     for part in partitions_into(n - d + 1, d):
         st = ScrollType(part)
-        per_k = []
-        for k in range(1, k_max + 1):
-            cell = {
+        aut = aut_dimension(st)
+        top = part[-1]
+        stratum_dim = _stratum_dim(dim_all, d, aut)
+        per_k = [
+            {
                 "k": k,
-                "dim_curves": dim_curves_in_scroll(st, k),
-                "dim_scrolls_with_curve": dim_scrolls_with_curve(st, k)
+                "dim_curves": _curves_dim(n, d, top, k),
+                "dim_scrolls_with_curve": _with_curve_dim(n, top, stratum_dim, k)
                 if half_case
                 else None,
             }
-            per_k.append(cell)
+            for k in range(1, k_max + 1)
+        ]
         rows.append(
             {
                 "n": n,
                 "d": d,
-                "a": list(st.degrees),
-                "dim_all": dim_all_scrolls(n, d),
-                "dim_stratum": dim_stratum(st),
-                "aut_dim": aut_dimension(st),
+                "a": list(part),
+                "dim_all": dim_all,
+                "dim_stratum": stratum_dim,
+                "aut_dim": aut,
                 "balanced": st.is_balanced,
                 "per_k": per_k,
             }

@@ -3,15 +3,16 @@
 import json
 from collections import Counter
 from dataclasses import asdict
+from itertools import product
 from operator import mul
 
 import pytest
 
 from scrollgeom import scroll_curves
 from scrollgeom.cli import main
-from scrollgeom.errors import DependentConditionsError, InternalCheckError
+from scrollgeom.errors import DependentConditionsError, FieldMismatchError, InternalCheckError
 from scrollgeom.fields import QQ, PrimeField, random_distinct, random_nonzero
-from scrollgeom.forms import BinaryForm, random_form
+from scrollgeom.forms import BinaryForm, form_gcd, random_form
 from scrollgeom.linalg import rank_kernel, rank_of
 from scrollgeom.rngstream import RngStream
 from scrollgeom.scroll_curves import (
@@ -130,6 +131,40 @@ def test_curve_constructor_rejections():
             ScrollType((1, 3)), 2, qform(1, 0, 0), qform(0, 0, 1),
             (qform(1, 0, 0, 0), BinaryForm.zero(0, QQ)),
         )
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(101)], ids=["q", "fp:101"])
+def test_linear_base_forms_are_coprime_by_their_determinant(field):
+    sc = ScrollType((1, 1))
+    ys = (BinaryForm(2, (1, 0, 0), field), BinaryForm(2, (0, 0, 1), field))
+
+    def lin(a, b):
+        return BinaryForm(1, (a, b), field)
+
+    CurveInScroll(sc, 1, lin(3, 5), lin(1, 2), ys)
+    # 3*69 - 5 = 202 is 0 mod 101: proportional over fp:101 only
+    if field == QQ:
+        CurveInScroll(sc, 1, lin(3, 5), lin(1, 69), ys)
+    else:
+        with pytest.raises(ValueError, match="coprime"):
+            CurveInScroll(sc, 1, lin(3, 5), lin(1, 69), ys)
+    for t0, t1 in ((lin(3, 5), lin(6, 10)), (lin(0, 0), lin(1, 2)), (lin(0, 7), lin(0, 0))):
+        with pytest.raises(ValueError, match="coprime"):
+            CurveInScroll(sc, 1, t0, t1, ys)
+    # the determinant agrees with the gcd on every pair that is not both zero
+    values = (0, 1, 2, -3, 5, 69, 100)
+    for a0, a1, b0, b1 in product(values, repeat=4):
+        t0, t1 = lin(a0, a1), lin(b0, b1)
+        if t0.is_zero() and t1.is_zero():
+            continue
+        assert scroll_curves._base_coprime(t0, t1) == (form_gcd(t0, t1).degree == 0)
+
+
+def test_linear_base_forms_of_two_fields_do_not_mix():
+    sc = ScrollType((1, 1))
+    ys = (qform(1, 0, 0), qform(0, 0, 1))
+    with pytest.raises(FieldMismatchError):
+        CurveInScroll(sc, 1, S0, BinaryForm(1, (0, 1), PrimeField(101)), ys)
 
 
 def test_curve_immutable():

@@ -1,5 +1,7 @@
 """Closed dimension formulas and the stratification table."""
 
+from collections import Counter
+
 import pytest
 
 from scrollgeom.scrolls import (
@@ -195,19 +197,53 @@ def test_stratification_table_frozen():
     assert len(stratification_table(6, 3)) == 4
 
 
+def _written_out(a, k):
+    """The table's counts from each formula written out term by term."""
+    n, d = sum(a) + len(a) - 1, len(a)
+    excess = sum(max(0, ai - aj + 1) for ai in a for aj in a) - d * d
+    stratum = n * n + 2 * n - 2 - d * d - excess
+    if k > d or any(n - k * ai < 0 for ai in a):
+        curves = EMPTY
+    else:
+        curves = (d - 1) * (n + 3 - k) + (k - 1) * (2 * d - n)
+    with_curve = None
+    if n % 2 == 0 and d == n // 2:
+        h = n // 2
+        with_curve = (
+            EMPTY if any(n - k * ai < 0 for ai in a)
+            else h * h + n - 2 - (k - 1) * (h - 1) - excess
+        )
+    return stratum, curves, with_curve
+
+
 def test_stratification_cells_match_the_formula_functions():
-    for n, d in ((4, 2), (5, 2), (6, 3)):
-        for row in stratification_table(n, d):
-            st = ScrollType(row["a"])
-            assert row["dim_all"] == dim_all_scrolls(n, d)
-            assert row["dim_stratum"] == dim_stratum(st)
-            assert row["aut_dim"] == aut_dimension(st)
-            assert row["balanced"] == st.is_balanced
-            for cell in row["per_k"]:
-                assert cell["dim_curves"] == dim_curves_in_scroll(st, cell["k"])
-                if n % 2 == 0 and d == n // 2:
-                    assert cell["dim_scrolls_with_curve"] == dim_scrolls_with_curve(
-                        st, cell["k"]
-                    )
-                else:
-                    assert cell["dim_scrolls_with_curve"] is None
+    # every table for 2 <= n <= 13, every d and every k <= n, against the
+    # public functions and the formulas written out; the curve counts
+    # reach EMPTY both past the scroll dimension and through a ruling
+    # degree too large for k, and the half case reaches EMPTY too
+    empty = Counter()
+    for n in range(2, 14):
+        for d in range(1, n):
+            half_case = n % 2 == 0 and d == n // 2
+            for row in stratification_table(n, d, n):
+                st = ScrollType(row["a"])
+                assert row["dim_all"] == dim_all_scrolls(n, d)
+                assert row["dim_stratum"] == dim_stratum(st)
+                assert row["aut_dim"] == aut_dimension(st)
+                assert row["balanced"] == st.is_balanced
+                assert [cell["k"] for cell in row["per_k"]] == list(range(1, n + 1))
+                for cell in row["per_k"]:
+                    k = cell["k"]
+                    assert (row["dim_stratum"], cell["dim_curves"],
+                            cell["dim_scrolls_with_curve"]) == _written_out(row["a"], k)
+                    curves = dim_curves_in_scroll(st, k)
+                    assert cell["dim_curves"] == curves
+                    if curves is EMPTY:
+                        empty["past d" if k > d else "ruling degree"] += 1
+                    if half_case:
+                        with_curve = dim_scrolls_with_curve(st, k)
+                        assert cell["dim_scrolls_with_curve"] == with_curve
+                        empty["with curve"] += with_curve is EMPTY
+                    else:
+                        assert cell["dim_scrolls_with_curve"] is None
+    assert min(empty[kind] for kind in ("past d", "ruling degree", "with curve")) > 0
