@@ -527,60 +527,75 @@ def _dimension_audit(n, h, k):
     }
 
 
-def _stratified_search(curve, quadrics, trials, stream, anomalies, h_only=None, k_only=None):
+def containment_strata(n: int, h_only=None, k_only=None):
+    """The strata (h, k) the containment search visits for a curve in P^n.
+
+    h and k are the degrees of the maps the two components take to P^1;
+    the stratified sweep takes both in 1..floor(n/2), h outer, and h_only
+    or k_only keeps the strata of that degree.  At n=4 the search slices
+    planes and visits no strata.  A filter outside 1..floor(n/2), or any
+    filter at n=4, raises ValueError.
+    """
+    bound = n // 2
+    if any(f is not None and not 1 <= f <= bound for f in (h_only, k_only)):
+        raise ValueError(
+            f"stratum filters must lie in 1..{bound} = floor(n/2), got h={h_only}, k={k_only}"
+        )
+    if n == 4:
+        if h_only is not None or k_only is not None:
+            raise ValueError("stratum filters only apply to the stratified method (n != 4)")
+        return []
+    return [(h, k) for h in range(1, bound + 1) for k in range(1, bound + 1)
+            if h_only in (None, h) and k_only in (None, k)]
+
+
+def _stratified_search(curve, strata, trials, stream, anomalies):
     """Heuristic stratum-by-stratum search for a containing scroll.
 
     A scroll through the curve restricts to maps of degrees (h, k) on the
     two components, compatible at the nodes.  Strata with a degree-1 side
     reduce exactly to a linear node system; strata with both degrees >= 2
     get sampled evidence; high strata get the family-dimension audit.
-    Passing h_only or k_only restricts the sweep to matching strata.
     """
     n = curve.n
     field = curve.field
     pairs = curve.node_pairs
     flipped = [(s, r) for (r, s) in pairs]
-    bound = n // 2
     records = []
     witness_record = None
-    for h in range(1, bound + 1):
-        if h_only is not None and h != h_only:
-            continue
-        for k in range(1, bound + 1):
-            if k_only is not None and k != k_only:
-                continue
-            record = {"h": h, "k": k}
-            if min(h, k) == 1:
-                # gauge the degree-1 side to the identity: the other side
-                # is a degree-max(h, k) map carrying the nodes across
-                pair, kernel = _node_map(flipped if h < k else pairs, max(h, k), field)
-                record.update(
-                    method="exact-linear", solvable=pair is not None, kernel_dim=len(kernel)
-                )
-                if pair is not None:
-                    q1, q2 = pair
-                    record["witness"] = {"q1": _form_coeffs(q1), "q2": _form_coeffs(q2)}
-                    witness_record = witness_record or record
-            else:
-                rng = stream.child(f"stratum{h}-{k}")
-                samples = min(trials, 8)
-                unsat, forms = _sampled_stratum(pairs, h, k, field, rng, samples)
-                record.update(
-                    {
-                        "method": "sampled-evidence",
-                        "samples": samples,
-                        "unsat_samples": unsat,
-                        "solvable": forms is not None,
-                        "count_allows_solutions": 2 * (h + k) >= n + 3,
-                    }
-                )
-                if forms is not None:
-                    record["witness"] = forms
-                    witness_record = witness_record or record
-                audit = _dimension_audit(n, h, k)
-                if audit is not None:
-                    record["dimension_audit"] = audit
-            records.append(record)
+    for h, k in strata:
+        record = {"h": h, "k": k}
+        if min(h, k) == 1:
+            # gauge the degree-1 side to the identity: the other side
+            # is a degree-max(h, k) map carrying the nodes across
+            pair, kernel = _node_map(flipped if h < k else pairs, max(h, k), field)
+            record.update(
+                method="exact-linear", solvable=pair is not None, kernel_dim=len(kernel)
+            )
+            if pair is not None:
+                q1, q2 = pair
+                record["witness"] = {"q1": _form_coeffs(q1), "q2": _form_coeffs(q2)}
+                witness_record = witness_record or record
+        else:
+            rng = stream.child(f"stratum{h}-{k}")
+            samples = min(trials, 8)
+            unsat, forms = _sampled_stratum(pairs, h, k, field, rng, samples)
+            record.update(
+                {
+                    "method": "sampled-evidence",
+                    "samples": samples,
+                    "unsat_samples": unsat,
+                    "solvable": forms is not None,
+                    "count_allows_solutions": 2 * (h + k) >= n + 3,
+                }
+            )
+            if forms is not None:
+                record["witness"] = forms
+                witness_record = witness_record or record
+            audit = _dimension_audit(n, h, k)
+            if audit is not None:
+                record["dimension_audit"] = audit
+        records.append(record)
     if witness_record is not None:
         verdict = "WITNESS"
         description = (
@@ -606,35 +621,32 @@ def scroll_containment_witness(
     For n=4 the quadric net is probed by exact plane sections and
     resultants; for other n a stratified parametric search over induced
     map degrees runs, labeled heuristic in the verdict.  The optional
-    h_only and k_only arguments restrict the stratified sweep to degrees
-    1..floor(n/2); they are rejected outside that range and for the n=4
-    slicing method, which has no strata.
+    h_only and k_only arguments restrict the stratified sweep as
+    containment_strata says, which raises ValueError for a bad filter.
     """
     if trials < 1:
         raise ValueError("INVALID_TRIALS: need at least one trial")
-    bound = curve.n // 2
-    if any(f is not None and not 1 <= f <= bound for f in (h_only, k_only)):
-        raise ValueError(
-            f"stratum filters must lie in 1..{bound} = floor(n/2), got h={h_only}, k={k_only}"
-        )
-    stream = as_stream(seed)
-    quadrics = quadrics_through(curve)
     n = curve.n
+    strata = containment_strata(n, h_only, k_only)
+    stream = as_stream(seed)
+    if n == 4:
+        quadrics = quadrics_through(curve)
+        actual = len(quadrics)
+    else:  # the sweep reads no quadric, only the dimension of their space
+        actual = quadric_space_dimension(curve)
     expected = (n - 1) * (n - 2) // 2
     anomalies = []
-    if len(quadrics) != expected:
+    if actual != expected:
         anomalies.append(
             {
                 "code": "QUADRIC_SPACE_UNEXPECTED_DIM",
                 "expected": expected,
-                "actual": len(quadrics),
+                "actual": actual,
             }
         )
     if n == 4:
-        if h_only is not None or k_only is not None:
-            raise ValueError("stratum filters only apply to the stratified method (n != 4)")
         return _slicing_search(curve, quadrics, trials, stream, anomalies)
-    return _stratified_search(curve, quadrics, trials, stream, anomalies, h_only, k_only)
+    return _stratified_search(curve, strata, trials, stream, anomalies)
 
 
 # ---------------------------------------------------------------------------
@@ -669,33 +681,27 @@ def scroll_positive_control(seed, field) -> BinaryCurve:
             )
         except ValueError:
             continue
+        # CurveInScroll made curve_a's fiber forms coprime, so no fiber
+        # point below is (0, 0); and random_distinct(5) needs p >= 20, so
+        # the +-1..+-3 combinations of two kernel basis vectors are nonzero
         taus = random_distinct(field, rng, 5)
         fibers = [tuple(y.evaluate(t, one) for y in curve_a.ys) for t in taus]
-        if not all(f[0] or f[1] for f in fibers):
-            continue
         # second unisecant (y1, y2) through the same five scroll points:
-        # y1(t) * u2 - y2(t) * u1 = 0 at each fiber point (u1, u2)
+        # y1(t) * u2 - y2(t) * u1 = 0 at each fiber point (u1, u2); the
+        # 5 rows on 7 unknowns leave a kernel of dimension >= 2
         conditions = [(t, 1, (u2, -u1))
                       for t, (u1, u2) in zip(field.unwrap(taus), map(field.unwrap, fibers))]
         _, kernel = rank_kernel(_coefficient_rows(conditions, (4, 1), field), 7, field)
-        if len(kernel) < 2:
-            continue
         vec_a = tuple(curve_a.ys[0].coeffs) + tuple(curve_a.ys[1].coeffs)
         curve_b = None
         for cand in _candidate_vectors(kernel):
-            if not any(cand):
-                continue
             if _proportional(cand, vec_a):
                 continue
-            try:
-                built = CurveInScroll(scroll, 1, s0, s1, _split_forms(cand, (4, 1), field))
+            try:  # coprime fiber forms: no fiber point of curve_b is (0, 0)
+                curve_b = CurveInScroll(scroll, 1, s0, s1, _split_forms(cand, (4, 1), field))
             except ValueError:
                 continue
-            if all(
-                any(y.evaluate(t, one) for y in built.ys) for t in taus
-            ):
-                curve_b = built
-                break
+            break
         if curve_b is None:
             continue
         # vertex parameters: the unique root of each degree-1 fiber form
@@ -716,10 +722,8 @@ def scroll_positive_control(seed, field) -> BinaryCurve:
             Frame([vertex] + points, field)
         except DegenerateFrameError:
             continue
-        params_a = _normalize_node_values(values_a, field)
-        params_b = _normalize_node_values(values_b, field)
-        if params_a is None or params_b is None:
-            continue
+        params_a = _normalize_node_values(values_a)
+        params_b = _normalize_node_values(values_b)
         try:
             return BinaryCurve(
                 4, StandardRNC(4, params_a, field), StandardRNC(4, params_b, field)
@@ -744,26 +748,16 @@ def _linear_root(form):
     return _div(-c1, c0)
 
 
-def _normalize_node_values(values, field):
-    """Mobius-normalize node parameters to (0, 1, *, ..., *, infinity).
+def _normalize_node_values(values):
+    """Mobius-normalize distinct node parameters to (0, 1, *, ..., *, infinity).
 
     values[0] goes to 0, values[1] to 1 and values[-1] to infinity; the
-    values between become the StandardRNC parameters.  None when two
-    values coincide.
+    values between become the StandardRNC parameters, again distinct and
+    neither 0 nor 1, since a Mobius map is injective.
     """
     v0, v1, vinf = values[0], values[1], values[-1]
     denom_ref = v1 - vinf
-    if not denom_ref:
-        return None
-    out = []
-    for x in values[2:-1]:
-        den = (x - vinf) * (v1 - v0)
-        if not den:
-            return None
-        out.append(_div((x - v0) * denom_ref, den))
-    if len(set(out) | {field.zero, field.one}) < len(values) - 1:
-        return None
-    return tuple(out)
+    return tuple(_div((x - v0) * denom_ref, (x - vinf) * (v1 - v0)) for x in values[2:-1])
 
 
 # ---------------------------------------------------------------------------
@@ -782,14 +776,14 @@ def project_from_node(curve: BinaryCurve, j: int) -> BinaryCurve:
         raise ValueError("projection needs n >= 4 so the image stays a binary curve")
     if not 0 <= j <= n + 1:
         raise ValueError(f"node index {j} out of range")
-    params1 = _projected_params(curve.comp1.node_values, j, curve.field)
-    params2 = _projected_params(curve.comp2.node_values, j, curve.field)
+    params1 = _projected_params(curve.comp1.node_values, j)
+    params2 = _projected_params(curve.comp2.node_values, j)
     comp1 = StandardRNC(n - 1, params1, curve.field)
     comp2 = StandardRNC(n - 1, params2, curve.field)
     return BinaryCurve(n - 1, comp1, comp2)
 
 
-def _projected_params(values, j: int, field):
+def _projected_params(values, j: int):
     n = len(values) - 1
     if j <= n:
         rem = [v for i, v in enumerate(values) if i != j]
@@ -797,4 +791,4 @@ def _projected_params(values, j: int, field):
         span = w1 - w0
         return tuple(_div(x - w0, span) for x in rem[2:])
     # dropping the infinity node: old node n becomes the new infinity
-    return _normalize_node_values(values, field)
+    return _normalize_node_values(values)

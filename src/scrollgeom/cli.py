@@ -16,6 +16,7 @@ import time
 from dataclasses import asdict
 
 from .binary_curves import (
+    containment_strata,
     gonality_map,
     hyperelliptic_from_nodes,
     hyperelliptic_test,
@@ -477,10 +478,10 @@ def _handle_containment(args) -> dict:
         n = args.n
     if n < 3:
         raise _UsageError("containment needs n at least 3")
-    if n == 4 and (args.h is not None or args.k is not None):
-        raise _UsageError("--h/--k filter the stratified method, which only runs for n != 4")
-    if max(args.h or 0, args.k or 0) > n // 2:
-        raise _UsageError(f"--h/--k select strata up to floor(n/2) = {n // 2}")
+    try:
+        containment_strata(n, args.h, args.k)
+    except ValueError as exc:
+        raise _UsageError(f"bad --h/--k: {exc}") from None
     field = args.field
     stream = as_stream(args.seed)
     if args.control:

@@ -134,7 +134,7 @@ class StandardRNC:
     def __eq__(self, other):
         if not isinstance(other, StandardRNC):
             return NotImplemented
-        return self.n == other.n and self.params == other.params
+        return (self.field, self.n, self.params) == (other.field, other.n, other.params)
 
     def __hash__(self):
         return hash((self.n, self.params))

@@ -23,24 +23,11 @@ from math import prod
 
 from .errors import DependentConditionsError, InternalCheckError
 from .fields import PrimeField, random_distinct
-from .forms import (BinaryForm, _coefficient_rows, _common, _horner, _split_forms, compose_form,
-                    form_gcd, gcd_many, random_form)
+from .forms import (BinaryForm, _coefficient_rows, _horner, _split_forms, compose_form, form_gcd,
+                    gcd_many, random_form)
 from .linalg import _int_rows_q, pivot_columns_of_combinations, rank_kernel, rank_of
 from .rngstream import as_stream
 from .scrolls import EMPTY, ScrollType, dim_curves_in_scroll
-
-
-def _base_coprime(t0: BinaryForm, t1: BinaryForm) -> bool:
-    """True when the base forms share no zero on P^1.
-
-    Two linear forms share a zero exactly when they are proportional or
-    one vanishes, so at k = 1 the 2x2 determinant decides it.
-    """
-    if t0.degree != 1:
-        return form_gcd(t0, t1).degree == 0
-    field = _common(t0, t1)
-    (a0, a1), (b0, b1) = t0.values, t1.values
-    return field.reduce([a0 * b1 - a1 * b0])[0] != 0
 
 
 class CurveInScroll:
@@ -49,8 +36,6 @@ class CurveInScroll:
     __slots__ = ("scroll", "k", "t0", "t1", "ys", "field")
 
     def __init__(self, scroll: ScrollType, k: int, t0: BinaryForm, t1: BinaryForm, ys):
-        if not isinstance(scroll, ScrollType):
-            scroll = ScrollType(scroll)
         ys = tuple(ys)
         n, d = scroll.n, scroll.d
         if k < 1:
@@ -73,7 +58,7 @@ class CurveInScroll:
                 raise ValueError(f"fiber form {i + 1} must have degree {want}")
         if all(y.is_zero() for y in ys):
             raise ValueError("fiber forms must not all vanish")
-        if not _base_coprime(t0, t1):
+        if form_gcd(t0, t1).degree != 0:
             raise ValueError("base forms must be coprime (k is the true degree)")
         fiber_gcd = gcd_many([y for y in ys if not y.is_zero()])
         if fiber_gcd.degree != 0:
@@ -142,17 +127,13 @@ def push_forward(curve: CurveInScroll) -> PushedCurve:
 class ScrollSection:
     """Divisor-class section mL + M on a scroll, held componentwise.
 
-    The degree sequence is kept in the order given (the degeneration
-    family needs unsorted auxiliary scrolls), so this accepts either a
-    ScrollType or a raw tuple of nonnegative degrees.
+    The degree sequence is a tuple of nonnegative ints kept in the order
+    given: the degeneration family needs unsorted auxiliary scrolls.
     """
 
     __slots__ = ("degrees", "m", "comps", "field")
 
-    def __init__(self, degrees, m: int, comps):
-        if isinstance(degrees, ScrollType):
-            degrees = degrees.degrees
-        degrees = tuple(int(a) for a in degrees)
+    def __init__(self, degrees: tuple, m: int, comps):
         comps = tuple(comps)
         if any(a < 0 for a in degrees):
             raise ValueError("scroll degrees must be nonnegative")
@@ -258,8 +239,6 @@ def interpolate_unisecant(scroll: ScrollType, lifted_frame, field) -> UnisecantR
     positive-dimensional family can occur.  y vanishes at t_j exactly
     when nu_j = 0, and then no curve passes through point j.
     """
-    if not isinstance(scroll, ScrollType):
-        scroll = ScrollType(scroll)
     n = scroll.n
     points = [(tuple(y), tuple(t)) for (y, t) in lifted_frame]
     if len(points) != n + 2:
@@ -340,8 +319,6 @@ def _fiber_forms(scroll, nu, points, brackets, field):
 
 def sections_through_points(scroll: ScrollType, m: int, points, field):
     """Basis of sections of mL + M vanishing at all the given points."""
-    if not isinstance(scroll, ScrollType):
-        scroll = ScrollType(scroll)
     degrees = scroll.degrees
     comp_degs = [a_i + m for a_i in degrees]
     conditions = [(*field.unwrap(t), field.unwrap(y)) for (y, t) in points]
@@ -462,8 +439,6 @@ def incidence_dimension_estimate(
     the closed formula.  Appending the parameter motions measures the
     incidence variety and hence the 5-dimensional fibers.
     """
-    if not isinstance(scroll, ScrollType):
-        scroll = ScrollType(scroll)
     predicted = dim_curves_in_scroll(scroll, k)
     if predicted is EMPTY:
         raise ValueError(f"the family of k={k} curves in {scroll!r} is empty")
@@ -514,59 +489,45 @@ class ScrollEmbedding:
     slots: tuple
 
 
-def _resolve_degeneration_indices(degrees, donor, recipient):
-    """(degrees as an int tuple, donor index, recipient index), validated.
+def _degeneration_blocks(degrees):
+    """(donor, recipient, auxiliary degrees) of the family on these blocks.
 
-    degrees may be a ScrollType or a sequence; a missing donor is the first
-    block of positive degree and a missing recipient the last other block.
+    The donor is the first block of positive degree and the recipient the
+    last other block.  The auxiliary scroll keeps the block order, lowers
+    the donor degree by one and appends a new degree-1 block.
     """
-    if isinstance(degrees, ScrollType):
-        degrees = degrees.degrees
-    degrees = tuple(int(a) for a in degrees)
     d = len(degrees)
     if d < 2:
         raise ValueError("the degeneration needs at least two fiber blocks")
+    donor = next((i for i, a in enumerate(degrees) if a >= 1), None)
     if donor is None:
-        donor = next((i for i, a in enumerate(degrees) if a >= 1), None)
-        if donor is None:
-            raise ValueError("no block of positive degree to degenerate")
-    if not 0 <= donor < d:
-        raise ValueError(f"donor index {donor} out of range")
-    if degrees[donor] < 1:
-        raise ValueError(f"donor block has degree {degrees[donor]}, needs >= 1")
-    if recipient is None:
-        recipient = next(i for i in range(d - 1, -1, -1) if i != donor)
-    if not 0 <= recipient < d:
-        raise ValueError(f"recipient index {recipient} out of range")
-    if recipient == donor:
-        raise ValueError("donor and recipient must differ")
-    return degrees, donor, recipient
-
-
-def degeneration_member(degrees, lam, donor=None, recipient=None, *, field) -> ScrollSection:
-    """Hyperplane-class section cutting the lam-member of the family.
-
-    The auxiliary scroll keeps the given block order, lowers the donor
-    degree by one and appends a new degree-1 block; the member is
-    t0*y_new - lam*t1^(a_donor - 1)*y_donor - t1^(a_recipient)*y_recipient.
-    At lam=0 this cuts the degenerate scroll, at lam != 0 a scroll of the
-    original type.
-    """
-    degrees, donor, recipient = _resolve_degeneration_indices(degrees, donor, recipient)
-    lam = field(lam)
+        raise ValueError("no block of positive degree to degenerate")
+    recipient = d - 1 if donor < d - 1 else d - 2
     aux = list(degrees)
     aux[donor] -= 1
     aux.append(1)
+    return donor, recipient, tuple(aux)
+
+
+def degeneration_member(degrees, lam, *, field) -> ScrollSection:
+    """Hyperplane-class section cutting the lam-member of the family.
+
+    The member is t0*y_new - lam*t1^(a_donor - 1)*y_donor -
+    t1^(a_recipient)*y_recipient on the auxiliary scroll.  At lam=0 this
+    cuts the degenerate scroll, at lam != 0 a scroll of the original type.
+    """
+    donor, recipient, aux = _degeneration_blocks(degrees)
+    lam = field(lam)
     comps = [BinaryForm.zero(a, field) for a in aux]
     comps[donor] = BinaryForm.monomial(degrees[donor] - 1, degrees[donor] - 1, -lam, field)
-    comps[recipient] = comps[recipient] + BinaryForm.monomial(
+    comps[recipient] = BinaryForm.monomial(
         degrees[recipient], degrees[recipient], -field.one, field
     )
     comps[-1] = BinaryForm.monomial(1, 0, field.one, field)
-    return ScrollSection(tuple(aux), 0, comps)
+    return ScrollSection(aux, 0, comps)
 
 
-def degeneration_embeddings(degrees, donor=None, recipient=None, *, field):
+def degeneration_embeddings(degrees, *, field):
     """The two scroll embeddings bracketing the degeneration family.
 
     The first embeds the original scroll as the lam-free locus
@@ -574,12 +535,8 @@ def degeneration_embeddings(degrees, donor=None, recipient=None, *, field):
     scroll (donor degree down one, recipient degree up one) as the lam=0
     member.
     """
-    degrees, donor, recipient = _resolve_degeneration_indices(degrees, donor, recipient)
+    donor, recipient, aux = _degeneration_blocks(degrees)
     one = field.one
-    aux = list(degrees)
-    aux[donor] -= 1
-    aux.append(1)
-    aux = tuple(aux)
     d = len(degrees)
 
     unit = BinaryForm(0, (1,), field)
@@ -624,16 +581,15 @@ def compose_section_with_embedding(section: ScrollSection, emb: ScrollEmbedding)
     return out
 
 
-def verify_degeneration_embeddings(degrees, donor=None, recipient=None, *, field) -> bool:
+def verify_degeneration_embeddings(degrees, *, field) -> bool:
     """Check both scroll embeddings land inside their family members.
 
     The original scroll must satisfy the lam-free relation of its image
     and the degenerate scroll must satisfy the lam=0 member identically.
     """
-    degrees, donor, recipient = _resolve_degeneration_indices(degrees, donor, recipient)
-    phi1, phi2 = degeneration_embeddings(degrees, donor, recipient, field=field)
+    donor, _, aux = _degeneration_blocks(degrees)
+    phi1, phi2 = degeneration_embeddings(degrees, field=field)
 
-    aux = phi1.aux_degrees
     one = field.one
     # lam-free relation t0*y_new - t1^(a_donor-1)*y_donor for the first image
     comps1 = [BinaryForm.zero(a, field) for a in aux]
@@ -644,12 +600,12 @@ def verify_degeneration_embeddings(degrees, donor=None, recipient=None, *, field
     if not all(f.is_zero() for f in pulled1):
         return False
 
-    member0 = degeneration_member(degrees, field.zero, donor, recipient, field=field)
+    member0 = degeneration_member(degrees, field.zero, field=field)
     pulled2 = compose_section_with_embedding(member0, phi2)
     return all(f.is_zero() for f in pulled2)
 
 
-def degeneration_equivalence_check(degrees, lam, donor=None, recipient=None, *, field) -> bool:
+def degeneration_equivalence_check(degrees, lam, *, field) -> bool:
     """Exact equivalence of the lam-member with the lam=1 member.
 
     Rescaling the donor fiber coordinate by lam carries the lam=1 section
@@ -658,9 +614,9 @@ def degeneration_equivalence_check(degrees, lam, donor=None, recipient=None, *, 
     lam = field(lam)
     if not lam:
         raise ValueError("lam must be nonzero; the lam=0 member is the degenerate scroll")
-    degrees, donor, recipient = _resolve_degeneration_indices(degrees, donor, recipient)
-    member_one = degeneration_member(degrees, field.one, donor, recipient, field=field)
-    member_lam = degeneration_member(degrees, lam, donor, recipient, field=field)
+    donor, _, _ = _degeneration_blocks(degrees)
+    member_one = degeneration_member(degrees, field.one, field=field)
+    member_lam = degeneration_member(degrees, lam, field=field)
     rescaled = list(member_one.comps)
     rescaled[donor] = rescaled[donor].scale(lam)
     substituted = ScrollSection(member_one.degrees, 0, rescaled)

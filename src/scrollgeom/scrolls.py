@@ -77,11 +77,9 @@ class ScrollType:
         return len(self.degrees)
 
     def __eq__(self, other):
-        if isinstance(other, ScrollType):
-            return self.degrees == other.degrees
-        if isinstance(other, tuple):
-            return self.degrees == tuple(sorted(other))
-        return NotImplemented
+        if not isinstance(other, ScrollType):
+            return NotImplemented
+        return self.degrees == other.degrees
 
     def __hash__(self):
         return hash(self.degrees)
@@ -217,8 +215,8 @@ def _partitions_at_least(total: int, parts: int, floor: int):
             yield (first,) + rest
 
 
-def stratification_table(n: int, d: int, k_max: int | None = None):
-    """One row per degree type of d-scrolls in P^n, with per-k curve counts.
+def stratification_table(n: int, d: int, k_max: int):
+    """One row per degree type of d-scrolls in P^n, with curve counts for k <= k_max.
 
     Every row is a plain dict shaped for direct JSON serialization; EMPTY
     cells pass through as the sentinel and are rendered by the report
@@ -226,8 +224,6 @@ def stratification_table(n: int, d: int, k_max: int | None = None):
     is not defined for (n, d).
     """
     _check_ambient(n, d)
-    if k_max is None:
-        k_max = n
     half_case = n % 2 == 0 and d == n // 2
     dim_all = dim_all_scrolls(n, d)
     rows = []

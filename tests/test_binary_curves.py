@@ -17,6 +17,7 @@ from scrollgeom.binary_curves import (
     _pair_satisfies_nodes,
     _plane_trial,
     _restrict_to_plane,
+    containment_strata,
     gonality_map,
     gonality_map_from_nodes,
     hyperelliptic_from_nodes,
@@ -601,6 +602,16 @@ def test_containment_stratified_filters():
             scroll_containment_witness(curve, 2, 9, h_only=h_only, k_only=k_only)
     with pytest.raises(ValueError):
         scroll_containment_witness(random_binary_curve(3, PrimeField(10007), 12), 2, 9, k_only=2)
+
+
+def test_containment_strata():
+    # h outer, both in 1..floor(n/2); a filter keeps the strata of that degree
+    assert containment_strata(7, k_only=2) == [(1, 2), (2, 2), (3, 2)]
+    assert containment_strata(3) == [(1, 1)]
+    # the n=4 plane-slicing method has no strata to filter
+    assert containment_strata(4) == []
+    with pytest.raises(ValueError):
+        containment_strata(4, None, 2)
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(10007)], ids=["q", "fp10007"])

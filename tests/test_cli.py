@@ -239,6 +239,15 @@ def test_empty_stratum_is_an_embedded_anomaly(capsys):
     assert doc["result"]["rows"] == []
 
 
+def test_anomaly_renders_as_one_csv_row(capsys):
+    # an anomaly result has no table rows, so csv falls back to its scalars
+    code, out = _run(capsys, "quadrics", "--n", "3", "--field", "fp:3", "--format", "csv")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "anomaly_code,anomaly_message"
+    assert len(lines) == 2 and lines[1].startswith("FieldTooSmallError,")
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -256,6 +265,16 @@ def test_empty_stratum_is_an_embedded_anomaly(capsys):
         # filters outside the stratified sweep h, k in 1..floor(n/2)
         ("containment", "--n", "6", "--h", "7"),
         ("containment", "--n", "3", "--k", "2"),
+        ("dims", "--n", "4", "--d", "4"),
+        ("dims", "--n", "4", "--k", "0"),
+        ("rnc", "--n", "2"),
+        ("gonality", "--n", "2"),
+        ("hyperelliptic", "--n", "2"),
+        ("quadrics", "--n", "2"),
+        ("incidence", "--a", "1,2", "--k", "1", "--n", "5"),
+        ("unisecant", "--a", "1"),
+        ("containment", "--n", "2"),
+        ("containment", "--control", "--n", "5"),
     ],
 )
 def test_usage_errors_exit_2(capsys, argv):

@@ -10,6 +10,7 @@ from scrollgeom.fields import (
     QQ,
     FpElement,
     PrimeField,
+    is_prime_u64,
     parse_field,
     random_distinct,
     random_nonzero,
@@ -77,6 +78,17 @@ def test_prime_field_rejects_composites():
     for bad in (1, 4, 6, 9, 10):
         with pytest.raises(ValueError):
             PrimeField(bad)
+
+
+def test_is_prime_u64_miller_rabin_branch():
+    assert not is_prime_u64(0) and not is_prime_u64(1)
+    # composites with no factor up to 37 reach the Miller-Rabin rounds
+    assert 41 * 43 == 1763 and 151 * 751 * 28351 == 3215031751
+    assert not is_prime_u64(1763)
+    assert not is_prime_u64(3215031751)
+    assert is_prime_u64(2**31 - 1) and is_prime_u64(2**61 - 1)
+    with pytest.raises(ValueError):
+        parse_field("fp:1763")
 
 
 def test_parse_field():

@@ -22,6 +22,7 @@ from scrollgeom.linalg import (
     rank_of,
 )
 from scrollgeom.rngstream import as_stream
+from scrollgeom.scrolls import ScrollType
 
 from helpers import (
     oracle_kernel_mod,
@@ -467,7 +468,7 @@ def test_rank_only_callers_build_no_kernel(monkeypatch, capsys):
     for name, mod in list(sys.modules.items()):
         if name.startswith("scrollgeom") and getattr(mod, "rank_kernel", None) is rank_kernel:
             monkeypatch.setattr(mod, "rank_kernel", counted_rank_kernel)
-    incidence_dimension_estimate((1, 1, 2), 2, 3, 0, PrimeField(10007))
+    incidence_dimension_estimate(ScrollType((1, 1, 2)), 2, 3, 0, PrimeField(10007))
     for field in ("q", "fp:10007"):
         assert main(["quadrics", "--n", "6", "--trials", "2", "--field", field]) == 0
     capsys.readouterr()

@@ -116,6 +116,17 @@ def test_standard_rnc_hits_frame_points():
         assert _proportional(pt, unit)
 
 
+def test_standard_rnc_equality_includes_the_field():
+    params = (2, 3, 5)
+    over_q = StandardRNC(4, params, QQ)
+    over_7 = StandardRNC(4, params, PrimeField(7))
+    over_11 = StandardRNC(4, params, PrimeField(11))
+    assert over_7 == StandardRNC(4, params, PrimeField(7))
+    assert hash(over_7) == hash(StandardRNC(4, params, PrimeField(7)))
+    assert over_q != over_7 and over_q != over_11 and over_7 != over_11
+    assert len({over_q, over_7, over_11}) == 3
+
+
 def test_standard_rnc_frozen_sample():
     curve = StandardRNC(3, (2, 3), QQ)
     assert curve.evaluate(QQ(1), QQ(1)) == (QQ(0), QQ(2), QQ(0), QQ(0))

@@ -28,7 +28,11 @@ def test_scroll_type_normalization():
     assert st.is_balanced
     assert repr(st) == "F(1,2)"
     assert not ScrollType((0, 3)).is_balanced
-    assert ScrollType((1, 2)) == (2, 1)
+    assert ScrollType((1, 2)) == ScrollType((2, 1))
+    # a ScrollType equals only ScrollTypes, so equality agrees with hashing
+    assert ScrollType((1, 2)) != (1, 2)
+    assert ScrollType((2, 1)) in {ScrollType((1, 2))}
+    assert (1, 2) not in {ScrollType((1, 2))}
 
 
 def test_scroll_type_rejects_bad_input():
@@ -178,7 +182,7 @@ def test_partitions_into():
 
 
 def test_stratification_table_frozen():
-    rows = stratification_table(4, 2)
+    rows = stratification_table(4, 2, 4)
     assert [r["a"] for r in rows] == [[0, 3], [1, 2]]
     balanced = rows[1]
     assert balanced["dim_all"] == 18
@@ -193,8 +197,8 @@ def test_stratification_table_frozen():
     assert cone["dim_stratum"] == 16
     assert {c["k"]: c["dim_curves"] for c in cone["per_k"]}[2] is EMPTY
 
-    assert [r["a"] for r in stratification_table(4, 1)] == [[4]]
-    assert len(stratification_table(6, 3)) == 4
+    assert [r["a"] for r in stratification_table(4, 1, 4)] == [[4]]
+    assert len(stratification_table(6, 3, 6)) == 4
 
 
 def _written_out(a, k):
