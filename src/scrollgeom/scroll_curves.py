@@ -13,7 +13,14 @@ The incidence measurements rank the Jacobian of the curve coefficients
 to the marked image points, each point with a rescaling (gauge) column.
 Each point's rows are put in an affine chart of its image point, one
 nonzero coordinate divided out, which drops the gauge column and one
-row per point from the elimination without changing either rank.
+row per point from the elimination without changing either rank.  Over
+the point's vectors (T0, T1, Y_1, ..., Y_d, Sigma) every row obeys the
+chain rule (Sigma = t0'*T0 + t1'*T1 + sum y_l'*Y_l), Euler's identity
+(t0*T0 + t1*T1 = sum a_l*y_l*Y_l) and the gauge identity (sum y_l*Y_l
+is the gauge entry, 0 in the chart), so a point's charted rows span at
+most d dimensions, the scroll's tangent space.  Where the chart row lies
+in a fiber of positive degree, d rows that are triangular on the other
+columns certify that span, and only those are held; see _jacobian_blocks.
 """
 
 from __future__ import annotations
@@ -344,30 +351,50 @@ class DimensionReport:
 
 
 def _jacobian_blocks(curve, sigma, field):
-    """The Jacobian of the incidence map, one block of rows per marked point.
+    """The Jacobian of the incidence map, a block of spanning rows per marked point.
 
     Returns (blocks, n_coeffs).  Point j's block is (vectors, rows, gauge).
     The vectors are its power vectors (s^e, ..., s, 1), each as (first
     column, values), at the t0, t1 and y_1, ..., y_d coefficient blocks of
     J_c, then the unit vector of its column in J_s.  Each image coordinate
-    t0^b t1^c y_i gives one row, held as the scalars that multiply those
-    vectors, and one gauge entry, its value: the gauge column rescales
-    image point j.  The vectors and the gauge are working values reduced
-    once (int residues over a prime field); the row scalars are products
-    of such values, left unreduced.
+    t0^b t1^c y_i gives a row, held as the scalars (T0, T1, Y_1, ..., Y_d,
+    Sigma) that multiply those vectors, and a gauge entry, its value: the
+    gauge column rescales image point j.  The vectors and the gauge are
+    working values reduced once (int residues over a prime field); the row
+    scalars are products of such values, left unreduced.
+
+    Every slot's scalars obey three identities at the point:
+    - chain rule: Sigma = t0'*T0 + t1'*T1 + sum_l y_l'*Y_l;
+    - Euler: t0*T0 + t1*T1 = sum_l a_l*y_l*Y_l, since b + c = a_i;
+    - gauge: sum_l y_l*Y_l is the gauge entry, 0 once the point is put in
+      its affine chart.
+    The chart row i0 (the first slot with a nonzero gauge entry, as
+    _gauge_cleared_ranks takes it) lies in the first fiber l0 with
+    y_l0(s) != 0, and t_e(s) != 0 for e = 0, or e = 1 at a zero of t0,
+    since the base forms are coprime.  So Sigma, T_e and Y_l0 follow from
+    the other d scalars, and the charted rows span at most d dimensions.
+    When a_l0 > 0 the block holds row i0 first (the slot t_e^a_l0 y_l0),
+    then its neighbour in fiber l0 and the slot t_e^a_l y_l of every other
+    fiber l.  Charted, these d rows are triangular with a nonzero diagonal
+    on the columns (the other t, Y_l for l != l0), so they span the
+    point's charted rows and every column prefix keeps its rank.  When
+    a_l0 = 0 the block holds every slot.
     """
     scroll = curve.scroll
-    n, k, d = scroll.n, curve.k, scroll.d
-    y_degs = [n - k * a_i for a_i in scroll.degrees]
+    n, k, d, degrees = scroll.n, curve.k, scroll.d, scroll.degrees
+    y_degs = [n - k * a_i for a_i in degrees]
     y_offs = [2 * (k + 1)]
     for deg in y_degs:
         y_offs.append(y_offs[-1] + deg + 1)
     n_coeffs = y_offs[-1]
     slots = monomial_slots(scroll)
+    # per fiber l, the slot t0^a_l y_l and the slot t1^a_l y_l
+    firsts = [r for r, (_, _, c) in enumerate(slots) if not c]
+    lasts = [r for r, (_, b, _) in enumerate(slots) if not b]
     coeffs = [f.values for f in (curve.t0, curve.t1, *curve.ys)]
     # then the formal s0-partials of the same forms
     coeffs += [[(len(c) - 1 - r) * x for r, x in enumerate(c[:-1])] for c in coeffs]
-    top, a_top = max(k, *y_degs), max(scroll.degrees)
+    top, a_top = max(k, *y_degs), max(degrees)
     zeros = [0] * d
     reduce = field.reduce
     blocks = []
@@ -383,8 +410,16 @@ def _jacobian_blocks(curve, sigma, field):
         for _ in range(a_top):
             t0p.append(t0p[-1] * t0v)
             t1p.append(t1p[-1] * t1v)
+        # the fiber forms share no zero, so some y_l(s) != 0
+        l0 = next(l for l, y in enumerate(yv) if y)
+        if not degrees[l0]:
+            held = slots
+        else:
+            at, step = (firsts, 1) if t0v else (lasts, -1)
+            held = [slots[at[l0]], slots[at[l0] + step]]
+            held += [slots[at[l]] for l in range(d) if l != l0]
         rows, gauge = [], []
-        for (i, b, c) in slots:
+        for (i, b, c) in held:
             y = yv[i]
             y_part = t0p[b] * t1p[c]
             t0_part = b * t0p[b - 1] * t1p[c] * y if b else 0

@@ -113,6 +113,19 @@ INCIDENCE_DIGESTS = {
     ("2,3", 1, "fp:101"): ["2cd5aa6a16ca75a7", "50e63654c342c3da"],
     ("2,3", 1, "fp:2305843009213693951"): ["97a6162da6dcab08", "efdb85fae89482dd"],
     ("2,3", 1, "q"): ["0e6c3a801c110b34", "566c3c8dab84511c"],
+    # a degree-0 fiber holds the chart row at nearly every point, so the
+    # Jacobian keeps every slot there
+    ("0,1,2", 1, "fp:101"): ["0df5198292ba7867", "c1a3894c3bfe26cc"],
+    ("0,1,2", 1, "q"): ["731e251934c2f743", "69df72b5f6680255"],
+    ("0,4", 1, "fp:101"): ["22ac3a0b4580d4c2", "e9706abe433aaa71"],
+    ("0,4", 1, "q"): ["7019c1e0690d15ab", "c349f4710e04d11a"],
+    ("0,0,3", 1, "fp:101"): ["2ff021c0667b4c05", "5744e93a4044b0cc"],
+    ("0,0,3", 1, "q"): ["6fba6db44c7a2807", "25db4f9b146c1e58"],
+    ("1,1,1,1", 3, "fp:101"): ["19621780fb5d23ae", "d481f5d9227faa8a"],
+    ("1,1,1,1", 3, "q"): ["099a36237f5c7ad8", "79cb32de37117df0"],
+    # d = 1: two held rows per point, one left after the chart
+    ("5", 1, "fp:101"): ["f33df47a0ad40866", "ce27b04112774a38"],
+    ("5", 1, "q"): ["2c8afc0be2a1d5b9", "ddb61783c02a60de"],
 }
 
 

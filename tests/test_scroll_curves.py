@@ -38,6 +38,7 @@ from scrollgeom.scrolls import ScrollType
 from helpers import (
     count_fp_arithmetic,
     oracle_coefficient_jacobian,
+    oracle_form_value,
     oracle_hyperplane_rows,
     oracle_incidence_ranks,
     oracle_rank,
@@ -672,20 +673,25 @@ FIELDS = [PrimeField(101), PrimeField(10007), PrimeField(2**61 - 1), QQ]
 FIELD_IDS = ["fp101", "fp10007", "fp2^61-1", "q"]
 # fiber degree k per scroll type of the incidence tests
 INCIDENCE_K = {(1, 1, 2): 2, (1, 2, 2): 2, (2, 3): 1}
+# and of the held-row tests: a degree-0 first fiber holds the chart row at
+# nearly every point, where the block keeps every slot; (5,) has d = 1
+HELD_K = {**INCIDENCE_K, (0, 1, 2): 1, (0, 4): 1, (0, 0, 3): 1, (1, 1, 1, 1): 3, (5,): 1}
 
 
-def _dense_jacobian(blocks, n_coeffs, field):
-    """The rows [J_c | J_s | gauge] that _jacobian_blocks holds by blocks."""
+def _dense_blocks(blocks, n_coeffs, field):
+    """Per block, the rows [J_c | J_s | gauge] that _jacobian_blocks holds."""
     n_pts = len(blocks)
     out = []
     for j, (vectors, rows, gauge) in enumerate(blocks):
+        dense_rows = []
         for row, x in zip(rows, gauge):
             dense = [0] * (n_coeffs + 2 * n_pts)
             for a, (off, vals) in zip(row, vectors):
                 for col, v in enumerate(vals, off):
                     dense[col] += a * v
             dense[n_coeffs + n_pts + j] = x
-            out.append(field.reduce(dense))
+            dense_rows.append(field.reduce(dense))
+        out.append(dense_rows)
     return out
 
 
@@ -703,20 +709,15 @@ def _curve_vanishing_at_zero(scroll, k, field, rng, n_forms):
             continue
 
 
-@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
-@pytest.mark.parametrize("degrees", list(INCIDENCE_K))
-def test_single_elimination_incidence_ranks(field, degrees):
-    # the ranks from the affine charts against two naive RREFs of the full
-    # field-element Jacobian [J_c | J_s | gauge]; a marked point at a zero
-    # of t0 (and of y_1) moves the chart's row i0 past the first slot
-    scroll, k = ScrollType(degrees), INCIDENCE_K[degrees]
+def _incidence_samples(degrees, k, field, seed):
+    """(curve, sigma) per trial; in trials 1 and 2 of every three a marked
+    point sits at a zero of t0 (and, in trial 2, of y_1 when d > 1)."""
+    scroll = ScrollType(degrees)
     n_pts = scroll.n + 2
-    slots = monomial_slots(scroll)
-    rng = RngStream.from_seed(700 + sum(degrees))
-    first_rows, same_block, other_block = set(), 0, 0
+    rng = RngStream.from_seed(seed)
     for trial in range(3 if field is QQ else 6):
         child = rng.child(f"trial{trial}")
-        n_forms = trial % 3
+        n_forms = min(trial % 3, scroll.d)
         if n_forms:
             curve = _curve_vanishing_at_zero(scroll, k, field, child, n_forms)
             others = random_distinct(field, child, n_pts - 1, exclude=(0,))
@@ -724,6 +725,43 @@ def test_single_elimination_incidence_ranks(field, degrees):
         else:
             curve = random_curve_in_scroll(scroll, k, field, child)
             sigma = random_distinct(field, child, n_pts)
+        yield curve, sigma
+
+
+def _held_slots(scroll, t0_value, y_values):
+    """Slot indices of the rows _jacobian_blocks holds at a point, chart row first."""
+    slots = monomial_slots(scroll)
+    l0 = next(l for l, y in enumerate(y_values) if y)
+    a0 = scroll.degrees[l0]
+    if not a0:
+        return list(range(len(slots)))
+    # the slot t_e^a_l y_l of each fiber, e = 0 unless t0 vanishes
+    power = [(l, a, 0) if t0_value else (l, 0, a) for l, a in enumerate(scroll.degrees)]
+    held = [power[l0], (l0, a0 - 1, 1) if t0_value else (l0, 1, a0 - 1)]
+    held += [slot for l, slot in enumerate(power) if l != l0]
+    return [slots.index(slot) for slot in held]
+
+
+def _charted(rows, col):
+    """x0*row - x*row_i0 for every row but i0, the first with x0 = row_i0[col] != 0."""
+    i0 = next(i for i, row in enumerate(rows) if row[col])
+    lead, x0 = rows[i0], rows[i0][col]
+    return [[x0 * u - row[col] * v for u, v in zip(row, lead)]
+            for i, row in enumerate(rows) if i != i0]
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+@pytest.mark.parametrize("degrees", list(INCIDENCE_K))
+def test_single_elimination_incidence_ranks(field, degrees):
+    # the ranks from the affine charts against two naive RREFs of the full
+    # field-element Jacobian [J_c | J_s | gauge]; a marked point at a zero
+    # of t0 (and of y_1) moves the chart's row i0 past the first slot
+    scroll = ScrollType(degrees)
+    n_pts = scroll.n + 2
+    slots = monomial_slots(scroll)
+    first_rows, same_block, other_block = set(), 0, 0
+    k = INCIDENCE_K[degrees]
+    for curve, sigma in _incidence_samples(degrees, k, field, 700 + sum(degrees)):
         rows, n_coeffs = oracle_coefficient_jacobian(curve, sigma, field)
         blocks, _ = _jacobian_blocks(curve, sigma, field)
         got = _gauge_cleared_ranks(blocks, n_coeffs, n_coeffs + n_pts, field)
@@ -738,24 +776,85 @@ def test_single_elimination_incidence_ranks(field, degrees):
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
-@pytest.mark.parametrize("degrees, k", [((1, 1, 2), 2), ((1, 2, 2), 2), ((2, 3), 1)])
+@pytest.mark.parametrize("degrees, k", list(HELD_K.items()))
 def test_coefficient_jacobian_matches_field_element_oracle(field, degrees, k):
+    # each held row, entry for entry, against the oracle row of its slot
     scroll = ScrollType(degrees)
-    rng = RngStream.from_seed(900 + sum(degrees) + k)
-    for trial in range(2 if field is QQ else 4):
-        child = rng.child(f"trial{trial}")
-        curve = random_curve_in_scroll(scroll, k, field, child)
-        sigma = random_distinct(field, child, scroll.n + 2)
+    n_slots = scroll.n + 1
+    for curve, sigma in _incidence_samples(degrees, k, field, 900 + sum(degrees)):
         blocks, n_coeffs = _jacobian_blocks(curve, sigma, field)
         want_rows, want_coeffs = oracle_coefficient_jacobian(curve, sigma, field)
         assert n_coeffs == want_coeffs
-        assert _dense_jacobian(blocks, n_coeffs, field) == want_rows
+        for j, (s, held) in enumerate(zip(sigma, _dense_blocks(blocks, n_coeffs, field))):
+            t0_value = oracle_form_value(curve.t0, s, field.one)
+            y_values = [oracle_form_value(y, s, field.one) for y in curve.ys]
+            want = [want_rows[j * n_slots + i] for i in _held_slots(scroll, t0_value, y_values)]
+            assert held == want
         for vectors, _, gauge in blocks:
             columns = [col for off, vals in vectors for col in range(off, off + len(vals))]
             assert len(columns) == len(set(columns))  # disjoint supports
             if field is not QQ:
                 values = gauge + [v for _, vals in vectors for v in vals]
                 assert all(type(x) is int and 0 <= x < field.p for x in values)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+@pytest.mark.parametrize("degrees, k", list(HELD_K.items()))
+def test_held_rows_span_each_charted_block(field, degrees, k):
+    # at every point the held rows, charted, have the rank of the point's
+    # full charted block of oracle rows, and span it; that rank is d
+    # whenever the block holds d + 1 rows, including at a zero of t0; and
+    # the two incidence ranks are those of the full oracle Jacobian
+    scroll = ScrollType(degrees)
+    n_pts, n_slots, d = scroll.n + 2, scroll.n + 1, scroll.d
+    kinds = Counter()
+    for curve, sigma in _incidence_samples(degrees, k, field, 500 + sum(degrees)):
+        blocks, n_coeffs = _jacobian_blocks(curve, sigma, field)
+        want_rows, _ = oracle_coefficient_jacobian(curve, sigma, field)
+        got = _gauge_cleared_ranks(blocks, n_coeffs, n_coeffs + n_pts, field)
+        assert got == oracle_incidence_ranks(want_rows, n_coeffs, n_pts, field)
+        width = n_coeffs + 2 * n_pts
+        for j, (s, rows) in enumerate(zip(sigma, _dense_blocks(blocks, n_coeffs, field))):
+            col = n_coeffs + n_pts + j
+            held = _charted(rows, col)
+            full = _charted(want_rows[j * n_slots:(j + 1) * n_slots], col)
+            rank = oracle_rank(held, width, field)
+            assert rank == oracle_rank(full, width, field) == oracle_rank(held + full, width, field)
+            if len(held) == d:
+                assert rank == d
+                kinds["picked", bool(oracle_form_value(curve.t0, s, field.one))] += 1
+            else:
+                assert len(held) == scroll.n
+                kinds["all slots"] += 1
+    if degrees[0]:
+        assert kinds["picked", True] and kinds["picked", False] and not kinds["all slots"]
+    else:
+        # only the point where y_1 vanishes too moves the chart row on
+        assert kinds["all slots"] and bool(kinds["picked", False]) == bool(degrees[1])
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+@pytest.mark.parametrize("degrees, k", list(HELD_K.items()))
+def test_torus_directions_lie_in_every_charted_block_kernel(field, degrees, k):
+    # lam (t, y_i) -> (lam*t, lam^-a_i*y_i) and mu y -> mu*y fix every
+    # image point, so their tangent vectors on the curve coefficients
+    # (t coefficients, -a_i*y_i coefficients) and (0, y coefficients) are
+    # killed by every charted row, held by the package or built by the oracle
+    scroll = ScrollType(degrees)
+    n_pts, n_slots = scroll.n + 2, scroll.n + 1
+    for curve, sigma in _incidence_samples(degrees, k, field, 300 + sum(degrees)):
+        blocks, n_coeffs = _jacobian_blocks(curve, sigma, field)
+        want_rows, _ = oracle_coefficient_jacobian(curve, sigma, field)
+        t_coeffs = [*curve.t0.values, *curve.t1.values]
+        lam = t_coeffs + [-a * x for a, y in zip(scroll.degrees, curve.ys) for x in y.values]
+        mu = [0] * len(t_coeffs) + [x for y in curve.ys for x in y.values]
+        assert len(lam) == len(mu) == n_coeffs
+        for j, held in enumerate(_dense_blocks(blocks, n_coeffs, field)):
+            col = n_coeffs + n_pts + j
+            full = want_rows[j * n_slots:(j + 1) * n_slots]
+            charted = _charted(held, col) + [field.unwrap(r) for r in _charted(full, col)]
+            for row in charted:
+                assert field.reduce([sum(map(mul, row, lam)), sum(map(mul, row, mu))]) == [0, 0]
 
 
 def test_single_elimination_ranks_on_random_blocks():
