@@ -18,7 +18,7 @@ from .errors import (
     InternalCheckError,
     NoCoprimeWitnessError,
 )
-from .fields import QQ, scalar_to_str
+from .fields import scalar_to_str
 from .forms import (BinaryForm, _cleared, _coefficient_rows, _div, _horner, _split_forms,
                     divide_exact, form_gcd, gcd_many, random_form)
 from .linalg import rank_kernel, rank_of
@@ -344,15 +344,13 @@ def _random_plane(n, field, rng):
             return mat
 
 
-def _integral_gram(gram, field):
+def _integral_gram(gram):
     """A nonzero multiple of a Gram matrix of working values with int entries.
 
     Every test of a plane trial is blind to a nonzero scalar factor on a
-    conic, so the trials may run on the cleared matrix; a prime-field Gram
-    matrix of residues is returned as it is.
+    conic, so the trials may run on the cleared matrix; the int residues
+    of a prime-field Gram matrix are kept as they are.
     """
-    if field != QQ:
-        return gram
     size = len(gram)
     ints, _ = _cleared([x for row in gram for x in row])
     return [ints[i:i + size] for i in range(0, size * size, size)]
@@ -433,7 +431,7 @@ def _plane_trial(grams, n, field, rng):
 
 def _slicing_search(curve, quadrics, trials, stream, anomalies):
     field = curve.field
-    grams = [_integral_gram(q.values, field) for q in quadrics]
+    grams = [_integral_gram(q.values) for q in quadrics]
     records = []
     hits = 0
     for t in range(trials):

@@ -9,14 +9,15 @@ paths pass without a per-entry type check.
 
 Both fields eliminate in two steps.  A forward pass gives a row echelon
 form, whose pivot columns give the rank: pivot_columns and rank_of stop
-there.  Only rank_kernel runs the back step that follows, and its kernel
-vectors come back as field elements built by one ``field.wrap`` each.
+there.  Only rank_kernel runs the back step that follows, one
+fraction-free back substitution for both fields, and its kernel vectors
+come back as field elements built by one ``field.wrap`` each.
 The rational path works on Python ints throughout.  Each row is scaled by
 the lcm of its entries' denominators and divided by its content.  Its
 forward pass is fraction-free and keeps every row primitive: a row update
 is the smallest integer combination that clears the pivot column,
 divided by its content, so a row is never larger than its Bareiss
-counterpart and sheds the common factors that Bareiss rows carry.  Its
+counterpart and sheds the common factors that Bareiss rows carry.  The
 back step solves for each free column's kernel vector over one common
 denominator, so a Fraction is built only for the nonzero kernel entries
 handed back.  rank_of over the rationals first runs the prime-field
@@ -27,9 +28,11 @@ fixed-width slot per entry, so a row update is a single big-int
 multiply-add.  A slot is wide enough for a start anywhere below p*p plus
 one update per row, so pivot_columns_of_combinations packs the products
 of two residues that make up its rows without reducing them.  The
-forward pass updates only the rows below each pivot; the back reduction
-unpacks each pivot row once, from the last up, and clears that pivot's
-column from the rows above.  One loop builds the basis for both fields.
+forward pass updates only the rows below each pivot and leaves each
+pivot row reduced with lead 1, so the back step unpacks the pivot rows
+once and runs the rational back substitution on them: every pivot is 1,
+the common denominator stays 1, and each entry is reduced mod p.  One
+loop builds the basis for both fields.
 """
 
 from __future__ import annotations
@@ -90,10 +93,11 @@ def _forward_fp(rows, ncols, p):
     p - lead_j, which is congruent to -lead_j (Kronecker substitution).
     Each step reads the column only from the rows not yet pivots, unpacks
     the pivot row once, scales it to lead 1, repacks it with zeros left of
-    the pivot, and updates only the rows below it.  A slot starts below
-    p*p, so it may hold an unreduced product of two residues, and gains at
-    most (p-1)*p per update.  Between two reductions a row takes at most
-    one update per pivot, here or in _back_reduce_fp, so it stays below
+    the pivot, and updates only the rows below it; a pivot row is never
+    updated again, so it is left reduced and leading with 1.  A slot
+    starts below p*p, so it may hold an unreduced product of two residues,
+    and gains at most (p-1)*p per update.  Until it becomes a pivot row a
+    row takes at most one update per pivot, so it stays below
     p*p + nrows*(p-1)*p < (nrows+1)*p*p <= 2**(w-1), as p <= 2**bitlen(p-1)
     and nrows < 2**bitlen(nrows): no slot carries into the next, and every
     slot stays congruent to its entry mod p.
@@ -125,31 +129,6 @@ def _forward_fp(rows, ncols, p):
         pivots.append(c)
         r += 1
     return pivots
-
-
-def _back_reduce_fp(rows, pivots, ncols, p):
-    """Reduced row echelon form mod p of the packed echelon form of _forward_fp.
-
-    Goes from the last pivot up: each pivot row, whose later pivot columns
-    are already cleared, is unpacked and reduced mod p once, then its
-    pivot column is cleared from the pivot rows above it, one multiply-add
-    each.  Returns the rank nonzero rows of the RREF as int residue lists.
-    """
-    shifts, mask = _slots(p, len(rows), ncols)
-    out = [None] * len(pivots)
-    for k in range(len(pivots) - 1, -1, -1):
-        c = pivots[k]
-        tail = shifts[c:]
-        v = rows[k]
-        red = [(v >> s & mask) % p for s in tail]
-        out[k] = [0] * c + red
-        neg_lead = sum(map(lshift, [-x % p for x in red], tail))
-        sc = shifts[c]
-        for i in range(k):
-            f = (rows[i] >> sc & mask) % p
-            if f:
-                rows[i] += f * neg_lead
-    return out
 
 
 def _forward_q(mat, ncols):
@@ -196,16 +175,19 @@ def _forward_q(mat, ncols):
     return pivots
 
 
-def _solve_free_q(mat, pivots, fc):
+def _solve_free(mat, pivots, fc, field):
     """(d, nums): the kernel vector of free column fc has nums[i] / d at pivots[i].
 
-    Back substitution over the echelon form of _forward_q, from the last
+    Back substitution over an echelon form of int rows, from the last
     pivot up, with every entry found so far held as an int over one common
     denominator d.  Row i gives a_i*x_i = -s with s = row_i[fc]*d +
     sum_k row_i[p_k]*x_k over the later pivots p_k and a_i the pivot.  With
     g = gcd(s, a_i), x_i = -s/g over the denominator d*m, m = a_i/g, so d
     and the entries so far are scaled by m.  As gcd(m, s/g) = 1, d and the
     entries stay coprime: |d| is the lcm of the entries' denominators.
+    Each x_i passes through field.reduce: over the rationals that changes
+    nothing, and over F_p, whose unpacked rows from _forward_fp lead with
+    1, every m is 1, so d stays 1 and the entries stay residues.
     """
     rank = len(pivots)
     nums = [0] * rank
@@ -222,11 +204,10 @@ def _solve_free_q(mat, pivots, fc):
         a = row[pivots[i]]
         g = gcd(s, a)
         m = a // g
-        x = -s // g
         if m != 1:
             d *= m
             nums = [v * m for v in nums]
-        nums[i] = x
+        nums[i], = field.reduce([-s // g])
     return d, nums
 
 
@@ -255,22 +236,20 @@ def rank_kernel(rows, ncols: int, field):
     rank = len(pivots)
     pivot_set = set(pivots)
     free = [c for c in range(ncols) if c not in pivot_set]
-    if not free:  # full column rank: the kernel is zero, no back reduction
+    if not free:  # full column rank: the kernel is zero, no back substitution
         return rank, []
-    # solved[t][i]: entry at pivots[i] of free column free[t]'s vector
-    if isinstance(field, PrimeField):
-        rref = _back_reduce_fp(mat, pivots, ncols, field.p)
-        solved = [[-row[fc] % field.p for row in rref] for fc in free]
-    else:
-        solved = []
-        for fc in free:
-            d, nums = _solve_free_q(mat, pivots, fc)
-            solved.append([Fraction(x, d) if x else 0 for x in nums])
+    fp = isinstance(field, PrimeField)
+    if fp:  # the pivot rows, reduced with lead 1, unpacked once
+        shifts, mask = _slots(field.p, len(mat), ncols)
+        mat = [[v >> s & mask for s in shifts] for v in mat[:rank]]
     basis = []
-    for fc, column in zip(free, solved):
+    for fc in free:
+        d, nums = _solve_free(mat, pivots, fc, field)
+        if not fp:
+            nums = [Fraction(x, d) if x else 0 for x in nums]
         vec = [0] * ncols
         vec[fc] = 1
-        for pc, x in zip(pivots, column):
+        for pc, x in zip(pivots, nums):
             vec[pc] = x
         basis.append(tuple(field.wrap(vec)))
     return rank, basis

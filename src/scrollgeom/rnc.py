@@ -247,6 +247,10 @@ def _drop_linear(coeffs, value, field):
     Horner's rule and what is left of the last coefficient is the
     remainder, which must vanish.
     """
+    # two loops, not one: a single unreduced Horner pass and one field.reduce
+    # grows acc by a residue's width per step, and it ran `rnc` about 3% slower
+    # (perfbench trials_per_s at seed 1, 869.7 -> 840.5, 3 alternating 8 s
+    # pairs on a 2-core x86_64 host, Python 3.11.7)
     if isinstance(field, PrimeField):
         p = field.p
         acc = coeffs[0] % p

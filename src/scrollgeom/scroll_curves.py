@@ -29,10 +29,10 @@ from dataclasses import dataclass
 from math import prod
 
 from .errors import DependentConditionsError, InternalCheckError
-from .fields import PrimeField, random_distinct
-from .forms import (BinaryForm, _coefficient_rows, _horner, _split_forms, compose_form, form_gcd,
-                    gcd_many, random_form)
-from .linalg import _int_rows_q, pivot_columns_of_combinations, rank_kernel, rank_of
+from .fields import random_distinct
+from .forms import (BinaryForm, _cleared, _coefficient_rows, _horner, _split_forms, compose_form,
+                    form_gcd, gcd_many, random_form)
+from .linalg import pivot_columns_of_combinations, rank_kernel, rank_of
 from .rngstream import as_stream
 from .scrolls import EMPTY, ScrollType, dim_curves_in_scroll
 
@@ -269,10 +269,7 @@ def interpolate_unisecant(scroll: ScrollType, lifted_frame, field) -> UnisecantR
     brackets = [field.reduce([u[0] * v[1] - u[1] * v[0] for v in ts]) for u in ts]
     if not all(x for j, row in enumerate(brackets) for x in row[:j]):
         return UnisecantResult("NONE", None, 0)
-    if isinstance(field, PrimeField):
-        nu = field.unwrap(kernel[0])
-    else:  # cleared of denominators, on ints
-        nu = _int_rows_q(kernel, n + 2)[0]
+    nu = _cleared(field.unwrap(kernel[0]))[0]  # on ints: residues, or cleared rationals
     if not all(nu):
         return UnisecantResult("NONE", None, 1)
     ys = _fiber_forms(scroll, nu, points, brackets, field)

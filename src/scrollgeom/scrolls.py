@@ -70,12 +70,6 @@ class ScrollType:
     def __iter__(self):
         return iter(self.degrees)
 
-    def __getitem__(self, i):
-        return self.degrees[i]
-
-    def __len__(self):
-        return len(self.degrees)
-
     def __eq__(self, other):
         if not isinstance(other, ScrollType):
             return NotImplemented
@@ -88,13 +82,13 @@ class ScrollType:
         return f"F({','.join(str(a) for a in self.degrees)})"
 
 
-def aut_dimension(scroll_type) -> int:
+def aut_dimension(st: ScrollType) -> int:
     """Dimension of the automorphism-relevant endomorphism space.
 
     Always at least d*d, with equality exactly for balanced types; the
     excess measures how special an unbalanced type is inside its family.
     """
-    a = tuple(scroll_type)
+    a = st.degrees
     return sum(max(0, ai - aj + 1) for ai in a for aj in a)
 
 
@@ -104,9 +98,8 @@ def dim_all_scrolls(n: int, d: int) -> int:
     return n * n + 2 * n - 2 - d * d
 
 
-def dim_stratum(scroll_type: ScrollType) -> int:
+def dim_stratum(st: ScrollType) -> int:
     """Dimension of the locus of scrolls with the given degree type."""
-    st = ScrollType(scroll_type)
     return _stratum_dim(dim_all_scrolls(st.n, st.d), st.d, aut_dimension(st))
 
 
@@ -115,9 +108,8 @@ def _stratum_dim(dim_all: int, d: int, aut: int) -> int:
     return dim_all - (aut - d * d)
 
 
-def dim_scrolls_through_frame(scroll_type: ScrollType) -> int:
+def dim_scrolls_through_frame(st: ScrollType) -> int:
     """Dimension of the scrolls of this type through n+2 general points."""
-    st = ScrollType(scroll_type)
     return _through_frame_dim(st.n, st.d, dim_stratum(st))
 
 
@@ -126,14 +118,13 @@ def _through_frame_dim(n: int, d: int, stratum_dim: int) -> int:
     return stratum_dim - (n + 2) * (n - d)
 
 
-def dim_curves_in_scroll(scroll_type: ScrollType, k: int):
+def dim_curves_in_scroll(st: ScrollType, k: int):
     """Dimension of degree-n curves of fiber degree k in a fixed scroll.
 
     Returns EMPTY when the scroll carries no such curve: either the fiber
     degree exceeds the scroll dimension, or some ruling degree a_i is too
     large for a section coordinate of degree n - k*a_i to exist.
     """
-    st = ScrollType(scroll_type)
     if k < 1:
         raise ValueError(f"fiber degree must be positive, got {k}")
     return _curves_dim(st.n, st.d, st.degrees[-1], k)
@@ -146,14 +137,13 @@ def _curves_dim(n: int, d: int, top: int, k: int):
     return (d - 1) * (n + 3 - k) + (k - 1) * (2 * d - n)
 
 
-def dim_scrolls_with_curve(scroll_type: ScrollType, k: int):
+def dim_scrolls_with_curve(st: ScrollType, k: int):
     """Dimension of half-dimensional scrolls through a fixed generic curve.
 
     Only defined for even n and d = n/2 (the range where a degree-n curve
     of fiber degree k can single out scrolls of its own ambient span).
     Returns EMPTY when no scroll of this type contains such a curve.
     """
-    st = ScrollType(scroll_type)
     n, d = st.n, st.d
     if n % 2 != 0 or d != n // 2:
         raise ValueError(

@@ -497,7 +497,7 @@ def test_cleared_plane_section_is_a_multiple_of_the_rational_one():
         slots = [(i, j) for i in range(5) for j in range(i, 5)]
         for (i, j), x in zip(slots, upper):
             gram[i][j] = gram[j][i] = x
-        cleared = _integral_gram(gram, QQ)
+        cleared = _integral_gram(gram)
         assert all(type(x) is int for row in cleared for x in row)
         exact = [x for row in _restrict_to_plane(gram, plane, QQ) for x in row]
         scaled = [x for row in _restrict_to_plane(cleared, plane, QQ) for x in row]
@@ -513,7 +513,7 @@ def test_plane_trials_on_cleared_grams_match_the_rational_ones():
     for seed in range(6):
         curve = random_binary_curve(4, QQ, 40 + seed)
         grams = [q.gram for q in quadrics_through(curve)]
-        cleared = [_integral_gram(g, QQ) for g in grams]
+        cleared = [_integral_gram(g) for g in grams]
         stream = as_stream(seed)
         for t in range(4):
             want = _plane_trial(grams, 4, QQ, stream.child(f"trial{t}"))
@@ -523,7 +523,7 @@ def test_plane_trials_on_cleared_grams_match_the_rational_ones():
 def test_prime_field_plane_trials_do_no_fp_element_arithmetic(monkeypatch):
     fp = PrimeField(10007)
     curve = random_binary_curve(4, fp, 3)
-    grams = [_integral_gram(q.values, fp) for q in quadrics_through(curve)]
+    grams = [_integral_gram(q.values) for q in quadrics_through(curve)]
     stream = as_stream(1)
     calls = count_fp_arithmetic(monkeypatch)
     notes = {_plane_trial(grams, 4, fp, stream.child(f"trial{t}"))[1] for t in range(20)}
@@ -542,6 +542,66 @@ def test_prime_field_plane_trials_do_no_fp_element_arithmetic(monkeypatch):
                  for j in range(3)] for i in range(3)]
         assert got == want
         assert all(type(x) is int and 0 <= x < fp.p for row in got for x in row)
+
+
+def _gram(n, entries):
+    """(n+1)x(n+1) symmetric int Gram matrix, up to scale, from {(i, j): x}."""
+    gram = [[0] * (n + 1) for _ in range(n + 1)]
+    for (i, j), x in entries.items():
+        gram[i][j] = gram[j][i] = x
+    return gram
+
+
+PLANE_FIELDS = [QQ, PrimeField(10007)]
+
+
+@pytest.mark.parametrize("field", PLANE_FIELDS, ids=["q", "fp10007"])
+def test_plane_trial_notes_that_need_no_resultant(field):
+    x0x1, x0x2 = _gram(4, {(0, 1): 1}), _gram(4, {(0, 2): 1})
+    x3x4 = _gram(4, {(3, 4): 1})
+    rng = as_stream(5)
+    assert _plane_trial([x0x1, _gram(4, {}), x3x4], 4, field, rng.child("zero")) == (
+        True, "plane lies inside a quadric of the net")
+    assert _plane_trial([x0x1, x3x4], 4, field, rng.child("two")) == (
+        True, "fewer than three conics; plane sections always meet")
+    # x0 restricts to a line that both of the first two conics contain
+    assert _plane_trial([x0x1, x0x2, x3x4], 4, field, rng.child("line")) == (
+        True, "a pair of restricted conics shares a component")
+
+
+# the plane spanned by e0, e1, e2 in P^4: a Gram matrix restricts to its
+# upper-left 3x3 block
+COORDINATE_PLANE = [[int(r == c) for c in range(3)] for r in range(5)]
+# conics through (0:0:1), so none has an x2^2 term on the coordinate plane
+CONICS_THROUGH_E2 = [
+    _gram(4, {(0, 2): 1, (1, 1): 1}),
+    _gram(4, {(1, 2): 1, (0, 0): 1}),
+    _gram(4, {(0, 2): 1, (1, 2): 2, (0, 1): 3, (3, 3): 1}),
+]
+
+
+@pytest.mark.parametrize("field", PLANE_FIELDS, ids=["q", "fp10007"])
+def test_plane_trial_changes_coordinates_until_every_x2_squared_term_is_nonzero(
+        field, monkeypatch):
+    monkeypatch.setattr(binary_curves, "_random_plane", lambda n, f, rng: COORDINATE_PLANE)
+    restricted = [_restrict_to_plane(g, COORDINATE_PLANE, field) for g in CONICS_THROUGH_E2]
+    assert not any(g[2][2] for g in restricted)
+    changes = []
+
+    def spy(grams, plane, f, _real=_restrict_to_plane):
+        changes.append(plane)
+        return _real(grams, plane, f)
+
+    monkeypatch.setattr(binary_curves, "_restrict_to_plane", spy)
+    # the conics share the point (0:0:1) in every coordinate system
+    assert _plane_trial(CONICS_THROUGH_E2, 4, field, as_stream(6)) == (
+        True, "pairwise resultants share a root")
+    assert changes[:3] == [COORDINATE_PLANE] * 3 and len(changes) >= 6
+    assert all(len(c) == 3 for c in changes[3:])
+    # when no drawn change of coordinates is invertible, the trial says so
+    monkeypatch.setattr(binary_curves, "rank_of", lambda rows, ncols, f: ncols - 1)
+    assert _plane_trial(CONICS_THROUGH_E2, 4, field, as_stream(6)) == (
+        True, "no leading-coefficient normalization found (inconclusive)")
 
 
 def test_containment_validation():

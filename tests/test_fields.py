@@ -154,3 +154,11 @@ def test_draw_bounds_above_64_bits_raise_before_drawing():
         assert rng.counter == 0
     # 2**64 itself accepts every draw, unchanged
     assert as_stream(1).below(2**64) == RngStream.from_seed(1).next_u64()
+
+
+def test_randint_rejects_an_empty_range_before_drawing():
+    rng = as_stream(1)
+    with pytest.raises(ValueError, match="empty range"):
+        rng.randint(3, 2)
+    assert rng.counter == 0
+    assert as_stream(1).randint(2, 2) == 2

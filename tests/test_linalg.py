@@ -11,7 +11,6 @@ from scrollgeom.fields import QQ, FpElement, PrimeField
 import scrollgeom.linalg as linalg
 from scrollgeom.linalg import (
     CERTIFICATE_PRIME,
-    _back_reduce_fp,
     _forward_fp,
     _forward_q,
     _int_rows_q,
@@ -189,17 +188,46 @@ def test_packed_elimination_matches_oracle(p, shape):
     ncols = len(rows[0]) if rows else 4
     packed = _packed_rows_fp(rows, ncols, p)
     pivots = _forward_fp(packed, ncols, p)
-    want_rank, want_pivots, want_mat = oracle_rref_mod(rows, ncols, p)
+    want_rank, want_pivots, _ = oracle_rref_mod(rows, ncols, p)
     assert pivots == want_pivots and len(pivots) == want_rank
     # the forward pass leaves the rows below the rank zero mod p
     shifts, mask = _slots(p, len(rows), ncols)
     assert not any((v >> s & mask) % p for v in packed[want_rank:] for s in shifts)
-    assert _back_reduce_fp(packed, pivots, ncols, p) == want_mat[:want_rank]
+    # each pivot row is left reduced, zero left of its pivot and leading with 1,
+    # which is what rank_kernel's back substitution reads off the packed rows
+    for v, c in zip(packed, pivots):
+        row = [v >> s & mask for s in shifts]
+        assert sum(x << s for x, s in zip(row, shifts)) == v
+        assert all(x < p for x in row) and row[:c + 1] == [0] * c + [1]
     rank, kernel = rank_kernel(rows, ncols, PrimeField(p))
     oracle_rank, oracle_basis = oracle_kernel_mod(rows, ncols, p)
     assert rank == oracle_rank
     assert [[x.val for x in vec] for vec in kernel] == oracle_basis
     assert all(type(x) is FpElement and x.p == p for v in kernel for x in v)
+
+
+@pytest.mark.parametrize("p", [3, MERSENNE_61], ids=["3", "2^61-1"])
+def test_high_rank_kernel_is_residues_over_one_denominator(p, monkeypatch):
+    # rank 40 or more with several free columns and dependent rows below:
+    # over F_p every pivot of the unpacked rows is 1, so the back
+    # substitution keeps d = 1 and hands out residues in [0, p)
+    rng = as_stream(p % 1000 + 44)
+    rows = _random_rows(rng, 42, 46, p)
+    rows += [[(a + 2 * b) % p for a, b in zip(r, t)] for r, t in zip(rows, rows[1:7])]
+    solved = []
+
+    def spy(*args, _real=linalg._solve_free):
+        out = _real(*args)
+        solved.append(out)
+        return out
+
+    monkeypatch.setattr(linalg, "_solve_free", spy)
+    rank, kernel = rank_kernel(rows, 46, PrimeField(p))
+    oracle_rank, oracle_basis = oracle_kernel_mod(rows, 46, p)
+    assert rank == oracle_rank and rank >= 40 and len(kernel) >= 2
+    assert [[x.val for x in vec] for vec in kernel] == oracle_basis
+    assert len(solved) == len(kernel)
+    assert all(d == 1 and all(0 <= x < p for x in nums) for d, nums in solved)
 
 
 def _max_rep(r, p):

@@ -9,7 +9,8 @@ import pytest
 from scrollgeom.cli import main
 from scrollgeom.fields import QQ, FpElement, PrimeField
 from scrollgeom.forms import BinaryForm
-from scrollgeom.reports import build_report, exact, render_json
+from scrollgeom.reports import (build_report, csv_projection, exact, render_json,
+                                render_report, render_text)
 from scrollgeom.scrolls import EMPTY
 
 F101 = PrimeField(101)
@@ -148,3 +149,25 @@ def test_render_json_matches_json_dumps_property():
         assert render_json(value) == _oracle(value)
 
     check()
+
+
+# ------------------------------------------------------- error branches
+
+
+def test_render_report_rejects_an_unknown_format():
+    with pytest.raises(ValueError, match="unknown report format 'yaml'"):
+        render_report({"result": {}}, "yaml")
+
+
+@pytest.mark.parametrize(
+    "report",
+    [{}, {"result": {}}, {"result": {"table": {"a": 1}, "values": [1, 2]}}],
+)
+def test_csv_projection_without_rows_or_scalars_notes_an_empty_result(report):
+    assert csv_projection(report) == (["note"], [{"note": "empty result"}])
+    assert render_report(report, "csv") == "note\nempty result\n"
+
+
+def test_render_text_of_an_empty_dict():
+    assert render_text({"key": {}}) == "key: {}\n"
+    assert render_text({"outer": {"inner": {}}}) == "outer:\n  inner: {}\n"
