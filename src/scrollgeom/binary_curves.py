@@ -10,8 +10,7 @@ and runs the scroll-containment experiments.
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 
 from .errors import (
     DegenerateFrameError,
@@ -102,11 +101,7 @@ def random_binary_curve(n: int, field, seed) -> BinaryCurve:
 # gonality
 
 
-@dataclass(frozen=True)
-class GonalityWitness:
-    q1: BinaryForm
-    q2: BinaryForm
-    total_degree: int
+GonalityWitness = namedtuple("GonalityWitness", "q1 q2 total_degree")
 
 
 def _candidate_vectors(kernel):
@@ -323,14 +318,10 @@ def quadric_space_dimension(curve: BinaryCurve) -> int:
 # scroll containment experiments
 
 
-@dataclass(frozen=True)
-class ContainmentVerdict:
-    verdict: str  # NONE_FOUND or WITNESS
-    method: str
-    trials: int
-    records: list
-    anomalies: list
-    description: str
+# verdict is NONE_FOUND or WITNESS
+ContainmentVerdict = namedtuple(
+    "ContainmentVerdict", "verdict method trials records anomalies description"
+)
 
 
 def _random_plane(n, field, rng):

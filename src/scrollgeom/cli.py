@@ -13,7 +13,6 @@ import argparse
 import functools
 import sys
 import time
-from dataclasses import asdict
 
 from .binary_curves import (
     containment_strata,
@@ -306,7 +305,7 @@ def _handle_incidence(args) -> dict:
         {"trial": i, "measured": m, "fiber_dim": fd, "matches": m == report.predicted}
         for i, (m, fd) in enumerate(zip(report.measured_ranks, report.fiber_dims))
     ]
-    result = asdict(report)
+    result = report._asdict()
     result["match_count"] = sum(1 for row in rows if row["matches"])
     result["rows"] = rows
     return result

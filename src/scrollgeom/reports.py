@@ -57,10 +57,6 @@ def _exact(value):
             "degree": value.degree,
             "coeffs": [scalar_to_str(c) for c in value.coeffs],
         }
-    if isinstance(value, dict):
-        return {str(k): _exact(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_exact(v) for v in value]
     raise TypeError(f"cannot serialize {type(value).__name__} exactly")
 
 
@@ -96,7 +92,9 @@ def csv_projection(report: dict):
     table fall back to a single line of the result's scalar fields.
     """
     result = report.get("result", {})
-    rows = result.get("rows") if isinstance(result, dict) else None
+    if not isinstance(result, dict):
+        result = {}
+    rows = result.get("rows")
     if _is_table(rows):
         return list(rows[0].keys()), rows
     scalars = {

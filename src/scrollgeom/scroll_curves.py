@@ -25,7 +25,7 @@ columns certify that span, and only those are held; see _jacobian_blocks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import prod
 
 from .errors import DependentConditionsError, InternalCheckError
@@ -92,14 +92,13 @@ class CurveInScroll:
         return f"CurveInScroll({self.scroll!r}, k={self.k})"
 
 
-@dataclass(frozen=True)
-class PushedCurve:
-    """Pushforward of a scroll curve to P^n."""
+class PushedCurve(namedtuple("PushedCurve", "forms slots rank degenerate")):
+    """Pushforward of a scroll curve to P^n.
 
-    forms: tuple
-    slots: tuple  # (fiber index i, b, c) per coordinate, b + c = a_i
-    rank: int
-    degenerate: bool
+    slots holds (fiber index i, b, c) per coordinate, b + c = a_i.
+    """
+
+    __slots__ = ()
 
 
 def monomial_slots(scroll: ScrollType):
@@ -219,11 +218,8 @@ def random_lifted_frame(scroll: ScrollType, field, rng):
     return points
 
 
-@dataclass(frozen=True)
-class UnisecantResult:
-    status: str  # UNIQUE or NONE
-    curve: object  # CurveInScroll for UNIQUE
-    kernel_dim: int
+# status is UNIQUE or NONE; curve is the CurveInScroll for UNIQUE
+UnisecantResult = namedtuple("UnisecantResult", "status curve kernel_dim")
 
 
 def interpolate_unisecant(scroll: ScrollType, lifted_frame, field) -> UnisecantResult:
@@ -335,16 +331,11 @@ def sections_through_points(scroll: ScrollType, m: int, points, field):
 # incidence-dimension sampling
 
 
-@dataclass(frozen=True)
-class DimensionReport:
-    family: str
-    params: dict
-    predicted: object  # int, or EMPTY sentinel repr upstream
-    measured_ranks: list
-    group_correction: dict
-    seed: int
-    field: str
-    fiber_dims: list
+# predicted is an int, or the EMPTY sentinel
+DimensionReport = namedtuple(
+    "DimensionReport",
+    "family params predicted measured_ranks group_correction seed field fiber_dims",
+)
 
 
 def _jacobian_blocks(curve, sigma, field):
@@ -508,17 +499,14 @@ def incidence_dimension_estimate(
 # the degeneration family
 
 
-@dataclass(frozen=True)
-class ScrollEmbedding:
+class ScrollEmbedding(namedtuple("ScrollEmbedding", "source_degrees aux_degrees slots")):
     """Coordinate embedding of a d-dimensional scroll into a (d+1)-dim one.
 
     slots[j] = (source fiber index, base-form factor): auxiliary fiber
     coordinate j pulls back to factor(t) * x_{source index}.
     """
 
-    source_degrees: tuple
-    aux_degrees: tuple
-    slots: tuple
+    __slots__ = ()
 
 
 def _degeneration_blocks(degrees):

@@ -1,7 +1,6 @@
 """Binary curves: gonality pencils, quadric nets, containment experiments."""
 
 from collections import Counter
-from dataclasses import asdict
 from fractions import Fraction
 
 import pytest
@@ -429,7 +428,7 @@ def test_containment_slicing_none_found():
     for rec in verdict.records:
         assert set(rec) == {"trial", "hit", "note"}
     assert verdict.anomalies == []
-    data = asdict(verdict)
+    data = verdict._asdict()
     assert list(data) == [
         "verdict",
         "method",

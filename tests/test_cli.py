@@ -346,6 +346,31 @@ def test_shared_parser_survives_errors_and_anomalies(capsys):
     assert build_parser() is build_parser()
 
 
+_FOOTPRINT_CHILD = """
+import sys
+before = set(sys.modules)
+import scrollgeom.cli
+scrollgeom.cli.build_parser()
+print("\\n".join(sorted(set(sys.modules) - before)))
+"""
+
+
+def test_cli_start_up_loads_neither_dataclasses_nor_inspect():
+    # every launch pays for what importing the CLI loads; dataclasses,
+    # which loads inspect, took about 6 ms of each launch (README, Start-up)
+    src = str(Path(scrollgeom.__file__).parent.parent)
+    loaded = subprocess.run(
+        [sys.executable, "-c", _FOOTPRINT_CHILD],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    ).stdout.split()
+    assert "scrollgeom.cli" in loaded and "argparse" in loaded
+    assert "dataclasses" not in loaded
+    assert "inspect" not in loaded
+
+
 # --------------------------------------------------------------- renderings
 
 

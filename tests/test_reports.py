@@ -6,11 +6,13 @@ from fractions import Fraction
 
 import pytest
 
+from scrollgeom.binary_curves import GonalityWitness
 from scrollgeom.cli import main
 from scrollgeom.fields import QQ, FpElement, PrimeField
 from scrollgeom.forms import BinaryForm
 from scrollgeom.reports import (build_report, csv_projection, exact, render_json,
                                 render_report, render_text)
+from scrollgeom.scroll_curves import DimensionReport
 from scrollgeom.scrolls import EMPTY
 
 F101 = PrimeField(101)
@@ -78,6 +80,21 @@ def test_exact_scalars_serialize_as_before():
     assert out["tag"] is _Tag.SEVEN and type(out["big"]) is _Big
     report = build_report("x", {}, value)
     assert render_json(report) == _oracle(report)
+
+
+_RECORDS = [
+    GonalityWitness(BinaryForm(1, (1, 0), QQ), BinaryForm(1, (0, 1), QQ), 2),
+    DimensionReport("scrolls", {"n": 4}, 3, [3], {}, 0, "q", [0]),
+]
+
+
+@pytest.mark.parametrize("record", _RECORDS, ids=lambda r: type(r).__name__)
+def test_build_report_rejects_a_result_record(record):
+    # a namedtuple record is a tuple, but it must not render as a JSON list
+    with pytest.raises(TypeError, match=type(record).__name__):
+        build_report("x", {}, record)
+    with pytest.raises(TypeError, match=type(record).__name__):
+        build_report("x", {}, {"record": record})
 
 
 # ------------------------------------------------------------- render_json
@@ -161,7 +178,7 @@ def test_render_report_rejects_an_unknown_format():
 
 @pytest.mark.parametrize(
     "report",
-    [{}, {"result": {}}, {"result": {"table": {"a": 1}, "values": [1, 2]}}],
+    [{}, {"result": {}}, {"result": {"table": {"a": 1}, "values": [1, 2]}}, {"result": [1, 2]}],
 )
 def test_csv_projection_without_rows_or_scalars_notes_an_empty_result(report):
     assert csv_projection(report) == (["note"], [{"note": "empty result"}])

@@ -2,7 +2,6 @@
 
 import json
 from collections import Counter
-from dataclasses import asdict
 from operator import mul
 
 import pytest
@@ -654,7 +653,7 @@ def test_incidence_estimate_validation():
 
 def test_incidence_report_dict_layout():
     report = incidence_dimension_estimate(ScrollType((1, 2)), 1, 1, 9, PrimeField(10007))
-    data = asdict(report)
+    data = report._asdict()
     assert list(data) == [
         "family",
         "params",
