@@ -5,8 +5,10 @@ held-out seed, through the benchmark's own runner, and the digest of its
 normalized report must equal the one in perfbench/goldens.json.  The
 stratified containment search, which no benchmark job renders in json,
 the node projection and the positive control over prime fields, which
-no benchmark job runs, and the incidence ranks over fields no benchmark
-job uses are pinned by their own tables below.  A change that alters any
+no benchmark job runs, the incidence ranks over fields no benchmark
+job uses, and the drawn node values over fp:101 and 2**61 - 1 and the
+distinct sampler's FieldTooSmallError are pinned by their own tables
+below.  A change that alters any
 report byte (other than wall_clock_ms) fails here.
 """
 
@@ -135,3 +137,44 @@ def test_incidence_matches_goldens(capsys, a, k, field):
         argv = ["incidence", "--a", a, "--k", str(k), "--trials", "8", "--seed", str(seed),
                 "--field", field, "--format", "json"]
         assert _json_digest(capsys, argv) == want, argv
+
+
+# digest of the normalized json report of `COMMAND --trials 4 --seed S --field F
+# --format json`, per (command, F) and seed 0, 1: the node values these
+# commands draw over a small prime and over 2**61 - 1, on fields no benchmark
+# job uses
+DRAW_COMMANDS = {
+    "gonality": ["gonality", "--n", "8"],
+    "hyperelliptic": ["hyperelliptic", "--n", "7"],
+    "hyperelliptic-control": ["hyperelliptic", "--n", "7", "--control"],
+    "rnc": ["rnc", "--n", "6"],
+    "unisecant": ["unisecant", "--a", "1,2,2"],
+}
+_P61 = "fp:2305843009213693951"
+DRAW_DIGESTS = {
+    ("gonality", "fp:101"): ["b49368d67e7b8ad2", "d4dbc2ccb47c3162"],
+    ("gonality", _P61): ["568a718038187c8e", "7731a614a569d463"],
+    ("hyperelliptic", "fp:101"): ["6979822eff4f6a18", "3bdb5a13ca8b2672"],
+    ("hyperelliptic", _P61): ["a7cc27efa9f003f1", "c8b5c018f29e4835"],
+    ("hyperelliptic-control", "fp:101"): ["badcda0b61b8751a", "b967a8411e9b4797"],
+    ("hyperelliptic-control", _P61): ["86f3d18a03a2bec6", "3fe9bf3d688fc4cb"],
+    ("rnc", "fp:101"): ["f5a202a3f8eeb116", "0f69f5a7b6bc81d7"],
+    ("rnc", _P61): ["ea7d27ed710845fa", "303bbd66de7bd75f"],
+    ("unisecant", "fp:101"): ["70a796a5a5b42be8", "b3ef9d0ac206d6de"],
+    ("unisecant", _P61): ["dfc66e0647f30b11", "dddf9ccee4051a42"],
+}
+
+
+@pytest.mark.parametrize("command, field", sorted(DRAW_DIGESTS))
+def test_draws_match_goldens(capsys, command, field):
+    for seed, want in enumerate(DRAW_DIGESTS[command, field]):
+        argv = DRAW_COMMANDS[command] + ["--trials", "4", "--seed", str(seed),
+                                         "--field", field, "--format", "json"]
+        assert _json_digest(capsys, argv) == want, argv
+
+
+def test_field_too_small_anomaly_matches_golden(capsys):
+    # every row notes the distinct sampler's FieldTooSmallError and its bound
+    argv = ["gonality", "--n", "6", "--trials", "2", "--field", "fp:7", "--seed", "0",
+            "--format", "json"]
+    assert _json_digest(capsys, argv) == "2428201ca8d9d287"
