@@ -6,6 +6,11 @@ component and the unit point at (1 : 0).  The arithmetic genus is n+1.
 The module builds gonality pencils from the node data, decides the
 hyperelliptic degree-1 case, computes the quadrics through the curve,
 and runs the scroll-containment experiments.
+
+The node solver works on node tuples (r0, r1, s0, s1) of working values,
+node R = (r0 : r1) on the first line and S = (s0 : s1) on the second: a
+BinaryCurve builds them from its components' stored values, and the
+public functions that take raw node pairs check and unwrap them once.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from .errors import (
 )
 from .fields import scalar_to_str
 from .forms import (BinaryForm, _cleared, _coefficient_rows, _div, _horner, _split_forms,
-                    divide_exact, form_gcd, gcd_many, random_form)
+                    _value, divide_exact, form_gcd, gcd_many, random_form)
 from .linalg import rank_kernel, rank_of
 from .rnc import Frame, Quadric, StandardRNC, _drop_linear, _node_singles, random_standard_rnc
 from .rngstream import as_stream
@@ -48,7 +53,7 @@ class BinaryCurve:
             raise ValueError("both components must live in the same P^n")
         if comp1.field != comp2.field:
             raise ValueError("components over different fields")
-        if Counter(comp1.params) == Counter(comp2.params):
+        if Counter(comp1.values) == Counter(comp2.values):
             raise ValueError("components coincide (equal parameter multisets)")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "comp1", comp1)
@@ -63,14 +68,20 @@ class BinaryCurve:
         return self.n + 1
 
     @property
+    def nodes(self):
+        """Per node j, the working-value tuple (r0, r1, s0, s1) of its parameters.
+
+        (r0 : r1) is the node on comp1 and (s0 : s1) on comp2: (v, 1, w, 1)
+        for the finite node values v and w, then (1, 0, 1, 0).
+        """
+        ones = (1,) * (self.n + 1)
+        return tuple(zip(self.comp1.values, ones, self.comp2.values, ones)) + ((1, 0, 1, 0),)
+
+    @property
     def node_pairs(self):
-        """Per node j, the parameter of the node on each component."""
-        one, zero = self.field.one, self.field.zero
-        pairs = []
-        for v, w in zip(self.comp1.node_values, self.comp2.node_values):
-            pairs.append(((v, one), (w, one)))
-        pairs.append(((one, zero), (one, zero)))
-        return tuple(pairs)
+        """Per node j, the parameter of the node on each component, as field elements."""
+        wrap = self.field.wrap
+        return tuple((tuple(wrap(node[:2])), tuple(wrap(node[2:]))) for node in self.nodes)
 
     def to_dict(self):
         return {
@@ -93,7 +104,7 @@ def random_binary_curve(n: int, field, seed) -> BinaryCurve:
     comp2_rng = rng.child("comp2")
     while True:
         comp2 = random_standard_rnc(n, field, comp2_rng)
-        if Counter(comp1.params) != Counter(comp2.params):
+        if Counter(comp1.values) != Counter(comp2.values):
             return BinaryCurve(n, comp1, comp2)
 
 
@@ -119,19 +130,20 @@ def _candidate_vectors(kernel):
                     )
 
 
-def _pair_satisfies_nodes(q1, q2, pairs, field):
+def _pair_satisfies_nodes(q1, q2, nodes, field):
     """True when (q1 : q2) is defined at every R_j and carries it to S_j.
 
-    Neither test changes when (q1, q2) or the node pairs are scaled by a
-    nonzero constant, so both are cleared of denominators first and the
-    evaluations and cross-products run on ints: int residues over F_p,
-    with one reduction per value.
+    nodes are working-value tuples (r0, r1, s0, s1).  Neither test changes
+    when (q1, q2) or the node parameters are scaled by a nonzero constant,
+    so both are cleared of denominators first and the evaluations and
+    cross-products run on ints: int residues over F_p, with one reduction
+    per value.
     """
     forms, _ = _cleared(q1.values + q2.values)
     c1, c2 = forms[:len(q1.values)], forms[len(q1.values):]
-    nodes, _ = _cleared(field.unwrap([x for (r, s) in pairs for x in r + s]))
-    for j in range(0, len(nodes), 4):
-        r0, r1, s0, s1 = nodes[j:j + 4]
+    flat, _ = _cleared([x for node in nodes for x in node])
+    for j in range(0, len(flat), 4):
+        r0, r1, s0, s1 = flat[j:j + 4]
         v1, v2 = field.reduce([_horner(c1, r0, r1), _horner(c2, r0, r1)])
         if not (v1 or v2):
             return False
@@ -140,20 +152,20 @@ def _pair_satisfies_nodes(q1, q2, pairs, field):
     return True
 
 
-def _node_map(pairs, degree: int, field):
+def _node_map(nodes, degree: int, field):
     """Coprime (q1, q2) of the given degree with (q1:q2)(R_j) = S_j.
 
-    Solves the node system q1(R_j)*S_{j,1} - q2(R_j)*S_{j,0} = 0 for the
-    kernel, then scans the basis and small pair combinations for a
-    coprime element.  A pair that vanishes together at (0 : 1) or at
-    (1 : 0) shares the factor s0 or s1, so it is passed over before any
-    gcd; the frame's node at parameter 0 makes the first basis vector such
-    a pair.  Returns ((q1, q2) or None, kernel).  A coprime element
-    carries every node, since a node it missed would be a common zero of
-    q1 and q2; the check stays anyway.
+    nodes are working-value tuples (r0, r1, s0, s1).  Solves the node
+    system q1(R_j)*S_{j,1} - q2(R_j)*S_{j,0} = 0 for the kernel, then scans
+    the basis and small pair combinations for a coprime element.  A pair
+    that vanishes together at (0 : 1) or at (1 : 0) shares the factor s0
+    or s1, so it is passed over before any gcd; the frame's node at
+    parameter 0 makes the first basis vector such a pair.  Returns
+    ((q1, q2) or None, kernel).  A coprime element carries every node,
+    since a node it missed would be a common zero of q1 and q2; the check
+    stays anyway.
     """
-    nodes = iter(field.unwrap([x for (r, s) in pairs for x in r + s]))
-    conditions = [(r0, r1, (s1, -s0)) for r0, r1, s0, s1 in zip(nodes, nodes, nodes, nodes)]
+    conditions = [(r0, r1, (s1, -s0)) for r0, r1, s0, s1 in nodes]
     rows = _coefficient_rows(conditions, (degree, degree), field)
     _, kernel = rank_kernel(rows, 2 * (degree + 1), field)
     for vec in _candidate_vectors(kernel):
@@ -162,20 +174,23 @@ def _node_map(pairs, degree: int, field):
         if not (q1.values[-1] or q2.values[-1]) or not (q1.values[0] or q2.values[0]):
             continue
         if form_gcd(q1, q2).degree == 0:
-            if not _pair_satisfies_nodes(q1, q2, pairs, field):
+            if not _pair_satisfies_nodes(q1, q2, nodes, field):
                 raise InternalCheckError("coprime kernel element failed a node")
             return (q1, q2), kernel
     return None, kernel
 
 
-def _checked_node_pairs(pairs):
-    """Node pairs as tuples of tuples; (0, 0) is no point of P^1."""
-    out = []
-    for (r, s) in pairs:
-        if not (r[0] or r[1]) or not (s[0] or s[1]):
-            raise ValueError("node parameter (0, 0) is not a point of P^1")
-        out.append(((r[0], r[1]), (s[0], s[1])))
-    return out
+def _checked_nodes(pairs, field):
+    """Raw node pairs ((r0, r1), (s0, s1)) as working-value node tuples.
+
+    The entries are unwrapped once; a parameter (0, 0) is no point of
+    P^1 and raises ValueError.
+    """
+    flat = iter(field.unwrap([x for (r, s) in pairs for x in (r[0], r[1], s[0], s[1])]))
+    nodes = list(zip(flat, flat, flat, flat))
+    if any(not (r0 or r1) or not (s0 or s1) for r0, r1, s0, s1 in nodes):
+        raise ValueError("node parameter (0, 0) is not a point of P^1")
+    return nodes
 
 
 def gonality_map_from_nodes(pairs, n: int, field):
@@ -188,9 +203,13 @@ def gonality_map_from_nodes(pairs, n: int, field):
     re-verified, which recovers the identity for coincident node data.
     A (0, 0) parameter raises ValueError.
     """
-    pairs = _checked_node_pairs(pairs)
+    return _gonality(_checked_nodes(pairs, field), n, field)
+
+
+def _gonality(nodes, n: int, field):
+    """gonality_map_from_nodes on working-value node tuples."""
     degree = n // 2 + 1
-    pair, kernel = _node_map(pairs, degree, field)
+    pair, kernel = _node_map(nodes, degree, field)
     if not kernel:
         raise NoCoprimeWitnessError("empty kernel", kernel_basis=[])
     if pair is not None:
@@ -207,7 +226,7 @@ def gonality_map_from_nodes(pairs, n: int, field):
             continue
         r1 = divide_exact(q1, g)
         r2 = divide_exact(q2, g)
-        if _pair_satisfies_nodes(r1, r2, pairs, field):
+        if _pair_satisfies_nodes(r1, r2, nodes, field):
             return GonalityWitness(r1, r2, r1.degree + 1), len(kernel)
     raise NoCoprimeWitnessError(
         "no coprime gonality witness in the scanned kernel combinations",
@@ -217,9 +236,7 @@ def gonality_map_from_nodes(pairs, n: int, field):
 
 def gonality_map(curve: BinaryCurve):
     """Gonality witness and kernel dimension for a binary curve."""
-    witness, kernel_dim = gonality_map_from_nodes(
-        curve.node_pairs, curve.n, curve.field
-    )
+    witness, kernel_dim = _gonality(curve.nodes, curve.n, curve.field)
     if witness.total_degree > gonality_bound(curve.arithmetic_genus):
         raise InternalCheckError("witness degree exceeds the gonality bound")
     return witness, kernel_dim
@@ -230,11 +247,17 @@ def hyperelliptic_from_nodes(pairs, field) -> bool:
 
     A (0, 0) parameter raises ValueError.
     """
-    return _node_map(_checked_node_pairs(pairs), 1, field)[0] is not None
+    return _node_map(_checked_nodes(pairs, field), 1, field)[0] is not None
 
 
 def hyperelliptic_test(curve: BinaryCurve) -> bool:
-    return hyperelliptic_from_nodes(curve.node_pairs, curve.field)
+    """Degree-1 node system of the curve; always False, and solved anyway.
+
+    Nodes 0, 1 and infinity sit at the same parameters on both components,
+    so a Mobius map carrying the nodes is the identity and needs comp2 =
+    comp1, which BinaryCurve rejects.  Random runs check the solver.
+    """
+    return _node_map(curve.nodes, 1, curve.field)[0] is not None
 
 
 def random_mobius_node_pairs(n: int, field, seed):
@@ -290,7 +313,8 @@ def _quadric_rows(curve: BinaryCurve):
     rows.append([1] * len(pair_index))
     zeros = [0] * (n - 1)
     for comp in (curve.comp1, curve.comp2):
-        values, singles = _node_singles(comp.node_values, field)
+        values = comp.values
+        singles = _node_singles(values, field)
         cols = [_drop_linear(singles[i], values[j], field)[1:] if i != j else zeros
                 for (i, j) in pair_index]
         rows += zip(*cols)
@@ -451,7 +475,7 @@ def _form_coeffs(form):
     return [scalar_to_str(c) for c in form.coeffs]
 
 
-def _sampled_stratum(pairs, h, k, field, rng, samples):
+def _sampled_stratum(nodes, h, k, field, rng, samples):
     """Evidence for strata with both map degrees >= 2.
 
     The compatibility system is bilinear, so one side is sampled: random
@@ -467,10 +491,11 @@ def _sampled_stratum(pairs, h, k, field, rng, samples):
             if not (p1.is_zero() and p2.is_zero()) and form_gcd(p1, p2).degree == 0:
                 break
         # chi(S_j) must match psi(R_j): cross-multiplied, linear in chi
-        target_pairs = [
-            (s, (p1.evaluate(r[0], r[1]), p2.evaluate(r[0], r[1]))) for (r, s) in pairs
+        targets = [
+            (s0, s1, *field.reduce([_value(p1.values, r0, r1), _value(p2.values, r0, r1)]))
+            for r0, r1, s0, s1 in nodes
         ]
-        chi, kernel = _node_map(target_pairs, k, field)
+        chi, kernel = _node_map(targets, k, field)
         if not kernel:
             unsat += 1
         elif chi is not None:
@@ -548,8 +573,8 @@ def _stratified_search(curve, strata, trials, stream, anomalies):
     """
     n = curve.n
     field = curve.field
-    pairs = curve.node_pairs
-    flipped = [(s, r) for (r, s) in pairs]
+    nodes = curve.nodes
+    flipped = [(s0, s1, r0, r1) for r0, r1, s0, s1 in nodes]
     records = []
     witness_record = None
     for h, k in strata:
@@ -557,7 +582,7 @@ def _stratified_search(curve, strata, trials, stream, anomalies):
         if min(h, k) == 1:
             # gauge the degree-1 side to the identity: the other side
             # is a degree-max(h, k) map carrying the nodes across
-            pair, kernel = _node_map(flipped if h < k else pairs, max(h, k), field)
+            pair, kernel = _node_map(flipped if h < k else nodes, max(h, k), field)
             record.update(
                 method="exact-linear", solvable=pair is not None, kernel_dim=len(kernel)
             )
@@ -568,7 +593,7 @@ def _stratified_search(curve, strata, trials, stream, anomalies):
         else:
             rng = stream.child(f"stratum{h}-{k}")
             samples = min(trials, 8)
-            unsat, forms = _sampled_stratum(pairs, h, k, field, rng, samples)
+            unsat, forms = _sampled_stratum(nodes, h, k, field, rng, samples)
             record.update(
                 {
                     "method": "sampled-evidence",

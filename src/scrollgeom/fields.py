@@ -10,20 +10,26 @@ are ``FpElement`` values holding the canonical representative in [0, p).
 An ``FpElement`` equals exactly one int, its residue, and hashes like it,
 so equal values hash equally in sets, dicts and Counters.
 
-Forms, quadrics and matrices are built over a field their caller names
-and compute on its working values, int residues in [0, p) over F_p;
-nothing reads a field off given scalars.  A field's ``unwrap`` turns
+Forms, quadrics, curves and matrices are built over a field their caller
+names and compute on its working values, int residues in [0, p) over
+F_p; nothing reads a field off given scalars.  A field's ``unwrap`` turns
 given scalars into working values (ints embed in every field, any other
 value raises FieldMismatchError), ``reduce`` brings computed ints into
 [0, p) and ``wrap`` builds the FpElements handed out; over the rationals
 all three return their argument.
+
+Draws hand out working values: ``random_value`` draws one (``rng.below(p)``
+over F_p, an int in [-RATIONAL_SPAN, RATIONAL_SPAN] over the rationals)
+and ``distinct_values`` draws distinct ones.  ``random_scalar`` and
+``random_distinct`` are their boundary views, the same draws from the same
+stream handed out as field elements.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import FieldMismatchError
+from .errors import FieldMismatchError, FieldTooSmallError
 
 RATIONAL_SPAN = 999  # random rational scalars are integers in [-span, span]
 
@@ -188,8 +194,13 @@ class RationalField:
     def one(self) -> int:
         return 1
 
-    def random_scalar(self, rng) -> int:
+    def random_value(self, rng) -> int:
+        """A random working value: an int in [-RATIONAL_SPAN, RATIONAL_SPAN]."""
         return rng.randint(-RATIONAL_SPAN, RATIONAL_SPAN)
+
+    def random_scalar(self, rng) -> int:
+        """random_value as a field element, which over the rationals it is."""
+        return self.random_value(rng)
 
     def unwrap(self, values):
         """values itself; an entry other than an int or a Fraction raises FieldMismatchError."""
@@ -254,8 +265,13 @@ class PrimeField:
     def one(self) -> FpElement:
         return FpElement(1, self.p)
 
+    def random_value(self, rng) -> int:
+        """A random working value: a uniform residue in [0, p)."""
+        return rng.below(self.p)
+
     def random_scalar(self, rng) -> FpElement:
-        return FpElement(rng.below(self.p), self.p)
+        """random_value as a field element."""
+        return FpElement(self.random_value(rng), self.p)
 
     def unwrap(self, values) -> list:
         """Int residues of a sequence of field elements, for arithmetic on ints."""
@@ -312,12 +328,14 @@ def random_nonzero(field, rng):
             return x
 
 
-def random_distinct(field, rng, count: int, exclude=()):
-    """count distinct scalars, none equal to any excluded value."""
+def distinct_values(field, rng, count: int, exclude=()) -> list:
+    """count distinct working values drawn by field.random_value, none in exclude.
+
+    exclude holds working values.  Over F_p, a p below 4 * (count +
+    len(exclude)) raises FieldTooSmallError before any draw.
+    """
     bound = 4 * (count + len(exclude))
     if isinstance(field, PrimeField) and field.p < bound:
-        from .errors import FieldTooSmallError
-
         raise FieldTooSmallError(
             f"rejection sampling of {count} distinct scalars avoiding "
             f"{len(exclude)} fixed values needs p >= {bound}, got {field.p}"
@@ -329,9 +347,14 @@ def random_distinct(field, rng, count: int, exclude=()):
         guard += 1
         if guard > 10000:
             raise RuntimeError("distinct-sampling did not terminate")
-        x = field.random_scalar(rng)
+        x = field.random_value(rng)
         if x in seen:
             continue
         seen.add(x)
         out.append(x)
     return out
+
+
+def random_distinct(field, rng, count: int, exclude=()):
+    """distinct_values as field elements; exclude holds field elements or ints."""
+    return field.wrap(distinct_values(field, rng, count, field.unwrap(exclude)))

@@ -489,7 +489,8 @@ def compose_form(outer: BinaryForm, f0: BinaryForm, f1: BinaryForm) -> BinaryFor
 
 
 def random_form(degree: int, field, rng, nonzero: bool = False) -> BinaryForm:
+    """A form with degree+1 coefficients drawn by field.random_value."""
     while True:
-        f = BinaryForm(degree, [field.random_scalar(rng) for _ in range(degree + 1)], field)
+        f = _form(degree, [field.random_value(rng) for _ in range(degree + 1)], field)
         if not nonzero or not f.is_zero():
             return f

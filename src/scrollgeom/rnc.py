@@ -9,14 +9,18 @@ linear factors of all the other node values, so only polynomial
 arithmetic is ever needed.
 
 A StandardRNC and a Quadric, like a BinaryForm, are built over a field
-their caller names.  A Quadric stores its working values (int residues
-over F_p), which the residual pass, the coordinate forms and the frame
-check read for both fields; ``gram`` hands out field elements.  A
-quadric and a curve over two fields do not mix (FieldMismatchError).
+their caller names and store its working values (int residues over
+F_p): a StandardRNC its n+1 node values, a Quadric its Gram matrix.  The
+residual pass, the coordinate forms, the quadric rows of a binary curve
+and the frame check read those for both fields; ``params``,
+``node_values`` and ``gram`` hand out field elements.  A random curve's
+node values are drawn as working values and never wrapped on the way.
+A quadric and a curve over two fields do not mix (FieldMismatchError).
 """
 
 from __future__ import annotations
 
+from math import prod
 from operator import mul
 
 from .errors import (
@@ -26,7 +30,7 @@ from .errors import (
     NotThroughFrameError,
     ZeroQuadricError,
 )
-from .fields import PrimeField, random_distinct
+from .fields import PrimeField, distinct_values
 from .forms import BinaryForm, _div
 from .linalg import rank_kernel, rank_of
 
@@ -80,18 +84,20 @@ class StandardRNC:
 
     params are the free node values (a_2, ..., a_n); values 0 and 1 are
     fixed by normalization.  Coordinate j of the parametrization is
-    prod_{i != j} (s0 - value_i * s1), a binary form of degree n.
+    prod_{i != j} (s0 - value_i * s1), a binary form of degree n.  The
+    curve stores all n+1 node values as working values, ``values``.
     """
 
-    __slots__ = ("n", "params", "field")
+    __slots__ = ("n", "values", "field")
 
     def __init__(self, n: int, params, field):
+        """The curve over field with these params: field elements or ints."""
         params = tuple(params)
         if n < 2:
             raise ValueError(f"need ambient dimension >= 2, got {n}")
         if len(params) != n - 1:
             raise ValueError(f"need {n - 1} parameters for P^{n}, got {len(params)}")
-        values = (field.zero, field.one) + tuple(field.wrap(field.unwrap(params)))
+        values = (0, 1) + tuple(field.unwrap(params))
         slots = {}
         for i, v in enumerate(values):
             slots.setdefault(v, []).append(i)
@@ -102,50 +108,48 @@ class StandardRNC:
                 f"node values must be pairwise distinct, slots {i} and {j} coincide"
             )
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "params", values[2:])
+        object.__setattr__(self, "values", values)
         object.__setattr__(self, "field", field)
 
     def __setattr__(self, name, value):
         raise AttributeError("StandardRNC is immutable")
 
     @property
+    def params(self):
+        """The free node values (a_2, ..., a_n) as field elements."""
+        return tuple(self.field.wrap(self.values[2:]))
+
+    @property
     def node_values(self):
-        """All n+1 finite node values (0, 1, a_2, ..., a_n)."""
-        return (self.field.zero, self.field.one) + self.params
+        """All n+1 finite node values (0, 1, a_2, ..., a_n) as field elements."""
+        return tuple(self.field.wrap(self.values))
 
     def coordinate_forms(self):
         field = self.field
-        _, singles = _node_singles(self.node_values, field)
-        return [BinaryForm(self.n, c, field) for c in singles]
+        return [BinaryForm(self.n, c, field) for c in _node_singles(self.values, field)]
 
     def evaluate(self, s0, s1):
         """Point of P^n at parameter (s0 : s1)."""
-        values = self.node_values
-        factors = [s0 - v * s1 for v in values]
-        out = []
-        for j in range(len(values)):
-            acc = self.field.one
-            for i, f in enumerate(factors):
-                if i != j:
-                    acc = acc * f
-            out.append(acc)
-        return tuple(out)
+        field = self.field
+        s0, s1 = field.unwrap((s0, s1))
+        factors = [s0 - v * s1 for v in self.values]
+        coords = [prod(factors[:j] + factors[j + 1:]) for j in range(len(factors))]
+        return tuple(field.wrap(field.reduce(coords)))
 
     def __eq__(self, other):
         if not isinstance(other, StandardRNC):
             return NotImplemented
-        return (self.field, self.n, self.params) == (other.field, other.n, other.params)
+        return (self.field, self.n, self.values) == (other.field, other.n, other.values)
 
     def __hash__(self):
-        return hash((self.n, self.params))
+        return hash((self.n, self.values))
 
     def __repr__(self):
         return f"StandardRNC(n={self.n}, params={self.params})"
 
 
 def random_standard_rnc(n: int, field, rng) -> StandardRNC:
-    params = random_distinct(field, rng, n - 1, exclude=(field.zero, field.one))
-    return StandardRNC(n, params, field)
+    return StandardRNC(n, distinct_values(field, rng, n - 1, exclude=(0, 1)), field)
 
 
 class Quadric:
@@ -269,22 +273,22 @@ def _drop_linear(coeffs, value, field):
     return out
 
 
-def _node_singles(node_values, field):
-    """(unwrapped node values, coefficient lists of P_k = P / l_k for every k).
+def _node_singles(values, field):
+    """Coefficient lists of P_k = P / l_k for every node value v_k.
 
     P = prod_k l_k, l_k = s0 - v_k*s1, takes a shift and subtract per factor
-    and one field.reduce; each P_k is one exact division.  The lists hold int
-    residues over F_p and rationals as they are.
+    and one field.reduce; each P_k is one exact division.  The node values
+    and the lists hold working values: int residues over F_p, rationals as
+    they are.
     """
-    values = field.unwrap(node_values)
     full = [1]
     for v in values:
         full = [a - v * b for a, b in zip(full + [0], [0] + full)]
     full = field.reduce(full)
-    return values, [_drop_linear(full, v, field) for v in values]
+    return [_drop_linear(full, v, field) for v in values]
 
 
-def _residual_pass(gram, node_values, field):
+def _residual_pass(gram, values, field):
     """Residual form and its partials in the free node values, in one pass.
 
     With l_k = s0 - v_k*s1, P = prod_k l_k and P_j = P / l_j, the composite
@@ -295,17 +299,17 @@ def _residual_pass(gram, node_values, field):
     m = 2..n (see rnc_residual_and_rank).  The n+1 singles, n+1 S_m and n-1
     partials are 3(n+1) - 2 divisions, each checked to be exact.
 
-    The pass runs on the field's working values, int residues over F_p:
-    the Gram rows and node values are unwrapped once, the numerators of the
-    S_m stay unreduced ints, B is reduced once before its checks and each
-    division reduces at every Horner step.  The partials are value lists.
+    The pass runs on the field's working values, int residues over F_p, as
+    the Gram rows and node values come: the numerators of the S_m stay
+    unreduced ints, B is reduced once before its checks and each division
+    reduces at every Horner step.  The partials are value lists.
     """
-    count = len(node_values)
-    values, singles = _node_singles(node_values, field)
+    count = len(values)
+    singles = _node_singles(values, field)
     columns = list(zip(*singles))
     sums = []
     for m, v in enumerate(values):
-        row = list(field.unwrap(gram[m]))
+        row = list(gram[m])
         row[m] = 0
         sums.append(_drop_linear([sum(map(mul, row, col)) for col in columns], v, field))
     b = field.reduce([sum(col) for col in zip(*sums)])
@@ -345,7 +349,7 @@ def residual_polynomial(q: Quadric, curve: StandardRNC) -> BinaryForm:
     returned form is identically zero.
     """
     _check_pair(q, curve)
-    return _residual_pass(q.values, curve.node_values, curve.field)[0]
+    return _residual_pass(q.values, curve.values, curve.field)[0]
 
 
 def composite_on_curve(q: Quadric, curve: StandardRNC) -> BinaryForm:
@@ -377,6 +381,6 @@ def rnc_residual_and_rank(q: Quadric, curve: StandardRNC):
     locally the only one on the quadric near this parameter sample.
     """
     _check_pair(q, curve)
-    residual, partials = _residual_pass(q.values, curve.node_values, curve.field)
+    residual, partials = _residual_pass(q.values, curve.values, curve.field)
     rows = [list(row) for row in zip(*partials)]
     return residual, rank_of(rows, curve.n - 1, curve.field)

@@ -29,7 +29,7 @@ from collections import namedtuple
 from math import prod
 
 from .errors import DependentConditionsError, InternalCheckError
-from .fields import random_distinct
+from .fields import distinct_values, random_distinct
 from .forms import (BinaryForm, _cleared, _coefficient_rows, _horner, _split_forms, compose_form,
                     form_gcd, gcd_many, random_form)
 from .linalg import pivot_columns_of_combinations, rank_kernel, rank_of
@@ -81,12 +81,6 @@ class CurveInScroll:
 
     def __setattr__(self, name, value):
         raise AttributeError("CurveInScroll is immutable")
-
-    def point_at(self, s0, s1):
-        """Scroll point at parameter (s0 : s1)."""
-        y = tuple(f.evaluate(s0, s1) for f in self.ys)
-        t = (self.t0.evaluate(s0, s1), self.t1.evaluate(s0, s1))
-        return (y, t)
 
     def __repr__(self):
         return f"CurveInScroll({self.scroll!r}, k={self.k})"
@@ -386,7 +380,7 @@ def _jacobian_blocks(curve, sigma, field):
     zeros = [0] * d
     reduce = field.reduce
     blocks = []
-    for j, s in enumerate(field.unwrap(sigma)):
+    for j, s in enumerate(sigma):
         values = reduce([_horner(c, s, 1) for c in coeffs])
         t0v, t1v, t0d, t1d = values[0], values[1], values[d + 2], values[d + 3]
         yv, yd = values[2:d + 2], values[d + 4:]
@@ -476,7 +470,7 @@ def incidence_dimension_estimate(
         # coprime base forms and zero-free fiber gcd rule out an
         # indeterminate image, so one draw per trial suffices
         curve = random_curve_in_scroll(scroll, k, field, rng)
-        sigma = random_distinct(field, rng, n + 2)
+        sigma = distinct_values(field, rng, n + 2)
         blocks, n_coeffs = _jacobian_blocks(curve, sigma, field)
         n_pts = n + 2
         rank_config, rank_aug = _gauge_cleared_ranks(blocks, n_coeffs, n_coeffs + n_pts, field)

@@ -67,9 +67,6 @@ class ScrollType:
     def is_balanced(self) -> bool:
         return self.degrees[-1] - self.degrees[0] <= 1
 
-    def __iter__(self):
-        return iter(self.degrees)
-
     def __eq__(self, other):
         if not isinstance(other, ScrollType):
             return NotImplemented

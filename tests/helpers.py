@@ -18,7 +18,8 @@ entry with the field's own scalar arithmetic (FpElement or Fraction),
 evaluating forms as a plain sum of monomials, where the package works on
 unwrapped residues with one reduction per entry.  The unisecant oracle
 solves the cross-multiplication system on the fiber coefficients, where
-the package takes the one linear relation among the image points.
+the package takes the one linear relation among the image points, and
+the scroll points of a curve come from those same monomial sums.
 """
 
 from collections import Counter
@@ -371,6 +372,16 @@ def oracle_form_value(form, s0, s1):
     """sum_j c_j * s0^(d-j) * s1^j in the scalars' own arithmetic."""
     d = form.degree
     return sum((c * s0 ** (d - j) * s1 ** j for j, c in enumerate(form.coeffs)), 0 * s0)
+
+
+def oracle_point_at(curve, s0, s1):
+    """Scroll point ((y_1, ..., y_d), (t0, t1)) of a CurveInScroll at (s0 : s1).
+
+    Each form is evaluated as a plain sum of monomials in the scalars'
+    own arithmetic.
+    """
+    y = tuple(oracle_form_value(f, s0, s1) for f in curve.ys)
+    return y, (oracle_form_value(curve.t0, s0, s1), oracle_form_value(curve.t1, s0, s1))
 
 
 def _oracle_ds0_value(form, s0, s1):

@@ -9,6 +9,7 @@ from scrollgeom import binary_curves
 from scrollgeom.binary_curves import (
     BinaryCurve,
     _candidate_vectors,
+    _checked_nodes,
     _conic_parts,
     _integral_gram,
     _node_map,
@@ -211,6 +212,23 @@ def test_random_curves_are_not_hyperelliptic():
         assert hyperelliptic_test(curve) is False
 
 
+@pytest.mark.parametrize("field", [QQ, PrimeField(101), PrimeField(10007)], ids=["q", "fp101", "fp10007"])
+def test_hyperelliptic_holds_only_for_equal_node_parameters(field):
+    # nodes 0, 1 and infinity sit at the same parameters on both components,
+    # so a degree-1 node map fixes three points of P^1 and is the identity:
+    # it carries the nodes across exactly when S_j = R_j for every j, which
+    # needs comp2 = comp1, and BinaryCurve rejects equal parameter multisets
+    for n in range(3, 11):
+        for seed in (0, 1):
+            curve = random_binary_curve(n, field, 500 + 10 * n + seed)
+            assert hyperelliptic_test(curve) is False
+            assert hyperelliptic_from_nodes(curve.node_pairs, field) is False
+            same = [(r, r) for (r, _) in curve.node_pairs]
+            assert hyperelliptic_from_nodes(same, field) is True
+            with pytest.raises(ValueError, match="components coincide"):
+                BinaryCurve(n, curve.comp1, curve.comp1)
+
+
 def test_mobius_node_pairs_are_hyperelliptic():
     for field in (QQ, PrimeField(10007)):
         for n, seed in ((4, 5), (6, 6)):
@@ -242,7 +260,7 @@ def test_node_system_rows_match_field_element_oracle(field, monkeypatch):
     for pairs in cases:
         for degree in range(1, 7):
             systems.clear()
-            _node_map(pairs, degree, field)
+            _node_map(_checked_nodes(pairs, field), degree, field)
             (rows,) = systems
             assert rows == oracle_node_system_rows(pairs, degree, field)
             if field is not QQ:
@@ -266,9 +284,9 @@ def test_node_map_pretest_keeps_the_unfiltered_pencil(field, monkeypatch):
     for n in (12, 16):
         degree = n // 2 + 1
         for seed in range(8):
-            pairs = random_binary_curve(n, field, seed).node_pairs
+            nodes = random_binary_curve(n, field, seed).nodes
             degrees.clear()
-            pencil, kernel = _node_map(pairs, degree, field)
+            pencil, kernel = _node_map(nodes, degree, field)
             assert degrees == [0]
             for vec in _candidate_vectors(kernel):
                 q1, q2 = _split_forms(vec, (degree, degree), field)
@@ -281,10 +299,10 @@ def test_prime_field_node_check_does_no_fp_element_arithmetic(monkeypatch):
     fp = PrimeField(10007)
     curve = random_binary_curve(8, fp, 41)
     witness, _ = gonality_map(curve)
-    pairs = curve.node_pairs
-    wrong = ((pairs[0][0], pairs[1][1]),) + pairs[1:]
+    nodes = curve.nodes
+    wrong = (nodes[0][:2] + nodes[1][2:],) + nodes[1:]
     calls = count_fp_arithmetic(monkeypatch)
-    assert _pair_satisfies_nodes(witness.q1, witness.q2, pairs, fp)
+    assert _pair_satisfies_nodes(witness.q1, witness.q2, nodes, fp)
     assert not _pair_satisfies_nodes(witness.q1, witness.q2, wrong, fp)
     assert not calls
     # the counters do see FpElement arithmetic
@@ -295,17 +313,17 @@ def test_prime_field_node_check_does_no_fp_element_arithmetic(monkeypatch):
 def _rational_witness():
     curve = random_binary_curve(8, QQ, 41)
     witness, _ = gonality_map(curve)
-    pairs = curve.node_pairs
-    wrong = ((pairs[0][0], pairs[1][1]),) + pairs[1:]
-    return witness.q1, witness.q2, pairs, wrong
+    nodes = curve.nodes
+    wrong = (nodes[0][:2] + nodes[1][2:],) + nodes[1:]
+    return witness.q1, witness.q2, nodes, wrong
 
 
 def test_rational_node_check_does_no_fraction_arithmetic(monkeypatch):
-    q1, q2, pairs, wrong = _rational_witness()
+    q1, q2, nodes, wrong = _rational_witness()
     # the kernel vectors carry Fractions, so the check has some to clear
     assert any(type(x) is Fraction for x in q1.values + q2.values)
     calls = count_fraction_arithmetic(monkeypatch)
-    assert _pair_satisfies_nodes(q1, q2, pairs, QQ)
+    assert _pair_satisfies_nodes(q1, q2, nodes, QQ)
     assert not _pair_satisfies_nodes(q1, q2, wrong, QQ)
     assert not calls
     # the counters do see Fraction arithmetic
@@ -316,9 +334,9 @@ def test_rational_node_check_does_no_fraction_arithmetic(monkeypatch):
 def test_node_check_is_unchanged_by_a_common_scale():
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
-    q1, q2, pairs, wrong = _rational_witness()
+    q1, q2, nodes, wrong = _rational_witness()
     # (q1 : q1) is constant where defined, so it misses the node S = (1 : 0)
-    cases = [(q1, q2, pairs, True), (q1, q2, wrong, False), (q1, q1, pairs, False)]
+    cases = [(q1, q2, nodes, True), (q1, q2, wrong, False), (q1, q1, nodes, False)]
     scalars = st.one_of(
         st.integers(-10**6, 10**6), st.fractions(max_denominator=10**6)
     ).filter(bool)
@@ -326,8 +344,8 @@ def test_node_check_is_unchanged_by_a_common_scale():
     @hypothesis.settings(max_examples=100, deadline=None)
     @hypothesis.given(scalars)
     def check(c):
-        for f, g, node_pairs, want in cases:
-            assert _pair_satisfies_nodes(f.scale(c), g.scale(c), node_pairs, QQ) is want
+        for f, g, nodes, want in cases:
+            assert _pair_satisfies_nodes(f.scale(c), g.scale(c), nodes, QQ) is want
 
     check()
 

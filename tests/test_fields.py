@@ -10,6 +10,7 @@ from scrollgeom.fields import (
     QQ,
     FpElement,
     PrimeField,
+    distinct_values,
     is_prime_u64,
     parse_field,
     random_distinct,
@@ -137,6 +138,53 @@ def test_random_nonzero_and_distinct():
     f101 = PrimeField(101)
     vals = random_distinct(f101, rng, 20, exclude=(f101.zero, f101.one))
     assert len(set(vals)) == 20 and not {0, 1} & set(vals)
+
+
+DRAW_FIELDS = [QQ, PrimeField(3), PrimeField(101), PrimeField(10007), PrimeField(2**61 - 1)]
+DRAW_IDS = ["q", "fp3", "fp101", "fp10007", "fp2^61-1"]
+
+
+def _twins(label):
+    return as_stream(7).child(label), as_stream(7).child(label)
+
+
+def _working(field, values):
+    """True when values are working values: ints, residues in [0, p) over F_p."""
+    return all(type(x) is int and (field is QQ or 0 <= x < field.p) for x in values)
+
+
+@pytest.mark.parametrize("field", DRAW_FIELDS, ids=DRAW_IDS)
+def test_random_value_is_random_scalar_unwrapped(field):
+    # the working-value draw and its field-element view take the same
+    # draws from twin streams
+    rng, twin = _twins("scalar")
+    drawn = [field.random_value(rng) for _ in range(60)]
+    handed = [field.random_scalar(twin) for _ in range(60)]
+    assert _working(field, drawn)
+    assert drawn == field.unwrap(handed)
+    assert all(type(x) is (int if field is QQ else FpElement) for x in handed)
+    assert rng.counter == twin.counter > 0
+
+
+@pytest.mark.parametrize("field", DRAW_FIELDS, ids=DRAW_IDS)
+def test_distinct_values_are_random_distinct_unwrapped(field):
+    for count, exclude in ((5, ()), (5, (0, 1)), (20, (0, 1))):
+        rng, twin = _twins(f"distinct{count}-{len(exclude)}")
+        bound = 4 * (count + len(exclude))
+        if field is not QQ and field.p < bound:
+            # the sampler's bound refuses both before any draw
+            for sample, stream, fixed in ((distinct_values, rng, exclude),
+                                          (random_distinct, twin, [field(x) for x in exclude])):
+                with pytest.raises(FieldTooSmallError, match=f"needs p >= {bound}"):
+                    sample(field, stream, count, fixed)
+            assert rng.counter == twin.counter == 0
+            continue
+        drawn = distinct_values(field, rng, count, exclude)
+        handed = random_distinct(field, twin, count, exclude=[field(x) for x in exclude])
+        assert _working(field, drawn)
+        assert len(set(drawn)) == count and not set(drawn) & set(exclude)
+        assert drawn == field.unwrap(handed)
+        assert rng.counter == twin.counter >= count
 
 
 def test_field_names_round_trip():

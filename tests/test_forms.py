@@ -77,8 +77,8 @@ def test_vanishing_at_and_product():
         assert prod.evaluate(QQ(r), ONE) == 0
     assert prod.evaluate(QQ(4), ONE) == (4 - 1) * (4 - 2) * (4 - 3)
     # the node product the rnc pass builds on value lists, seen through its singles
-    values, singles = _node_singles([QQ(1), QQ(2), QQ(3)], QQ)
-    for v, single in zip(values, singles):
+    values = [QQ(1), QQ(2), QQ(3)]
+    for v, single in zip(values, _node_singles(values, QQ)):
         assert BinaryForm(2, single, QQ) * BinaryForm(1, (1, -v), QQ) == prod
     assert BinaryForm(1, (QQ(2), QQ(-3)), QQ).evaluate(QQ(3), QQ(2)) == 0
 

@@ -7,6 +7,7 @@ import pytest
 from scrollgeom.errors import (
     DegenerateFrameError,
     FieldMismatchError,
+    FieldTooSmallError,
     InternalCheckError,
     NotThroughFrameError,
     ZeroQuadricError,
@@ -200,6 +201,41 @@ def test_standard_rnc_equality_and_immutability():
         a.n = 4
 
 
+@pytest.mark.parametrize(
+    "field",
+    [QQ, PrimeField(3), PrimeField(101), PrimeField(10007), PrimeField(2**61 - 1)],
+    ids=["q", "fp3", "fp101", "fp10007", "fp2^61-1"],
+)
+def test_standard_rnc_stores_working_values(field):
+    # over F_3 only the node value 2 is free, so n = 2
+    params = (2,) if field == PrimeField(3) else (2, 5, 9, 14)
+    n = len(params) + 1
+    from_ints = StandardRNC(n, params, field)
+    from_elements = StandardRNC(n, [field(x) for x in params], field)
+    assert from_ints == from_elements and hash(from_ints) == hash(from_elements)
+    assert from_ints.values == from_elements.values == (0, 1, *params)
+    if field is QQ:
+        # over the rationals the working values are the given scalars
+        for curve in (from_ints, from_elements):
+            assert curve.params == params and curve.node_values == (0, 1, *params)
+        return
+    assert all(type(x) is int for x in from_elements.values)
+    # unreduced ints are the same node values
+    shifted = StandardRNC(n, [x - field.p for x in params], field)
+    assert shifted == from_ints and hash(shifted) == hash(from_ints)
+    for curve in (from_ints, from_elements):
+        assert curve.params == tuple(field(x) for x in params)
+        assert curve.node_values == (field.zero, field.one) + curve.params
+        assert all(type(x) is FpElement for x in curve.params + curve.node_values)
+    if field.p < 4 * (n + 1):
+        with pytest.raises(FieldTooSmallError):
+            random_standard_rnc(n, field, RngStream.from_seed(3))
+        return
+    drawn = random_standard_rnc(n, field, RngStream.from_seed(3))
+    assert all(type(x) is int and 0 <= x < field.p for x in drawn.values)
+    assert all(type(x) is FpElement for x in drawn.params)
+
+
 def test_random_standard_rnc_determinism():
     field = PrimeField(10007)
     one = random_standard_rnc(5, field, RngStream.from_seed(9))
@@ -387,7 +423,7 @@ def test_residual_pass_matches_oracles(field):
         rng = RngStream.from_seed(700 + n)
         curve = random_standard_rnc(n, field, rng.child("curve"))
         q = random_quadric_through_frame(n, field, rng.child("quadric"))
-        residual, partials = _residual_pass(q.gram, curve.node_values, field)
+        residual, partials = _residual_pass(q.values, curve.values, field)
         assert residual == oracle_residual(q.gram, curve.node_values, field)
         columns = oracle_jacobian_columns(q.gram, curve.node_values, field)
         assert partials == columns
@@ -398,6 +434,11 @@ def test_residual_pass_matches_oracles(field):
             rank = oracle_rref_mod(rows, n - 1, field.p)[0]
         assert rnc_residual_and_rank(q, curve) == (residual, rank)
         assert residual_polynomial(q, curve) == residual
+
+
+def _pass(gram, node_values, field):
+    """_residual_pass on the working values of given Gram rows and node values."""
+    return _residual_pass([field.unwrap(row) for row in gram], field.unwrap(node_values), field)
 
 
 def _through_frame_gram(size, entries, field, wrap=None):
@@ -427,7 +468,7 @@ def test_residual_pass_property():
     def check(field, values, entries, wrap):
         values = [field(v) for v in values]
         gram = _through_frame_gram(len(values), entries, field, wrap)
-        residual, partials = _residual_pass(gram, values, field)
+        residual, partials = _pass(gram, values, field)
         assert residual == oracle_residual(gram, values, field)
         assert partials == oracle_jacobian_columns(gram, values, field)
 
@@ -450,7 +491,7 @@ def test_residual_pass_divides_once_per_node(field, monkeypatch):
         curve = random_standard_rnc(n, field, rng.child("curve"))
         q = random_quadric_through_frame(n, field, rng.child("quadric"))
         calls.clear()
-        _residual_pass(q.values, curve.node_values, field)
+        _residual_pass(q.values, curve.values, field)
         assert len(calls) == 3 * (n + 1) - 2
 
 
@@ -461,10 +502,10 @@ def test_residual_pass_ignores_the_gram_diagonal(field):
     values = [field(v) for v in (0, 1, 5, 9, 14, 30, 41)]
     entries = [(7 * k) % 19 - 9 for k in range(20)]
     gram = _through_frame_gram(len(values), entries, field)
-    expected = _residual_pass(gram, values, field)
+    expected = _pass(gram, values, field)
     for m, row in enumerate(gram):
         row[m] = field(3 + 2 * m)
-    assert _residual_pass(gram, values, field) == expected
+    assert _pass(gram, values, field) == expected
 
 
 def test_residual_times_node_product_is_composite_sympy():
@@ -497,7 +538,7 @@ def test_residual_pass_checks_s1_divisibility():
     # x0*x2 misses the all-ones point, so B keeps an s0^(n-1) term
     gram = Quadric.from_monomials(3, {(0, 2): 1}, QQ).gram
     with pytest.raises(InternalCheckError):
-        _residual_pass(gram, StandardRNC(3, (2, 3), QQ).node_values, QQ)
+        _residual_pass(gram, StandardRNC(3, (2, 3), QQ).values, QQ)
 
 
 def test_drop_linear_checks_the_reduced_remainder():
@@ -519,7 +560,7 @@ def test_prime_field_residual_pass_does_no_fp_element_arithmetic(monkeypatch):
     curve = random_standard_rnc(10, field, rng.child("curve"))
     q = random_quadric_through_frame(10, field, rng.child("quadric"))
     calls = count_fp_arithmetic(monkeypatch)
-    residual, partials = _residual_pass(q.gram, curve.node_values, field)
+    residual, partials = _residual_pass(q.values, curve.values, field)
     coordinates = curve.coordinate_forms()
     assert not calls
     # the counters do see FpElement arithmetic

@@ -154,7 +154,7 @@ def test_coefficient_count_identity_exhaustive():
                     predicted = dim_curves_in_scroll(st, k)
                     if predicted is EMPTY:
                         continue
-                    coeffs = 2 * (k + 1) + sum(n - k * ai + 1 for ai in st)
+                    coeffs = 2 * (k + 1) + sum(n - k * ai + 1 for ai in st.degrees)
                     assert coeffs - 5 == predicted, (st, k)
 
 
