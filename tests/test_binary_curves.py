@@ -300,7 +300,7 @@ def test_prime_field_node_check_does_no_fp_element_arithmetic(monkeypatch):
     curve = random_binary_curve(8, fp, 41)
     witness, _ = gonality_map(curve)
     nodes = curve.nodes
-    wrong = (nodes[0][:2] + nodes[1][2:],) + nodes[1:]
+    wrong = [nodes[0][:2] + nodes[1][2:]] + nodes[1:]
     calls = count_fp_arithmetic(monkeypatch)
     assert _pair_satisfies_nodes(witness.q1, witness.q2, nodes, fp)
     assert not _pair_satisfies_nodes(witness.q1, witness.q2, wrong, fp)
@@ -314,7 +314,7 @@ def _rational_witness():
     curve = random_binary_curve(8, QQ, 41)
     witness, _ = gonality_map(curve)
     nodes = curve.nodes
-    wrong = (nodes[0][:2] + nodes[1][2:],) + nodes[1:]
+    wrong = [nodes[0][:2] + nodes[1][2:]] + nodes[1:]
     return witness.q1, witness.q2, nodes, wrong
 
 
