@@ -142,7 +142,7 @@ class StandardRNC:
         return (self.field, self.n, self.values) == (other.field, other.n, other.values)
 
     def __hash__(self):
-        return hash((self.n, self.values))
+        return hash((self.field, self.n, self.values))
 
     def __repr__(self):
         return f"StandardRNC(n={self.n}, params={self.params})"
