@@ -31,9 +31,12 @@ builds Fractions.
 
 Every linear system on the coefficients of a few forms, conditions
 sum_i w_i * f_i(s0 : s1) = 0, has one layout, which lives in two
-helpers: ``_coefficient_rows`` builds the rows, the forms' coefficient
-blocks in order and each block in the order above, and ``_split_forms``
-cuts a kernel vector back into forms.
+helpers: ``_coefficient_rows`` states each condition as a combination
+block, the weights times one monomial vector per form, placed at the
+form's coefficients (the forms in order, each in the order above), and
+``_split_forms`` cuts a kernel vector back into forms.  The blocks go to
+linalg's combination entry points, which pack them over F_p without
+writing the rows out.
 """
 
 from __future__ import annotations
@@ -224,22 +227,27 @@ def _convolve(a, b):
 
 
 def _coefficient_rows(conditions, degrees, field):
-    """Rows of the conditions sum_i w_i * f_i(s0, s1) = 0 on forms f_i.
+    """The conditions sum_i w_i * f_i(s0, s1) = 0 on forms f_i, as combination blocks.
 
     The unknowns are the coefficients of forms of the given degrees,
     concatenated in order.  Each condition (s0, s1, weights) holds working
-    values; its row has w_i * s0^(d_i - r) * s1^r at coefficient r of f_i
-    and is reduced once.
+    values and gives one block for linalg's *_of_combinations entry
+    points: its vectors are the monomials s0^(d - r) * s1^r of each form's
+    degree d, reduced once and placed at the form's first coefficient, one
+    list shared by every form of that degree; its single row is the
+    weights, left as they are.
     """
-    rows = []
+    distinct = sorted(set(degrees))
+    layout, start = [], 0  # (first coefficient, index into distinct) per form
+    for d in degrees:
+        layout.append((start, distinct.index(d)))
+        start += d + 1
+    reduce = field.reduce
+    blocks = []
     for s0, s1, weights in conditions:
-        row, mono = [], []
-        for d, w in zip(degrees, weights):
-            if len(mono) != d + 1:  # a block of the previous degree reuses its monomials
-                mono = [s0 ** (d - r) * s1 ** r for r in range(d + 1)]
-            row += [w * m for m in mono]
-        rows.append(field.reduce(row))
-    return rows
+        monos = [reduce([s0 ** (d - r) * s1 ** r for r in range(d + 1)]) for d in distinct]
+        blocks.append(([(off, monos[i]) for off, i in layout], [weights]))
+    return blocks
 
 
 def _split_forms(vec, degrees, field):

@@ -7,11 +7,21 @@ each row (a float or an element of another field raises
 FieldMismatchError); rows of plain int residues from the prime-field hot
 paths pass without a per-entry type check.
 
+A matrix comes as a list of rows, or, to pivot_columns_of_combinations
+and rank_kernel_of_combinations, as combination blocks: each block is
+(vectors, rows), a vector (first column, values) and a row one scalar
+per vector, standing for the sum of the scalars times the vectors.  The
+systems on forms and the incidence Jacobian are built this way, a few
+shared monomial or power vectors times scalars per row, and reach the
+forward pass without being written out over F_p.
+
 Both fields eliminate in two steps.  A forward pass gives a row echelon
-form, whose pivot columns give the rank: pivot_columns and rank_of stop
-there.  Only rank_kernel runs the back step that follows, one
-fraction-free back substitution for both fields, and its kernel vectors
-come back as field elements built by one ``field.wrap`` each.
+form, whose pivot columns give the rank: pivot_columns,
+pivot_columns_of_combinations and rank_of stop there.  Only rank_kernel
+and its twin on blocks, rank_kernel_of_combinations, run the back step
+that follows, one fraction-free back substitution for both fields, and
+their kernel vectors come back as field elements built by one
+``field.wrap`` each.
 The rational path works on Python ints throughout.  Each row is scaled by
 the lcm of its entries' denominators and divided by its content.  Its
 forward pass is fraction-free and keeps every row primitive: a row update
@@ -26,8 +36,11 @@ min(nrows, ncols); only a smaller rank runs the rational pass.  The
 prime-field path packs each row of int residues into one Python int, a
 fixed-width slot per entry, so a row update is a single big-int
 multiply-add.  A slot is wide enough for a start anywhere below p*p plus
-one update per row, so pivot_columns_of_combinations packs the products
-of two residues that make up its rows without reducing them.  The
+one update per row, so the one packer of combination blocks
+(_packed_combinations) packs each distinct value list once, shifts it to
+each offset it is placed at, and sums (x mod p) times those ints: its
+slots are products of two residues, left unreduced.  Over the rationals
+the blocks are written out as the same primitive int rows.  The
 forward pass updates only the rows below each pivot and leaves each
 pivot row reduced with lead 1, so the back step unpacks the pivot rows
 once and runs the rational back substitution on them: every pivot is 1,
@@ -40,9 +53,9 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import reduce
 from math import gcd, lcm
-from operator import lshift
+from operator import lshift, mul
 
-from .fields import PrimeField, QQ, _residues
+from .fields import _INT, PrimeField, QQ, _residues
 
 # The modulus of rank_of's certificate over the rationals (a Mersenne prime).
 CERTIFICATE_PRIME = 2**31 - 1
@@ -211,6 +224,52 @@ def _solve_free(mat, pivots, fc, field):
     return d, nums
 
 
+def _packed_combinations(blocks, ncols, p):
+    """The rows of combination blocks mod p, each packed as one int by _slots.
+
+    Each distinct value list is packed once, from column 0, and shifted to
+    each offset it is placed at; a row is then sum (x mod p) * vector, whose
+    slots are products of two residues, below p*p, as _forward_fp allows.
+    """
+    shifts, _ = _slots(p, sum(len(rows) for _, rows in blocks), ncols)
+    packed = {}  # id of a value list -> the list packed from column 0
+    get = packed.get
+    mat = []
+    for vectors, rows in blocks:
+        vecs = []
+        for off, vals in vectors:
+            v = get(id(vals))
+            if v is None:
+                v = packed[id(vals)] = sum(map(lshift, vals, shifts))
+            vecs.append(v << shifts[off])
+        for row in rows:
+            mat.append(sum(map(mul, [x % p for x in row], vecs)))
+    return mat
+
+
+def _int_rows_of_combinations(blocks, ncols):
+    """_int_rows_q of the rows of combination blocks over the rationals.
+
+    Each row is written out, cleared of denominators unless it holds only
+    ints (as the node systems' rows do), and divided by its content.
+    """
+    mat = []
+    for vectors, rows in blocks:
+        for row in rows:
+            out = [0] * ncols
+            for x, (off, vals) in zip(row, vectors):
+                if x:
+                    out[off:off + len(vals)] = [x * v for v in vals]
+            if not set(map(type, out)) <= _INT:
+                den = lcm(*[v.denominator for v in out])
+                out = [v.numerator * (den // v.denominator) for v in out]
+            content = gcd(*out)
+            if content > 1:
+                out = [v // content for v in out]
+            mat.append(out)
+    return mat
+
+
 def _eliminate(rows, ncols, field):
     """Forward pass: (echelon rows, pivot columns).
 
@@ -225,14 +284,17 @@ def _eliminate(rows, ncols, field):
     return mat, _forward_q(mat, ncols)
 
 
-def rank_kernel(rows, ncols: int, field):
-    """Rank and a right-kernel basis of the matrix with the given rows.
+def _eliminate_combinations(blocks, ncols, field):
+    """_eliminate on the rows of combination blocks, packed straight from them over F_p."""
+    if isinstance(field, PrimeField):
+        mat = _packed_combinations(blocks, ncols, field.p)
+        return mat, _forward_fp(mat, ncols, field.p)
+    mat = _int_rows_of_combinations(blocks, ncols)
+    return mat, _forward_q(mat, ncols)
 
-    Returns (rank, basis) where basis is a list of length-ncols tuples of
-    field scalars, one per free column, spanning {v : M v = 0}; the vector
-    of free column fc has a 1 there and 0 in every other free column.
-    """
-    mat, pivots = _eliminate(rows, ncols, field)
+
+def _kernel(mat, pivots, ncols, field):
+    """(rank, basis) of rank_kernel from a forward pass's echelon rows and pivots."""
     rank = len(pivots)
     pivot_set = set(pivots)
     free = [c for c in range(ncols) if c not in pivot_set]
@@ -255,6 +317,21 @@ def rank_kernel(rows, ncols: int, field):
     return rank, basis
 
 
+def rank_kernel(rows, ncols: int, field):
+    """Rank and a right-kernel basis of the matrix with the given rows.
+
+    Returns (rank, basis) where basis is a list of length-ncols tuples of
+    field scalars, one per free column, spanning {v : M v = 0}; the vector
+    of free column fc has a 1 there and 0 in every other free column.
+    """
+    return _kernel(*_eliminate(rows, ncols, field), ncols, field)
+
+
+def rank_kernel_of_combinations(blocks, ncols: int, field):
+    """rank_kernel of the rows of combination blocks (pivot_columns_of_combinations)."""
+    return _kernel(*_eliminate_combinations(blocks, ncols, field), ncols, field)
+
+
 def pivot_columns(rows, ncols: int, field) -> list:
     """Pivot columns of a row echelon form, from the forward pass alone.
 
@@ -270,31 +347,14 @@ def pivot_columns_of_combinations(blocks, ncols: int, field) -> list:
 
     Each block is (vectors, rows).  A vector is (first column, values),
     with values that are working values (residues in [0, p) over F_p), and
-    the vectors of one block have disjoint supports.  A row is one scalar
-    per vector of its block and stands for the sum of the scalars times
-    the vectors.  Over F_p each scalar, any int, is reduced once and the
-    row is packed as one int whose slots are products of two residues,
-    below p*p, as _forward_fp allows; the packed vectors are built once
-    per block.  Over the rationals the rows are expanded into lists.
+    the vectors of one block have disjoint supports; blocks may share a
+    value list, which over F_p is then packed once.  A row is one scalar
+    per vector of its block, any int over F_p, and stands for the sum of
+    the scalars times the vectors.  Over F_p the rows are packed straight
+    from the blocks (_packed_combinations); over the rationals they are
+    written out as primitive int rows (_int_rows_of_combinations).
     """
-    if isinstance(field, PrimeField):
-        p = field.p
-        shifts, _ = _slots(p, sum(len(rows) for _, rows in blocks), ncols)
-        mat = []
-        for vectors, rows in blocks:
-            packed = [sum(map(lshift, vals, shifts[off:])) for off, vals in vectors]
-            mat += [sum([x % p * v for x, v in zip(row, packed)]) for row in rows]
-        return _forward_fp(mat, ncols, p)
-    mat = []
-    for vectors, rows in blocks:
-        for row in rows:
-            out = [0] * ncols
-            for x, (off, vals) in zip(row, vectors):
-                if x:
-                    for col, v in enumerate(vals, off):
-                        out[col] += x * v
-            mat.append(out)
-    return _eliminate(mat, ncols, field)[1]
+    return _eliminate_combinations(blocks, ncols, field)[1]
 
 
 def rank_of(rows, ncols: int, field) -> int:

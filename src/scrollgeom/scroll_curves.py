@@ -18,21 +18,25 @@ the point's vectors (T0, T1, Y_1, ..., Y_d, Sigma) every row obeys the
 chain rule (Sigma = t0'*T0 + t1'*T1 + sum y_l'*Y_l), Euler's identity
 (t0*T0 + t1*T1 = sum a_l*y_l*Y_l) and the gauge identity (sum y_l*Y_l
 is the gauge entry, 0 in the chart), so a point's charted rows span at
-most d dimensions, the scroll's tangent space.  Where the chart row lies
-in a fiber of positive degree, d rows that are triangular on the other
-columns certify that span, and only those are held; see _jacobian_blocks.
+most d dimensions, the scroll's tangent space.  d rows, each a held
+slot's charted row divided by a nonzero factor and built straight from
+the forms' values at the point, span them (d - 1 rows at a point where
+every fiber of positive degree vanishes); see _charted_jacobian.  They
+reach linalg as combination blocks, so both ranks come from one packed
+forward pass.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from math import prod
+from operator import mul
 
 from .errors import DependentConditionsError, InternalCheckError
 from .fields import distinct_values, random_distinct
 from .forms import (BinaryForm, _cleared, _coefficient_rows, _horner, _split_forms, compose_form,
                     form_gcd, gcd_many, random_form)
-from .linalg import pivot_columns_of_combinations, rank_kernel, rank_of
+from .linalg import pivot_columns_of_combinations, rank_kernel, rank_kernel_of_combinations, rank_of
 from .rngstream import as_stream
 from .scrolls import EMPTY, ScrollType, dim_curves_in_scroll
 
@@ -247,8 +251,11 @@ def interpolate_unisecant(scroll: ScrollType, lifted_frame, field) -> UnisecantR
             raise ValueError("invalid scroll point: base coordinates both zero")
         if not any(y):
             raise ValueError("invalid scroll point: fiber coordinates all zero")
-    # a hyperplane is a section of L: the section conditions at m = 0
-    hyperplanes = _coefficient_rows([(*t, y) for (y, t) in points], scroll.degrees, field)
+    # a hyperplane is a section of L: the section conditions at m = 0,
+    # each block written out, its vectors in the order of the slots
+    blocks = _coefficient_rows([(*t, y) for (y, t) in points], scroll.degrees, field)
+    hyperplanes = [field.reduce([w * v for w, (_, vals) in zip(weights, vectors) for v in vals])
+                   for vectors, (weights,) in blocks]
     rank, kernel = rank_kernel(list(zip(*hyperplanes)), n + 2, field)
     if rank < n + 1:
         raise DependentConditionsError(
@@ -316,8 +323,8 @@ def sections_through_points(scroll: ScrollType, m: int, points, field):
     degrees = scroll.degrees
     comp_degs = [a_i + m for a_i in degrees]
     conditions = [(*field.unwrap(t), field.unwrap(y)) for (y, t) in points]
-    rows = _coefficient_rows(conditions, comp_degs, field)
-    _, kernel = rank_kernel(rows, sum(deg + 1 for deg in comp_degs), field)
+    blocks = _coefficient_rows(conditions, comp_degs, field)
+    _, kernel = rank_kernel_of_combinations(blocks, sum(deg + 1 for deg in comp_degs), field)
     return [ScrollSection(degrees, m, _split_forms(vec, comp_degs, field)) for vec in kernel]
 
 
@@ -332,35 +339,48 @@ DimensionReport = namedtuple(
 )
 
 
-def _jacobian_blocks(curve, sigma, field):
-    """The Jacobian of the incidence map, a block of spanning rows per marked point.
+def _charted_jacobian(curve, sigma, field):
+    """The incidence map's Jacobian at the marked points, charted, as combination blocks.
 
-    Returns (blocks, n_coeffs).  Point j's block is (vectors, rows, gauge).
-    The vectors are its power vectors (s^e, ..., s, 1), each as (first
-    column, values), at the t0, t1 and y_1, ..., y_d coefficient blocks of
-    J_c, then the unit vector of its column in J_s.  Each image coordinate
-    t0^b t1^c y_i gives a row, held as the scalars (T0, T1, Y_1, ..., Y_d,
-    Sigma) that multiply those vectors, and a gauge entry, its value: the
-    gauge column rescales image point j.  The vectors and the gauge are
-    working values reduced once (int residues over a prime field); the row
-    scalars are products of such values, left unreduced.
-
-    Every slot's scalars obey three identities at the point:
+    Returns (blocks, n_coeffs) for pivot_columns_of_combinations, on the
+    columns J_c (the n_coeffs curve coefficients) and J_s (one per marked
+    parameter).  At point j the vectors are the power vectors
+    (s^e, ..., s, 1) of the t0, t1 and y_1, ..., y_d coefficient blocks,
+    sliced once per distinct degree, and the unit vector of column j of
+    J_s; all are working values reduced once (int residues over F_p).
+    Image coordinate t0^b t1^c y_i gives the row with scalars T0, T1 (the
+    b- and c-terms of the chain rule), Y_i = t0^b t1^c and
+    Sigma = t0'*T0 + t1'*T1 + y_i'*Y_i on those vectors, and the gauge
+    entry t0^b t1^c y_i, its value: the gauge column rescales point j.
+    Charted (x0*row - x*row_i0, with x0 the gauge entry of a chart row
+    i0 and row i0 dropped), the rows of a point leave the gauge column,
+    the point adds 1 to both ranks, and every charted row obeys, with all
+    forms taken at s:
     - chain rule: Sigma = t0'*T0 + t1'*T1 + sum_l y_l'*Y_l;
     - Euler: t0*T0 + t1*T1 = sum_l a_l*y_l*Y_l, since b + c = a_i;
-    - gauge: sum_l y_l*Y_l is the gauge entry, 0 once the point is put in
-      its affine chart.
-    The chart row i0 (the first slot with a nonzero gauge entry, as
-    _gauge_cleared_ranks takes it) lies in the first fiber l0 with
-    y_l0(s) != 0, and t_e(s) != 0 for e = 0, or e = 1 at a zero of t0,
-    since the base forms are coprime.  So Sigma, T_e and Y_l0 follow from
-    the other d scalars, and the charted rows span at most d dimensions.
-    When a_l0 > 0 the block holds row i0 first (the slot t_e^a_l0 y_l0),
-    then its neighbour in fiber l0 and the slot t_e^a_l y_l of every other
-    fiber l.  Charted, these d rows are triangular with a nonzero diagonal
-    on the columns (the other t, Y_l for l != l0), so they span the
-    point's charted rows and every column prefix keeps its rank.  When
-    a_l0 = 0 the block holds every slot.
+    - gauge: sum_l y_l*Y_l = 0.
+    Take l0 as the first fiber of positive degree with y_l0(s) != 0, else
+    the first fiber with y_l0(s) != 0 (the fiber forms share no zero), and
+    e = 0, or e = 1 at a zero of t0 (the base forms are coprime, so
+    t_e(s) != 0).  The three identities give Sigma, T_e and Y_l0 from the
+    other T and the Y_l with l != l0, so a charted row is fixed by those
+    d free scalars.  The block holds, each as one row on its nonzero
+    scalars:
+    - when a_l0 > 0, u = (T0, T1, Sigma) = (-t1, t0, t0*t1' - t1*t0'),
+      whose other T is t_e, or -t_e where t0 vanishes;
+    - for each l != l0, u_l with Y_l = y_l0*t_e, Y_l0 = -y_l*t_e,
+      T_e = (a_l - a_l0)*y_l*y_l0 (left out when a_l = a_l0) and
+      Sigma = t_e'*T_e + (y_l'*y_l0 - y_l0'*y_l)*t_e.
+    These are the charted rows of the held slots, with the slot
+    t_e^a_l0 y_l0 as chart row, divided by nonzero factors: the slot
+    t_e^(a_l0 - 1) t_other y_l0 (free scalars: the other T only) is
+    +-t_e^(2*a_l0 - 2)*y_l0^2 * u, and the slot t_e^a_l y_l (free scalars:
+    Y_l only) is t_e^(a_l0 + a_l - 1) * u_l.  When a_l0 > 0 they are d
+    rows triangular with a nonzero diagonal on the free scalars, so they
+    span the point's charted rows, and every column prefix keeps its
+    rank.  When a_l0 = 0, every fiber of positive degree vanishes at s, so
+    every row has T0 = T1 = 0; the charted rows then span at most d - 1
+    dimensions, and the d - 1 rows u_l span them.
     """
     scroll = curve.scroll
     n, k, d, degrees = scroll.n, curve.k, scroll.d, scroll.degrees
@@ -369,78 +389,55 @@ def _jacobian_blocks(curve, sigma, field):
     for deg in y_degs:
         y_offs.append(y_offs[-1] + deg + 1)
     n_coeffs = y_offs[-1]
-    slots = monomial_slots(scroll)
-    # per fiber l, the slot t0^a_l y_l and the slot t1^a_l y_l
-    firsts = [r for r, (_, _, c) in enumerate(slots) if not c]
-    lasts = [r for r, (_, b, _) in enumerate(slots) if not b]
+    # the fibers in the order l0 is looked for
+    order = [l for l in range(d) if degrees[l]] + [l for l in range(d) if not degrees[l]]
     coeffs = [f.values for f in (curve.t0, curve.t1, *curve.ys)]
-    # then the formal s0-partials of the same forms
+    # then the formal s0-partials of the same forms, all by ascending power of s
     coeffs += [[(len(c) - 1 - r) * x for r, x in enumerate(c[:-1])] for c in coeffs]
-    top, a_top = max(k, *y_degs), max(degrees)
-    zeros = [0] * d
+    coeffs = [c[::-1] for c in coeffs]
+    top = max(k, *y_degs)
+    distinct = sorted({k, *y_degs})
+    one = [1]  # the unit vector's values, one list for every point
     reduce = field.reduce
     blocks = []
     for j, s in enumerate(sigma):
-        values = reduce([_horner(c, s, 1) for c in coeffs])
+        ascending = reduce([s ** e for e in range(top + 1)])
+        values = reduce([sum(map(mul, c, ascending)) for c in coeffs])
         t0v, t1v, t0d, t1d = values[0], values[1], values[d + 2], values[d + 3]
         yv, yd = values[2:d + 2], values[d + 4:]
-        pows = reduce([s ** e for e in range(top, -1, -1)])
-        vectors = [(0, pows[top - k:]), (k + 1, pows[top - k:])]
-        vectors += [(off, pows[top - deg:]) for off, deg in zip(y_offs, y_degs)]
-        vectors.append((n_coeffs + j, [1]))
-        t0p, t1p = [1], [1]
-        for _ in range(a_top):
-            t0p.append(t0p[-1] * t0v)
-            t1p.append(t1p[-1] * t1v)
-        # the fiber forms share no zero, so some y_l(s) != 0
-        l0 = next(l for l, y in enumerate(yv) if y)
-        if not degrees[l0]:
-            held = slots
-        else:
-            at, step = (firsts, 1) if t0v else (lasts, -1)
-            held = [slots[at[l0]], slots[at[l0] + step]]
-            held += [slots[at[l]] for l in range(d) if l != l0]
-        rows, gauge = [], []
-        for (i, b, c) in held:
-            y = yv[i]
-            y_part = t0p[b] * t1p[c]
-            t0_part = b * t0p[b - 1] * t1p[c] * y if b else 0
-            t1_part = c * t0p[b] * t1p[c - 1] * y if c else 0
-            row = [t0_part, t1_part, *zeros, y_part * yd[i] + t0_part * t0d + t1_part * t1d]
-            row[2 + i] = y_part
-            rows.append(row)
-            gauge.append(y_part * y)
-        blocks.append((vectors, rows, reduce(gauge)))
+        pows = ascending[::-1]
+        power = {deg: pows[top - deg:] for deg in distinct}
+        t_vecs = (0, power[k]), (k + 1, power[k])
+        y_vecs = [(off, power[deg]) for off, deg in zip(y_offs, y_degs)]
+        sigma_vec = (n_coeffs + j, one)
+        l0 = next(l for l in order if yv[l])
+        y0, y0d, a0, y0_vec = yv[l0], yd[l0], degrees[l0], y_vecs[l0]
+        if a0:
+            blocks.append(([*t_vecs, sigma_vec], [[-t1v, t0v, t0v * t1d - t1v * t0d]]))
+        te, ted, te_vec = (t0v, t0d, t_vecs[0]) if t0v else (t1v, t1d, t_vecs[1])
+        for l, (y, y_d, a) in enumerate(zip(yv, yd, degrees)):
+            if l == l0:
+                continue
+            row = [y0 * te, -y * te, (y_d * y0 - y0d * y) * te]
+            if a == a0:
+                blocks.append(([y_vecs[l], y0_vec, sigma_vec], [row]))
+            else:
+                tangent = (a - a0) * y * y0
+                row[2] += ted * tangent
+                blocks.append(([y_vecs[l], y0_vec, sigma_vec, te_vec], [row + [tangent]]))
     return blocks, n_coeffs
 
 
-def _gauge_cleared_ranks(blocks, n_prefix: int, ncols: int, field):
-    """(rank of [M_prefix | gauge], rank of [M | gauge]) from one forward pass.
+def _incidence_ranks(curve, sigma, field):
+    """(n_coeffs, rank of [J_c | gauge], rank of [J_c | J_s | gauge]) at the marked points.
 
-    M has ncols columns and M_prefix is its first n_prefix.  Each block is
-    (vectors, rows, gauge) as _jacobian_blocks gives it: a row of M is the
-    sum of its scalars times the block's vectors, whose supports are
-    disjoint, and gauge column j holds block j's gauge entries and is zero
-    on every other block.  A block is put in an affine chart: with x0 its
-    first nonzero gauge entry, in row i0, every other row becomes
-    x0*row - x*row_i0 and row i0 is dropped.  Row i0 was the only pivot of
-    its gauge column, so the block adds 1 to both ranks and the gauge
-    columns never reach the elimination; a block whose gauge column is
-    zero keeps its rows and adds 0.  The rows go to one forward pass as
-    combinations of the blocks' vectors, so over F_p each is packed as
-    one int and its scalars are reduced once there.
+    Both ranks come from one forward pass over the charted rows of
+    _charted_jacobian, each point adding 1 for its dropped chart row.
     """
-    charts, cleared = [], 0
-    for vectors, rows, gauge in blocks:
-        i0 = next((i for i, x in enumerate(gauge) if x), None)
-        if i0 is not None:
-            x0, lead = gauge[i0], rows[i0]
-            rows = [[x0 * u - x * v for u, v in zip(row, lead)]
-                    for i, (row, x) in enumerate(zip(rows, gauge)) if i != i0]
-            cleared += 1
-        charts.append((vectors, rows))
-    pivots = pivot_columns_of_combinations(charts, ncols, field)
-    return cleared + sum(1 for c in pivots if c < n_prefix), cleared + len(pivots)
+    blocks, n_coeffs = _charted_jacobian(curve, sigma, field)
+    n_pts = len(sigma)
+    pivots = pivot_columns_of_combinations(blocks, n_coeffs + n_pts, field)
+    return n_coeffs, n_pts + sum(1 for c in pivots if c < n_coeffs), n_pts + len(pivots)
 
 
 def incidence_dimension_estimate(
@@ -471,9 +468,8 @@ def incidence_dimension_estimate(
         # indeterminate image, so one draw per trial suffices
         curve = random_curve_in_scroll(scroll, k, field, rng)
         sigma = distinct_values(field, rng, n + 2)
-        blocks, n_coeffs = _jacobian_blocks(curve, sigma, field)
+        n_coeffs, rank_config, rank_aug = _incidence_ranks(curve, sigma, field)
         n_pts = n + 2
-        rank_config, rank_aug = _gauge_cleared_ranks(blocks, n_coeffs, n_coeffs + n_pts, field)
         measured.append(rank_config - n_pts - 3)
         incidence_rank = rank_aug - n_pts
         fiber_dims.append(n_coeffs + n_pts - incidence_rank)

@@ -33,7 +33,7 @@ from scrollgeom.binary_curves import (
 from scrollgeom.errors import FieldTooSmallError
 from scrollgeom.fields import QQ, PrimeField
 from scrollgeom.forms import BinaryForm, _split_forms, form_gcd
-from scrollgeom.linalg import rank_kernel, rank_of
+from scrollgeom.linalg import rank_kernel, rank_kernel_of_combinations, rank_of
 from scrollgeom.rnc import Quadric, StandardRNC, composite_on_curve
 from scrollgeom.rngstream import as_stream
 from scrollgeom.scrolls import gonality_bound
@@ -42,6 +42,7 @@ from helpers import (
     count_fp_arithmetic,
     count_fraction_arithmetic,
     cross_ratio,
+    oracle_expanded_rows,
     oracle_node_system_rows,
     oracle_quadric_coefficient_rows,
     oracle_rref_mod,
@@ -241,14 +242,16 @@ def test_mobius_node_pairs_are_hyperelliptic():
     ids=["fp101", "fp10007", "fp2^61-1", "q"],
 )
 def test_node_system_rows_match_field_element_oracle(field, monkeypatch):
-    # the rows the node solver builds through forms._coefficient_rows
+    # the combination blocks the node solver builds through
+    # forms._coefficient_rows, written out and reduced, and their monomial
+    # vectors residues
     systems = []
 
     def capture(*args):
-        systems.append(args[0])
-        return rank_kernel(*args)
+        systems.append(args)
+        return rank_kernel_of_combinations(*args)
 
-    monkeypatch.setattr(binary_curves, "rank_kernel", capture)
+    monkeypatch.setattr(binary_curves, "rank_kernel_of_combinations", capture)
     cases = [random_binary_curve(n, field, seed).node_pairs for n, seed in ((5, 1), (8, 2))]
     cases.append(random_mobius_node_pairs(6, field, 3))
     # points at infinity and raw int parameters on either side
@@ -257,10 +260,13 @@ def test_node_system_rows_match_field_element_oracle(field, monkeypatch):
         for degree in range(1, 7):
             systems.clear()
             _node_map(_checked_nodes(pairs, field), degree, field)
-            (rows,) = systems
+            ((blocks, ncols, _),) = systems
+            assert ncols == 2 * (degree + 1)
+            rows = oracle_expanded_rows(blocks, ncols, field)
             assert rows == oracle_node_system_rows(pairs, degree, field)
             if field is not QQ:
-                assert all(type(x) is int and 0 <= x < field.p for row in rows for x in row)
+                vectors = [vals for vecs, _ in blocks for _, vals in vecs]
+                assert all(type(x) is int and 0 <= x < field.p for vals in vectors for x in vals)
 
 
 @pytest.mark.parametrize("field", [PrimeField(10007), QQ], ids=["fp10007", "q"])

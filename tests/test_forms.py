@@ -29,6 +29,7 @@ from helpers import (
     count_fp_arithmetic,
     count_fraction_arithmetic,
     oracle_divide_exact,
+    oracle_expanded_rows,
     oracle_form_gcd,
     oracle_form_mul,
     oracle_form_value,
@@ -750,19 +751,29 @@ def _form_systems(st, field):
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(101)], ids=["q", "fp101"])
 def test_coefficient_rows_evaluate_the_weighted_forms(field):
+    # one block per condition: the weights as its one row, on one monomial
+    # vector per form at the form's first coefficient, shared by the forms
+    # of one degree; written out, each row evaluates the weighted forms
     hypothesis = pytest.importorskip("hypothesis")
 
     @hypothesis.settings(max_examples=200, deadline=None)
     @hypothesis.given(_form_systems(hypothesis.strategies, field))
     def check(system):
         degrees, forms, conditions = system
-        rows = _coefficient_rows(conditions, degrees, field)
+        blocks = _coefficient_rows(conditions, degrees, field)
         values = [x for f in forms for x in f.values]
-        assert len(rows) == len(conditions)
-        for row, (s0, s1, weights) in zip(rows, conditions):
-            assert len(row) == len(values)
+        starts = [sum(d + 1 for d in degrees[:i]) for i in range(len(degrees))]
+        assert len(blocks) == len(conditions)
+        for (vectors, rows), (_, _, weights) in zip(blocks, conditions):
+            assert [list(row) for row in rows] == [list(weights)]
+            assert [off for off, _ in vectors] == starts
+            assert [len(vals) for _, vals in vectors] == [d + 1 for d in degrees]
+            for (_, a), da in zip(vectors, degrees):
+                assert all((a is b) == (da == db) for (_, b), db in zip(vectors, degrees))
             if field != QQ:
-                assert all(type(x) is int and 0 <= x < field.p for x in row)
+                assert all(type(x) is int and 0 <= x < field.p for _, vals in vectors for x in vals)
+        rows = oracle_expanded_rows(blocks, len(values), field)
+        for row, (s0, s1, weights) in zip(rows, conditions):
             got = field.reduce([sum(x * v for x, v in zip(row, values))])
             want = sum(w * oracle_form_value(f, s0, s1) for w, f in zip(weights, forms))
             assert got == field.unwrap([want])

@@ -1,6 +1,7 @@
 """Exact linear algebra against a naive textbook oracle."""
 
 import sys
+from collections import Counter
 from fractions import Fraction
 from math import gcd
 
@@ -17,13 +18,16 @@ from scrollgeom.linalg import (
     _packed_rows_fp,
     _slots,
     pivot_columns,
+    pivot_columns_of_combinations,
     rank_kernel,
+    rank_kernel_of_combinations,
     rank_of,
 )
 from scrollgeom.rngstream import as_stream
 from scrollgeom.scrolls import ScrollType
 
 from helpers import (
+    oracle_expanded_rows,
     oracle_kernel_mod,
     oracle_kernel_q,
     oracle_quadric_coefficient_rows,
@@ -295,6 +299,59 @@ def test_pivot_columns_of_combinations_match_the_expanded_rows(p):
         assert linalg.pivot_columns_of_combinations(blocks, ncols, field) == want[1]
 
 
+@pytest.mark.parametrize("p", [3, 101, 10007, MERSENNE_61, None],
+                         ids=["3", "101", "10007", "2^61-1", "q"])
+def test_combination_entry_points_match_the_explicit_rows(p):
+    # random blocks whose vectors share value lists, within a block and
+    # across blocks, with scalars that are zero, negative and at least p:
+    # the pivots and the kernel basis of the combination entry points
+    # against pivot_columns and rank_kernel on the rows written out
+    field = PrimeField(p) if p else QQ
+    rng = as_stream(p % 1000 + 31 if p else 31)
+    top = p or 40
+    seen = Counter()
+
+    def values(count):
+        if p:
+            return [rng.below(p) for _ in range(count)]
+        return [Fraction(rng.randint(-top, top), rng.randint(1, 4)) for _ in range(count)]
+
+    def scalar():
+        kind = rng.randint(0, 3)
+        seen[kind] += 1
+        if kind == 0:
+            return 0
+        if kind == 1:
+            return -(rng.below(top) * rng.below(top) + 1)
+        if kind == 2:
+            return top * rng.randint(1, 5) + rng.below(top)
+        return rng.randint(1, top - 1) if p else Fraction(rng.randint(-top, top), rng.randint(1, 5))
+
+    for _ in range(40):
+        ncols = rng.randint(1, 16)
+        pool = {}  # value lists by length, handed to later vectors of that length
+        blocks = []
+        for _ in range(rng.randint(1, 5)):
+            cuts = sorted({0, ncols, *(rng.randint(1, ncols) for _ in range(3))})
+            vectors = []
+            for a, b in zip(cuts, cuts[1:]):
+                if b - a in pool and rng.randint(0, 1):
+                    seen["shared"] += 1
+                else:
+                    pool[b - a] = values(b - a)
+                if rng.randint(0, 3):  # some runs of columns stay empty
+                    vectors.append((a, pool[b - a]))
+            rows = [[scalar() for _ in vectors] for _ in range(rng.randint(1, 4))]
+            rows += [[3 * x for x in row] for row in rows[:rng.randint(0, 1)]]  # dependent
+            blocks.append((vectors, rows))
+        explicit = oracle_expanded_rows(blocks, ncols, field)
+        assert pivot_columns_of_combinations(blocks, ncols, field) == pivot_columns(
+            explicit, ncols, field)
+        assert rank_kernel_of_combinations(blocks, ncols, field) == rank_kernel(
+            explicit, ncols, field)
+    assert all(seen[key] for key in (0, 1, 2, 3, "shared"))
+
+
 def test_packed_elimination_shape_ranks():
     # the shapes that pin the kernel: full rank, rank 1, rank 0
     shapes = _packed_shapes(10007)
@@ -489,13 +546,17 @@ def test_rank_only_callers_build_no_kernel(monkeypatch, capsys):
 
     calls = []
 
-    def counted_rank_kernel(rows, ncols, field=None):
-        calls.append((len(rows), ncols))
-        return rank_kernel(rows, ncols, field)
+    def counted(kernel):
+        def counted_kernel(rows, ncols, field=None):
+            calls.append((len(rows), ncols))
+            return kernel(rows, ncols, field)
+        return counted_kernel
 
+    # both kernel entry points, on rows and on combination blocks
     for name, mod in list(sys.modules.items()):
-        if name.startswith("scrollgeom") and getattr(mod, "rank_kernel", None) is rank_kernel:
-            monkeypatch.setattr(mod, "rank_kernel", counted_rank_kernel)
+        for kernel in (rank_kernel, rank_kernel_of_combinations):
+            if name.startswith("scrollgeom") and getattr(mod, kernel.__name__, None) is kernel:
+                monkeypatch.setattr(mod, kernel.__name__, counted(kernel))
     incidence_dimension_estimate(ScrollType((1, 1, 2)), 2, 3, 0, PrimeField(10007))
     for field in ("q", "fp:10007"):
         assert main(["quadrics", "--n", "6", "--trials", "2", "--field", field]) == 0

@@ -16,8 +16,8 @@ from scrollgeom.rngstream import RngStream
 from scrollgeom.scroll_curves import (
     CurveInScroll,
     ScrollSection,
-    _gauge_cleared_ranks,
-    _jacobian_blocks,
+    _charted_jacobian,
+    _incidence_ranks,
     compose_section_with_embedding,
     degeneration_embeddings,
     degeneration_equivalence_check,
@@ -37,6 +37,7 @@ from scrollgeom.scrolls import ScrollType
 from helpers import (
     count_fp_arithmetic,
     oracle_coefficient_jacobian,
+    oracle_expanded_rows,
     oracle_form_value,
     oracle_hyperplane_rows,
     oracle_incidence_ranks,
@@ -673,34 +674,32 @@ FIELDS = [PrimeField(101), PrimeField(10007), PrimeField(2**61 - 1), QQ]
 FIELD_IDS = ["fp101", "fp10007", "fp2^61-1", "q"]
 # fiber degree k per scroll type of the incidence tests
 INCIDENCE_K = {(1, 1, 2): 2, (1, 2, 2): 2, (2, 3): 1}
-# and of the held-row tests: a degree-0 first fiber holds the chart row at
-# nearly every point, where the block keeps every slot; (5,) has d = 1
+# and of the held-row tests: with a fiber of degree 0, a point where every
+# fiber of positive degree vanishes holds d - 1 rows; (5,) has d = 1
 HELD_K = {**INCIDENCE_K, (0, 1, 2): 1, (0, 4): 1, (0, 0, 3): 1, (1, 1, 1, 1): 3, (5,): 1}
 
 
-def _dense_blocks(blocks, n_coeffs, field):
-    """Per block, the rows [J_c | J_s | gauge] that _jacobian_blocks holds."""
-    n_pts = len(blocks)
-    out = []
-    for j, (vectors, rows, gauge) in enumerate(blocks):
-        dense_rows = []
-        for row, x in zip(rows, gauge):
-            dense = [0] * (n_coeffs + 2 * n_pts)
-            for a, (off, vals) in zip(row, vectors):
-                for col, v in enumerate(vals, off):
-                    dense[col] += a * v
-            dense[n_coeffs + n_pts + j] = x
-            dense_rows.append(field.reduce(dense))
-        out.append(dense_rows)
+def _point_rows(blocks, n_coeffs, n_pts, field):
+    """Per marked point, the charted rows [J_c | J_s] that _charted_jacobian holds.
+
+    Each block is one row, which meets J_s only in its point's column.
+    """
+    out = [[] for _ in range(n_pts)]
+    for vectors, rows in blocks:
+        assert len(rows) == 1
+        (j,) = [off - n_coeffs for off, _ in vectors if off >= n_coeffs]
+        columns = [col for off, vals in vectors for col in range(off, off + len(vals))]
+        assert len(columns) == len(set(columns))  # disjoint supports
+        out[j] += oracle_expanded_rows([(vectors, rows)], n_coeffs + n_pts, field)
     return out
 
 
-def _curve_vanishing_at_zero(scroll, k, field, rng, n_forms):
-    """A random curve whose first n_forms of (t0, y_1) vanish at (0 : 1)."""
+def _curve_vanishing_at_zero(scroll, k, field, rng, indices):
+    """A random curve whose forms (t0, t1, y_1, ...) at these indices vanish at (0 : 1)."""
     while True:
         curve = random_curve_in_scroll(scroll, k, field, rng)
         forms = [curve.t0, curve.t1, *curve.ys]
-        for idx in (0, 2)[:n_forms]:
+        for idx in indices:
             f = forms[idx]
             forms[idx] = BinaryForm(f.degree, f.values[:-1] + (0,), field)
         try:
@@ -711,15 +710,19 @@ def _curve_vanishing_at_zero(scroll, k, field, rng, n_forms):
 
 def _incidence_samples(degrees, k, field, seed):
     """(curve, sigma) per trial; in trials 1 and 2 of every three a marked
-    point sits at a zero of t0 (and, in trial 2, of y_1 when d > 1)."""
+    point sits at a zero of t0 and, in trial 2 when d > 1, of y_1, or of
+    every fiber form of positive degree when a fiber has degree 0."""
     scroll = ScrollType(degrees)
     n_pts = scroll.n + 2
     rng = RngStream.from_seed(seed)
     for trial in range(3 if field is QQ else 6):
         child = rng.child(f"trial{trial}")
-        n_forms = min(trial % 3, scroll.d)
-        if n_forms:
-            curve = _curve_vanishing_at_zero(scroll, k, field, child, n_forms)
+        kind = trial % 3
+        if kind:
+            indices = [0]
+            if kind == 2 and scroll.d > 1:
+                indices += [2 + l for l, a in enumerate(degrees) if a] if not degrees[0] else [2]
+            curve = _curve_vanishing_at_zero(scroll, k, field, child, indices)
             others = random_distinct(field, child, n_pts - 1, exclude=(0,))
             sigma = [others[0], field(0), *others[1:]]
         else:
@@ -729,17 +732,32 @@ def _incidence_samples(degrees, k, field, seed):
 
 
 def _held_slots(scroll, t0_value, y_values):
-    """Slot indices of the rows _jacobian_blocks holds at a point, chart row first."""
+    """(slot indices, factors): the held slots at a point, chart row first.
+
+    l0 is the first fiber of positive degree with y_l0 != 0, else the
+    first with y_l0 != 0, and t_e is t0, or t1 where t0 vanishes.  After
+    the chart row t_e^a_l0 y_l0 come its neighbour t_e^(a_l0 - 1) t_other
+    y_l0 when a_l0 > 0, then the slot t_e^a_l y_l of every other fiber.
+    Each factor, the held slot's charted row over the row that
+    _charted_jacobian holds for it, is given as a sign and exponents of
+    t_e and y_l0: (1, 2*a_l0 - 2, 2) for the neighbour, with sign -1
+    where t0 vanishes, and (1, a_l0 + a_l - 1, 0) for fiber l.
+    """
     slots = monomial_slots(scroll)
-    l0 = next(l for l, y in enumerate(y_values) if y)
-    a0 = scroll.degrees[l0]
-    if not a0:
-        return list(range(len(slots)))
-    # the slot t_e^a_l y_l of each fiber, e = 0 unless t0 vanishes
-    power = [(l, a, 0) if t0_value else (l, 0, a) for l, a in enumerate(scroll.degrees)]
-    held = [power[l0], (l0, a0 - 1, 1) if t0_value else (l0, 1, a0 - 1)]
-    held += [slot for l, slot in enumerate(power) if l != l0]
-    return [slots.index(slot) for slot in held]
+    degrees = scroll.degrees
+    nonzero = [l for l, y in enumerate(y_values) if y]
+    l0 = next((l for l in nonzero if degrees[l]), nonzero[0])
+    a0 = degrees[l0]
+    power = [(l, a, 0) if t0_value else (l, 0, a) for l, a in enumerate(degrees)]
+    held, factors = [power[l0]], []
+    if a0:
+        held.append((l0, a0 - 1, 1) if t0_value else (l0, 1, a0 - 1))
+        factors.append((1 if t0_value else -1, 2 * a0 - 2, 2))
+    for l, slot in enumerate(power):
+        if l != l0:
+            held.append(slot)
+            factors.append((1, a0 + degrees[l] - 1, 0))
+    return [slots.index(slot) for slot in held], factors
 
 
 def _charted(rows, col):
@@ -763,9 +781,8 @@ def test_single_elimination_incidence_ranks(field, degrees):
     k = INCIDENCE_K[degrees]
     for curve, sigma in _incidence_samples(degrees, k, field, 700 + sum(degrees)):
         rows, n_coeffs = oracle_coefficient_jacobian(curve, sigma, field)
-        blocks, _ = _jacobian_blocks(curve, field.unwrap(sigma), field)
-        got = _gauge_cleared_ranks(blocks, n_coeffs, n_coeffs + n_pts, field)
-        assert got == oracle_incidence_ranks(rows, n_coeffs, n_pts, field)
+        got = _incidence_ranks(curve, field.unwrap(sigma), field)
+        assert got == (n_coeffs, *oracle_incidence_ranks(rows, n_coeffs, n_pts, field))
         for j in range(n_pts):
             gauge = [row[n_coeffs + n_pts + j] for row in rows[j * len(slots):(j + 1) * len(slots)]]
             i0 = next(i for i, x in enumerate(gauge) if x)
@@ -778,59 +795,72 @@ def test_single_elimination_incidence_ranks(field, degrees):
 @pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
 @pytest.mark.parametrize("degrees, k", list(HELD_K.items()))
 def test_coefficient_jacobian_matches_field_element_oracle(field, degrees, k):
-    # each held row, entry for entry, against the oracle row of its slot
+    # each held row, entry for entry, against the oracle row of its slot,
+    # charted on the oracle's chart row and divided by the slot's factor:
+    # t_e * charted oracle row == sign * t_e^(u + 1) * y_l0^v * held row
     scroll = ScrollType(degrees)
-    n_slots = scroll.n + 1
+    n_slots, n_pts = scroll.n + 1, scroll.n + 2
     for curve, sigma in _incidence_samples(degrees, k, field, 900 + sum(degrees)):
-        blocks, n_coeffs = _jacobian_blocks(curve, field.unwrap(sigma), field)
+        blocks, n_coeffs = _charted_jacobian(curve, field.unwrap(sigma), field)
         want_rows, want_coeffs = oracle_coefficient_jacobian(curve, sigma, field)
         assert n_coeffs == want_coeffs
-        for j, (s, held) in enumerate(zip(sigma, _dense_blocks(blocks, n_coeffs, field))):
+        width = n_coeffs + n_pts
+        for j, (s, held) in enumerate(zip(sigma, _point_rows(blocks, n_coeffs, n_pts, field))):
             t0_value = oracle_form_value(curve.t0, s, field.one)
+            t_e = t0_value or oracle_form_value(curve.t1, s, field.one)
             y_values = [oracle_form_value(y, s, field.one) for y in curve.ys]
-            want = [want_rows[j * n_slots + i] for i in _held_slots(scroll, t0_value, y_values)]
-            assert held == want
-        for vectors, _, gauge in blocks:
-            columns = [col for off, vals in vectors for col in range(off, off + len(vals))]
-            assert len(columns) == len(set(columns))  # disjoint supports
+            indices, factors = _held_slots(scroll, t0_value, y_values)
+            oracle = [want_rows[j * n_slots + i] for i in indices]
+            col = n_coeffs + n_pts + j
+            assert oracle[0][col]  # the chart row has a nonzero gauge entry
+            charted = _charted(oracle, col)
+            assert len(held) == len(charted) == len(factors)
+            y0 = y_values[monomial_slots(scroll)[indices[0]][0]]
+            for row, want, (sign, u, v) in zip(held, charted, factors):
+                assert not any(want[width:])  # the gauge columns are cleared
+                scale = sign * t_e ** (u + 1) * y0 ** v
+                assert field.unwrap([t_e * x for x in want[:width]]) == field.reduce(
+                    [x * y for x, y in zip(field.unwrap([scale] * width), row)])
+        for vectors, _ in blocks:
             if field is not QQ:
-                values = gauge + [v for _, vals in vectors for v in vals]
-                assert all(type(x) is int and 0 <= x < field.p for x in values)
+                assert all(type(x) is int and 0 <= x < field.p for _, vals in vectors for x in vals)
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
 @pytest.mark.parametrize("degrees, k", list(HELD_K.items()))
 def test_held_rows_span_each_charted_block(field, degrees, k):
-    # at every point the held rows, charted, have the rank of the point's
-    # full charted block of oracle rows, and span it; that rank is d
-    # whenever the block holds d + 1 rows, including at a zero of t0; and
-    # the two incidence ranks are those of the full oracle Jacobian
+    # at every point the held rows have the rank of the point's full
+    # charted block of oracle rows, and span it; that rank is d wherever
+    # some fiber of positive degree does not vanish, including at a zero
+    # of t0, and d - 1 where every such fiber vanishes; and the two
+    # incidence ranks are those of the full oracle Jacobian
     scroll = ScrollType(degrees)
     n_pts, n_slots, d = scroll.n + 2, scroll.n + 1, scroll.d
     kinds = Counter()
     for curve, sigma in _incidence_samples(degrees, k, field, 500 + sum(degrees)):
-        blocks, n_coeffs = _jacobian_blocks(curve, field.unwrap(sigma), field)
+        blocks, n_coeffs = _charted_jacobian(curve, field.unwrap(sigma), field)
         want_rows, _ = oracle_coefficient_jacobian(curve, sigma, field)
-        got = _gauge_cleared_ranks(blocks, n_coeffs, n_coeffs + n_pts, field)
-        assert got == oracle_incidence_ranks(want_rows, n_coeffs, n_pts, field)
+        got = _incidence_ranks(curve, field.unwrap(sigma), field)
+        assert got == (n_coeffs, *oracle_incidence_ranks(want_rows, n_coeffs, n_pts, field))
         width = n_coeffs + 2 * n_pts
-        for j, (s, rows) in enumerate(zip(sigma, _dense_blocks(blocks, n_coeffs, field))):
+        for j, (s, held) in enumerate(zip(sigma, _point_rows(blocks, n_coeffs, n_pts, field))):
             col = n_coeffs + n_pts + j
-            held = _charted(rows, col)
+            held = [row + [0] * n_pts for row in held]
             full = _charted(want_rows[j * n_slots:(j + 1) * n_slots], col)
             rank = oracle_rank(held, width, field)
-            assert rank == oracle_rank(full, width, field) == oracle_rank(held + full, width, field)
-            if len(held) == d:
+            assert rank == len(held) == oracle_rank(full, width, field)
+            assert rank == oracle_rank(held + full, width, field)
+            y_values = [oracle_form_value(y, s, field.one) for y in curve.ys]
+            if any(y and a for y, a in zip(y_values, degrees)):
                 assert rank == d
                 kinds["picked", bool(oracle_form_value(curve.t0, s, field.one))] += 1
             else:
-                assert len(held) == scroll.n
-                kinds["all slots"] += 1
-    if degrees[0]:
-        assert kinds["picked", True] and kinds["picked", False] and not kinds["all slots"]
-    else:
-        # only the point where y_1 vanishes too moves the chart row on
-        assert kinds["all slots"] and bool(kinds["picked", False]) == bool(degrees[1])
+                assert rank == d - 1
+                kinds["fallback"] += 1
+    assert kinds["picked", True] and kinds["picked", False]
+    # only a scroll with a fiber of degree 0 has points where every fiber
+    # of positive degree vanishes
+    assert bool(kinds["fallback"]) == (degrees[0] == 0)
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
@@ -843,61 +873,18 @@ def test_torus_directions_lie_in_every_charted_block_kernel(field, degrees, k):
     scroll = ScrollType(degrees)
     n_pts, n_slots = scroll.n + 2, scroll.n + 1
     for curve, sigma in _incidence_samples(degrees, k, field, 300 + sum(degrees)):
-        blocks, n_coeffs = _jacobian_blocks(curve, field.unwrap(sigma), field)
+        blocks, n_coeffs = _charted_jacobian(curve, field.unwrap(sigma), field)
         want_rows, _ = oracle_coefficient_jacobian(curve, sigma, field)
         t_coeffs = [*curve.t0.values, *curve.t1.values]
         lam = t_coeffs + [-a * x for a, y in zip(scroll.degrees, curve.ys) for x in y.values]
         mu = [0] * len(t_coeffs) + [x for y in curve.ys for x in y.values]
         assert len(lam) == len(mu) == n_coeffs
-        for j, held in enumerate(_dense_blocks(blocks, n_coeffs, field)):
+        for j, held in enumerate(_point_rows(blocks, n_coeffs, n_pts, field)):
             col = n_coeffs + n_pts + j
             full = want_rows[j * n_slots:(j + 1) * n_slots]
-            charted = _charted(held, col) + [field.unwrap(r) for r in _charted(full, col)]
+            charted = held + [field.unwrap(r) for r in _charted(full, col)]
             for row in charted:
                 assert field.reduce([sum(map(mul, row, lam)), sum(map(mul, row, mu))]) == [0, 0]
-
-
-def test_single_elimination_ranks_on_random_blocks():
-    # random block-local gauge columns, as in the incidence Jacobian: some
-    # zero, some zero on their first rows, some in the span of their
-    # block's columns; low-rank blocks make the prefix rank fall short
-    rng = RngStream.from_seed(77)
-
-    def draw(count):
-        return field.unwrap([field.random_scalar(rng) for _ in range(count)])
-
-    for trial in range(80):
-        field = PrimeField(101) if trial % 2 else QQ
-        p = getattr(field, "p", 0)
-        ncols, n_blocks = rng.randint(1, 7), rng.randint(1, 4)
-        n_prefix = rng.randint(0, ncols)
-        units = [(c, [1]) for c in range(ncols)]
-        blocks, dense = [], []
-        for j in range(n_blocks):
-            nrows, inner = rng.randint(1, 5), rng.randint(1, ncols)
-            left, right = [draw(inner) for _ in range(nrows)], [draw(ncols) for _ in range(inner)]
-            rows = [[sum(a * right[t][c] for t, a in enumerate(row)) for c in range(ncols)]
-                    for row in left]
-            kind = rng.randint(0, 3)
-            if kind == 0:
-                gauge = [0] * nrows
-            elif kind == 1:
-                gauge = [0] * (nrows - 1) + [1]
-            elif kind == 2:
-                mix = draw(ncols)
-                gauge = [sum(map(mul, row, mix)) for row in rows]
-            else:
-                gauge = draw(nrows)
-            gauge = field.reduce(gauge)
-            # row scalars may come unreduced, the gauge may not
-            blocks.append((units, [[x + p * rng.randint(0, 3) for x in row] for row in rows], gauge))
-            for row, x in zip(rows, gauge):
-                dense.append((row, [x if t == j else 0 for t in range(n_blocks)]))
-        prefix = [row[:n_prefix] + g for row, g in dense]
-        full = [row + g for row, g in dense]
-        want = (oracle_rank(prefix, n_prefix + n_blocks, field),
-                oracle_rank(full, ncols + n_blocks, field))
-        assert _gauge_cleared_ranks(blocks, n_prefix, ncols, field) == want
 
 
 # ------------------------------------------------------------ degeneration
