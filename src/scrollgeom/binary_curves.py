@@ -169,8 +169,8 @@ def _node_map(nodes, degree: int, field):
     stays anyway.
     """
     conditions = [(r0, r1, (s1, -s0)) for r0, r1, s0, s1 in nodes]
-    blocks = _coefficient_rows(conditions, (degree, degree), field)
-    _, kernel = rank_kernel_of_combinations(blocks, 2 * (degree + 1), field)
+    combos = _coefficient_rows(conditions, (degree, degree), field)
+    _, kernel = rank_kernel_of_combinations(combos, 2 * (degree + 1), field)
     for vec in _candidate_vectors(kernel):
         q1, q2 = _split_forms(vec, (degree, degree), field)
         # a common zero at (0 : 1) or (1 : 0); a zero pair has both
@@ -708,8 +708,8 @@ def scroll_positive_control(seed, field) -> BinaryCurve:
         # 5 rows on 7 unknowns leave a kernel of dimension >= 2
         conditions = [(t, 1, (u2, -u1))
                       for t, (u1, u2) in zip(field.unwrap(taus), map(field.unwrap, fibers))]
-        blocks = _coefficient_rows(conditions, (4, 1), field)
-        _, kernel = rank_kernel_of_combinations(blocks, 7, field)
+        combos = _coefficient_rows(conditions, (4, 1), field)
+        _, kernel = rank_kernel_of_combinations(combos, 7, field)
         vec_a = tuple(curve_a.ys[0].coeffs) + tuple(curve_a.ys[1].coeffs)
         curve_b = None
         for cand in _candidate_vectors(kernel):

@@ -12,7 +12,7 @@ class FieldMismatchError(ScrollGeomError, TypeError):
 
 
 class FieldTooSmallError(ScrollGeomError, ValueError):
-    """The prime field has too few elements for the requested sampling."""
+    """The field, or the span the rationals are drawn from, is too small for the sampling."""
 
 
 class InexactDivisionError(ScrollGeomError):

@@ -331,14 +331,20 @@ def random_nonzero(field, rng):
 def distinct_values(field, rng, count: int, exclude=()) -> list:
     """count distinct working values drawn by field.random_value, none in exclude.
 
-    exclude holds working values.  Over F_p, a p below 4 * (count +
-    len(exclude)) raises FieldTooSmallError before any draw.
+    exclude holds working values.  Rejection sampling asks for at least
+    4 * (count + len(exclude)) values to draw from: a smaller p, or over
+    the rationals that many beyond the integers in [-RATIONAL_SPAN,
+    RATIONAL_SPAN], raises FieldTooSmallError before any draw.
     """
     bound = 4 * (count + len(exclude))
-    if isinstance(field, PrimeField) and field.p < bound:
+    wanted = f"rejection sampling of {count} distinct scalars avoiding {len(exclude)} fixed values"
+    if isinstance(field, PrimeField):
+        if field.p < bound:
+            raise FieldTooSmallError(f"{wanted} needs p >= {bound}, got {field.p}")
+    elif 2 * RATIONAL_SPAN + 1 < bound:
         raise FieldTooSmallError(
-            f"rejection sampling of {count} distinct scalars avoiding "
-            f"{len(exclude)} fixed values needs p >= {bound}, got {field.p}"
+            f"{wanted} needs {bound} integers to draw from, "
+            f"got {2 * RATIONAL_SPAN + 1} in [-{RATIONAL_SPAN}, {RATIONAL_SPAN}]"
         )
     out = []
     seen = set(exclude)

@@ -31,12 +31,12 @@ builds Fractions.
 
 Every linear system on the coefficients of a few forms, conditions
 sum_i w_i * f_i(s0 : s1) = 0, has one layout, which lives in two
-helpers: ``_coefficient_rows`` states each condition as a combination
-block, the weights times one monomial vector per form, placed at the
-form's coefficients (the forms in order, each in the order above), and
-``_split_forms`` cuts a kernel vector back into forms.  The blocks go to
-linalg's combination entry points, which pack them over F_p without
-writing the rows out.
+helpers: ``_coefficient_rows`` states each condition as one
+combination, the weights times one monomial vector per form, placed at
+the form's coefficients (the forms in order, each in the order above),
+and ``_split_forms`` cuts a kernel vector back into forms.  The
+combinations go to linalg's combination entry points, which pack them
+over F_p without writing the rows out.
 """
 
 from __future__ import annotations
@@ -227,15 +227,15 @@ def _convolve(a, b):
 
 
 def _coefficient_rows(conditions, degrees, field):
-    """The conditions sum_i w_i * f_i(s0, s1) = 0 on forms f_i, as combination blocks.
+    """The conditions sum_i w_i * f_i(s0, s1) = 0 on forms f_i, as combinations.
 
     The unknowns are the coefficients of forms of the given degrees,
     concatenated in order.  Each condition (s0, s1, weights) holds working
-    values and gives one block for linalg's *_of_combinations entry
-    points: its vectors are the monomials s0^(d - r) * s1^r of each form's
-    degree d, reduced once and placed at the form's first coefficient, one
-    list shared by every form of that degree; its single row is the
-    weights, left as they are.
+    values and gives one row for linalg's *_of_combinations entry points,
+    the combination (vectors, weights): its vectors are the monomials
+    s0^(d - r) * s1^r of each form's degree d, reduced once and placed at
+    the form's first coefficient, one list shared by every form of that
+    degree, and its weights are the condition's, left as they are.
     """
     distinct = sorted(set(degrees))
     layout, start = [], 0  # (first coefficient, index into distinct) per form
@@ -243,11 +243,11 @@ def _coefficient_rows(conditions, degrees, field):
         layout.append((start, distinct.index(d)))
         start += d + 1
     reduce = field.reduce
-    blocks = []
+    combos = []
     for s0, s1, weights in conditions:
         monos = [reduce([s0 ** (d - r) * s1 ** r for r in range(d + 1)]) for d in distinct]
-        blocks.append(([(off, monos[i]) for off, i in layout], [weights]))
-    return blocks
+        combos.append(([(off, monos[i]) for off, i in layout], weights))
+    return combos
 
 
 def _split_forms(vec, degrees, field):

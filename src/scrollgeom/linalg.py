@@ -7,40 +7,42 @@ each row (a float or an element of another field raises
 FieldMismatchError); rows of plain int residues from the prime-field hot
 paths pass without a per-entry type check.
 
-A matrix comes as a list of rows, or, to pivot_columns_of_combinations
-and rank_kernel_of_combinations, as combination blocks: each block is
-(vectors, rows), a vector (first column, values) and a row one scalar
-per vector, standing for the sum of the scalars times the vectors.  The
-systems on forms and the incidence Jacobian are built this way, a few
-shared monomial or power vectors times scalars per row, and reach the
-forward pass without being written out over F_p.
+A matrix has one form inside this module: a list of rows, each one
+combination (vectors, weights), a vector (first column, values) and the
+weights one scalar per vector, standing for the sum of the weights times
+the vectors.  The systems on forms and the incidence Jacobian are built
+this way, a few shared monomial or power vectors per row, and go to
+pivot_columns_of_combinations and rank_kernel_of_combinations as they
+are.  A plain row, given to rank_kernel, pivot_columns or rank_of,
+becomes the one vector (0, its working values) with weight 1
+(_as_combinations), which also checks its length and entries.  Each
+field then has one row builder: _packed_combinations over F_p and
+_int_rows_of_combinations over the rationals, and _eliminate serves
+every entry point.
 
 Both fields eliminate in two steps.  A forward pass gives a row echelon
 form, whose pivot columns give the rank: pivot_columns,
 pivot_columns_of_combinations and rank_of stop there.  Only rank_kernel
-and its twin on blocks, rank_kernel_of_combinations, run the back step
-that follows, one fraction-free back substitution for both fields, and
-their kernel vectors come back as field elements built by one
-``field.wrap`` each.
-The rational path works on Python ints throughout.  Each row is scaled by
-the lcm of its entries' denominators and divided by its content.  Its
-forward pass is fraction-free and keeps every row primitive: a row update
-is the smallest integer combination that clears the pivot column,
-divided by its content, so a row is never larger than its Bareiss
-counterpart and sheds the common factors that Bareiss rows carry.  The
-back step solves for each free column's kernel vector over one common
-denominator, so a Fraction is built only for the nonzero kernel entries
-handed back.  rank_of over the rationals first runs the prime-field
-forward pass mod CERTIFICATE_PRIME, which settles any rank of
-min(nrows, ncols); only a smaller rank runs the rational pass.  The
-prime-field path packs each row of int residues into one Python int, a
-fixed-width slot per entry, so a row update is a single big-int
+and rank_kernel_of_combinations run the back step that follows, one
+fraction-free back substitution for both fields, and their kernel
+vectors come back as field elements built by one ``field.wrap`` each.
+The rational path works on Python ints throughout.  Each row is written
+out, scaled by the lcm of its entries' denominators and divided by its
+content.  Its forward pass is fraction-free and keeps every row
+primitive: a row update is the smallest integer combination that clears
+the pivot column, divided by its content, so a row is never larger than
+its Bareiss counterpart and sheds the common factors that Bareiss rows
+carry.  The back step solves for each free column's kernel vector over
+one common denominator, so a Fraction is built only for the nonzero
+kernel entries handed back.  rank_of over the rationals first runs the
+prime-field forward pass mod CERTIFICATE_PRIME on those int rows, which
+settles any rank of min(nrows, ncols); only a smaller rank runs the
+rational pass.  The prime-field path packs each row into one Python int,
+a fixed-width slot per entry, so a row update is a single big-int
 multiply-add.  A slot is wide enough for a start anywhere below p*p plus
-one update per row, so the one packer of combination blocks
-(_packed_combinations) packs each distinct value list once, shifts it to
-each offset it is placed at, and sums (x mod p) times those ints: its
-slots are products of two residues, left unreduced.  Over the rationals
-the blocks are written out as the same primitive int rows.  The
+one update per row, so the packer packs each distinct value list once,
+shifts it to each offset it is placed at, and sums (x mod p) times those
+ints: its slots are products of two residues, left unreduced.  The
 forward pass updates only the rows below each pivot and leaves each
 pivot row reduced with lead 1, so the back step unpacks the pivot rows
 once and runs the rational back substitution on them: every pivot is 1,
@@ -53,12 +55,13 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import reduce
 from math import gcd, lcm
-from operator import lshift, mul
+from operator import lshift
 
-from .fields import _INT, PrimeField, QQ, _residues
+from .fields import _INT, PrimeField
 
 # The modulus of rank_of's certificate over the rationals (a Mersenne prime).
 CERTIFICATE_PRIME = 2**31 - 1
+_CERTIFICATE_FIELD = PrimeField(CERTIFICATE_PRIME)
 
 
 def _slots(p, nrows, ncols):
@@ -71,31 +74,19 @@ def _slots(p, nrows, ncols):
     return [w * j for j in range(ncols)], (1 << w) - 1
 
 
-def _packed_rows_fp(rows, ncols, p):
-    """Each row's int residues mod p packed into one int, laid out by _slots."""
-    shifts, _ = _slots(p, len(rows), ncols)
-    out = []
+def _as_combinations(rows, ncols, field):
+    """Plain rows as combinations: each the one vector (0, its working values), weight 1.
+
+    A row of another length raises ValueError, and field.unwrap raises
+    FieldMismatchError on a float or an element of another field.  The
+    values are new lists over F_p and the rows themselves over the
+    rationals, which the builders only read.
+    """
     for row in rows:
         if len(row) != ncols:
             raise ValueError(f"row of length {len(row)}, expected {ncols}")
-        out.append(sum(map(lshift, _residues(row, p), shifts)))
-    return out
-
-
-def _int_rows_q(rows, ncols):
-    """Clear denominators and divide out the content of each row, on ints."""
-    out = []
-    for row in rows:
-        if len(row) != ncols:
-            raise ValueError(f"row of length {len(row)}, expected {ncols}")
-        row = QQ.unwrap(row)
-        den = lcm(*[x.denominator for x in row])
-        ints = [x.numerator * (den // x.denominator) for x in row]
-        content = gcd(*ints)
-        if content > 1:
-            ints = [v // content for v in ints]
-        out.append(ints)
-    return out
+    unwrap = field.unwrap
+    return [(((0, unwrap(row)),), (1,)) for row in rows]
 
 
 def _forward_fp(rows, ncols, p):
@@ -125,11 +116,12 @@ def _forward_fp(rows, ncols, p):
             break
         sc = shifts[c]
         col = [(v >> sc & mask) % p for v in rows[r:]]
-        k = next((i for i, f in enumerate(col) if f), None)
-        if k is None:
+        f = next(filter(None, col), 0)  # the first nonzero entry, if any
+        if not f:
             continue
+        k = col.index(f)
         rows[r], rows[r + k] = rows[r + k], rows[r]
-        inv = pow(col[k], -1, p)
+        inv = pow(f, -1, p)
         col[k] = col[0]
         tail = shifts[c:]
         v = rows[r]
@@ -224,72 +216,64 @@ def _solve_free(mat, pivots, fc, field):
     return d, nums
 
 
-def _packed_combinations(blocks, ncols, p):
-    """The rows of combination blocks mod p, each packed as one int by _slots.
+def _packed_combinations(combos, ncols, p):
+    """The rows of combinations mod p, each packed as one int laid out by _slots.
 
     Each distinct value list is packed once, from column 0, and shifted to
     each offset it is placed at; a row is then sum (x mod p) * vector, whose
     slots are products of two residues, below p*p, as _forward_fp allows.
+    The shift is the offset times the slot width, so an empty vector may
+    sit at column ncols.
     """
-    shifts, _ = _slots(p, sum(len(rows) for _, rows in blocks), ncols)
+    shifts, mask = _slots(p, len(combos), ncols)
+    w = mask.bit_length()
     packed = {}  # id of a value list -> the list packed from column 0
     get = packed.get
     mat = []
-    for vectors, rows in blocks:
-        vecs = []
-        for off, vals in vectors:
+    for vectors, weights in combos:
+        row = 0
+        for x, (off, vals) in zip(weights, vectors):
             v = get(id(vals))
             if v is None:
                 v = packed[id(vals)] = sum(map(lshift, vals, shifts))
-            vecs.append(v << shifts[off])
-        for row in rows:
-            mat.append(sum(map(mul, [x % p for x in row], vecs)))
+            row += x % p * v << off * w
+        mat.append(row)
     return mat
 
 
-def _int_rows_of_combinations(blocks, ncols):
-    """_int_rows_q of the rows of combination blocks over the rationals.
+def _int_rows_of_combinations(combos, ncols):
+    """The rows of combinations over the rationals as primitive int rows.
 
     Each row is written out, cleared of denominators unless it holds only
     ints (as the node systems' rows do), and divided by its content.
     """
     mat = []
-    for vectors, rows in blocks:
-        for row in rows:
-            out = [0] * ncols
-            for x, (off, vals) in zip(row, vectors):
-                if x:
-                    out[off:off + len(vals)] = [x * v for v in vals]
-            if not set(map(type, out)) <= _INT:
-                den = lcm(*[v.denominator for v in out])
-                out = [v.numerator * (den // v.denominator) for v in out]
-            content = gcd(*out)
-            if content > 1:
-                out = [v // content for v in out]
-            mat.append(out)
+    for vectors, weights in combos:
+        out = [0] * ncols
+        for x, (off, vals) in zip(weights, vectors):
+            if x:
+                out[off:off + len(vals)] = [x * v for v in vals]
+        if not set(map(type, out)) <= _INT:
+            den = lcm(*[v.denominator for v in out])
+            out = [v.numerator * (den // v.denominator) for v in out]
+        content = gcd(*out)
+        if content > 1:
+            out = [v // content for v in out]
+        mat.append(out)
     return mat
 
 
-def _eliminate(rows, ncols, field):
-    """Forward pass: (echelon rows, pivot columns).
+def _eliminate(combos, ncols, field):
+    """Forward pass over the rows of combinations: (echelon rows, pivot columns).
 
     Over a prime field the echelon rows are packed ints (_forward_fp);
     over the rationals they are primitive int rows (_forward_q).  Both
     build their rows anew, so the caller's rows are never changed.
     """
     if isinstance(field, PrimeField):
-        mat = _packed_rows_fp(rows, ncols, field.p)
+        mat = _packed_combinations(combos, ncols, field.p)
         return mat, _forward_fp(mat, ncols, field.p)
-    mat = _int_rows_q(rows, ncols)
-    return mat, _forward_q(mat, ncols)
-
-
-def _eliminate_combinations(blocks, ncols, field):
-    """_eliminate on the rows of combination blocks, packed straight from them over F_p."""
-    if isinstance(field, PrimeField):
-        mat = _packed_combinations(blocks, ncols, field.p)
-        return mat, _forward_fp(mat, ncols, field.p)
-    mat = _int_rows_of_combinations(blocks, ncols)
+    mat = _int_rows_of_combinations(combos, ncols)
     return mat, _forward_q(mat, ncols)
 
 
@@ -324,12 +308,12 @@ def rank_kernel(rows, ncols: int, field):
     field scalars, one per free column, spanning {v : M v = 0}; the vector
     of free column fc has a 1 there and 0 in every other free column.
     """
-    return _kernel(*_eliminate(rows, ncols, field), ncols, field)
+    return _kernel(*_eliminate(_as_combinations(rows, ncols, field), ncols, field), ncols, field)
 
 
-def rank_kernel_of_combinations(blocks, ncols: int, field):
-    """rank_kernel of the rows of combination blocks (pivot_columns_of_combinations)."""
-    return _kernel(*_eliminate_combinations(blocks, ncols, field), ncols, field)
+def rank_kernel_of_combinations(combos, ncols: int, field):
+    """rank_kernel of the rows of combinations (pivot_columns_of_combinations)."""
+    return _kernel(*_eliminate(combos, ncols, field), ncols, field)
 
 
 def pivot_columns(rows, ncols: int, field) -> list:
@@ -339,22 +323,20 @@ def pivot_columns(rows, ncols: int, field) -> list:
     before it, whatever rows the elimination picked, so the rank of the
     first m columns is the number of pivots below m.
     """
-    return _eliminate(rows, ncols, field)[1]
+    return _eliminate(_as_combinations(rows, ncols, field), ncols, field)[1]
 
 
-def pivot_columns_of_combinations(blocks, ncols: int, field) -> list:
+def pivot_columns_of_combinations(combos, ncols: int, field) -> list:
     """pivot_columns of rows that are combinations of a few sparse vectors.
 
-    Each block is (vectors, rows).  A vector is (first column, values),
-    with values that are working values (residues in [0, p) over F_p), and
-    the vectors of one block have disjoint supports; blocks may share a
-    value list, which over F_p is then packed once.  A row is one scalar
-    per vector of its block, any int over F_p, and stands for the sum of
-    the scalars times the vectors.  Over F_p the rows are packed straight
-    from the blocks (_packed_combinations); over the rationals they are
-    written out as primitive int rows (_int_rows_of_combinations).
+    Each row is one combination (vectors, weights).  A vector is (first
+    column, values), with values that are working values (residues in
+    [0, p) over F_p), and the vectors of one row have disjoint supports;
+    rows may share a value list, which over F_p is then packed once.  The
+    weights are one scalar per vector, any int over F_p, and the row is
+    the sum of the weights times the vectors.
     """
-    return _eliminate_combinations(blocks, ncols, field)[1]
+    return _eliminate(combos, ncols, field)[1]
 
 
 def rank_of(rows, ncols: int, field) -> int:
@@ -369,9 +351,9 @@ def rank_of(rows, ncols: int, field) -> int:
     """
     if isinstance(field, PrimeField):
         return len(pivot_columns(rows, ncols, field))
-    mat = _int_rows_q(rows, ncols)
+    mat = _int_rows_of_combinations(_as_combinations(rows, ncols, field), ncols)
     bound = min(len(mat), ncols)
-    packed = _packed_rows_fp(mat, ncols, CERTIFICATE_PRIME)
-    if len(_forward_fp(packed, ncols, CERTIFICATE_PRIME)) == bound:
+    cleared = _as_combinations(mat, ncols, _CERTIFICATE_FIELD)
+    if len(_eliminate(cleared, ncols, _CERTIFICATE_FIELD)[1]) == bound:
         return bound
     return len(_forward_q(mat, ncols))

@@ -22,8 +22,8 @@ most d dimensions, the scroll's tangent space.  d rows, each a held
 slot's charted row divided by a nonzero factor and built straight from
 the forms' values at the point, span them (d - 1 rows at a point where
 every fiber of positive degree vanishes); see _charted_jacobian.  They
-reach linalg as combination blocks, so both ranks come from one packed
-forward pass.
+reach linalg as combinations, one per row, so both ranks come from one
+packed forward pass.
 """
 
 from __future__ import annotations
@@ -252,10 +252,10 @@ def interpolate_unisecant(scroll: ScrollType, lifted_frame, field) -> UnisecantR
         if not any(y):
             raise ValueError("invalid scroll point: fiber coordinates all zero")
     # a hyperplane is a section of L: the section conditions at m = 0,
-    # each block written out, its vectors in the order of the slots
-    blocks = _coefficient_rows([(*t, y) for (y, t) in points], scroll.degrees, field)
+    # each combination written out, its vectors in the order of the slots
+    combos = _coefficient_rows([(*t, y) for (y, t) in points], scroll.degrees, field)
     hyperplanes = [field.reduce([w * v for w, (_, vals) in zip(weights, vectors) for v in vals])
-                   for vectors, (weights,) in blocks]
+                   for vectors, weights in combos]
     rank, kernel = rank_kernel(list(zip(*hyperplanes)), n + 2, field)
     if rank < n + 1:
         raise DependentConditionsError(
@@ -323,8 +323,8 @@ def sections_through_points(scroll: ScrollType, m: int, points, field):
     degrees = scroll.degrees
     comp_degs = [a_i + m for a_i in degrees]
     conditions = [(*field.unwrap(t), field.unwrap(y)) for (y, t) in points]
-    blocks = _coefficient_rows(conditions, comp_degs, field)
-    _, kernel = rank_kernel_of_combinations(blocks, sum(deg + 1 for deg in comp_degs), field)
+    combos = _coefficient_rows(conditions, comp_degs, field)
+    _, kernel = rank_kernel_of_combinations(combos, sum(deg + 1 for deg in comp_degs), field)
     return [ScrollSection(degrees, m, _split_forms(vec, comp_degs, field)) for vec in kernel]
 
 
@@ -340,9 +340,9 @@ DimensionReport = namedtuple(
 
 
 def _charted_jacobian(curve, sigma, field):
-    """The incidence map's Jacobian at the marked points, charted, as combination blocks.
+    """The incidence map's Jacobian at the marked points, charted, as combinations.
 
-    Returns (blocks, n_coeffs) for pivot_columns_of_combinations, on the
+    Returns (combos, n_coeffs) for pivot_columns_of_combinations, on the
     columns J_c (the n_coeffs curve coefficients) and J_s (one per marked
     parameter).  At point j the vectors are the power vectors
     (s^e, ..., s, 1) of the t0, t1 and y_1, ..., y_d coefficient blocks,
@@ -364,8 +364,8 @@ def _charted_jacobian(curve, sigma, field):
     e = 0, or e = 1 at a zero of t0 (the base forms are coprime, so
     t_e(s) != 0).  The three identities give Sigma, T_e and Y_l0 from the
     other T and the Y_l with l != l0, so a charted row is fixed by those
-    d free scalars.  The block holds, each as one row on its nonzero
-    scalars:
+    d free scalars.  The point's rows, each one combination (vectors,
+    weights) on its nonzero scalars, are:
     - when a_l0 > 0, u = (T0, T1, Sigma) = (-t1, t0, t0*t1' - t1*t0'),
       whose other T is t_e, or -t_e where t0 vanishes;
     - for each l != l0, u_l with Y_l = y_l0*t_e, Y_l0 = -y_l*t_e,
@@ -399,7 +399,7 @@ def _charted_jacobian(curve, sigma, field):
     distinct = sorted({k, *y_degs})
     one = [1]  # the unit vector's values, one list for every point
     reduce = field.reduce
-    blocks = []
+    combos = []
     for j, s in enumerate(sigma):
         ascending = reduce([s ** e for e in range(top + 1)])
         values = reduce([sum(map(mul, c, ascending)) for c in coeffs])
@@ -413,19 +413,19 @@ def _charted_jacobian(curve, sigma, field):
         l0 = next(l for l in order if yv[l])
         y0, y0d, a0, y0_vec = yv[l0], yd[l0], degrees[l0], y_vecs[l0]
         if a0:
-            blocks.append(([*t_vecs, sigma_vec], [[-t1v, t0v, t0v * t1d - t1v * t0d]]))
+            combos.append(([*t_vecs, sigma_vec], [-t1v, t0v, t0v * t1d - t1v * t0d]))
         te, ted, te_vec = (t0v, t0d, t_vecs[0]) if t0v else (t1v, t1d, t_vecs[1])
         for l, (y, y_d, a) in enumerate(zip(yv, yd, degrees)):
             if l == l0:
                 continue
             row = [y0 * te, -y * te, (y_d * y0 - y0d * y) * te]
             if a == a0:
-                blocks.append(([y_vecs[l], y0_vec, sigma_vec], [row]))
+                combos.append(([y_vecs[l], y0_vec, sigma_vec], row))
             else:
                 tangent = (a - a0) * y * y0
                 row[2] += ted * tangent
-                blocks.append(([y_vecs[l], y0_vec, sigma_vec, te_vec], [row + [tangent]]))
-    return blocks, n_coeffs
+                combos.append(([y_vecs[l], y0_vec, sigma_vec, te_vec], row + [tangent]))
+    return combos, n_coeffs
 
 
 def _incidence_ranks(curve, sigma, field):
@@ -434,9 +434,9 @@ def _incidence_ranks(curve, sigma, field):
     Both ranks come from one forward pass over the charted rows of
     _charted_jacobian, each point adding 1 for its dropped chart row.
     """
-    blocks, n_coeffs = _charted_jacobian(curve, sigma, field)
+    combos, n_coeffs = _charted_jacobian(curve, sigma, field)
     n_pts = len(sigma)
-    pivots = pivot_columns_of_combinations(blocks, n_coeffs + n_pts, field)
+    pivots = pivot_columns_of_combinations(combos, n_coeffs + n_pts, field)
     return n_coeffs, n_pts + sum(1 for c in pivots if c < n_coeffs), n_pts + len(pivots)
 
 

@@ -20,8 +20,8 @@ unwrapped residues with one reduction per entry.  The unisecant oracle
 solves the cross-multiplication system on the fiber coefficients, where
 the package takes the one linear relation among the image points, and
 the scroll points of a curve come from those same monomial sums.  The
-combination-block oracle writes each row out entry by entry, where the
-package packs the blocks' vectors straight into prime-field rows.
+combination oracle writes each row out entry by entry, where the
+package packs the combinations' vectors straight into prime-field rows.
 """
 
 from collections import Counter
@@ -444,21 +444,20 @@ def oracle_coefficient_jacobian(curve, sigma, field):
     return rows, n_coeffs
 
 
-def oracle_expanded_rows(blocks, ncols, field):
-    """The rows of combination blocks written out entry by entry, reduced.
+def oracle_expanded_rows(combos, ncols, field):
+    """The rows of combinations written out entry by entry, reduced.
 
-    A block is (vectors, rows): a vector is (first column, values), and a
-    row, one scalar per vector, stands for the sum of the scalars times
-    the vectors.
+    A row is one combination (vectors, weights): a vector is (first
+    column, values), and the weights, one scalar per vector, stand for
+    the sum of the weights times the vectors.
     """
     out = []
-    for vectors, rows in blocks:
-        for row in rows:
-            dense = [0] * ncols
-            for x, (off, vals) in zip(row, vectors, strict=True):
-                for col, v in enumerate(vals, off):
-                    dense[col] += x * v
-            out.append(field.reduce(dense))
+    for vectors, weights in combos:
+        dense = [0] * ncols
+        for x, (off, vals) in zip(weights, vectors, strict=True):
+            for col, v in enumerate(vals, off):
+                dense[col] += x * v
+        out.append(field.reduce(dense))
     return out
 
 

@@ -242,7 +242,7 @@ def test_mobius_node_pairs_are_hyperelliptic():
     ids=["fp101", "fp10007", "fp2^61-1", "q"],
 )
 def test_node_system_rows_match_field_element_oracle(field, monkeypatch):
-    # the combination blocks the node solver builds through
+    # the combinations the node solver builds through
     # forms._coefficient_rows, written out and reduced, and their monomial
     # vectors residues
     systems = []
@@ -260,12 +260,12 @@ def test_node_system_rows_match_field_element_oracle(field, monkeypatch):
         for degree in range(1, 7):
             systems.clear()
             _node_map(_checked_nodes(pairs, field), degree, field)
-            ((blocks, ncols, _),) = systems
+            ((combos, ncols, _),) = systems
             assert ncols == 2 * (degree + 1)
-            rows = oracle_expanded_rows(blocks, ncols, field)
+            rows = oracle_expanded_rows(combos, ncols, field)
             assert rows == oracle_node_system_rows(pairs, degree, field)
             if field is not QQ:
-                vectors = [vals for vecs, _ in blocks for _, vals in vecs]
+                vectors = [vals for vecs, _ in combos for _, vals in vecs]
                 assert all(type(x) is int and 0 <= x < field.p for vals in vectors for x in vals)
 
 

@@ -165,6 +165,18 @@ def test_gonality_field_too_small_names_the_bound(capsys, p):
         )
 
 
+def test_rational_sampler_bound_gives_an_anomaly_not_a_traceback(capsys):
+    # the rational draws span the 1999 integers in [-999, 999]: rnc at
+    # n = 499 draws n - 1 node values besides 0 and 1, and 4 * 500 > 1999
+    for n in ("499", "2100"):
+        doc = _run_json(capsys, "rnc", "--n", n, "--trials", "1", "--field", "q")
+        assert doc["result"]["anomaly_code"] == "FieldTooSmallError"
+        assert doc["result"]["anomaly_message"].endswith("got 1999 in [-999, 999]")
+    doc = _run_json(capsys, "gonality", "--n", "2100", "--field", "q", "--trials", "1")
+    (row,) = doc["result"]["rows"]
+    assert row["note"].startswith("FieldTooSmallError: rejection sampling of 2099 ")
+
+
 @pytest.mark.parametrize("p", [13, 29])
 def test_gonality_anomaly_rows_use_the_curve_genus(capsys, p):
     # at n=5 the genus is 6: every row, solved or anomalous, has bound 4

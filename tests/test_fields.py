@@ -8,6 +8,7 @@ import pytest
 from scrollgeom.errors import FieldMismatchError, FieldTooSmallError
 from scrollgeom.fields import (
     QQ,
+    RATIONAL_SPAN,
     FpElement,
     PrimeField,
     distinct_values,
@@ -185,6 +186,26 @@ def test_distinct_values_are_random_distinct_unwrapped(field):
         assert len(set(drawn)) == count and not set(drawn) & set(exclude)
         assert drawn == field.unwrap(handed)
         assert rng.counter == twin.counter >= count
+
+
+def test_rational_distinct_values_need_four_times_as_many_integers():
+    # the rational draws come from the 2 * RATIONAL_SPAN + 1 integers in
+    # [-RATIONAL_SPAN, RATIONAL_SPAN]: the sampler's bound applies to them
+    span = 2 * RATIONAL_SPAN + 1
+    assert span == 1999
+    for count, exclude in ((498, (0, 1)), (500, ()), (2099, (0, 1))):
+        rng, twin = _twins(f"rational{count}")
+        for sample, stream in ((distinct_values, rng), (random_distinct, twin)):
+            with pytest.raises(FieldTooSmallError, match=(
+                    f"^rejection sampling of {count} distinct scalars avoiding {len(exclude)} "
+                    rf"fixed values needs {4 * (count + len(exclude))} integers to draw from, "
+                    rf"got {span} in \[-{RATIONAL_SPAN}, {RATIONAL_SPAN}\]$")):
+                sample(QQ, stream, count, exclude)
+        assert rng.counter == twin.counter == 0
+    # the largest request the span admits, 4 * 499 <= 1999, draws
+    drawn = distinct_values(QQ, as_stream(3), 497, (0, 1))
+    assert len(set(drawn)) == 497 and not {0, 1} & set(drawn)
+    assert all(-RATIONAL_SPAN <= x <= RATIONAL_SPAN for x in drawn)
 
 
 def test_field_names_round_trip():

@@ -751,9 +751,9 @@ def _form_systems(st, field):
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(101)], ids=["q", "fp101"])
 def test_coefficient_rows_evaluate_the_weighted_forms(field):
-    # one block per condition: the weights as its one row, on one monomial
-    # vector per form at the form's first coefficient, shared by the forms
-    # of one degree; written out, each row evaluates the weighted forms
+    # one combination per condition: its weights on one monomial vector
+    # per form at the form's first coefficient, shared by the forms of one
+    # degree; written out, each row evaluates the weighted forms
     hypothesis = pytest.importorskip("hypothesis")
 
     @hypothesis.settings(max_examples=200, deadline=None)
@@ -764,8 +764,8 @@ def test_coefficient_rows_evaluate_the_weighted_forms(field):
         values = [x for f in forms for x in f.values]
         starts = [sum(d + 1 for d in degrees[:i]) for i in range(len(degrees))]
         assert len(blocks) == len(conditions)
-        for (vectors, rows), (_, _, weights) in zip(blocks, conditions):
-            assert [list(row) for row in rows] == [list(weights)]
+        for (vectors, row), (_, _, weights) in zip(blocks, conditions):
+            assert list(row) == list(weights)
             assert [off for off, _ in vectors] == starts
             assert [len(vals) for _, vals in vectors] == [d + 1 for d in degrees]
             for (_, a), da in zip(vectors, degrees):

@@ -12,10 +12,11 @@ from scrollgeom.fields import QQ, FpElement, PrimeField
 import scrollgeom.linalg as linalg
 from scrollgeom.linalg import (
     CERTIFICATE_PRIME,
+    _as_combinations,
     _forward_fp,
     _forward_q,
-    _int_rows_q,
-    _packed_rows_fp,
+    _int_rows_of_combinations,
+    _packed_combinations,
     _slots,
     pivot_columns,
     pivot_columns_of_combinations,
@@ -120,13 +121,38 @@ def test_rank_of_matches_rank_kernel():
             assert rank_of(rows, 6, field) == rank_kernel(rows, 6, field)[0]
 
 
+ROW_ENTRY_POINTS = [rank_kernel, pivot_columns, rank_of]
+
+
 def test_float_entries_rejected_on_both_paths():
-    with pytest.raises(FieldMismatchError):
-        rank_kernel([[0.5, 1]], 2, QQ)
-    with pytest.raises(FieldMismatchError):
-        rank_kernel([[Fraction(1, 2), 1.0]], 2, QQ)
-    with pytest.raises(FieldMismatchError):
-        rank_kernel([[0.5, 1]], 2, PrimeField(7))
+    # every plain-row entry point goes through the one adapter, which
+    # checks the entries and leaves the caller's rows as they were
+    for entry in ROW_ENTRY_POINTS:
+        for field in (QQ, PrimeField(7)):
+            for rows in ([[0.5, 1]], [[1, 2], [3, 1.0]], [[Fraction(1, 2), 1.0]]):
+                before = [list(row) for row in rows]
+                with pytest.raises(FieldMismatchError):
+                    entry(rows, 2, field)
+                assert rows == before, (entry, field)
+
+
+@pytest.mark.parametrize("entry", ROW_ENTRY_POINTS, ids=lambda f: f.__name__)
+@pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["q", "fp7"])
+def test_rows_of_another_length_rejected(entry, field):
+    for rows in ([[1, 2, 3], [4, 5]], [[1, 2, 3, 4]], [[]]):
+        before = [list(row) for row in rows]
+        with pytest.raises(ValueError, match="expected 3"):
+            entry(rows, 3, field)
+        assert rows == before
+
+
+@pytest.mark.parametrize("entry", ROW_ENTRY_POINTS, ids=lambda f: f.__name__)
+@pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["q", "fp7"])
+def test_entry_points_leave_the_rows_unchanged(entry, field):
+    rows = [[Fraction(1, 3) if field is QQ else 9, 2, -4], [2, 4, 6], [0, 0, 14], [5, 1, 8]]
+    before = [list(row) for row in rows]
+    entry(rows, 3, field)
+    assert rows == before
 
 
 # ------------------------------------------- packed prime-field elimination
@@ -190,7 +216,7 @@ def _slot_filling_rows(rank, extra, p):
 def test_packed_elimination_matches_oracle(p, shape):
     rows = _packed_shapes(p)[shape]
     ncols = len(rows[0]) if rows else 4
-    packed = _packed_rows_fp(rows, ncols, p)
+    packed = _packed_combinations(_as_combinations(rows, ncols, PrimeField(p)), ncols, p)
     pivots = _forward_fp(packed, ncols, p)
     want_rank, want_pivots, _ = oracle_rref_mod(rows, ncols, p)
     assert pivots == want_pivots and len(pivots) == want_rank
@@ -273,14 +299,14 @@ def test_forward_pass_accepts_unreduced_slots_below_p_squared(p):
 
 @pytest.mark.parametrize("p", [101, 10007, MERSENNE_61, None], ids=["101", "10007", "2^61-1", "q"])
 def test_pivot_columns_of_combinations_match_the_expanded_rows(p):
-    # rows given as scalars times vectors that cut the columns into runs;
-    # the scalars are any ints, negative and far beyond p included
+    # rows given as weights times vectors that cut the columns into runs;
+    # the weights are any ints, negative and far beyond p included
     field = PrimeField(p) if p else QQ
     rng = as_stream(p % 1000 + 7 if p else 7)
     top = p or 50
     for _ in range(12):
         ncols = rng.randint(1, 24)
-        blocks, expanded = [], []
+        combos, expanded = [], []
         for _ in range(rng.randint(1, 4)):
             cuts = sorted({0, ncols, *(rng.randint(1, ncols) for _ in range(3))})
             vectors = [(a, [rng.below(top) for _ in range(a, b)]) for a, b in zip(cuts, cuts[1:])]
@@ -288,7 +314,7 @@ def test_pivot_columns_of_combinations_match_the_expanded_rows(p):
             rows = [[rng.randint(-top, top) * rng.randint(1, top) if t < rank else 0
                      for t in range(len(vectors))] for _ in range(rng.randint(1, 6))]
             rows += [[2 * x for x in row] for row in rows[:2]]  # dependent rows
-            blocks.append((vectors, rows))
+            combos += [(vectors, row) for row in rows]
             for row in rows:
                 dense = [0] * ncols
                 for x, (off, vals) in zip(row, vectors):
@@ -296,14 +322,18 @@ def test_pivot_columns_of_combinations_match_the_expanded_rows(p):
                         dense[col] = x * v
                 expanded.append(dense)
         want = oracle_rref_mod(expanded, ncols, p) if p else oracle_rref_q(expanded, ncols)
-        assert linalg.pivot_columns_of_combinations(blocks, ncols, field) == want[1]
+        assert linalg.pivot_columns_of_combinations(combos, ncols, field) == want[1]
+    # an empty vector may sit at column ncols, past the last column
+    assert linalg.pivot_columns_of_combinations([([(0, [])], [1])], 0, field) == []
+    assert linalg.pivot_columns_of_combinations(
+        [([(0, [1, 2]), (2, [])], [1, 5])], 2, field) == [0]
 
 
 @pytest.mark.parametrize("p", [3, 101, 10007, MERSENNE_61, None],
                          ids=["3", "101", "10007", "2^61-1", "q"])
 def test_combination_entry_points_match_the_explicit_rows(p):
-    # random blocks whose vectors share value lists, within a block and
-    # across blocks, with scalars that are zero, negative and at least p:
+    # random combinations whose vectors share value lists, within a row and
+    # across rows, with weights that are zero, negative and at least p:
     # the pivots and the kernel basis of the combination entry points
     # against pivot_columns and rank_kernel on the rows written out
     field = PrimeField(p) if p else QQ
@@ -330,7 +360,7 @@ def test_combination_entry_points_match_the_explicit_rows(p):
     for _ in range(40):
         ncols = rng.randint(1, 16)
         pool = {}  # value lists by length, handed to later vectors of that length
-        blocks = []
+        combos = []
         for _ in range(rng.randint(1, 5)):
             cuts = sorted({0, ncols, *(rng.randint(1, ncols) for _ in range(3))})
             vectors = []
@@ -343,11 +373,11 @@ def test_combination_entry_points_match_the_explicit_rows(p):
                     vectors.append((a, pool[b - a]))
             rows = [[scalar() for _ in vectors] for _ in range(rng.randint(1, 4))]
             rows += [[3 * x for x in row] for row in rows[:rng.randint(0, 1)]]  # dependent
-            blocks.append((vectors, rows))
-        explicit = oracle_expanded_rows(blocks, ncols, field)
-        assert pivot_columns_of_combinations(blocks, ncols, field) == pivot_columns(
+            combos += [(vectors, row) for row in rows]
+        explicit = oracle_expanded_rows(combos, ncols, field)
+        assert pivot_columns_of_combinations(combos, ncols, field) == pivot_columns(
             explicit, ncols, field)
-        assert rank_kernel_of_combinations(blocks, ncols, field) == rank_kernel(
+        assert rank_kernel_of_combinations(combos, ncols, field) == rank_kernel(
             explicit, ncols, field)
     assert all(seen[key] for key in (0, 1, 2, 3, "shared"))
 
@@ -468,7 +498,7 @@ def _rational_shapes():
 
 def _assert_primitive_echelon(rows, ncols):
     """The rational forward pass leaves an echelon form of primitive rows."""
-    mat = _int_rows_q(rows, ncols)
+    mat = _int_rows_of_combinations(_as_combinations(rows, ncols, QQ), ncols)
     pivots = _forward_q(mat, ncols)
     assert pivots == oracle_rref_q(rows, ncols)[1]
     for i, row in enumerate(mat):
@@ -552,7 +582,7 @@ def test_rank_only_callers_build_no_kernel(monkeypatch, capsys):
             return kernel(rows, ncols, field)
         return counted_kernel
 
-    # both kernel entry points, on rows and on combination blocks
+    # both kernel entry points, on rows and on combinations
     for name, mod in list(sys.modules.items()):
         for kernel in (rank_kernel, rank_kernel_of_combinations):
             if name.startswith("scrollgeom") and getattr(mod, kernel.__name__, None) is kernel:
@@ -643,7 +673,8 @@ def test_rational_rank_survives_a_bad_certificate_prime():
     ]
     for rows, ncols, want in cases:
         # the certificate sees the rows cleared of denominators and content
-        assert rank_of(_int_rows_q(rows, ncols), ncols, PrimeField(big)) < want
+        cleared = _int_rows_of_combinations(_as_combinations(rows, ncols, QQ), ncols)
+        assert rank_of(cleared, ncols, PrimeField(big)) < want
         assert rank_of(rows, ncols, QQ) == want == oracle_rref_q(rows, ncols)[0]
         assert len(pivot_columns(rows, ncols, QQ)) == want
 

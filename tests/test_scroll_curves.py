@@ -679,18 +679,18 @@ INCIDENCE_K = {(1, 1, 2): 2, (1, 2, 2): 2, (2, 3): 1}
 HELD_K = {**INCIDENCE_K, (0, 1, 2): 1, (0, 4): 1, (0, 0, 3): 1, (1, 1, 1, 1): 3, (5,): 1}
 
 
-def _point_rows(blocks, n_coeffs, n_pts, field):
+def _point_rows(combos, n_coeffs, n_pts, field):
     """Per marked point, the charted rows [J_c | J_s] that _charted_jacobian holds.
 
-    Each block is one row, which meets J_s only in its point's column.
+    Each combination is one row, which meets J_s only in its point's column.
     """
     out = [[] for _ in range(n_pts)]
-    for vectors, rows in blocks:
-        assert len(rows) == 1
+    for vectors, weights in combos:
+        assert len(weights) == len(vectors)
         (j,) = [off - n_coeffs for off, _ in vectors if off >= n_coeffs]
         columns = [col for off, vals in vectors for col in range(off, off + len(vals))]
         assert len(columns) == len(set(columns))  # disjoint supports
-        out[j] += oracle_expanded_rows([(vectors, rows)], n_coeffs + n_pts, field)
+        out[j] += oracle_expanded_rows([(vectors, weights)], n_coeffs + n_pts, field)
     return out
 
 
@@ -801,11 +801,11 @@ def test_coefficient_jacobian_matches_field_element_oracle(field, degrees, k):
     scroll = ScrollType(degrees)
     n_slots, n_pts = scroll.n + 1, scroll.n + 2
     for curve, sigma in _incidence_samples(degrees, k, field, 900 + sum(degrees)):
-        blocks, n_coeffs = _charted_jacobian(curve, field.unwrap(sigma), field)
+        combos, n_coeffs = _charted_jacobian(curve, field.unwrap(sigma), field)
         want_rows, want_coeffs = oracle_coefficient_jacobian(curve, sigma, field)
         assert n_coeffs == want_coeffs
         width = n_coeffs + n_pts
-        for j, (s, held) in enumerate(zip(sigma, _point_rows(blocks, n_coeffs, n_pts, field))):
+        for j, (s, held) in enumerate(zip(sigma, _point_rows(combos, n_coeffs, n_pts, field))):
             t0_value = oracle_form_value(curve.t0, s, field.one)
             t_e = t0_value or oracle_form_value(curve.t1, s, field.one)
             y_values = [oracle_form_value(y, s, field.one) for y in curve.ys]
@@ -821,7 +821,7 @@ def test_coefficient_jacobian_matches_field_element_oracle(field, degrees, k):
                 scale = sign * t_e ** (u + 1) * y0 ** v
                 assert field.unwrap([t_e * x for x in want[:width]]) == field.reduce(
                     [x * y for x, y in zip(field.unwrap([scale] * width), row)])
-        for vectors, _ in blocks:
+        for vectors, _ in combos:
             if field is not QQ:
                 assert all(type(x) is int and 0 <= x < field.p for _, vals in vectors for x in vals)
 
@@ -838,12 +838,12 @@ def test_held_rows_span_each_charted_block(field, degrees, k):
     n_pts, n_slots, d = scroll.n + 2, scroll.n + 1, scroll.d
     kinds = Counter()
     for curve, sigma in _incidence_samples(degrees, k, field, 500 + sum(degrees)):
-        blocks, n_coeffs = _charted_jacobian(curve, field.unwrap(sigma), field)
+        combos, n_coeffs = _charted_jacobian(curve, field.unwrap(sigma), field)
         want_rows, _ = oracle_coefficient_jacobian(curve, sigma, field)
         got = _incidence_ranks(curve, field.unwrap(sigma), field)
         assert got == (n_coeffs, *oracle_incidence_ranks(want_rows, n_coeffs, n_pts, field))
         width = n_coeffs + 2 * n_pts
-        for j, (s, held) in enumerate(zip(sigma, _point_rows(blocks, n_coeffs, n_pts, field))):
+        for j, (s, held) in enumerate(zip(sigma, _point_rows(combos, n_coeffs, n_pts, field))):
             col = n_coeffs + n_pts + j
             held = [row + [0] * n_pts for row in held]
             full = _charted(want_rows[j * n_slots:(j + 1) * n_slots], col)
@@ -873,13 +873,13 @@ def test_torus_directions_lie_in_every_charted_block_kernel(field, degrees, k):
     scroll = ScrollType(degrees)
     n_pts, n_slots = scroll.n + 2, scroll.n + 1
     for curve, sigma in _incidence_samples(degrees, k, field, 300 + sum(degrees)):
-        blocks, n_coeffs = _charted_jacobian(curve, field.unwrap(sigma), field)
+        combos, n_coeffs = _charted_jacobian(curve, field.unwrap(sigma), field)
         want_rows, _ = oracle_coefficient_jacobian(curve, sigma, field)
         t_coeffs = [*curve.t0.values, *curve.t1.values]
         lam = t_coeffs + [-a * x for a, y in zip(scroll.degrees, curve.ys) for x in y.values]
         mu = [0] * len(t_coeffs) + [x for y in curve.ys for x in y.values]
         assert len(lam) == len(mu) == n_coeffs
-        for j, held in enumerate(_point_rows(blocks, n_coeffs, n_pts, field)):
+        for j, held in enumerate(_point_rows(combos, n_coeffs, n_pts, field)):
             col = n_coeffs + n_pts + j
             full = want_rows[j * n_slots:(j + 1) * n_slots]
             charted = held + [field.unwrap(r) for r in _charted(full, col)]
