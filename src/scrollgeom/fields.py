@@ -332,9 +332,10 @@ def distinct_values(field, rng, count: int, exclude=()) -> list:
     """count distinct working values drawn by field.random_value, none in exclude.
 
     exclude holds working values.  Rejection sampling asks for at least
-    4 * (count + len(exclude)) values to draw from: a smaller p, or over
-    the rationals that many beyond the integers in [-RATIONAL_SPAN,
-    RATIONAL_SPAN], raises FieldTooSmallError before any draw.
+    4 * (count + len(exclude)) values to draw from: a p below that, or
+    over the rationals a bound above the 2 * RATIONAL_SPAN + 1 integers in
+    [-RATIONAL_SPAN, RATIONAL_SPAN], raises FieldTooSmallError before any
+    draw.
     """
     bound = 4 * (count + len(exclude))
     wanted = f"rejection sampling of {count} distinct scalars avoiding {len(exclude)} fixed values"
