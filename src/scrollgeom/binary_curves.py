@@ -22,7 +22,7 @@ from .errors import (
     InternalCheckError,
     NoCoprimeWitnessError,
 )
-from .fields import scalar_to_str
+from .fields import distinct_values, scalar_to_str
 from .forms import (BinaryForm, _cleared, _coefficient_rows, _div, _horner, _split_forms,
                     _value, divide_exact, form_gcd, gcd_many, random_form)
 from .linalg import rank_kernel, rank_kernel_of_combinations, rank_of
@@ -89,8 +89,8 @@ class BinaryCurve:
     def to_dict(self):
         return {
             "n": self.n,
-            "comp1": {"params": [scalar_to_str(p) for p in self.comp1.params]},
-            "comp2": {"params": [scalar_to_str(p) for p in self.comp2.params]},
+            "comp1": {"params": [scalar_to_str(p) for p in self.comp1.values[2:]]},
+            "comp2": {"params": [scalar_to_str(p) for p in self.comp2.values[2:]]},
             "field": self.field.name,
         }
 
@@ -214,7 +214,7 @@ def _gonality(nodes, n: int, field):
     degree = n // 2 + 1
     pair, kernel = _node_map(nodes, degree, field)
     if not kernel:
-        raise NoCoprimeWitnessError("empty kernel", kernel_basis=[])
+        raise NoCoprimeWitnessError("empty kernel")
     if pair is not None:
         return GonalityWitness(*pair, degree + 1), len(kernel)
 
@@ -231,10 +231,7 @@ def _gonality(nodes, n: int, field):
         r2 = divide_exact(q2, g)
         if _pair_satisfies_nodes(r1, r2, nodes, field):
             return GonalityWitness(r1, r2, r1.degree + 1), len(kernel)
-    raise NoCoprimeWitnessError(
-        "no coprime gonality witness in the scanned kernel combinations",
-        kernel_basis=kernel,
-    )
+    raise NoCoprimeWitnessError("no coprime gonality witness in the scanned kernel combinations")
 
 
 def gonality_map(curve: BinaryCurve):
@@ -268,20 +265,15 @@ def random_mobius_node_pairs(n: int, field, seed):
 
     Draws n+2 distinct parameters R_j and an invertible 2x2 matrix, and
     sets S_j to the image of R_j; hyperelliptic_from_nodes accepts these
-    by construction.
+    by construction.  The pairs hold working values (residues over F_p).
     """
-    from .fields import random_distinct
-
     rng = as_stream(seed)
-    values = random_distinct(field, rng, n + 2)
+    values = distinct_values(field, rng, n + 2)
     while True:
-        a, b, c, d = (field.random_scalar(rng) for _ in range(4))
-        if a * d - b * c:
+        a, b, c, d = (field.random_value(rng) for _ in range(4))
+        if field.reduce([a * d - b * c])[0]:
             break
-    pairs = []
-    for v in values:
-        pairs.append(((v, field.one), (a * v + b, c * v + d)))
-    return tuple(pairs)
+    return tuple(((v, 1), tuple(field.reduce([a * v + b, c * v + d]))) for v in values)
 
 
 # ---------------------------------------------------------------------------
@@ -354,10 +346,10 @@ ContainmentVerdict = namedtuple(
 def _random_plane(n, field, rng):
     """(n+1) x 3 matrix of rank 3 whose column span is a plane.
 
-    Its rows are drawn through field.random_scalar and unwrapped once.
+    Its rows hold working values drawn by field.random_value.
     """
     while True:
-        mat = [field.unwrap([field.random_scalar(rng) for _ in range(3)]) for _ in range(n + 1)]
+        mat = [[field.random_value(rng) for _ in range(3)] for _ in range(n + 1)]
         if rank_of(mat, 3, field) == 3:
             return mat
 
@@ -428,7 +420,7 @@ def _plane_trial(grams, n, field, rng):
     for _ in range(24):
         if all(g[2][2] for g in nonzero):
             break
-        change = [field.unwrap([field.random_scalar(rng) for _ in range(3)]) for _ in range(3)]
+        change = [[field.random_value(rng) for _ in range(3)] for _ in range(3)]
         if rank_of(change, 3, field) != 3:
             continue
         nonzero = [_restrict_to_plane(g, change, field) for g in nonzero]
@@ -475,7 +467,7 @@ def _slicing_search(curve, quadrics, trials, stream, anomalies):
 
 
 def _form_coeffs(form):
-    return [scalar_to_str(c) for c in form.coeffs]
+    return [scalar_to_str(c) for c in form.values]
 
 
 def _sampled_stratum(nodes, h, k, field, rng, samples):

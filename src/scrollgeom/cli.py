@@ -247,10 +247,10 @@ def _handle_rnc(args) -> dict:
         rows.append(
             {
                 "trial": t,
-                "params": _join(curve.params),
+                "params": _join(curve.values[2:]),
                 "quadric_rank": quad.rank(),
                 "residual_degree": residual.degree,
-                "residual": _join(residual.coeffs),
+                "residual": _join(residual.values),
                 "curve_on_quadric": residual.is_zero(),
                 "finiteness_rank": fin_rank,
                 "isolated": fin_rank == n - 1,
@@ -317,6 +317,8 @@ def _section_dict(section) -> dict:
 
 def _handle_degenerate(args) -> dict:
     degrees = args.a
+    if any(a < 0 for a in degrees):
+        raise _UsageError(f"bad --a: negative degree in fiber degrees {degrees}")
     field = args.field
     stream = as_stream(args.seed)
     member1 = degeneration_member(degrees, field.one, field=field)
@@ -363,8 +365,8 @@ def _handle_gonality(args) -> dict:
                     "map_degree": witness.q1.degree,
                     "total_degree": witness.total_degree,
                     "bound": gonality_bound(curve.arithmetic_genus),
-                    "q1": _join(witness.q1.coeffs),
-                    "q2": _join(witness.q2.coeffs),
+                    "q1": _join(witness.q1.values),
+                    "q2": _join(witness.q2.values),
                     "note": "",
                 }
             )
@@ -558,9 +560,12 @@ def main(argv=None) -> int:
     report = build_report(args.command, _config_echo(args), result)
     report["wall_clock_ms"] = (time.perf_counter_ns() - start) // 1_000_000
     text = render_report(report, args.format)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+    if args.out is not None:
+        try:
+            with open(args.out, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            parser.exit(2, f"{parser.prog}: error: cannot write --out {args.out}: {exc.strerror}\n")
     else:
         sys.stdout.write(text)
     return 0

@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+Each carries only its message, which names what went wrong.
+"""
 
 from __future__ import annotations
 
@@ -18,10 +21,6 @@ class FieldTooSmallError(ScrollGeomError, ValueError):
 class InexactDivisionError(ScrollGeomError):
     """Form division left a nonzero remainder."""
 
-    def __init__(self, message, remainder=None):
-        self.remainder = remainder
-        super().__init__(message)
-
 
 class BothZeroError(ScrollGeomError, ValueError):
     """gcd of two zero forms is undefined."""
@@ -29,10 +28,6 @@ class BothZeroError(ScrollGeomError, ValueError):
 
 class DegenerateFrameError(ScrollGeomError):
     """Some n+1 of the frame points are linearly dependent."""
-
-    def __init__(self, message, subset=()):
-        self.subset = tuple(subset)
-        super().__init__(message)
 
 
 class ZeroQuadricError(ScrollGeomError, ValueError):
@@ -49,10 +44,6 @@ class DependentConditionsError(ScrollGeomError, ValueError):
 
 class NoCoprimeWitnessError(ScrollGeomError):
     """Every kernel element of the node system shares a common factor."""
-
-    def __init__(self, message, kernel_basis=()):
-        self.kernel_basis = list(kernel_basis)
-        super().__init__(message)
 
 
 class InternalCheckError(ScrollGeomError):

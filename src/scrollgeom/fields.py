@@ -22,7 +22,9 @@ Draws hand out working values: ``random_value`` draws one (``rng.below(p)``
 over F_p, an int in [-RATIONAL_SPAN, RATIONAL_SPAN] over the rationals)
 and ``distinct_values`` draws distinct ones.  ``random_scalar`` and
 ``random_distinct`` are their boundary views, the same draws from the same
-stream handed out as field elements.
+stream handed out as field elements, for callers that compute on field
+elements; a draw that would be unwrapped at once (a lifted frame, Mobius
+node pairs, a plane trial) takes the working values directly.
 """
 
 from __future__ import annotations

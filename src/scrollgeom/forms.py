@@ -387,22 +387,20 @@ def divide_exact(f: BinaryForm, g: BinaryForm) -> BinaryForm:
         return _form(deg_q, [0 * g.values[g.s1_valuation()]] * (deg_q + 1), field)
     if f.degree < g.degree:
         raise InexactDivisionError(
-            f"degree {f.degree} form not divisible by degree {g.degree} form",
-            remainder=f,
+            f"degree {f.degree} form not divisible by degree {g.degree} form"
         )
     vf, pf = _as_t_poly(f)
     vg, pg = _as_t_poly(g)
     if vf < vg or len(pf) < len(pg):
-        raise InexactDivisionError("divisor has a factor the dividend lacks", remainder=f)
+        raise InexactDivisionError("divisor has a factor the dividend lacks")
     q_poly, r_poly = _poly_divmod(pf, pg, getattr(field, "p", None))
     # q picks up the leftover s1 power; its t-lead is nonzero, so its
     # degree is f.degree - g.degree
     q = _from_t_poly(vf - vg, q_poly, field)
     if any(r_poly):
-        raise InexactDivisionError("nonzero remainder", remainder=f - g * q)
-    check = f - g * q
-    if not check.is_zero():
-        raise InexactDivisionError("division self-check failed", remainder=check)
+        raise InexactDivisionError("nonzero remainder")
+    if not (f - g * q).is_zero():
+        raise InexactDivisionError("division self-check failed")
     return q
 
 

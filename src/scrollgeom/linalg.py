@@ -1,11 +1,13 @@
 """Exact rank and kernel computations over the rationals or a prime field.
 
-Every entry point takes the field as its third positional argument, a
-required one: no entry point reads a field off its entries.  Entries may
-be elements of that field or ints, and the field's ``unwrap`` checks
-each row (a float or an element of another field raises
-FieldMismatchError); rows of plain int residues from the prime-field hot
-paths pass without a per-entry type check.
+Four entry points: rank_kernel and rank_of take plain rows,
+rank_kernel_of_combinations and pivot_columns_of_combinations take rows
+that are combinations.  Each takes the field as its third positional
+argument, a required one: no entry point reads a field off its entries.
+Entries may be elements of that field or ints, and the field's
+``unwrap`` checks each row (a float or an element of another field
+raises FieldMismatchError); rows of plain int residues from the
+prime-field hot paths pass without a per-entry type check.
 
 A matrix has one form inside this module: a list of rows, each one
 combination (vectors, weights), a vector (first column, values) and the
@@ -13,17 +15,16 @@ weights one scalar per vector, standing for the sum of the weights times
 the vectors.  The systems on forms and the incidence Jacobian are built
 this way, a few shared monomial or power vectors per row, and go to
 pivot_columns_of_combinations and rank_kernel_of_combinations as they
-are.  A plain row, given to rank_kernel, pivot_columns or rank_of,
-becomes the one vector (0, its working values) with weight 1
-(_as_combinations), which also checks its length and entries.  Each
-field then has one row builder: _packed_combinations over F_p and
-_int_rows_of_combinations over the rationals, and _eliminate serves
-every entry point.
+are.  A plain row, given to rank_kernel or rank_of, becomes the one
+vector (0, its working values) with weight 1 (_as_combinations), which
+also checks its length and entries.  Each field then has one row
+builder: _packed_combinations over F_p and _int_rows_of_combinations
+over the rationals, and _eliminate serves every entry point.
 
 Both fields eliminate in two steps.  A forward pass gives a row echelon
-form, whose pivot columns give the rank: pivot_columns,
-pivot_columns_of_combinations and rank_of stop there.  Only rank_kernel
-and rank_kernel_of_combinations run the back step that follows, one
+form, whose pivot columns give the rank: pivot_columns_of_combinations
+and rank_of stop there.  Only rank_kernel and
+rank_kernel_of_combinations run the back step that follows, one
 fraction-free back substitution for both fields, and their kernel
 vectors come back as field elements built by one ``field.wrap`` each.
 The rational path works on Python ints throughout.  Each row is written
@@ -316,18 +317,13 @@ def rank_kernel_of_combinations(combos, ncols: int, field):
     return _kernel(*_eliminate(combos, ncols, field), ncols, field)
 
 
-def pivot_columns(rows, ncols: int, field) -> list:
-    """Pivot columns of a row echelon form, from the forward pass alone.
-
-    A column is a pivot exactly when it is not in the span of the columns
-    before it, whatever rows the elimination picked, so the rank of the
-    first m columns is the number of pivots below m.
-    """
-    return _eliminate(_as_combinations(rows, ncols, field), ncols, field)[1]
-
-
 def pivot_columns_of_combinations(combos, ncols: int, field) -> list:
-    """pivot_columns of rows that are combinations of a few sparse vectors.
+    """Pivot columns of a row echelon form of the rows of combinations.
+
+    The forward pass alone gives them.  A column is a pivot exactly when
+    it is not in the span of the columns before it, whatever rows the
+    elimination picked, so the rank of the first m columns is the number
+    of pivots below m.
 
     Each row is one combination (vectors, weights).  A vector is (first
     column, values), with values that are working values (residues in
@@ -349,9 +345,10 @@ def rank_of(rows, ncols: int, field) -> int:
     come from a prime that divides a minor, so the exact forward pass
     decides.
     """
+    combos = _as_combinations(rows, ncols, field)
     if isinstance(field, PrimeField):
-        return len(pivot_columns(rows, ncols, field))
-    mat = _int_rows_of_combinations(_as_combinations(rows, ncols, field), ncols)
+        return len(_eliminate(combos, ncols, field)[1])
+    mat = _int_rows_of_combinations(combos, ncols)
     bound = min(len(mat), ncols)
     cleared = _as_combinations(mat, ncols, _CERTIFICATE_FIELD)
     if len(_eliminate(cleared, ncols, _CERTIFICATE_FIELD)[1]) == bound:

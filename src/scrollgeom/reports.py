@@ -55,7 +55,7 @@ def _exact(value):
     if isinstance(value, BinaryForm):
         return {
             "degree": value.degree,
-            "coeffs": [scalar_to_str(c) for c in value.coeffs],
+            "coeffs": [scalar_to_str(c) for c in value.values],
         }
     raise TypeError(f"cannot serialize {type(value).__name__} exactly")
 

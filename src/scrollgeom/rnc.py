@@ -20,7 +20,6 @@ A quadric and a curve over two fields do not mix (FieldMismatchError).
 
 from __future__ import annotations
 
-from math import prod
 from operator import mul
 
 from .errors import (
@@ -54,12 +53,6 @@ class Frame:
     def __setattr__(self, name, value):
         raise AttributeError("Frame is immutable")
 
-    def __iter__(self):
-        return iter(self.points)
-
-    def __getitem__(self, j):
-        return self.points[j]
-
 
 def _validate_general_position(points, n, field):
     # a single spanning relation sum(lambda_j P_j) = 0 exists; general
@@ -67,16 +60,12 @@ def _validate_general_position(points, n, field):
     cols = [list(col) for col in zip(*points)]
     rank, kernel = rank_kernel(cols, n + 2, field)
     if rank < n + 1:
-        raise DegenerateFrameError(
-            f"frame spans only a P^{rank - 1}", subset=tuple(range(n + 2))
-        )
+        raise DegenerateFrameError(f"frame spans only a P^{rank - 1}")
     relation = kernel[0]
     zero_slots = [j for j, lam in enumerate(relation) if not lam]
     if zero_slots:
         involved = tuple(j for j, lam in enumerate(relation) if lam)
-        raise DegenerateFrameError(
-            f"points {involved} are linearly dependent", subset=involved
-        )
+        raise DegenerateFrameError(f"points {involved} are linearly dependent")
 
 
 class StandardRNC:
@@ -127,14 +116,6 @@ class StandardRNC:
     def coordinate_forms(self):
         field = self.field
         return [BinaryForm(self.n, c, field) for c in _node_singles(self.values, field)]
-
-    def evaluate(self, s0, s1):
-        """Point of P^n at parameter (s0 : s1)."""
-        field = self.field
-        s0, s1 = field.unwrap((s0, s1))
-        factors = [s0 - v * s1 for v in self.values]
-        coords = [prod(factors[:j] + factors[j + 1:]) for j in range(len(factors))]
-        return tuple(field.wrap(field.reduce(coords)))
 
     def __eq__(self, other):
         if not isinstance(other, StandardRNC):
@@ -195,14 +176,6 @@ class Quadric:
 
     def is_zero(self) -> bool:
         return not any(any(row) for row in self.values)
-
-    def evaluate(self, point):
-        """Value at a point of the quadric's field."""
-        field = self.field
-        x = field.unwrap(point)
-        rows = enumerate(self.values)
-        total = sum(g * x[i] * x[j] for i, row in rows for j, g in enumerate(row))
-        return field.wrap(field.reduce([total]))[0]
 
     def rank(self) -> int:
         return rank_of(self.values, self.n + 1, self.field)
@@ -382,5 +355,5 @@ def rnc_residual_and_rank(q: Quadric, curve: StandardRNC):
     """
     _check_pair(q, curve)
     residual, partials = _residual_pass(q.values, curve.values, curve.field)
-    rows = [list(row) for row in zip(*partials)]
-    return residual, rank_of(rows, curve.n - 1, curve.field)
+    # the partials as rows: the transpose of the Jacobian, of the same rank
+    return residual, rank_of(partials, curve.n - 1, curve.field)

@@ -33,7 +33,7 @@ from math import prod
 from operator import mul
 
 from .errors import DependentConditionsError, InternalCheckError
-from .fields import distinct_values, random_distinct
+from .fields import distinct_values
 from .forms import (BinaryForm, _cleared, _coefficient_rows, _horner, _split_forms, compose_form,
                     form_gcd, gcd_many, random_form)
 from .linalg import pivot_columns_of_combinations, rank_kernel, rank_kernel_of_combinations, rank_of
@@ -156,9 +156,6 @@ class ScrollSection:
     def __setattr__(self, name, value):
         raise AttributeError("ScrollSection is immutable")
 
-    def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.comps)
-
     def __eq__(self, other):
         if not isinstance(other, ScrollSection):
             return NotImplemented
@@ -203,16 +200,16 @@ def random_curve_in_scroll(scroll: ScrollType, k: int, field, rng) -> CurveInScr
 
 
 def random_lifted_frame(scroll: ScrollType, field, rng):
-    """n+2 scroll points with pairwise distinct base values."""
+    """n+2 scroll points with pairwise distinct base values, as working values."""
     n, d = scroll.n, scroll.d
-    ts = random_distinct(field, rng, n + 2)
+    ts = distinct_values(field, rng, n + 2)
     points = []
     for t_val in ts:
         while True:
-            y = tuple(field.random_scalar(rng) for _ in range(d))
+            y = tuple(field.random_value(rng) for _ in range(d))
             if any(y):
                 break
-        points.append((y, (t_val, field.one)))
+        points.append((y, (t_val, 1)))
     return points
 
 
@@ -241,22 +238,21 @@ def interpolate_unisecant(scroll: ScrollType, lifted_frame, field) -> UnisecantR
     when nu_j = 0, and then no curve passes through point j.
     """
     n = scroll.n
-    points = [(tuple(y), tuple(t)) for (y, t) in lifted_frame]
+    # working values, unwrapped once: int residues over F_p
+    points = [(tuple(field.unwrap(y)), tuple(field.unwrap(t))) for (y, t) in lifted_frame]
     if len(points) != n + 2:
         raise ValueError(f"need n+2 = {n + 2} points, got {len(points)}")
-    # working values, unwrapped once: int residues over F_p
-    points = [(tuple(field.unwrap(y)), tuple(field.unwrap(t))) for (y, t) in points]
     for (y, t) in points:
         if not (t[0] or t[1]):
             raise ValueError("invalid scroll point: base coordinates both zero")
         if not any(y):
             raise ValueError("invalid scroll point: fiber coordinates all zero")
-    # a hyperplane is a section of L: the section conditions at m = 0,
-    # each combination written out, its vectors in the order of the slots
-    combos = _coefficient_rows([(*t, y) for (y, t) in points], scroll.degrees, field)
-    hyperplanes = [field.reduce([w * v for w, (_, vals) in zip(weights, vectors) for v in vals])
-                   for vectors, weights in combos]
-    rank, kernel = rank_kernel(list(zip(*hyperplanes)), n + 2, field)
+    # row (i, r) of H^T is the column of slot (i, a_i - r, r) of
+    # monomial_slots: y_i * t0^(a_i - r) * t1^r at each point, the
+    # monomial the hyperplane coordinate of that slot takes there
+    rows = [field.reduce([y[i] * t0 ** (a_i - r) * t1 ** r for (y, (t0, t1)) in points])
+            for i, a_i in enumerate(scroll.degrees) for r in range(a_i + 1)]
+    rank, kernel = rank_kernel(rows, n + 2, field)
     if rank < n + 1:
         raise DependentConditionsError(
             "the marked points impose dependent conditions on the hyperplane system"

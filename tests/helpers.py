@@ -22,12 +22,18 @@ the package takes the one linear relation among the image points, and
 the scroll points of a curve come from those same monomial sums.  The
 combination oracle writes each row out entry by entry, where the
 package packs the combinations' vectors straight into prime-field rows.
+The curve-point and quadric-value oracles multiply and sum on the
+field's own scalars.  The lifted-frame and Mobius oracles draw field
+elements (random_scalar, random_distinct) and compute on them, where the
+package draws and reduces working values; run on a twin stream, they
+must take the same draws.
 """
 
 from collections import Counter
 from fractions import Fraction
+from math import prod
 
-from scrollgeom.fields import QQ, FpElement
+from scrollgeom.fields import QQ, FpElement, random_distinct
 from scrollgeom.forms import BinaryForm, divide_exact
 from scrollgeom.linalg import rank_kernel
 from scrollgeom.scroll_curves import CurveInScroll, monomial_slots
@@ -186,6 +192,22 @@ def oracle_residual(gram, node_values, field):
             b_form = b_form + partial.scale(g + g)
     s1 = BinaryForm.monomial(1, 1, field.one, field)
     return divide_exact(b_form, s1)
+
+
+def oracle_rnc_point(curve, s0, s1):
+    """Point of P^n on a StandardRNC at (s0 : s1), in the scalars' own arithmetic.
+
+    Coordinate j is the product of s0 - v_i * s1 over the node values v_i
+    with i != j.
+    """
+    factors = [s0 - v * s1 for v in curve.node_values]
+    return tuple(prod(factors[:j] + factors[j + 1:]) for j in range(len(factors)))
+
+
+def oracle_quadric_value(q, point):
+    """sum_ij g_ij * x_i * x_j on a quadric's Gram matrix, in the scalars' own arithmetic."""
+    terms = (g * x * y for row, x in zip(q.gram, point) for g, y in zip(row, point))
+    return sum(terms, 0 * point[0])
 
 
 def oracle_node_product(node_values, field):
@@ -531,3 +553,25 @@ def oracle_unisecant(scroll, points, field):
     except ValueError:
         return ("NONE" if kernel_dim == 1 else status), kernel_dim, None
     return status, kernel_dim, ys
+
+
+def oracle_lifted_frame(scroll, field, rng):
+    """random_lifted_frame drawn as field elements, by random_distinct and random_scalar."""
+    points = []
+    for t in random_distinct(field, rng, scroll.n + 2):
+        while True:
+            y = tuple(field.random_scalar(rng) for _ in range(scroll.d))
+            if any(y):
+                break
+        points.append((y, (t, field.one)))
+    return points
+
+
+def oracle_mobius_node_pairs(n, field, rng):
+    """random_mobius_node_pairs drawn and mapped in the field's own scalars."""
+    values = random_distinct(field, rng, n + 2)
+    while True:
+        a, b, c, d = (field.random_scalar(rng) for _ in range(4))
+        if a * d - b * c:
+            break
+    return tuple(((v, field.one), (a * v + b, c * v + d)) for v in values)

@@ -43,6 +43,7 @@ from helpers import (
     count_fraction_arithmetic,
     cross_ratio,
     oracle_expanded_rows,
+    oracle_mobius_node_pairs,
     oracle_node_system_rows,
     oracle_quadric_coefficient_rows,
     oracle_rref_mod,
@@ -234,6 +235,24 @@ def test_mobius_node_pairs_are_hyperelliptic():
             firsts = [r[0] / r[1] for (r, _) in pairs]
             assert len(set(firsts)) == n + 2
             assert hyperelliptic_from_nodes(pairs, field) is True
+
+
+@pytest.mark.parametrize(
+    "field",
+    [QQ, PrimeField(101), PrimeField(10007), PrimeField(2**61 - 1)],
+    ids=["q", "fp101", "fp10007", "fp2^61-1"],
+)
+def test_mobius_node_pairs_are_the_field_element_draw_unwrapped(field):
+    # the residue draw and the field-element draw take the same draws
+    # from twin streams, and map them to the same second parameters
+    for n in (3, 6, 8):
+        rng, twin = as_stream(n).child("mobius"), as_stream(n).child("mobius")
+        pairs = random_mobius_node_pairs(n, field, rng)
+        want = oracle_mobius_node_pairs(n, field, twin)
+        assert pairs == tuple((tuple(field.unwrap(r)), tuple(field.unwrap(s))) for r, s in want)
+        values = [x for (r, s) in pairs for x in (*r, *s)]
+        assert all(type(x) is int and (field is QQ or 0 <= x < field.p) for x in values)
+        assert rng.counter == twin.counter > 0
 
 
 @pytest.mark.parametrize(

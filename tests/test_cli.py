@@ -421,3 +421,28 @@ def test_out_file(capsys, tmp_path):
     assert out == ""
     doc = json.loads(target.read_text())
     assert doc["command"] == "dims"
+
+
+@pytest.mark.parametrize("a", ["1,-1", "2,-3,4"])
+def test_degenerate_negative_degree_is_a_usage_error(capsys, a):
+    # the degrees are named in the order given: no scroll type sorts them
+    with pytest.raises(SystemExit) as excinfo:
+        main(["degenerate", "--a", a, "--field", "fp:101"])
+    assert excinfo.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    degrees = tuple(int(x) for x in a.split(","))
+    assert captured.err.endswith(f"error: bad --a: negative degree in fiber degrees {degrees}\n")
+
+
+@pytest.mark.parametrize("where", ["missing-dir", "directory", "empty"])
+def test_unwritable_out_is_a_usage_error(capsys, tmp_path, where):
+    target = {"missing-dir": tmp_path / "missing" / "r.json", "directory": tmp_path,
+              "empty": ""}[where]
+    reason = "Is a directory" if where == "directory" else "No such file or directory"
+    with pytest.raises(SystemExit) as excinfo:
+        main(["dims", "--n", "4", "--out", str(target)])
+    assert excinfo.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"scrollgeom: error: cannot write --out {target}: {reason}\n"

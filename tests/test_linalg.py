@@ -18,7 +18,6 @@ from scrollgeom.linalg import (
     _int_rows_of_combinations,
     _packed_combinations,
     _slots,
-    pivot_columns,
     pivot_columns_of_combinations,
     rank_kernel,
     rank_kernel_of_combinations,
@@ -121,7 +120,12 @@ def test_rank_of_matches_rank_kernel():
             assert rank_of(rows, 6, field) == rank_kernel(rows, 6, field)[0]
 
 
-ROW_ENTRY_POINTS = [rank_kernel, pivot_columns, rank_of]
+ROW_ENTRY_POINTS = [rank_kernel, rank_of]
+
+
+def _row_pivots(rows, ncols, field):
+    """Pivot columns of plain rows, through the adapter that rank_kernel and rank_of use."""
+    return pivot_columns_of_combinations(_as_combinations(rows, ncols, field), ncols, field)
 
 
 def test_float_entries_rejected_on_both_paths():
@@ -335,7 +339,7 @@ def test_combination_entry_points_match_the_explicit_rows(p):
     # random combinations whose vectors share value lists, within a row and
     # across rows, with weights that are zero, negative and at least p:
     # the pivots and the kernel basis of the combination entry points
-    # against pivot_columns and rank_kernel on the rows written out
+    # against the plain-row pivots and rank_kernel on the rows written out
     field = PrimeField(p) if p else QQ
     rng = as_stream(p % 1000 + 31 if p else 31)
     top = p or 40
@@ -375,7 +379,7 @@ def test_combination_entry_points_match_the_explicit_rows(p):
             rows += [[3 * x for x in row] for row in rows[:rng.randint(0, 1)]]  # dependent
             combos += [(vectors, row) for row in rows]
         explicit = oracle_expanded_rows(combos, ncols, field)
-        assert pivot_columns_of_combinations(combos, ncols, field) == pivot_columns(
+        assert pivot_columns_of_combinations(combos, ncols, field) == _row_pivots(
             explicit, ncols, field)
         assert rank_kernel_of_combinations(combos, ncols, field) == rank_kernel(
             explicit, ncols, field)
@@ -419,7 +423,7 @@ def test_packed_elimination_property():
 
 
 def test_pivot_columns_property():
-    # pivot_columns is the forward pass alone; every column prefix's rank
+    # the pivot columns are the forward pass alone; every column prefix's rank
     # is the number of pivots inside it
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
@@ -451,7 +455,7 @@ def test_pivot_columns_property():
         def oracle(mat, width):
             return oracle_rref_mod(mat, width, p) if p else oracle_rref_q(mat, width)
 
-        pivots = pivot_columns(rows, ncols, field)
+        pivots = _row_pivots(rows, ncols, field)
         assert pivots == oracle(rows, ncols)[1]
         for m in range(ncols + 1):
             prefix = [row[:m] for row in rows]
@@ -632,7 +636,7 @@ def test_rational_kernel_property():
     @hypothesis.given(matrices())
     def check(case):
         ncols, rows = case
-        assert pivot_columns(rows, ncols, QQ) == oracle_rref_q(rows, ncols)[1]
+        assert _row_pivots(rows, ncols, QQ) == oracle_rref_q(rows, ncols)[1]
         _assert_exact_rational_kernel(rows, ncols)
 
     check()
@@ -676,7 +680,7 @@ def test_rational_rank_survives_a_bad_certificate_prime():
         cleared = _int_rows_of_combinations(_as_combinations(rows, ncols, QQ), ncols)
         assert rank_of(cleared, ncols, PrimeField(big)) < want
         assert rank_of(rows, ncols, QQ) == want == oracle_rref_q(rows, ncols)[0]
-        assert len(pivot_columns(rows, ncols, QQ)) == want
+        assert len(_row_pivots(rows, ncols, QQ)) == want
 
 
 def test_full_rank_rnc_ranks_take_the_certificate(monkeypatch):
@@ -703,9 +707,9 @@ def test_full_rank_rnc_ranks_take_the_certificate(monkeypatch):
         assert rnc_residual_and_rank(quad, curve)[1] == n - 1
     assert calls == []
     # the counter does see the exact pass: a rank-deficient matrix, and
-    # pivot_columns, which never takes the certificate
+    # the pivot columns, which never take the certificate
     assert rank_of([[1, 2], [2, 4]], 2, QQ) == 1
-    assert pivot_columns([[1, 0], [0, 1]], 2, QQ) == [0, 1]
+    assert _row_pivots([[1, 0], [0, 1]], 2, QQ) == [0, 1]
     assert calls == [(2, 2), (2, 2)]
 
 

@@ -41,6 +41,7 @@ from helpers import (
     oracle_form_value,
     oracle_hyperplane_rows,
     oracle_incidence_ranks,
+    oracle_lifted_frame,
     oracle_point_at,
     oracle_rank,
     oracle_unisecant,
@@ -233,7 +234,7 @@ def test_scroll_section_validation():
     # raw unsorted degree tuples are allowed (degeneration scrolls need them)
     sec = ScrollSection((0, 2, 1), 0, (qform(1), qform(0, 0, 1), qform(1, 0)))
     assert sec.degrees == (0, 2, 1)
-    assert not sec.is_zero()
+    assert not all(c.is_zero() for c in sec.comps)
 
 
 def test_scroll_section_equality():
@@ -309,6 +310,25 @@ def test_random_lifted_frame_shape():
     ts = [t[0] / t[1] for (_, t) in frame]
     assert len(set(ts)) == len(ts)
     assert all(any(y) for (y, _) in frame)
+
+
+@pytest.mark.parametrize(
+    "field",
+    [QQ, PrimeField(101), PrimeField(10007), PrimeField(2**61 - 1)],
+    ids=["q", "fp101", "fp10007", "fp2^61-1"],
+)
+def test_random_lifted_frame_is_the_field_element_draw_unwrapped(field):
+    # the residue draw and the field-element draw take the same draws
+    # from twin streams
+    for degrees in ((1, 2), (0, 1, 3), (2, 3, 3)):
+        scroll = ScrollType(degrees)
+        rng, twin = RngStream("frame"), RngStream("frame")
+        frame = random_lifted_frame(scroll, field, rng)
+        want = oracle_lifted_frame(scroll, field, twin)
+        assert frame == [(tuple(field.unwrap(y)), tuple(field.unwrap(t))) for (y, t) in want]
+        values = [x for (y, t) in frame for x in (*y, *t)]
+        assert all(type(x) is int and (field is QQ or 0 <= x < field.p) for x in values)
+        assert rng.counter == twin.counter > 0
 
 
 # ------------------------------------------------------------ interpolation
